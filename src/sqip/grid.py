@@ -8,18 +8,16 @@ which is the backbone of every mass-control check in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .errors import ConfigError, DomainError, NumericsError
 
 MIN_CELLS = 4
-
-# Shifted inverse iteration defaults for the Neumann eigenvalue solver.
-EIG_TOL = 1e-10
-EIG_MAX_ITER = 400
 
 
 @dataclass(frozen=True)
@@ -175,11 +173,15 @@ def _stiffness_banded(n: int, h: float) -> np.ndarray:
 
 
 class AxisSolver:
-    """Cached Cholesky solve of (I + c*A) along one axis, A = -Laplacian."""
+    """Cached Cholesky solve of (I + c*A) along one axis, A = -Laplacian.
+
+    Each solve is one LAPACK ``dpbtrs`` call on the cached factor. The
+    right-hand side is not checked for finite values: a NaN or infinity
+    passes through into the result, and callers that need finite output
+    check it there (:meth:`sqip.solver.Stepper.step` does).
+    """
 
     def __init__(self, n: int, h: float):
-        self.n = n
-        self.h = h
         self._ab = _stiffness_banded(n, h)
         self._factors: dict[float, np.ndarray] = {}
 
@@ -193,14 +195,21 @@ class AxisSolver:
         return factor
 
     def solve(self, c: float, rhs: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Solve (I + c*A) x = rhs along the given axis of rhs."""
+        """Solve (I + c*A) x = rhs along the given axis of a 1D or 2D rhs.
+
+        Always returns a new array; ``rhs`` is left unchanged.
+        """
         if c == 0.0:
             return rhs.copy()
         factor = self._factor(c)
-        moved = np.moveaxis(rhs, axis, 0)
-        flat = moved.reshape(self.n, -1)
-        out = cho_solve_banded((factor, False), flat)
-        return np.moveaxis(out.reshape(moved.shape), 0, axis)
+        if axis == 0:
+            out, info = dpbtrs(factor, rhs)
+        else:
+            out, info = dpbtrs(factor, np.moveaxis(rhs, axis, 0))
+            out = np.moveaxis(out, 0, axis)
+        if info != 0:
+            raise NumericsError(f"dpbtrs rejected argument {-info}", info=info)
+        return out
 
 
 class DiffusionSolver:
@@ -221,72 +230,49 @@ class DiffusionSolver:
                           AxisSolver(domain.ny, domain.hy)]
 
     def solve(self, c: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I + c*A) x = rhs on the grid, axis 0 first in 2D.
+
+        Like :meth:`AxisSolver.solve`, this does not check for finite
+        values; a non-finite rhs gives a non-finite result.
+        """
         out = rhs
         for axis, solver in enumerate(self._axes):
             out = solver.solve(c, out, axis=axis)
         return out
 
 
-def _smallest_positive_axis_eigenvalue(n: int, h: float, length: float,
-                                       tol: float, max_iter: int) -> float:
-    """Shifted inverse iteration for the smallest nonzero eigenvalue of A.
+def _axis_poincare(n: int, length: float) -> float:
+    """Smallest positive eigenvalue of A on one axis of n cells.
 
-    The constant kernel vector is deflated by explicit orthogonalization
-    every iteration. The shift sits below the continuum value (pi/L)^2, so
-    the iteration contracts onto the first nonconstant mode.
+    The cell-centred Neumann stencil has the eigenvalues
+    (4/h^2) sin^2(k pi h / (2L)), k = 0..n-1, with cos(k pi x / L)
+    sampled at the cell centres as eigenvectors; k = 1 is the one here.
     """
-    solver = AxisSolver(n, h)
-    apply_a = lambda v: -_axis_laplacian(v, h, axis=0)
-    shift = 0.5 * (np.pi / length) ** 2
-
-    x = (np.arange(n) + 0.5) * h
-    v = x - x.mean()
-    v /= np.linalg.norm(v)
-
-    lam = 0.0
-    for _ in range(max_iter):
-        # (A + shift*I)^{-1} amplifies the low end of the deflated spectrum.
-        w = solver.solve(1.0 / shift, v, axis=0) / shift
-        w -= w.mean()
-        w /= np.linalg.norm(w)
-        av = apply_a(w)
-        lam = float(w @ av)
-        residual = float(np.linalg.norm(av - lam * w))
-        v = w
-        if residual <= tol * max(lam, 1e-300):
-            return lam
-    raise NumericsError(
-        "Neumann eigenvalue iteration did not converge",
-        residual=residual, last_value=lam,
-    )
+    h = length / n
+    return 4.0 / (h * h) * math.sin(math.pi * h / (2.0 * length)) ** 2
 
 
-def poincare_constant(domain: Domain, n: int | None = None,
-                      tol: float = EIG_TOL, max_iter: int = EIG_MAX_ITER) -> float:
+def poincare_constant(domain: Domain, n: int | None = None) -> float:
     """Smallest positive eigenvalue of -Laplacian with zero-flux boundaries.
 
     This is the constant in the mean-zero Poincare inequality on the grid.
     On a rectangle the spectrum is the sum of the per-axis spectra, so the
-    smallest positive value is the minimum of the two axis values.
+    smallest positive value is the minimum of the two axis values. The
+    value is the exact eigenvalue of the discrete operator, which tends to
+    the continuum value (pi/L)^2 at second order in h.
 
     Args:
         domain: Grid description; ``n`` optionally overrides its resolution.
         n: Replacement cell count (applied per axis in 2D).
-        tol: Relative residual target of the inverse iteration.
-        max_iter: Iteration bound before a numeric error is raised.
     """
     if isinstance(domain, Domain1D):
         cells = domain.n if n is None else int(n)
         if cells < 8:
-            raise ConfigError("eigenvalue solve needs at least 8 cells")
-        return _smallest_positive_axis_eigenvalue(
-            cells, domain.length / cells, domain.length, tol, max_iter)
+            raise ConfigError("Poincare constant needs at least 8 cells")
+        return _axis_poincare(cells, domain.length)
     nx = domain.nx if n is None else int(n)
     ny = domain.ny if n is None else int(n)
     if nx < 8 or ny < 8:
-        raise ConfigError("eigenvalue solve needs at least 8 cells per axis")
-    lam_x = _smallest_positive_axis_eigenvalue(
-        nx, domain.length_x / nx, domain.length_x, tol, max_iter)
-    lam_y = _smallest_positive_axis_eigenvalue(
-        ny, domain.length_y / ny, domain.length_y, tol, max_iter)
-    return min(lam_x, lam_y)
+        raise ConfigError("Poincare constant needs at least 8 cells per axis")
+    return min(_axis_poincare(nx, domain.length_x),
+               _axis_poincare(ny, domain.length_y))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -46,6 +47,17 @@ class SystemState:
 
     def copy(self) -> "SystemState":
         return SystemState(self.S.copy(), self.I.copy(), self.t)
+
+    @cached_property
+    def extrema(self) -> tuple[float, float, float, float]:
+        """(min S, max S, min I, max I), computed once per state.
+
+        A NaN anywhere in a field makes both of its values NaN, and an
+        infinity is its min or max, so the four values are all finite
+        exactly when both fields are.
+        """
+        return (float(self.S.min()), float(self.S.max()),
+                float(self.I.min()), float(self.I.max()))
 
 
 @dataclass(frozen=True)
@@ -153,29 +165,44 @@ class Stepper:
         g = beta * kernel - (gamma + mu) * removal
         return f, g
 
-    def reaction_dt_cap(self, S: np.ndarray, I: np.ndarray) -> float:
-        """Step ceiling 0.5 / (sigma_sup * (1 + M^(p+q))), M the sup norm."""
+    def reaction_dt_cap(self, sup: float) -> float:
+        """Step ceiling 0.5 / (sigma_sup * (1 + M^(p+q))), M = max(sup, 0).
+
+        ``sup`` is the largest value of S and I (see ``SystemState.extrema``).
+        """
         sigma = self.model.sigma_sup
         if sigma <= 0:
             return math.inf
         q, p = self.model.incidence.core_exponents
-        m = max(float(S.max()), float(I.max()), 0.0)
+        m = max(sup, 0.0)
         return 0.5 / (sigma * (1.0 + m ** (p + q)))
 
     def step(self, state: SystemState, dt: float) -> SystemState | None:
-        """Advance by dt; returns None when positivity rejects the step."""
+        """Advance by dt; returns None when positivity rejects the step.
+
+        The diffusion solves do not check for finite values. This method
+        does, once per step, from the ``extrema`` of the new state, which
+        also give the negativity test and stay cached on the returned
+        state for the caller.
+
+        Raises:
+            NumericsError: a non-finite value appeared; the payload holds
+                ``t``, ``dt`` and copies of the pre-step ``S`` and ``I``.
+        """
         f, g = self.reaction(state.S, state.I, state.t)
         S_star = state.S + dt * f
         I_star = state.I + dt * g
-        S_new = self.diffusion.solve(dt * self.model.d_S, S_star)
-        I_new = self.diffusion.solve(dt * self.model.d_I, I_star)
-        if not (np.isfinite(S_new).all() and np.isfinite(I_new).all()):
+        new = SystemState(self.diffusion.solve(dt * self.model.d_S, S_star),
+                          self.diffusion.solve(dt * self.model.d_I, I_star),
+                          state.t + dt)
+        lo_S, hi_S, lo_I, hi_I = new.extrema
+        if not all(math.isfinite(v) for v in (lo_S, hi_S, lo_I, hi_I)):
             raise NumericsError(
                 "non-finite value during step",
                 t=state.t, dt=dt, S=state.S.copy(), I=state.I.copy())
-        if S_new.min() < 0.0 or I_new.min() < 0.0:
+        if lo_S < 0.0 or lo_I < 0.0:
             return None
-        return SystemState(S_new, I_new, state.t + dt)
+        return new
 
     def initial_dt(self, state: SystemState) -> float:
         s = self.settings
@@ -185,7 +212,8 @@ class Stepper:
         if h is None:
             h = min(self.domain.hx, self.domain.hy)
         dt = DT_INIT_GAIN * h * h / max(self.model.d_S, self.model.d_I)
-        dt = min(dt, DT_INIT_CAP, s.dt_max, self.reaction_dt_cap(state.S, state.I))
+        _, hi_S, _, hi_I = state.extrema
+        dt = min(dt, DT_INIT_CAP, s.dt_max, self.reaction_dt_cap(max(hi_S, hi_I)))
         return max(dt, s.dt_min)
 
 
@@ -261,9 +289,12 @@ def run(config) -> Trajectory:
         snapshots[events[0]] = state.copy()
         events = events[1:]
 
-    sup_monitor = max(float(state.S.max()), float(state.I.max()))
-    floor_S = float(state.S.min())
-    floor_I = float(state.I.min())
+    # The four reductions of the current state feed the step cap, the
+    # sup monitor and the floors; Stepper.step takes them once per step.
+    lo_S, hi_S, lo_I, hi_I = state.extrema
+    sup_monitor = max(hi_S, hi_I)
+    floor_S = lo_S
+    floor_I = lo_I
 
     dt = stepper.initial_dt(state)
     accepted = 0
@@ -277,7 +308,7 @@ def run(config) -> Trajectory:
                 "max_steps exhausted before t_end", t=state.t,
                 steps=accepted + rejected)
         next_event = events[0] if events else t_end
-        dt_try = min(dt, stepper.reaction_dt_cap(state.S, state.I))
+        dt_try = min(dt, stepper.reaction_dt_cap(max(hi_S, hi_I)))
         remaining = next_event - state.t
         hit_event = dt_try >= remaining - EVENT_SNAP
         if hit_event:
@@ -294,6 +325,7 @@ def run(config) -> Trajectory:
                 raise StiffnessError(state.t, dt, worst)
             continue
 
+        lo_S, hi_S, lo_I, hi_I = new_state.extrema
         if hit_event:
             new_state = SystemState(new_state.S, new_state.I, next_event)
         state = new_state
@@ -303,9 +335,9 @@ def run(config) -> Trajectory:
             dt = min(dt * settings.growth_factor, settings.dt_max)
             streak = 0
 
-        sup_monitor = max(sup_monitor, float(state.S.max()), float(state.I.max()))
-        floor_S = min(floor_S, float(state.S.min()))
-        floor_I = min(floor_I, float(state.I.min()))
+        sup_monitor = max(sup_monitor, hi_S, hi_I)
+        floor_S = min(floor_S, lo_S)
+        floor_I = min(floor_I, lo_I)
 
         if hit_event:
             if events and abs(state.t - events[0]) <= EVENT_SNAP:

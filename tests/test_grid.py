@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from sqip.errors import ConfigError, DomainError
-from sqip.grid import (DiffusionSolver, Domain1D, Domain2D, build_laplacian,
-                       integrate, poincare_constant)
+from sqip.grid import (AxisSolver, DiffusionSolver, Domain1D, Domain2D,
+                       _stiffness_banded, build_laplacian, integrate,
+                       poincare_constant)
 
 
 def test_constant_field_in_kernel():
@@ -145,3 +147,50 @@ def test_backward_euler_2d_conserves_integral():
     f = rng.uniform(0.0, 1.0, dom.shape)
     out = solver.solve(0.05, f)
     assert abs(integrate(dom, out) - integrate(dom, f)) < 1e-12
+
+
+def _reference_axis_solve(n, h, c, rhs, axis):
+    """(I + c*A) x = rhs along one axis through scipy's checked wrapper."""
+    ab = c * _stiffness_banded(n, h)
+    ab[1, :] += 1.0
+    factor = cholesky_banded(ab)
+    moved = np.moveaxis(rhs, axis, 0)
+    out = cho_solve_banded((factor, False), moved.reshape(n, -1))
+    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+
+
+SOLVE_COEFFS = (1e-5, 0.003, 0.37, 12.0)
+
+
+@pytest.mark.parametrize("n", (96, 128))
+@pytest.mark.parametrize("c", SOLVE_COEFFS)
+def test_axis_solve_bitwise_matches_reference_1d(n, c):
+    dom = Domain1D(1.7, n)
+    rhs = np.random.default_rng(n).uniform(-1.0, 3.0, dom.shape)
+    kept = rhs.copy()
+    want = _reference_axis_solve(n, dom.h, c, rhs, 0)
+    assert np.array_equal(AxisSolver(n, dom.h).solve(c, rhs), want)
+    assert np.array_equal(DiffusionSolver(dom).solve(c, rhs), want)
+    assert np.array_equal(rhs, kept)
+
+
+@pytest.mark.parametrize("c", SOLVE_COEFFS)
+def test_axis_solve_bitwise_matches_reference_2d(c):
+    dom = Domain2D(1.0, 2.5, 48, 48)
+    rhs = np.random.default_rng(48).uniform(-1.0, 3.0, dom.shape)
+    kept = rhs.copy()
+    along_x = _reference_axis_solve(48, dom.hx, c, rhs, 0)
+    along_y = _reference_axis_solve(48, dom.hy, c, rhs, 1)
+    assert np.array_equal(AxisSolver(48, dom.hx).solve(c, rhs, axis=0), along_x)
+    assert np.array_equal(AxisSolver(48, dom.hy).solve(c, rhs, axis=1), along_y)
+    adi = _reference_axis_solve(48, dom.hy, c, along_x, 1)
+    assert np.array_equal(DiffusionSolver(dom).solve(c, rhs), adi)
+    assert np.array_equal(rhs, kept)
+
+
+@pytest.mark.parametrize("dom", (Domain1D(1.0, 16), Domain2D(1.0, 1.0, 8, 6)))
+def test_zero_coefficient_solve_returns_fresh_copy(dom):
+    rhs = np.random.default_rng(5).uniform(0.0, 1.0, dom.shape)
+    out = DiffusionSolver(dom).solve(0.0, rhs)
+    assert np.array_equal(out, rhs)
+    assert not np.shares_memory(out, rhs)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqip.errors import AssumptionError, StiffnessError
+from sqip.errors import AssumptionError, NumericsError, StiffnessError
 from sqip.grid import Domain1D, Domain2D, integrate
 from sqip.model import CoefficientField, Exponents, Incidence, ModelSpec
 from sqip.presets import preset_config
@@ -122,6 +122,46 @@ def test_stiffness_error_carries_location():
     with pytest.raises(StiffnessError) as err:
         run(cfg)
     assert err.value.location is not None
+
+
+@pytest.mark.parametrize("dom", (Domain1D(1.0, 32), Domain2D(1.0, 1.0, 8, 8)))
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_non_finite_state_raises_numerics_error_with_state(dom, bad):
+    stepper = Stepper(make_model(), dom)
+    S = np.full(dom.shape, 0.5)
+    S.flat[5] = bad
+    state = SystemState(S, np.full(dom.shape, 0.1), 0.25)
+    with pytest.raises(NumericsError) as info:
+        with np.errstate(invalid="ignore"):
+            stepper.step(state, 0.01)
+    payload = info.value.payload
+    assert payload["t"] == 0.25
+    assert payload["dt"] == 0.01
+    assert np.array_equal(payload["S"], S, equal_nan=True)
+    assert np.array_equal(payload["I"], state.I)
+    assert not np.shares_memory(payload["S"], state.S)
+
+
+@pytest.mark.parametrize("name, overrides, two_dim", [
+    ("thm-2.11-persist", {"solver.t_end": "0.5"}, False),
+    ("thm-2.11-persist", {"solver.t_end": "0.1"}, True),
+    ("thm-2.10-ii", {"model.q": "0.3", "model.beta": "4.0",
+                     "solver.t_end": "1.0"}, False),
+])
+def test_run_monitors_match_every_row(name, overrides, two_dim):
+    # A cadence below any step records every accepted state, so the
+    # monitors run() keeps from the shared per-step reductions must equal
+    # the ones recomputed from the rows.
+    cfg = preset_config(name, {**overrides, "solver.cadence": "1e-9"},
+                        two_dim=two_dim)
+    traj = run(cfg)
+    rows = traj.rows
+    assert len(rows) == traj.steps_accepted + 1
+    assert traj.sup_monitor == max(rows["sup_S"].max(), rows["sup_I"].max())
+    assert traj.floor_S == rows["min_S"].min()
+    assert traj.floor_I == rows["min_I"].min()
+    if name == "thm-2.10-ii":
+        assert traj.steps_rejected > 0
 
 
 def test_run_mass_conserved_without_mortality():
