@@ -3,7 +3,7 @@
 Subcommands:
     run <config>         run a scenario file
     preset <name>        run a named preset
-    sweep <spec>         run a sweep file (resumable)
+    sweep <spec>         run a sweep file (pde sweeps resume)
     r0 <config>          spectral threshold quantities only
     ode classify ...     closed-form outcome of a zero-diffusion system
     ode sweep ...        oracle agreement sweep, emitted as CSV

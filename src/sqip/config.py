@@ -74,7 +74,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "dt_init": ("float-or-none", "auto"),
         "dt_min": ("float", "1e-10"),
         "dt_max": ("float", "0.02"),
-        "linear_tol": ("float", "1e-12"),
         "max_steps": ("int", "2000000"),
         "cadence": ("float-or-none", "auto"),
         "snapshots": ("float-list", ""),
@@ -100,47 +99,55 @@ _CALL_RE = re.compile(r"^([a-z]+)\((.*)\)$")
 class InitialData:
     """Initial field description: constant level, bump, or a file."""
 
-    kind: str  # constant | bump | tabulated | array
+    kind: str  # constant | bump | tabulated
     value: float = 0.0
     center: tuple[float, ...] = ()
     width: float = 0.0
     amplitude: float = 0.0
     floor: float = 0.0
     path: str = ""
-    values: np.ndarray | None = None
 
     def build(self, domain: Domain) -> np.ndarray:
+        """The field on the grid.
+
+        Raises:
+            ConfigError: a data file does not fit the grid, or a value is
+                NaN or infinite.
+        """
         if self.kind == "constant":
-            return np.full(domain.shape, self.value)
-        if self.kind == "array":
-            arr = np.asarray(self.values, dtype=float)
-            if arr.shape != domain.shape:
-                raise ConfigError(
-                    f"initial array shape {arr.shape} does not match grid "
-                    f"{domain.shape}")
-            return arr.copy()
-        if self.kind == "tabulated":
+            field = np.full(domain.shape, self.value)
+        elif self.kind == "tabulated":
             arr = np.loadtxt(self.path, dtype=float)
             if arr.size != int(np.prod(domain.shape)):
                 raise ConfigError(
                     f"initial data file {self.path} has {arr.size} values, "
                     f"grid needs {int(np.prod(domain.shape))}")
-            return arr.reshape(domain.shape)
-        # Gaussian bump: strictly positive everywhere, so it satisfies the
-        # strict-positivity requirements of fractional exponents.
-        if isinstance(domain, Domain1D):
-            x = domain.cell_centers()
-            center = self.center[0] if self.center else 0.5 * domain.length
-            width = self.width or 0.1 * domain.length
-            r2 = (x - center) ** 2
+            field = arr.reshape(domain.shape)
         else:
-            x, y = domain.cell_centers()
-            cx = self.center[0] if self.center else 0.5 * domain.length_x
-            cy = (self.center[1] if len(self.center) > 1
-                  else 0.5 * domain.length_y)
-            width = self.width or 0.1 * min(domain.length_x, domain.length_y)
-            r2 = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
-        return self.amplitude * np.exp(-0.5 * r2 / width**2) + self.floor
+            # Gaussian bump: strictly positive everywhere, so it satisfies
+            # the strict-positivity requirements of fractional exponents.
+            if isinstance(domain, Domain1D):
+                x = domain.cell_centers()
+                center = self.center[0] if self.center else 0.5 * domain.length
+                width = self.width or 0.1 * domain.length
+                r2 = (x - center) ** 2
+            else:
+                x, y = domain.cell_centers()
+                cx = self.center[0] if self.center else 0.5 * domain.length_x
+                cy = (self.center[1] if len(self.center) > 1
+                      else 0.5 * domain.length_y)
+                width = self.width or 0.1 * min(domain.length_x,
+                                                domain.length_y)
+                r2 = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
+            # inf * exp(...) is NaN where the exponential underflows; the
+            # check below reports it.
+            with np.errstate(invalid="ignore", over="ignore"):
+                field = (self.amplitude * np.exp(-0.5 * r2 / width**2)
+                         + self.floor)
+        if not np.isfinite(field).all():
+            raise ConfigError(
+                f"{self.kind} initial data has a NaN or infinite value")
+        return field
 
 
 def _parse_initial(text: str, line: int) -> InitialData:
@@ -397,7 +404,6 @@ def resolve_config(pairs: dict[str, tuple[str, int | None]],
         dt_init=values["solver.dt_init"],
         dt_min=values["solver.dt_min"],
         dt_max=values["solver.dt_max"],
-        linear_tol=values["solver.linear_tol"],
         max_steps=values["solver.max_steps"],
     )
     detect = Tolerances(

@@ -38,18 +38,20 @@ def lk_norm(domain: Domain, values: np.ndarray, k: float) -> float:
 
 def compute_row(domain: Domain, S: np.ndarray, I: np.ndarray, t: float) -> tuple:
     """One diagnostics record for the state (S, I) at time t."""
+    hi_S, lo_S = float(S.max()), float(S.min())
+    hi_I, lo_I = float(I.max()), float(I.min())
     return (
         t,
         integrate(domain, S),
         integrate(domain, I),
-        float(S.max()),
-        float(I.max()),
-        float(S.min()),
-        float(I.min()),
+        hi_S,
+        hi_I,
+        lo_S,
+        lo_I,
         lk_norm(domain, S, 2),
         lk_norm(domain, I, 2),
-        float(S.max() - S.min()),
-        float(I.max() - I.min()),
+        hi_S - lo_S,
+        hi_I - lo_I,
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +31,9 @@ EQUALITY_RTOL = 1e-12
 
 ROOT_TOL = 1e-14
 ROOT_MAX_ITER = 200
+
+SETTLE_MOVEMENT_TOL = 1e-6
+SETTLE_CHECK_WINDOW = 5.0
 
 
 @dataclass(frozen=True)
@@ -438,25 +442,21 @@ class TerminalReport:
 
 
 def settle_batch(system: str, params_batch: dict[str, np.ndarray],
-                 y0: np.ndarray, dt: float = 0.01, t_max: float = 800.0,
-                 movement_tol: float = 1e-6, check_window: float = 5.0
+                 y0: np.ndarray, dt: float = 0.01, t_max: float = 800.0
                  ) -> TerminalReport:
     """Integrate many points at once until each stops moving.
 
     A point is converged once its state changes by less than
-    ``movement_tol`` (sup norm) over the trailing tenth of its elapsed
-    time, checked every ``check_window`` time units. Converged points are
-    frozen while the rest continue, which keeps the oracle sweeps cheap.
+    ``SETTLE_MOVEMENT_TOL`` (sup norm) over the trailing tenth of its
+    elapsed time, checked every ``SETTLE_CHECK_WINDOW`` time units.
+    Converged points are frozen while the rest continue, which keeps the
+    oracle sweeps cheap.
     """
     if system not in ("si", "sis"):
         raise DomainError("batch settling supports the si and sis systems")
 
-    class _P:
-        pass
-
-    p = _P()
-    for name, vals in params_batch.items():
-        setattr(p, name, np.asarray(vals, dtype=float))
+    p = SimpleNamespace(**{name: np.asarray(vals, dtype=float)
+                           for name, vals in params_batch.items()})
 
     y = np.array(y0, dtype=float)
     m = y.shape[0]
@@ -470,7 +470,7 @@ def settle_batch(system: str, params_batch: dict[str, np.ndarray],
     while t < t_max - 1e-12 and active.any():
         # Each checkpoint spacing is the trailing tenth of elapsed time,
         # so the movement test always looks at the last decade of the run.
-        t_next = min(t_max, max(t + check_window, 1.1 * t))
+        t_next = min(t_max, max(t + SETTLE_CHECK_WINDOW, 1.1 * t))
         nsteps = max(1, int(math.ceil((t_next - t) / dt)))
         for _ in range(nsteps):
             y_new = _rk4_step(system, p, y, dt)
@@ -482,7 +482,7 @@ def settle_batch(system: str, params_batch: dict[str, np.ndarray],
             t += dt
         t_reached[active] = t
         moved = np.abs(y - anchor).max(axis=1)
-        settled = active & (moved < movement_tol)
+        settled = active & (moved < SETTLE_MOVEMENT_TOL)
         converged |= settled
         active &= ~settled
         anchor = y.copy()

@@ -25,9 +25,10 @@ from .solver import Trajectory
 
 ODE_SWEEP_HEADER = "p,q,beta,gamma_or_mu,N_or_I0,S0,predicted,observed,agree"
 
-# Observation thresholds of the oracle sweeps (terminal matching scale).
+# Observation threshold of the oracle sweeps (terminal matching scale).
 MATCH_TOL = 1e-3
-MOVEMENT_TOL = 1e-6
+# Time limit of the oracle sweeps' batch integration.
+SWEEP_T_MAX = 600.0
 
 
 @dataclass
@@ -84,7 +85,6 @@ def summarize(config: ScenarioConfig, traj: Trajectory,
         f"min_I_overall={traj.floor_I:.6g}",
         f"steps_accepted={traj.steps_accepted}",
         f"steps_rejected={traj.steps_rejected}",
-        f"clamp_events={traj.clamp_events}",
         f"flags={','.join(traj.flags) or 'none'}",
     ])
     if spec_result is not None:
@@ -161,8 +161,7 @@ class _DrawBudget:
             raise NumericsError("sweep sampling filter rejected every draw")
 
 
-def si_sweep_rows(count: int = 100, seed: int = 20240501,
-                  dt: float = 0.01, t_max: float = 600.0) -> list[dict]:
+def si_sweep_rows(count: int = 100, seed: int = 20240501) -> list[dict]:
     """Prediction/observation table for the mortality-driven system.
 
     Points are drawn inside the decidable interior of each classified
@@ -264,8 +263,7 @@ def si_sweep_rows(count: int = 100, seed: int = 20240501,
     params = {key: np.array([pt[key] for pt in points])
               for key in ("beta", "mu", "p", "q", "S0", "I0")}
     y0 = np.column_stack([params["S0"], params["I0"]])
-    report = ode.settle_batch("si", params, y0, dt=dt, t_max=t_max,
-                              movement_tol=MOVEMENT_TOL)
+    report = ode.settle_batch("si", params, y0, t_max=SWEEP_T_MAX)
 
     rows = []
     for i, pt in enumerate(points):
@@ -301,8 +299,7 @@ def si_sweep_rows(count: int = 100, seed: int = 20240501,
     return rows
 
 
-def sis_sweep_rows(count: int = 100, seed: int = 20240502,
-                   dt: float = 0.01, t_max: float = 600.0) -> list[dict]:
+def sis_sweep_rows(count: int = 100, seed: int = 20240502) -> list[dict]:
     """Prediction/observation table for the conserved-mass system.
 
     The recovery rate of each point is manufactured from a target
@@ -391,8 +388,7 @@ def sis_sweep_rows(count: int = 100, seed: int = 20240502,
     params = {key: np.array([pt[key] for pt in points])
               for key in ("beta", "gamma", "p", "q", "N", "S0")}
     y0 = np.column_stack([params["S0"], params["N"] - params["S0"]])
-    report = ode.settle_batch("sis", params, y0, dt=dt, t_max=t_max,
-                              movement_tol=MOVEMENT_TOL)
+    report = ode.settle_batch("sis", params, y0, t_max=SWEEP_T_MAX)
 
     rows = []
     for i, pt in enumerate(points):
@@ -504,59 +500,49 @@ def _pde_row(spec: SweepSpec, overrides: dict[str, str]) -> dict:
 
 
 def run_sweep(spec: SweepSpec, out_dir) -> str:
-    """Execute a sweep, resumably, and write results.csv.
+    """Execute a sweep and write results.csv.
 
-    Completed rows are journaled to rows.part as JSON lines; rerunning
-    with the same output directory recomputes only what is missing and
-    rewrites the final CSV in deterministic row order via an atomic
-    rename.
+    A ``pde`` sweep journals each finished row to rows.part as a JSON
+    line; rerunning it with the same output directory recomputes only
+    the rows missing from the journal. The ``ode-*`` kinds integrate all
+    points in one batch, so they keep no journal and are recomputed in
+    full. Either way results.csv is written in deterministic row order
+    via an atomic rename.
     """
     os.makedirs(out_dir, exist_ok=True)
-    part_path = os.path.join(out_dir, "rows.part")
-    done: dict[int, str] = {}
-    if os.path.exists(part_path):
-        with open(part_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    done[int(rec["index"])] = rec["line"]
-
     if spec.kind == "pde":
+        part_path = os.path.join(out_dir, "rows.part")
+        done: dict[int, str] = {}
+        if os.path.exists(part_path):
+            with open(part_path, "r", encoding="utf-8") as fh:
+                for line in fh:
+                    if line.strip():
+                        rec = json.loads(line)
+                        done[int(rec["index"])] = rec["line"]
+
         combos = _pde_sweep_points(spec)
         axis_names = [key for key, _ in spec.axes]
+        with open(part_path, "a", encoding="utf-8") as part:
+            for i, combo in enumerate(combos):
+                if i in done:
+                    continue
+                row = _pde_row(spec, combo)
+                line = ",".join([combo[a] for a in axis_names]
+                                + [row["outcome"], row["value"], row["error"]])
+                part.write(json.dumps({"index": i, "line": line}) + "\n")
+                part.flush()
+                done[i] = line
         header = ",".join(axis_names + ["outcome", "value", "error"])
-        total = len(combos)
-
-        def compute(i: int) -> str:
-            row = _pde_row(spec, combos[i])
-            return ",".join([combos[i][a] for a in axis_names]
-                            + [row["outcome"], row["value"], row["error"]])
+        text = "\n".join([header] + [done[i] for i in range(len(combos))]) + "\n"
     else:
         maker = si_sweep_rows if spec.kind == "ode-si" else sis_sweep_rows
-        rows = maker(count=spec.points,
-                     seed=spec.seed or (20240501 if spec.kind == "ode-si"
-                                        else 20240502))
-        header = ODE_SWEEP_HEADER
-        csv_lines = ode_sweep_csv(rows).strip().split("\n")[1:]
-        total = len(csv_lines)
-
-        def compute(i: int) -> str:
-            return csv_lines[i]
-
-    with open(part_path, "a", encoding="utf-8") as part:
-        for i in range(total):
-            if i in done:
-                continue
-            line = compute(i)
-            part.write(json.dumps({"index": i, "line": line}) + "\n")
-            part.flush()
-            done[i] = line
+        text = ode_sweep_csv(maker(
+            count=spec.points,
+            seed=spec.seed or (20240501 if spec.kind == "ode-si" else 20240502)))
 
     csv_path = os.path.join(out_dir, "results.csv")
     tmp_path = csv_path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(total):
-            fh.write(done[i] + "\n")
+        fh.write(text)
     os.replace(tmp_path, csv_path)
     return csv_path

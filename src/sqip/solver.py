@@ -28,6 +28,10 @@ DT_INIT_CAP = 1e-2
 # steps far above the explicit stability limit usable.
 DT_INIT_GAIN = 10.0
 
+# Step growth after a streak of accepted steps (see SolverSettings).
+GROWTH_FACTOR = 1.2
+GROWTH_INTERVAL = 10
+
 EVENT_SNAP = 1e-12
 
 
@@ -64,25 +68,17 @@ class SystemState:
 class SolverSettings:
     """Adaptive stepping controls.
 
-    The only positivity policy is reject-and-halve. ``linear_tol``
-    documents the accuracy of the diffusion solves (direct banded
-    factorizations resolve to machine precision, well inside it) and is
-    the slack allowed in mass-identity checks.
+    A step that makes a value negative is rejected and retried at half
+    the size; the step grows by ``GROWTH_FACTOR`` after every
+    ``GROWTH_INTERVAL`` consecutive accepted steps, up to ``dt_max``.
     """
 
     dt_init: float | None = None
     dt_min: float = 1e-10
     dt_max: float = 2e-2
-    linear_tol: float = 1e-12
     max_steps: int = 2_000_000
-    growth_factor: float = 1.2
-    growth_interval: int = 10
-    positivity_policy: str = "reject-and-halve"
 
     def __post_init__(self):
-        if self.positivity_policy != "reject-and-halve":
-            raise ConfigError(
-                f"unsupported positivity policy {self.positivity_policy!r}")
         if not (0 < self.dt_min <= self.dt_max):
             raise ConfigError("need 0 < dt_min <= dt_max")
         if self.dt_init is not None and not (self.dt_min <= self.dt_init <= self.dt_max):
@@ -102,7 +98,6 @@ class Trajectory:
     floor_I: float
     steps_accepted: int
     steps_rejected: int
-    clamp_events: int
     flags: tuple[str, ...]
     assumptions: object | None = None
 
@@ -246,8 +241,9 @@ def run(config) -> Trajectory:
 
     The loop clips steps so every requested snapshot time and the end
     time are hit exactly, halves the step on positivity rejection, and
-    grows it by the configured factor after every streak of accepted
-    steps. Two runs of the same config produce bit-identical output.
+    grows it after every streak of accepted steps (see
+    :class:`SolverSettings`). Two runs of the same config produce
+    bit-identical output.
 
     Args:
         config: A fully resolved scenario (see :mod:`sqip.config`).
@@ -331,8 +327,8 @@ def run(config) -> Trajectory:
         state = new_state
         accepted += 1
         streak += 1
-        if streak >= settings.growth_interval:
-            dt = min(dt * settings.growth_factor, settings.dt_max)
+        if streak >= GROWTH_INTERVAL:
+            dt = min(dt * GROWTH_FACTOR, settings.dt_max)
             streak = 0
 
         sup_monitor = max(sup_monitor, hi_S, hi_I)
@@ -360,7 +356,6 @@ def run(config) -> Trajectory:
         floor_I=floor_I,
         steps_accepted=accepted,
         steps_rejected=rejected,
-        clamp_events=0,
         flags=tuple(flags),
         assumptions=report,
     )

@@ -110,15 +110,15 @@ class SpectralResult:
 
 
 def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
-                     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
-                     tol: float = RAYLEIGH_TOL,
-                     max_iter: int = MAX_POWER_ITER
+                     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
                      ) -> tuple[float, np.ndarray, int, float]:
     """Spectral radius of the one-period flow map by power iteration.
 
     Iteration starts from the positive constant field, which has full
     overlap with the principal bundle, and renormalizes in the sup norm;
-    the Rayleigh ratio is the sup norm of the propagated unit field.
+    the Rayleigh ratio is the sup norm of the propagated unit field. It
+    stops once that ratio changes by at most ``RAYLEIGH_TOL`` (relative)
+    and fails after ``MAX_POWER_ITER`` period maps.
 
     Returns:
         (rho, eigenfield, iterations, final relative ratio change).
@@ -128,7 +128,7 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
     phi = np.ones(problem.domain.shape)
     rho_prev = None
     residual = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_POWER_ITER + 1):
         mapped = prop.advance(phi, 0.0, problem.omega, steps_per_period)
         rho = float(np.abs(mapped).max())
         if rho == 0.0 or not math.isfinite(rho):
@@ -136,7 +136,7 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
         phi = mapped / rho
         if rho_prev is not None:
             residual = abs(rho - rho_prev) / rho
-            if residual <= tol:
+            if residual <= RAYLEIGH_TOL:
                 return rho, phi, iteration, residual
         rho_prev = rho
     raise NumericsError(
@@ -158,15 +158,14 @@ def principal_eigenvalue(problem: LinearizedProblem, scale: float = 1.0,
                           omega=problem.omega)
 
 
-def _bisect_r0(problem: LinearizedProblem, steps_per_period: int,
-               tol: float) -> tuple[float, int]:
-    """Root of scale -> lambda0(scale); the eigenvalue grows with scale."""
-    lam = lambda s: principal_eigenvalue(problem, s, steps_per_period).lambda0
-    evals = 0
+def _bisect_r0(problem: LinearizedProblem, lam_mid: float) -> float:
+    """Root of scale -> lambda0(scale); the eigenvalue grows with scale.
+
+    ``lam_mid`` is lambda0 at scale 1, which the caller already holds.
+    """
+    lam = lambda s: principal_eigenvalue(problem, s).lambda0
 
     lo = hi = 1.0
-    lam_mid = lam(1.0)
-    evals += 1
     if lam_mid < 0:
         while lam_mid < 0:
             hi *= 2.0
@@ -174,7 +173,6 @@ def _bisect_r0(problem: LinearizedProblem, steps_per_period: int,
                 raise NumericsError("reproduction-number bracket not found",
                                     bracket=(lo, hi))
             lam_mid = lam(hi)
-            evals += 1
         lo = hi / 2.0
     elif lam_mid > 0:
         while lam_mid > 0:
@@ -183,25 +181,20 @@ def _bisect_r0(problem: LinearizedProblem, steps_per_period: int,
                 raise NumericsError("reproduction-number bracket not found",
                                     bracket=(lo, hi))
             lam_mid = lam(lo)
-            evals += 1
         hi = lo * 2.0
     else:
-        return 1.0, evals
+        return 1.0
 
-    while hi - lo > tol:
+    while hi - lo > R0_BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        evals += 1
         if lam(mid) < 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), evals
+    return 0.5 * (lo + hi)
 
 
-def r0(problem: LinearizedProblem,
-       steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
-       bisect_tol: float = R0_BISECT_TOL,
-       cross_check: bool = True) -> SpectralResult:
+def r0(problem: LinearizedProblem) -> SpectralResult:
     """Basic reproduction number together with the principal eigenvalue.
 
     Undefined (returned as None) when the recovery rate vanishes
@@ -209,7 +202,7 @@ def r0(problem: LinearizedProblem,
     against. For constant coefficients the closed form is returned and
     the bisection value is kept alongside as an independent check.
     """
-    base = principal_eigenvalue(problem, 1.0, steps_per_period)
+    base = principal_eigenvalue(problem, 1.0)
     if problem.gamma.upper <= 0:
         return base
 
@@ -222,19 +215,17 @@ def r0(problem: LinearizedProblem,
             and float(np.ptp(np.asarray(problem.gamma(x, 0.0)))) == 0.0)
         if spatially_flat and gamma0 > 0:
             closed = beta0 * problem.mean_density**problem.q / gamma0
-            check = None
-            if cross_check:
-                check, extra = _bisect_r0(problem, steps_per_period, bisect_tol)
-                if abs(check - closed) > R0_CROSS_CHECK_TOL * max(1.0, closed):
-                    raise NumericsError(
-                        "closed-form and bisection reproduction numbers disagree",
-                        closed_form=closed, bisection=check)
+            check = _bisect_r0(problem, base.lambda0)
+            if abs(check - closed) > R0_CROSS_CHECK_TOL * max(1.0, closed):
+                raise NumericsError(
+                    "closed-form and bisection reproduction numbers disagree",
+                    closed_form=closed, bisection=check)
             return SpectralResult(
                 lambda0=base.lambda0, rho=base.rho, r0=closed,
                 iterations=base.iterations, residual=base.residual,
                 omega=problem.omega, r0_cross_check=check)
 
-    value, _ = _bisect_r0(problem, steps_per_period, bisect_tol)
+    value = _bisect_r0(problem, base.lambda0)
     return SpectralResult(
         lambda0=base.lambda0, rho=base.rho, r0=value,
         iterations=base.iterations, residual=base.residual,

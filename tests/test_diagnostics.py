@@ -41,7 +41,7 @@ def _traj_from_rows(rows, snapshots=None, measure=1.0):
     return Trajectory(rows=arr, snapshots=snapshots or {}, final_state=state,
                       measure=measure, sup_monitor=float(arr["sup_S"].max()),
                       floor_S=0.0, floor_I=0.0, steps_accepted=len(rows),
-                      steps_rejected=0, clamp_events=0, flags=())
+                      steps_rejected=0, flags=())
 
 
 def _row(t, mass_S, mass_I, sup_S, sup_I, min_S, min_I, flat_S=0.0, flat_I=0.0):

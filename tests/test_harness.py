@@ -205,6 +205,22 @@ def test_run_sweep_ode_kind(tmp_path):
     assert len(lines) == 9
 
 
+def test_ode_sweep_rerun_with_new_seed(tmp_path):
+    run_sweep(SweepSpec(kind="ode-si", points=8, seed=3), tmp_path / "used")
+    used = run_sweep(SweepSpec(kind="ode-si", points=8, seed=4),
+                     tmp_path / "used")
+    fresh = run_sweep(SweepSpec(kind="ode-si", points=8, seed=4),
+                      tmp_path / "fresh")
+    assert open(used).read() == open(fresh).read()
+    assert open(fresh).read() == ode_sweep_csv(si_sweep_rows(count=8, seed=4))
+
+
+@pytest.mark.parametrize("kind", ["ode-si", "ode-sis"])
+def test_ode_sweep_keeps_no_journal(tmp_path, kind):
+    run_sweep(SweepSpec(kind=kind, points=8, seed=3), tmp_path)
+    assert sorted(os.listdir(tmp_path)) == ["results.csv"]
+
+
 def test_ode_sweep_csv_schema(tmp_path):
     rows = si_sweep_rows(count=10, seed=1)
     text = ode_sweep_csv(rows)
@@ -322,6 +338,29 @@ def test_tabulated_initial_data(tmp_path):
     traj = run(cfg)
     # the cosine integrates to zero over the interval: mass = 0.5 + 0.3
     assert traj.mass[0] == pytest.approx(0.8, abs=1e-3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [
+    "constant(inf)", "constant(nan)", "constant(-inf)",
+    "bump(0.5, 0.1, inf)", "bump(0.5, 0.01, inf)", "bump(0.5, 0.1, nan)",
+    "tabulated"])
+def test_non_finite_initial_data_rejected(tmp_path, value):
+    from sqip.solver import run
+
+    if value == "tabulated":
+        path = tmp_path / "S0.txt"
+        field = np.ones(96)
+        field[10] = np.nan
+        np.savetxt(path, field)
+        value = f"tabulated({path})"
+    cfg = preset_config("sis-bistable", {
+        "initial.S": value, "solver.t_end": "1.0",
+        "solver.allow_degenerate_initial": "true"})
+    with pytest.raises(ConfigError, match="NaN or infinite"):
+        cfg.initial_S.build(cfg.domain)
+    with pytest.raises(ConfigError, match="NaN or infinite"):
+        run(cfg)
 
 
 def test_two_dim_spectral_and_snapshot(tmp_path):

@@ -93,6 +93,27 @@ def test_r0_periodic_averages_to_threshold():
     assert abs(res.lambda0) <= 1e-5
 
 
+@pytest.mark.parametrize("beta", [
+    CoefficientField.constant(2.0),
+    CoefficientField.cosine_modulated(1.0, time_amp=0.5, period=1.0),
+], ids=["closed-form", "bisection"])
+def test_r0_evaluates_unit_scale_once(monkeypatch, beta):
+    from sqip import spectral
+
+    scales = []
+    original = spectral.principal_eigenvalue
+
+    def counting(problem, scale=1.0, *args, **kwargs):
+        scales.append(scale)
+        return original(problem, scale, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "principal_eigenvalue", counting)
+    prob = make_problem(beta, CoefficientField.constant(1.0), n=16)
+    r0(prob)
+    assert scales.count(1.0) == 1
+    assert len(scales) > 1
+
+
 def test_r0_undefined_without_recovery():
     prob = make_problem(CoefficientField.constant(2.0),
                         CoefficientField.constant(0.0))
