@@ -88,6 +88,10 @@ def _cmd_sweep(args) -> int:
         spec = runner.parse_sweep(fh.read())
     csv_path = runner.run_sweep(spec, args.out or "sweep-out")
     sys.stdout.write(f"results={csv_path}\n")
+    failed = runner.failed_rows(csv_path)
+    if failed:
+        sys.stderr.write(f"error: {failed} sweep row(s) failed, see {csv_path}\n")
+        return 1
     return 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diagnostics, ode, solver, spectral
 from .config import ScenarioConfig
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, SqipError
 from .grid import Domain1D
 from .presets import preset_config
 from .solver import Trajectory
@@ -89,6 +89,8 @@ def summarize(config: ScenarioConfig, traj: Trajectory,
     ])
     if spec_result is not None:
         lines.extend(spec_result.summary_lines())
+        lines.append("[stats]")
+        lines.extend(spec_result.stats_lines())
     if traj.assumptions is not None:
         lines.append("[assumptions]")
         lines.extend(traj.assumptions.lines())
@@ -495,8 +497,49 @@ def _pde_row(spec: SweepSpec, overrides: dict[str, str]) -> dict:
                      else _fmt(result.outcome.s_star),
             "error": "",
         }
-    except Exception as exc:  # recorded in-row, the sweep never aborts
+    except SqipError as exc:  # recorded in-row, the sweep never aborts
         return {"outcome": "", "value": "", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _read_journal(part_path) -> dict[int, str]:
+    """Rows journaled so far, by index.
+
+    A final line without its newline was torn by an interrupted write: it
+    is cut from the file, so the next append starts on a fresh line, and
+    its row is recomputed. Any other unreadable line is a ConfigError.
+    """
+    if not os.path.exists(part_path):
+        return {}
+    with open(part_path, "rb+") as fh:
+        data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            fh.truncate(complete)
+    done: dict[int, str] = {}
+    text = data[:complete].decode("utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                rec = json.loads(line)
+                done[int(rec["index"])] = rec["line"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(
+                    f"unreadable sweep journal {part_path}: {exc}", lineno
+                ) from exc
+    return done
+
+
+def failed_rows(csv_path) -> int:
+    """Rows of a results.csv whose error column is set (``pde`` sweeps;
+    the ``ode-*`` tables have no error column)."""
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    names = header.split(",")
+    if names[-1] != "error":
+        return 0
+    # Only the error text, the last column, may itself hold commas.
+    before = len(names) - 1
+    return sum(1 for row in rows if row.split(",", before)[before])
 
 
 def run_sweep(spec: SweepSpec, out_dir) -> str:
@@ -504,22 +547,17 @@ def run_sweep(spec: SweepSpec, out_dir) -> str:
 
     A ``pde`` sweep journals each finished row to rows.part as a JSON
     line; rerunning it with the same output directory recomputes only
-    the rows missing from the journal. The ``ode-*`` kinds integrate all
-    points in one batch, so they keep no journal and are recomputed in
-    full. Either way results.csv is written in deterministic row order
-    via an atomic rename.
+    the rows missing from the journal (a torn last line included). A
+    row whose scenario raises a package error records it in its error
+    column; any other exception aborts the sweep. The ``ode-*`` kinds
+    integrate all points in one batch, so they keep no journal and are
+    recomputed in full. Either way results.csv is written in
+    deterministic row order via an atomic rename.
     """
     os.makedirs(out_dir, exist_ok=True)
     if spec.kind == "pde":
         part_path = os.path.join(out_dir, "rows.part")
-        done: dict[int, str] = {}
-        if os.path.exists(part_path):
-            with open(part_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        rec = json.loads(line)
-                        done[int(rec["index"])] = rec["line"]
-
+        done = _read_journal(part_path)
         combos = _pde_sweep_points(spec)
         axis_names = [key for key, _ in spec.axes]
         with open(part_path, "a", encoding="utf-8") as part:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -365,31 +364,41 @@ class LinearPropagator:
     """Time integrator of the linear problem phi_t = d*Lap(phi) + a(x,t)*phi.
 
     This is the solver's stepping with the nonlinearity disabled: implicit
-    diffusion and an explicitly evaluated potential factor. The potential
-    factor uses the exact exponential of the midpoint sample, so a
-    spatially uniform potential is integrated with quadrature error only,
-    which is what makes the closed-form spectral checks meet their tight
-    tolerances.
+    diffusion and an explicit potential factor. The factor of step k is
+    the exact exponential exp(dt * a(x, t_k)) of the midpoint sample
+    t_k = t0 + (k + 1/2) dt, so a spatially uniform potential is
+    integrated with quadrature error only, which is what makes the
+    closed-form spectral checks meet their tight tolerances.
+
+    The factors are tabulated by the caller, once per time grid (see
+    ``LinearizedProblem.growth_factors``): ``growth`` has one row per
+    step, shape (nsteps, *domain.shape), or a single row that serves
+    every step of a time-constant potential.
     """
 
-    def __init__(self, domain: Domain, diffusivity: float,
-                 potential: Callable[[np.ndarray, float], np.ndarray]):
+    def __init__(self, domain: Domain, diffusivity: float, growth: np.ndarray):
         if diffusivity <= 0:
             raise ConfigError("diffusivity must be positive")
         self.domain = domain
         self.diffusivity = diffusivity
-        self.potential = potential
+        self.growth = growth
         self.diffusion = DiffusionSolver(domain)
-        self._x = domain.x_coordinate()
 
     def advance(self, phi: np.ndarray, t0: float, duration: float,
                 nsteps: int) -> np.ndarray:
+        """Propagate ``phi`` from ``t0`` over ``duration`` in ``nsteps`` steps.
+
+        The table fixes the time grid: its row k is the factor of step k,
+        sampled by the caller for this ``t0``, ``duration`` and ``nsteps``.
+        """
+        rows = len(self.growth)
+        if rows not in (1, nsteps):
+            raise ConfigError(
+                f"growth table has {rows} rows for {nsteps} steps")
         dt = duration / nsteps
-        out = np.asarray(phi, dtype=float).copy()
+        out = np.asarray(phi, dtype=float)
         c = dt * self.diffusivity
         for k in range(nsteps):
-            tm = t0 + (k + 0.5) * dt
-            a = np.broadcast_to(self.potential(self._x, tm), self.domain.shape)
-            out = out * np.exp(dt * a)
+            out = out * self.growth[k % rows]
             out = self.diffusion.solve(c, out)
         return out

@@ -18,7 +18,7 @@ kept as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class LinearizedProblem:
     mean_density: float
     omega: float
     domain: Domain
+    # Coefficient samples per steps_per_period, filled on first use.
+    _samples: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -77,6 +80,43 @@ class LinearizedProblem:
 
         return a
 
+    def coefficient_samples(self, steps_per_period: int
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """beta and gamma at the step midpoints of one period.
+
+        Row k samples t_k = (k + 1/2) * omega / steps_per_period; a
+        time-constant coefficient keeps a single row. Each table is
+        computed once per step count and kept for the problem's lifetime.
+        """
+        samples = self._samples.get(steps_per_period)
+        if samples is None:
+            dt = self.omega / steps_per_period
+            x = self.domain.x_coordinate()
+
+            def table(coeff: CoefficientField) -> np.ndarray:
+                rows = 1 if coeff.is_time_constant else steps_per_period
+                return np.array([coeff(x, (k + 0.5) * dt) for k in range(rows)])
+
+            samples = self._samples[steps_per_period] = (
+                table(self.beta), table(self.gamma))
+        return samples
+
+    def growth_factors(self, scale: float, steps_per_period: int) -> np.ndarray:
+        """exp(dt * a(x, t_k)) of every step of one period, with
+        a = beta*(mean density)^q/scale - gamma as in ``potential``.
+
+        Shape (steps_per_period, *domain.shape), or one row when the
+        problem is autonomous; built in place from the coefficient samples.
+        """
+        beta, gamma = self.coefficient_samples(steps_per_period)
+        dt = self.omega / steps_per_period
+        factor = self.mean_density**self.q / scale
+        growth = np.empty((max(len(beta), len(gamma)), *self.domain.shape))
+        np.multiply(beta, factor, out=growth)
+        np.subtract(growth, gamma, out=growth)
+        np.multiply(dt, growth, out=growth)
+        return np.exp(growth, out=growth)
+
     @property
     def potential_bound(self) -> float:
         return self.beta.upper * self.mean_density**self.q + self.gamma.upper
@@ -96,6 +136,9 @@ class SpectralResult:
     iterations: int
     residual: float
     omega: float
+    # One-period propagations and lambda0 evaluations behind this result.
+    period_maps: int
+    r0_evals: int
     r0_cross_check: float | None = None
 
     def summary_lines(self) -> list[str]:
@@ -107,6 +150,10 @@ class SpectralResult:
             f"iterations={self.iterations}",
             f"residual={self.residual:.3g}",
         ]
+
+    def stats_lines(self) -> list[str]:
+        """Deterministic work counters, for the ``[stats]`` block."""
+        return [f"period_maps={self.period_maps}", f"r0_evals={self.r0_evals}"]
 
 
 def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
@@ -124,7 +171,7 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
         (rho, eigenfield, iterations, final relative ratio change).
     """
     prop = LinearPropagator(problem.domain, problem.d_I,
-                            problem.potential(scale))
+                            problem.growth_factors(scale, steps_per_period))
     phi = np.ones(problem.domain.shape)
     rho_prev = None
     residual = math.inf
@@ -155,15 +202,22 @@ def principal_eigenvalue(problem: LinearizedProblem, scale: float = 1.0,
     lam = -math.log(rho) / problem.omega
     return SpectralResult(lambda0=lam, rho=rho, r0=None,
                           iterations=iterations, residual=residual,
-                          omega=problem.omega)
+                          omega=problem.omega, period_maps=iterations,
+                          r0_evals=1)
 
 
-def _bisect_r0(problem: LinearizedProblem, lam_mid: float) -> float:
+def _bisect_r0(problem: LinearizedProblem, lam_mid: float
+               ) -> tuple[float, list[SpectralResult]]:
     """Root of scale -> lambda0(scale); the eigenvalue grows with scale.
 
     ``lam_mid`` is lambda0 at scale 1, which the caller already holds.
+    Returns the root and every eigenvalue evaluation made to find it.
     """
-    lam = lambda s: principal_eigenvalue(problem, s).lambda0
+    evaluations: list[SpectralResult] = []
+
+    def lam(s):
+        evaluations.append(principal_eigenvalue(problem, s))
+        return evaluations[-1].lambda0
 
     lo = hi = 1.0
     if lam_mid < 0:
@@ -183,7 +237,7 @@ def _bisect_r0(problem: LinearizedProblem, lam_mid: float) -> float:
             lam_mid = lam(lo)
         hi = lo * 2.0
     else:
-        return 1.0
+        return 1.0, evaluations
 
     while hi - lo > R0_BISECT_TOL:
         mid = 0.5 * (lo + hi)
@@ -191,7 +245,7 @@ def _bisect_r0(problem: LinearizedProblem, lam_mid: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), evaluations
 
 
 def r0(problem: LinearizedProblem) -> SpectralResult:
@@ -200,11 +254,18 @@ def r0(problem: LinearizedProblem) -> SpectralResult:
     Undefined (returned as None) when the recovery rate vanishes
     identically, since the generation operator then has no decay to sum
     against. For constant coefficients the closed form is returned and
-    the bisection value is kept alongside as an independent check.
+    the bisection value is kept alongside as an independent check. The
+    counters sum over every eigenvalue evaluation, scale 1 included.
     """
     base = principal_eigenvalue(problem, 1.0)
     if problem.gamma.upper <= 0:
         return base
+
+    def result(value, evaluations, check=None):
+        evaluations = [base, *evaluations]
+        return replace(base, r0=value, r0_cross_check=check,
+                       period_maps=sum(e.period_maps for e in evaluations),
+                       r0_evals=len(evaluations))
 
     if problem.is_autonomous:
         x = problem.domain.x_coordinate()
@@ -215,18 +276,11 @@ def r0(problem: LinearizedProblem) -> SpectralResult:
             and float(np.ptp(np.asarray(problem.gamma(x, 0.0)))) == 0.0)
         if spatially_flat and gamma0 > 0:
             closed = beta0 * problem.mean_density**problem.q / gamma0
-            check = _bisect_r0(problem, base.lambda0)
+            check, evaluations = _bisect_r0(problem, base.lambda0)
             if abs(check - closed) > R0_CROSS_CHECK_TOL * max(1.0, closed):
                 raise NumericsError(
                     "closed-form and bisection reproduction numbers disagree",
                     closed_form=closed, bisection=check)
-            return SpectralResult(
-                lambda0=base.lambda0, rho=base.rho, r0=closed,
-                iterations=base.iterations, residual=base.residual,
-                omega=problem.omega, r0_cross_check=check)
+            return result(closed, evaluations, check)
 
-    value = _bisect_r0(problem, base.lambda0)
-    return SpectralResult(
-        lambda0=base.lambda0, rho=base.rho, r0=value,
-        iterations=base.iterations, residual=base.residual,
-        omega=problem.omega)
+    return result(*_bisect_r0(problem, base.lambda0))

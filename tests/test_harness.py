@@ -197,6 +197,55 @@ def test_pde_sweep_records_failures_in_row(tmp_path):
     assert lines[1].endswith(",")  # healthy row, empty error column
 
 
+@pytest.mark.parametrize("cut", [1, 17], ids=["newline-only", "mid-line"])
+def test_pde_sweep_resumes_after_torn_journal_line(tmp_path, cut):
+    spec = SweepSpec(kind="pde", base="sis-bistable", axes=(
+        ("solver.t_end", ("2.0", "2.5", "3.0")),))
+    fresh = run_sweep(spec, tmp_path / "fresh")
+    run_sweep(spec, tmp_path / "torn")
+    part = tmp_path / "torn" / "rows.part"
+    data = part.read_bytes()
+    part.write_bytes(data[:-cut])  # killed while writing the last row
+    resumed = run_sweep(spec, tmp_path / "torn")
+    with open(resumed) as got, open(fresh) as want:
+        assert got.read() == want.read()
+    assert part.read_bytes() == data
+
+
+def test_pde_sweep_rejects_a_corrupt_journal_line(tmp_path):
+    spec = SweepSpec(kind="pde", base="sis-bistable", axes=(
+        ("solver.t_end", ("2.0", "3.0")),))
+    (tmp_path / "rows.part").write_text(
+        '{"index": 0, "line": "2.0,Persistent,,"}\nnot json\n')
+    with pytest.raises(ConfigError, match="line 2"):
+        run_sweep(spec, tmp_path)
+
+
+def test_pde_sweep_propagates_programming_errors(tmp_path, monkeypatch):
+    from sqip import runner
+
+    def broken(config, out_dir=None):
+        raise TypeError("not a scenario failure")
+
+    monkeypatch.setattr(runner, "run_scenario", broken)
+    spec = SweepSpec(kind="pde", base="sis-bistable", axes=(
+        ("solver.t_end", ("2.0",)),))
+    with pytest.raises(TypeError, match="not a scenario failure"):
+        run_sweep(spec, tmp_path)
+
+
+def test_cli_sweep_exits_nonzero_on_failed_row(tmp_path, capsys):
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(
+        "[sweep]\nkind = pde\nbase = sis-bistable\n"
+        "vary.solver.t_end = 2.0 -1.0\n")
+    code = cli_main(["sweep", str(spec_file), "--out", str(tmp_path / "sw")])
+    assert code == 1
+    assert "1 sweep row(s) failed" in capsys.readouterr().err
+    lines = (tmp_path / "sw" / "results.csv").read_text().splitlines()
+    assert "ConfigError" in lines[2]
+
+
 def test_run_sweep_ode_kind(tmp_path):
     spec = SweepSpec(kind="ode-si", points=8, seed=3)
     csv_path = run_sweep(spec, tmp_path)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sqip.grid import Domain1D
+from sqip.grid import DiffusionSolver, Domain1D, Domain2D
 from sqip.model import CoefficientField
 from sqip.presets import preset_config
 from sqip.runner import compute_spectral
-from sqip.spectral import (LinearizedProblem, monodromy_radius,
+from sqip.spectral import (DEFAULT_STEPS_PER_PERIOD, MAX_POWER_ITER,
+                           RAYLEIGH_TOL, LinearizedProblem, monodromy_radius,
                            principal_eigenvalue, r0)
 
 
@@ -184,7 +185,7 @@ def test_power_iteration_matches_dense_floquet_spectrum():
     prob = make_problem(beta, gamma, n=n)
     steps = 256
 
-    prop = LinearPropagator(prob.domain, prob.d_I, prob.potential())
+    prop = LinearPropagator(prob.domain, prob.d_I, prob.growth_factors(1.0, steps))
     columns = []
     for j in range(n):
         e = np.zeros(n)
@@ -230,3 +231,136 @@ def test_preset_spectral_values():
     res = compute_spectral(preset_config("r0-threshold"))
     assert abs(res.lambda0) <= 1e-5
     assert res.r0 == pytest.approx(1.0, abs=1e-4)
+
+
+def reference_monodromy(problem, scale=1.0,
+                        steps_per_period=DEFAULT_STEPS_PER_PERIOD):
+    """Power iteration with the potential sampled at every step of every
+    period map: the loop that the coefficient tables replace."""
+    a = problem.potential(scale)
+    x = problem.domain.x_coordinate()
+    diffusion = DiffusionSolver(problem.domain)
+    t0, duration, nsteps = 0.0, problem.omega, steps_per_period
+
+    def period_map(phi):
+        dt = duration / nsteps
+        out = phi.copy()
+        c = dt * problem.d_I
+        for k in range(nsteps):
+            tm = t0 + (k + 0.5) * dt
+            a_k = np.broadcast_to(a(x, tm), problem.domain.shape)
+            out = out * np.exp(dt * a_k)
+            out = diffusion.solve(c, out)
+        return out
+
+    phi = np.ones(problem.domain.shape)
+    rho_prev = None
+    for iteration in range(1, MAX_POWER_ITER + 1):
+        mapped = period_map(phi)
+        rho = float(np.abs(mapped).max())
+        phi = mapped / rho
+        if rho_prev is not None:
+            residual = abs(rho - rho_prev) / rho
+            if residual <= RAYLEIGH_TOL:
+                return rho, phi, iteration, residual
+        rho_prev = rho
+    raise AssertionError("reference power iteration did not converge")
+
+
+def _heterogeneous_1d():
+    cfg = preset_config("thm-2.11-periodic", {
+        "model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": "64"})
+    return LinearizedProblem.from_model(cfg.model, cfg.domain,
+                                        cfg.total_mass(), omega=cfg.omega)
+
+
+def _periodic_2d():
+    beta = CoefficientField.cosine_modulated(
+        2.0, time_amp=0.5, period=1.0, space_amp=0.6, length=1.0)
+    return LinearizedProblem(
+        d_I=0.5, beta=beta, gamma=CoefficientField.constant(1.5), q=1.0,
+        mean_density=1.0, omega=1.0, domain=Domain2D(1.0, 1.0, 16, 16))
+
+
+def _tabulated_beta():
+    x_nodes = np.linspace(0.0, 1.0, 9)[:, None]
+    t_nodes = np.linspace(0.0, 1.0, 7)[None, :]
+    table = 2.0 + np.cos(np.pi * x_nodes) * (0.5 + 0.4 * np.sin(2 * np.pi * t_nodes))
+    beta = CoefficientField.tabulated(table, length=1.0, period=1.0)
+    return make_problem(beta, CoefficientField.constant(1.2), n=48, d_I=0.3)
+
+
+@pytest.mark.parametrize("build", [_heterogeneous_1d, _periodic_2d,
+                                   _tabulated_beta],
+                         ids=["heterogeneous-1d", "periodic-2d", "tabulated"])
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+def test_tabulated_period_map_matches_per_step_loop(build, scale):
+    prob = build()
+    rho, phi, iterations, residual = monodromy_radius(prob, scale)
+    ref_rho, ref_phi, ref_iterations, ref_residual = reference_monodromy(
+        prob, scale)
+    assert rho == ref_rho
+    assert iterations == ref_iterations
+    assert residual == ref_residual
+    assert np.array_equal(phi, ref_phi)
+
+
+def test_step_counts_keep_separate_tables():
+    # one problem at three step counts gives what three fresh problems give
+    beta = CoefficientField.cosine_modulated(
+        2.0, time_amp=0.4, period=1.0, space_amp=0.4, length=1.0)
+    gamma = CoefficientField.constant(1.5)
+    shared = make_problem(beta, gamma, n=32)
+    for steps in (128, 256, 128, 64):
+        fresh = make_problem(beta, gamma, n=32)
+        assert (monodromy_radius(shared, 1.0, steps)[0]
+                == monodromy_radius(fresh, 1.0, steps)[0])
+
+
+def test_coefficients_sampled_once_per_problem(monkeypatch):
+    calls = 0
+    original = CoefficientField.__call__
+
+    def counting(self, x, t):
+        nonlocal calls
+        calls += 1
+        return original(self, x, t)
+
+    monkeypatch.setattr(CoefficientField, "__call__", counting)
+    beta = CoefficientField.cosine_modulated(
+        2.0, time_amp=0.5, period=1.0, space_amp=0.3, length=1.0)
+    res = r0(make_problem(beta, CoefficientField.constant(1.0), n=16))
+    assert res.r0_evals > 10
+    assert calls <= 2 * DEFAULT_STEPS_PER_PERIOD + 8
+
+
+@pytest.mark.parametrize("preset,overrides,counts", [
+    ("thm-2.11-persist", {}, (48, 24)),
+    ("r0-threshold", {}, (44, 22)),
+    ("thm-2.11-periodic",
+     {"model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": "64"},
+     (96, 24)),
+], ids=["thm-2.11-persist", "r0-threshold", "het-periodic"])
+def test_spectral_counters(preset, overrides, counts):
+    res = compute_spectral(preset_config(preset, overrides or None))
+    assert (res.period_maps, res.r0_evals) == counts
+    assert res.stats_lines() == [f"period_maps={counts[0]}",
+                                 f"r0_evals={counts[1]}"]
+
+
+def test_principal_eigenvalue_counts_one_evaluation():
+    beta = CoefficientField.cosine_modulated(2.0, space_amp=0.5, length=1.0)
+    res = principal_eigenvalue(make_problem(beta, CoefficientField.constant(2.0)))
+    assert (res.period_maps, res.r0_evals) == (res.iterations, 1)
+
+
+def test_propagator_rejects_a_table_for_another_step_count():
+    from sqip.errors import ConfigError
+    from sqip.solver import LinearPropagator
+
+    beta = CoefficientField.cosine_modulated(2.0, time_amp=0.5, period=1.0)
+    prob = make_problem(beta, CoefficientField.constant(1.0), n=8)
+    prop = LinearPropagator(prob.domain, prob.d_I, prob.growth_factors(1.0, 4))
+    prop.advance(np.ones(8), 0.0, 1.0, 4)
+    with pytest.raises(ConfigError, match="4 rows for 3 steps"):
+        prop.advance(np.ones(8), 0.0, 1.0, 3)
