@@ -10,6 +10,8 @@ plus the spectral threshold quantities and zero-diffusion companion
 systems needed to verify its long-time behavior claims.
 """
 
+__version__ = "0.1.0"  # before the submodules: the sweep journal hashes it
+
 from .diagnostics import (OutcomeReport, Tolerances, classify_longtime,
                           detect_periodic, lk_norm)
 from .errors import (AssumptionError, ConfigError, DomainError, NumericsError,
@@ -27,8 +29,6 @@ from .spectral import (LinearizedProblem, SpectralResult, monodromy_radius,
 from .config import ScenarioConfig, load_config, parse_config
 from .presets import PRESET_NAMES, preset_config
 from .runner import RunResult, run_scenario, run_sweep
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AssumptionError", "AssumptionReport", "CoefficientField", "ConfigError",

@@ -3,10 +3,10 @@
 Subcommands:
     run <config>         run a scenario file
     preset <name>        run a named preset
-    sweep <spec>         run a sweep file (pde sweeps resume)
+    sweep <spec>         run a sweep file (pde sweeps resume; ode-si and
+                         ode-sis sweeps are the RK4 oracle's agreement check)
     r0 <config>          spectral threshold quantities only
     ode classify ...     closed-form outcome of a zero-diffusion system
-    ode sweep ...        oracle agreement sweep, emitted as CSV
 
 Exit code is 0 exactly when no operation reported an error.
 """
@@ -133,28 +133,6 @@ def _cmd_ode_classify(args) -> int:
     return 0
 
 
-def _cmd_ode_sweep(args) -> int:
-    if args.system in ("si", "both"):
-        rows = runner.si_sweep_rows(count=args.points, seed=args.seed)
-    else:
-        rows = []
-    if args.system in ("sis", "both"):
-        rows += runner.sis_sweep_rows(count=args.points, seed=args.seed + 1)
-    csv_text = runner.ode_sweep_csv(rows)
-    if args.out:
-        import os
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "ode_sweep.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-        sys.stdout.write(f"results={path}\n")
-    else:
-        sys.stdout.write(csv_text)
-    disagreements = sum(1 for row in rows if not row["agree"])
-    sys.stdout.write(f"# points={len(rows)} disagreements={disagreements}\n")
-    return 0 if disagreements == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqip",
@@ -199,13 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--S0", type=float, required=True)
     p_cls.add_argument("--I0", type=float, default=1.0)
     p_cls.set_defaults(func=_cmd_ode_classify)
-
-    p_osw = ode_sub.add_parser("sweep", help="oracle agreement sweep")
-    p_osw.add_argument("system", choices=["si", "sis", "both"])
-    p_osw.add_argument("--points", type=int, default=100)
-    p_osw.add_argument("--seed", type=int, default=20240501)
-    p_osw.add_argument("--out", default=None)
-    p_osw.set_defaults(func=_cmd_ode_sweep)
 
     return parser
 

@@ -202,11 +202,10 @@ class AxisSolver:
         if c == 0.0:
             return rhs.copy()
         factor = self._factor(c)
-        if axis == 0:
-            out, info = dpbtrs(factor, rhs)
-        else:
-            out, info = dpbtrs(factor, np.moveaxis(rhs, axis, 0))
-            out = np.moveaxis(out, 0, axis)
+        # Axis 1 exists only in 2D, where the transpose is the swap of axes.
+        out, info = dpbtrs(factor, rhs if axis == 0 else rhs.T)
+        if axis != 0:
+            out = out.T
         if info != 0:
             raise NumericsError(f"dpbtrs rejected argument {-info}", info=info)
         return out

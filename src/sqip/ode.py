@@ -368,12 +368,39 @@ def _rhs(system: str, params, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_step(system: str, params, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _rhs(system, params, y)
-    k2 = _rhs(system, params, y + 0.5 * dt * k1)
-    k3 = _rhs(system, params, y + 0.5 * dt * k2)
-    k4 = _rhs(system, params, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_run(system: str, params, y: np.ndarray, t: float, dt: float,
+             nsteps: int, active: np.ndarray, clamp_time: np.ndarray,
+             total: np.ndarray) -> tuple[np.ndarray, float]:
+    """Advance the active rows of an (m, k) state by ``nsteps`` RK4 steps.
+
+    A single row may also come as a (k,) state with 0-d ``active``,
+    ``clamp_time`` and ``total``. Frozen rows keep their state. In the SI
+    system a negative S is clamped at zero (I' >= -mu*I keeps I positive;
+    its clamp is only a guard) and each row's first S clamp time goes into
+    ``clamp_time``. At the end of the stretch the state must be finite
+    and, for the SIS system, each row's sum must stay within 1e-10 of its
+    start ``total``.
+    """
+    for _ in range(nsteps):
+        k1 = _rhs(system, params, y)
+        k2 = _rhs(system, params, y + 0.5 * dt * k1)
+        k3 = _rhs(system, params, y + 0.5 * dt * k2)
+        k4 = _rhs(system, params, y + dt * k3)
+        y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        if system == "si":
+            fresh = active & (y_new[..., 0] < 0.0) & np.isnan(clamp_time)
+            clamp_time[fresh] = t
+            y_new = np.maximum(y_new, 0.0)
+        y = np.where(active[..., None], y_new, y)
+    if not np.isfinite(y).all():
+        raise NumericsError("non-finite ODE state", t=t, state=y.copy())
+    if system == "sis":
+        drift = np.abs(y.sum(axis=-1) - total)
+        if (drift > 1e-10 * total).any():
+            raise NumericsError("conserved sum drifted", drift=float(drift.max()),
+                                t=t)
+    return y, t
 
 
 def rk4_integrate(system: str, params, t_end: float, dt: float,
@@ -381,9 +408,9 @@ def rk4_integrate(system: str, params, t_end: float, dt: float,
     """Fixed-step RK4 trajectory, the oracle behind every classification.
 
     The SI system may genuinely reach S = 0 in finite time when q < 1, so
-    S (and defensively I) are clamped at zero there and each first
-    clamping is recorded with its time; the clamp time estimates the true
-    hitting time. The SIS invariant S + I = N is monitored and a drift
+    S is clamped at zero there and its first clamping is recorded with
+    its time; the clamp time estimates the true hitting time. The SIS
+    invariant S + I = N is checked at every recorded state and a drift
     beyond 1e-10 * N aborts.
     """
     if system not in SYSTEMS:
@@ -391,44 +418,25 @@ def rk4_integrate(system: str, params, t_end: float, dt: float,
     if dt <= 0 or t_end <= 0:
         raise DomainError("need positive dt and t_end")
 
-    if system == "reduced":
-        y = np.array([params.S0])
-    elif system == "si":
-        y = np.array([params.S0, params.I0])
-    else:
-        y = np.array([params.S0, params.I0])
-
+    y = np.array([params.S0] if system == "reduced" else [params.S0, params.I0])
+    total = y.sum()
+    clamp_time = np.full((), np.nan)
     n_steps = int(round(t_end / dt))
-    ts = [0.0]
-    ys = [y.copy()]
-    clamps: list[tuple[float, int]] = []
-    clamped_components: set[int] = set()
-    drift = 0.0
+    t = 0.0
+    ts = [t]
+    ys = [y]
+    for done in range(0, n_steps, record_every):
+        y, t = _rk4_run(system, params, y, t, dt, min(record_every, n_steps - done),
+                        np.ones((), dtype=bool), clamp_time, total)
+        ts.append(t)
+        ys.append(y)
 
-    for k in range(1, n_steps + 1):
-        t = k * dt
-        y = _rk4_step(system, params, y, dt)
-        if not np.isfinite(y).all():
-            raise NumericsError("non-finite ODE state", t=t, state=y.copy())
-        if system == "si":
-            for comp in range(2):
-                if y[comp] < 0.0:
-                    y[comp] = 0.0
-                    if comp not in clamped_components:
-                        clamped_components.add(comp)
-                        clamps.append((t, comp))
-        elif system == "sis":
-            drift = max(drift, abs(float(y.sum()) - params.N))
-            if drift > 1e-10 * params.N:
-                raise NumericsError("conserved sum drifted", drift=drift, t=t)
-        if k % record_every == 0 or k == n_steps:
-            ts.append(t)
-            ys.append(y.copy())
-
+    ys = np.array(ys)
     return OdeTrajectory(
-        t=np.array(ts), y=np.array(ys),
-        clamp_events=tuple(clamps),
-        conservation_drift=drift if system == "sis" else None)
+        t=np.array(ts), y=ys,
+        clamp_events=() if np.isnan(clamp_time) else ((float(clamp_time), 0),),
+        conservation_drift=(float(np.abs(ys.sum(axis=1) - total).max())
+                            if system == "sis" else None))
 
 
 @dataclass
@@ -460,31 +468,25 @@ def settle_batch(system: str, params_batch: dict[str, np.ndarray],
 
     y = np.array(y0, dtype=float)
     m = y.shape[0]
+    total = y.sum(axis=1)
     active = np.ones(m, dtype=bool)
     clamp_time = np.full(m, np.nan)
     t_reached = np.zeros(m)
     converged = np.zeros(m, dtype=bool)
 
     t = 0.0
-    anchor = y.copy()
+    anchor = y
     while t < t_max - 1e-12 and active.any():
         # Each checkpoint spacing is the trailing tenth of elapsed time,
         # so the movement test always looks at the last decade of the run.
         t_next = min(t_max, max(t + SETTLE_CHECK_WINDOW, 1.1 * t))
         nsteps = max(1, int(math.ceil((t_next - t) / dt)))
-        for _ in range(nsteps):
-            y_new = _rk4_step(system, p, y, dt)
-            if system == "si":
-                fresh = active & (y_new[:, 0] < 0.0) & np.isnan(clamp_time)
-                clamp_time[fresh] = t + dt
-                y_new = np.maximum(y_new, 0.0)
-            y = np.where(active[:, None], y_new, y)
-            t += dt
+        y, t = _rk4_run(system, p, y, t, dt, nsteps, active, clamp_time, total)
         t_reached[active] = t
         moved = np.abs(y - anchor).max(axis=1)
         settled = active & (moved < SETTLE_MOVEMENT_TOL)
         converged |= settled
         active &= ~settled
-        anchor = y.copy()
+        anchor = y
     return TerminalReport(y=y, t_reached=t_reached, converged=converged,
                           clamp_time=clamp_time)

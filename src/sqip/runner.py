@@ -8,6 +8,7 @@ its CSV byte for byte.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics, ode, solver, spectral
+from . import __version__, diagnostics, ode, solver, spectral
 from .config import ScenarioConfig
 from .errors import ConfigError, NumericsError, SqipError
 from .grid import Domain1D
-from .presets import preset_config
+from .presets import preset_config, preset_pairs
 from .solver import Trajectory
 
 ODE_SWEEP_HEADER = "p,q,beta,gamma_or_mu,N_or_I0,S0,predicted,observed,agree"
@@ -151,16 +152,26 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-class _DrawBudget:
-    """Guard on rejection sampling so a bad filter fails loudly."""
+def _draw_points(quotas: dict[str, int], draw) -> list[dict]:
+    """Rejection-sample each regime's quota in turn.
 
-    def __init__(self, quota: int, per_point: int = 10_000):
-        self.left = quota * per_point
-
-    def tick(self) -> None:
-        self.left -= 1
-        if self.left <= 0:
-            raise NumericsError("sweep sampling filter rejected every draw")
+    ``draw(regime, made)`` returns a point, or None for a rejected draw.
+    Sampling fails loudly after 10,000 draws per requested point.
+    """
+    budget = 10_000 * sum(quotas.values())
+    points: list[dict] = []
+    for regime, quota in quotas.items():
+        made = 0
+        while made < quota:
+            budget -= 1
+            if budget < 0:
+                raise NumericsError("sweep sampling filter rejected every draw",
+                                    regime=regime)
+            point = draw(regime, made)
+            if point is not None:
+                points.append(point)
+                made += 1
+    return points
 
 
 def si_sweep_rows(count: int = 100, seed: int = 20240501) -> list[dict]:
@@ -181,87 +192,49 @@ def si_sweep_rows(count: int = 100, seed: int = 20240501) -> list[dict]:
     }
     quotas["positive-limit-superlinear"] = count - sum(quotas.values())
 
-    points: list[dict] = []
+    # (q range, p range) of each regime.
+    ranges = {
+        "hit-zero": ((0.2, 0.8), (0.4, 1.8)),
+        # p < min(0.75, 0.92 - q) keeps q/(1-p) < 1, so the susceptible
+        # depletion finishes in finite time and the observation is cheap.
+        "both-zero-sublinear": ((0.2, 0.7), None),
+        "positive-limit-lowq": ((0.2, 0.8), (1.15, 2.2)),
+        "balance-equality": ((0.25, 0.75), (0.4, 1.6)),
+        "positive-limit-superlinear": ((1.15, 2.2), (1.15, 2.2)),
+    }
 
-    def draw_base():
-        return dict(
+    def draw(regime, made):
+        d = dict(
             beta=float(rng.uniform(0.3, 2.0)),
             mu=float(rng.uniform(0.3, 2.0)),
             S0=float(rng.uniform(0.4, 2.0)),
             I0=float(rng.uniform(0.4, 2.0)),
         )
+        q_range, p_range = ranges[regime]
+        q = d["q"] = float(rng.uniform(*q_range))
+        p = d["p"] = float(rng.uniform(*(p_range or (0.2, min(0.75, 0.92 - q)))))
+        lhs = d["mu"] * p * d["S0"] ** (1 - q)
+        if regime == "balance-equality":
+            # Construct I0 on the balance manifold exactly (to rounding).
+            d["I0"] = (lhs / ((1 - q) * d["beta"])) ** (1 / p)
+            return d
+        rhs = (1 - q) * d["beta"] * d["I0"] ** p
+        if regime == "hit-zero":
+            return d if lhs < 0.95 * rhs else None
+        if regime == "both-zero-sublinear":
+            return d if lhs > 1.05 * rhs else None
+        # Positive limits: the comparison bound on the limit must be >= 0.05
+        # (for q > 1, rhs < 0 and floor_pow is always positive).
+        decay = d["mu"] - d["beta"] * d["S0"] ** q * d["I0"] ** (p - 1)
+        if regime == "positive-limit-lowq":
+            if decay <= 0 or p * d["S0"] ** (1 - q) * decay <= 1.05 * rhs:
+                return None
+        elif decay < 0.2:
+            return None
+        floor_pow = d["S0"] ** (1 - q) - rhs / (p * decay)
+        return d if floor_pow > 0 and floor_pow ** (1 / (1 - q)) >= 0.05 else None
 
-    def balance(d):
-        lhs = d["mu"] * d["p"] * d["S0"] ** (1 - d["q"])
-        rhs = (1 - d["q"]) * d["beta"] * d["I0"] ** d["p"]
-        return lhs, rhs
-
-    budget = _DrawBudget(count)
-    while len(points) < quotas["hit-zero"]:
-        budget.tick()
-        d = draw_base()
-        d["q"] = float(rng.uniform(0.2, 0.8))
-        d["p"] = float(rng.uniform(0.4, 1.8))
-        lhs, rhs = balance(d)
-        if lhs < 0.95 * rhs:
-            points.append(d)
-
-    made = 0
-    while made < quotas["both-zero-sublinear"]:
-        budget.tick()
-        d = draw_base()
-        d["q"] = float(rng.uniform(0.2, 0.7))
-        # Keep q/(1-p) < 1 so the susceptible depletion finishes in
-        # finite time and the observation is cheap.
-        d["p"] = float(rng.uniform(0.2, min(0.75, 0.92 - d["q"])))
-        lhs, rhs = balance(d)
-        if lhs > 1.05 * rhs:
-            points.append(d)
-            made += 1
-
-    made = 0
-    while made < quotas["positive-limit-lowq"]:
-        budget.tick()
-        d = draw_base()
-        d["q"] = float(rng.uniform(0.2, 0.8))
-        d["p"] = float(rng.uniform(1.15, 2.2))
-        lhs, rhs = balance(d)
-        decay = d["mu"] - d["beta"] * d["S0"] ** d["q"] * d["I0"] ** (d["p"] - 1)
-        if decay <= 0:
-            continue
-        margin = d["p"] * d["S0"] ** (1 - d["q"]) * decay
-        if margin <= 1.05 * rhs:
-            continue
-        floor_pow = d["S0"] ** (1 - d["q"]) - rhs / (d["p"] * decay)
-        if floor_pow > 0 and floor_pow ** (1 / (1 - d["q"])) >= 0.05:
-            points.append(d)
-            made += 1
-
-    for _ in range(quotas["balance-equality"]):
-        d = draw_base()
-        d["q"] = float(rng.uniform(0.25, 0.75))
-        d["p"] = float(rng.uniform(0.4, 1.6))
-        # Construct I0 on the balance manifold exactly (to rounding).
-        d["I0"] = (d["mu"] * d["p"] * d["S0"] ** (1 - d["q"])
-                   / ((1 - d["q"]) * d["beta"])) ** (1 / d["p"])
-        points.append(d)
-
-    made = 0
-    while made < quotas["positive-limit-superlinear"]:
-        budget.tick()
-        d = draw_base()
-        d["q"] = float(rng.uniform(1.15, 2.2))
-        d["p"] = float(rng.uniform(1.15, 2.2))
-        decay = d["mu"] - d["beta"] * d["S0"] ** d["q"] * d["I0"] ** (d["p"] - 1)
-        if decay < 0.2:
-            continue
-        floor_pow = (d["S0"] ** (1 - d["q"])
-                     + (d["q"] - 1) * d["beta"] * d["I0"] ** d["p"]
-                     / (d["p"] * decay))
-        if floor_pow ** (1 / (1 - d["q"])) >= 0.05:
-            points.append(d)
-            made += 1
-
+    points = _draw_points(quotas, draw)
     params = {key: np.array([pt[key] for pt in points])
               for key in ("beta", "mu", "p", "q", "S0", "I0")}
     y0 = np.column_stack([params["S0"], params["I0"]])
@@ -315,78 +288,45 @@ def sis_sweep_rows(count: int = 100, seed: int = 20240502) -> list[dict]:
         "linear": round(0.25 * count),
     }
     quotas["sublinear"] = count - sum(quotas.values())
-    points: list[dict] = []
 
     def gain(d, S):
         return d["beta"] * S ** d["q"] * (d["N"] - S) ** (d["p"] - 1)
 
-    budget = _DrawBudget(count)
-    made = 0
-    while made < quotas["bistable"]:
-        budget.tick()
+    p_ranges = {"bistable": (1.3, 2.5), "fold-above": (1.3, 2.5),
+                "sublinear": (0.3, 0.85)}  # p = 1 for "linear"
+
+    def draw(regime, made):
         d = dict(beta=float(rng.uniform(0.5, 2.0)),
                  N=float(rng.uniform(0.8, 2.0)),
-                 p=float(rng.uniform(1.3, 2.5)),
+                 p=float(rng.uniform(*p_ranges[regime])) if regime in p_ranges else 1.0,
                  q=float(rng.uniform(0.5, 2.0)))
-        peak = d["q"] * d["N"] / (d["p"] - 1 + d["q"])
-        target = float(rng.uniform(0.15, 0.8)) * peak
-        d["gamma"] = gain(d, target)
-        fold = d["beta"] * ode.n_star(d["p"], d["q"], d["N"])
-        if not d["gamma"] < 0.95 * fold:
-            continue
-        states = ode.sis_steady_states(ode.SisOdeParams(**d, S0=0.5 * d["N"]))
-        upper = states.interior[1].S
-        if made % 2 == 0:
-            S0 = float(rng.uniform(0.02 * d["N"], 0.93 * upper))
-            if abs(S0 - upper) < 0.05 * upper:
-                continue
+        if regime == "bistable":
+            peak = d["q"] * d["N"] / (d["p"] - 1 + d["q"])
+            d["gamma"] = gain(d, float(rng.uniform(0.15, 0.8)) * peak)
+            if not d["gamma"] < 0.95 * (d["beta"] * ode.n_star(d["p"], d["q"], d["N"])):
+                return None
+            states = ode.sis_steady_states(ode.SisOdeParams(**d, S0=0.5 * d["N"]))
+            upper = states.interior[1].S
+            # Alternate starts below and above the basin boundary.
+            if made % 2 == 0:
+                d["S0"] = float(rng.uniform(0.02 * d["N"], 0.93 * upper))
+                return None if abs(d["S0"] - upper) < 0.05 * upper else d
+            if 1.07 * upper >= 0.98 * d["N"]:
+                return None
+            d["S0"] = float(rng.uniform(1.07 * upper, 0.98 * d["N"]))
+            return d
+        if regime == "fold-above":
+            fold = d["beta"] * ode.n_star(d["p"], d["q"], d["N"])
+            d["gamma"] = fold * float(rng.uniform(1.1, 2.0))
+        elif regime == "linear":
+            u = float(rng.uniform(0.2, 0.9) if made % 2 == 0 else rng.uniform(1.1, 1.8))
+            d["gamma"] = u * (d["beta"] * d["N"] ** d["q"])
         else:
-            lo = min(1.07 * upper, 0.98 * d["N"])
-            if lo >= 0.98 * d["N"]:
-                continue
-            S0 = float(rng.uniform(lo, 0.98 * d["N"]))
-        d["S0"] = S0
-        points.append(d)
-        made += 1
-
-    made = 0
-    while made < quotas["fold-above"]:
-        d = dict(beta=float(rng.uniform(0.5, 2.0)),
-                 N=float(rng.uniform(0.8, 2.0)),
-                 p=float(rng.uniform(1.3, 2.5)),
-                 q=float(rng.uniform(0.5, 2.0)))
-        fold = d["beta"] * ode.n_star(d["p"], d["q"], d["N"])
-        d["gamma"] = fold * float(rng.uniform(1.1, 2.0))
+            d["gamma"] = gain(d, float(rng.uniform(0.15, 0.85)) * d["N"])
         d["S0"] = float(rng.uniform(0.05, 0.95)) * d["N"]
-        points.append(d)
-        made += 1
+        return d
 
-    made = 0
-    while made < quotas["linear"]:
-        d = dict(beta=float(rng.uniform(0.5, 2.0)),
-                 N=float(rng.uniform(0.8, 2.0)),
-                 p=1.0,
-                 q=float(rng.uniform(0.5, 2.0)))
-        scale = d["beta"] * d["N"] ** d["q"]
-        u = float(rng.uniform(0.2, 0.9)) if made % 2 == 0 \
-            else float(rng.uniform(1.1, 1.8))
-        d["gamma"] = u * scale
-        d["S0"] = float(rng.uniform(0.05, 0.95)) * d["N"]
-        points.append(d)
-        made += 1
-
-    made = 0
-    while made < quotas["sublinear"]:
-        d = dict(beta=float(rng.uniform(0.5, 2.0)),
-                 N=float(rng.uniform(0.8, 2.0)),
-                 p=float(rng.uniform(0.3, 0.85)),
-                 q=float(rng.uniform(0.5, 2.0)))
-        target = float(rng.uniform(0.15, 0.85)) * d["N"]
-        d["gamma"] = gain(d, target)
-        d["S0"] = float(rng.uniform(0.05, 0.95)) * d["N"]
-        points.append(d)
-        made += 1
-
+    points = _draw_points(quotas, draw)
     params = {key: np.array([pt[key] for pt in points])
               for key in ("beta", "gamma", "p", "q", "N", "S0")}
     y0 = np.column_stack([params["S0"], params["N"] - params["S0"]])
@@ -432,17 +372,14 @@ class SweepSpec:
     kind: str                       # "ode-si" | "ode-sis" | "pde"
     base: str | None = None         # preset name (pde)
     points: int = 100               # sample count (ode kinds)
-    seed: int = 0
+    seed: int | None = None         # None: the sampler's reference seed
     axes: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
 
 def parse_sweep(text: str) -> SweepSpec:
     """Parse a [sweep] section: kind, base, points, seed, vary.* axes."""
     section = None
-    kind = None
-    base = None
-    points = 100
-    seed = 0
+    fields: dict = {}
     axes: list[tuple[str, tuple[str, ...]]] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -458,26 +395,27 @@ def parse_sweep(text: str) -> SweepSpec:
         if "=" not in line:
             raise ConfigError(f"cannot parse line {rawline!r}", lineno)
         key, value = (s.strip() for s in line.split("=", 1))
-        if key == "kind":
-            if value not in ("ode-si", "ode-sis", "pde"):
-                raise ConfigError(f"unknown sweep kind {value!r}", lineno)
-            kind = value
-        elif key == "base":
-            base = value
-        elif key == "points":
-            points = int(value)
-        elif key == "seed":
-            seed = int(value)
-        elif key.startswith("vary."):
+        if key.startswith("vary."):
             axes.append((key[5:], tuple(value.split())))
-        else:
+        elif key not in ("kind", "base", "points", "seed"):
             raise ConfigError(f"unknown sweep key {key!r}", lineno)
-    if kind is None:
+        elif key == "kind" and value not in ("ode-si", "ode-sis", "pde"):
+            raise ConfigError(f"unknown sweep kind {value!r}", lineno)
+        elif key in ("points", "seed"):
+            try:
+                fields[key] = int(value)
+            except ValueError:
+                raise ConfigError(f"{key} must be an integer, got {value!r}",
+                                  lineno) from None
+            if key == "points" and fields[key] < 1:
+                raise ConfigError(f"points must be at least 1, got {value}", lineno)
+        else:
+            fields[key] = value
+    if "kind" not in fields:
         raise ConfigError("sweep file must set kind")
-    if kind == "pde" and base is None:
+    if fields["kind"] == "pde" and "base" not in fields:
         raise ConfigError("pde sweeps need base = <preset>")
-    return SweepSpec(kind=kind, base=base, points=points, seed=seed,
-                     axes=tuple(axes))
+    return SweepSpec(**fields, axes=tuple(axes))
 
 
 def _pde_sweep_points(spec: SweepSpec) -> list[dict[str, str]]:
@@ -501,13 +439,25 @@ def _pde_row(spec: SweepSpec, overrides: dict[str, str]) -> dict:
         return {"outcome": "", "value": "", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _read_journal(part_path) -> dict[int, str]:
-    """Rows journaled so far, by index.
+def _sweep_fingerprint(spec: SweepSpec) -> str:
+    """Hash of what decides a pde sweep's rows: kind, base preset and its
+    config pairs, the axes in order and the package version."""
+    blob = json.dumps([spec.kind, spec.base, spec.axes, preset_pairs(spec.base),
+                       __version__], sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
-    A final line without its newline was torn by an interrupted write: it
-    is cut from the file, so the next append starts on a fresh line, and
-    its row is recomputed. Any other unreadable line is a ConfigError.
+
+def _read_journal(out_dir, fingerprint: str) -> dict[int, str]:
+    """Rows journaled so far in out_dir/rows.part, by index.
+
+    The journal's first line holds the fingerprint of the spec that wrote
+    it. A journal of another spec, or one without a fingerprint, is a
+    ConfigError, so a changed spec never reuses old rows. A final line
+    without its newline was torn by an interrupted write: it is cut from
+    the file, so the next append starts on a fresh line, and its row is
+    recomputed. Any other unreadable line is a ConfigError.
     """
+    part_path = os.path.join(out_dir, "rows.part")
     if not os.path.exists(part_path):
         return {}
     with open(part_path, "rb+") as fh:
@@ -516,51 +466,64 @@ def _read_journal(part_path) -> dict[int, str]:
         if complete < len(data):
             fh.truncate(complete)
     done: dict[int, str] = {}
+    found = None
     text = data[:complete].decode("utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             try:
                 rec = json.loads(line)
-                done[int(rec["index"])] = rec["line"]
+                if lineno == 1 and "fingerprint" in rec:
+                    found = rec["fingerprint"]
+                else:
+                    done[int(rec["index"])] = rec["line"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(
                     f"unreadable sweep journal {part_path}: {exc}", lineno
                 ) from exc
+    if text and found != fingerprint:
+        raise ConfigError(
+            f"sweep journal in {out_dir} has fingerprint {found or 'none'}, "
+            f"this spec has {fingerprint}; use a fresh output directory")
     return done
 
 
 def failed_rows(csv_path) -> int:
-    """Rows of a results.csv whose error column is set (``pde`` sweeps;
-    the ``ode-*`` tables have no error column)."""
+    """Rows of a results.csv that failed: a set error column (``pde``) or
+    a prediction the oracle disagrees with (``ode-*``, agree=false)."""
     with open(csv_path, "r", encoding="utf-8") as fh:
         header, *rows = fh.read().splitlines()
     names = header.split(",")
-    if names[-1] != "error":
-        return 0
+    if names[-1] == "agree":
+        return sum(1 for row in rows if row.endswith(",false"))
     # Only the error text, the last column, may itself hold commas.
     before = len(names) - 1
     return sum(1 for row in rows if row.split(",", before)[before])
 
 
 def run_sweep(spec: SweepSpec, out_dir) -> str:
-    """Execute a sweep and write results.csv.
+    """Execute a sweep and write results.csv; return its path.
 
     A ``pde`` sweep journals each finished row to rows.part as a JSON
-    line; rerunning it with the same output directory recomputes only
-    the rows missing from the journal (a torn last line included). A
-    row whose scenario raises a package error records it in its error
-    column; any other exception aborts the sweep. The ``ode-*`` kinds
-    integrate all points in one batch, so they keep no journal and are
-    recomputed in full. Either way results.csv is written in
-    deterministic row order via an atomic rename.
+    line, after a first line with the spec's fingerprint; rerunning the
+    same spec into the same output directory recomputes only the rows
+    missing from the journal (a torn last line included). A row whose
+    scenario raises a package error records it in its error column; any
+    other exception aborts the sweep. The ``ode-*`` kinds integrate all
+    points in one batch, so they keep no journal and are recomputed in
+    full, from ``spec.seed`` or, when it is unset, the sampler's reference
+    seed (20240501 for ``ode-si``, 20240502 for ``ode-sis``). Either way
+    results.csv is written in deterministic row order via an atomic
+    rename.
     """
     os.makedirs(out_dir, exist_ok=True)
     if spec.kind == "pde":
-        part_path = os.path.join(out_dir, "rows.part")
-        done = _read_journal(part_path)
+        fingerprint = _sweep_fingerprint(spec)
+        done = _read_journal(out_dir, fingerprint)
         combos = _pde_sweep_points(spec)
         axis_names = [key for key, _ in spec.axes]
-        with open(part_path, "a", encoding="utf-8") as part:
+        with open(os.path.join(out_dir, "rows.part"), "a", encoding="utf-8") as part:
+            if part.tell() == 0:
+                part.write(json.dumps({"fingerprint": fingerprint}) + "\n")
             for i, combo in enumerate(combos):
                 if i in done:
                     continue
@@ -574,9 +537,8 @@ def run_sweep(spec: SweepSpec, out_dir) -> str:
         text = "\n".join([header] + [done[i] for i in range(len(combos))]) + "\n"
     else:
         maker = si_sweep_rows if spec.kind == "ode-si" else sis_sweep_rows
-        text = ode_sweep_csv(maker(
-            count=spec.points,
-            seed=spec.seed or (20240501 if spec.kind == "ode-si" else 20240502)))
+        text = ode_sweep_csv(maker(spec.points) if spec.seed is None
+                             else maker(spec.points, spec.seed))
 
     csv_path = os.path.join(out_dir, "results.csv")
     tmp_path = csv_path + ".tmp"

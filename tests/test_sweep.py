@@ -1,0 +1,174 @@
+"""Sweep contract: one ODE-sweep path, spec checking, journal fingerprints."""
+
+import json
+import shlex
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sqip import runner
+from sqip.cli import build_parser
+from sqip.cli import main as cli_main
+from sqip.errors import ConfigError, NumericsError
+from sqip.ode import settle_batch
+from sqip.runner import (SweepSpec, ode_sweep_csv, parse_sweep, run_sweep,
+                         si_sweep_rows, sis_sweep_rows)
+
+
+# ------------------------------------------------------------- ODE sweeps
+
+def test_cli_ode_sweep_exits_1_on_disagreement(tmp_path, monkeypatch, capsys):
+    # Too short an integration leaves points "Unconverged": agree=false.
+    monkeypatch.setattr(runner, "SWEEP_T_MAX", 1.0)
+    spec_file = tmp_path / "oracle.cfg"
+    spec_file.write_text("[sweep]\nkind = ode-si\npoints = 6\nseed = 3\n")
+    code = cli_main(["sweep", str(spec_file), "--out", str(tmp_path / "sw")])
+    assert code == 1
+    rows = (tmp_path / "sw" / "results.csv").read_text().splitlines()[1:]
+    assert any(",Unconverged,false" in row for row in rows)
+    assert "sweep row(s) failed" in capsys.readouterr().err
+
+
+def test_cli_ode_sweep_exits_0_when_every_point_agrees(tmp_path):
+    spec_file = tmp_path / "oracle.cfg"
+    spec_file.write_text("[sweep]\nkind = ode-sis\npoints = 6\nseed = 3\n")
+    assert cli_main(["sweep", str(spec_file), "--out", str(tmp_path)]) == 0
+
+
+def test_ode_sweep_uses_seed_zero_as_given(tmp_path):
+    csv_path = run_sweep(SweepSpec(kind="ode-si", points=6, seed=0), tmp_path)
+    text = Path(csv_path).read_text()
+    assert text == ode_sweep_csv(si_sweep_rows(count=6, seed=0))
+    assert text != ode_sweep_csv(si_sweep_rows(count=6))
+
+
+@pytest.mark.parametrize("kind, maker, seed", [
+    ("ode-si", si_sweep_rows, 20240501), ("ode-sis", sis_sweep_rows, 20240502)])
+def test_ode_sweep_unset_seed_is_the_reference_seed(tmp_path, kind, maker, seed):
+    spec = parse_sweep(f"[sweep]\nkind = {kind}\npoints = 6\n")
+    assert spec.seed is None
+    csv_path = run_sweep(spec, tmp_path)
+    assert Path(csv_path).read_text() == ode_sweep_csv(maker(count=6, seed=seed))
+
+
+@pytest.mark.parametrize("system, rate", [("si", "mu"), ("sis", "gamma")])
+def test_settle_batch_raises_on_a_nan_point(system, rate):
+    batch = {"beta": np.array([2.0, np.nan]), rate: np.array([1.0, 1.0]),
+             "p": np.array([1.0, 1.0]), "q": np.array([1.0, 1.0])}
+    y0 = np.array([[0.9, 0.1], [0.9, 0.1]])
+    with pytest.raises(NumericsError, match="non-finite") as info:
+        settle_batch(system, batch, y0, dt=0.01, t_max=50.0)
+    state = info.value.payload["state"]
+    assert np.isfinite(state[0]).all() and np.isnan(state[1]).all()
+
+
+def test_draw_points_fails_when_every_draw_is_rejected():
+    with pytest.raises(NumericsError, match="rejected every draw"):
+        runner._draw_points({"never": 2}, lambda regime, made: None)
+
+
+def test_draw_points_fills_each_quota_in_order():
+    calls = []
+
+    def draw(regime, made):
+        calls.append((regime, made))
+        return None if len(calls) % 2 else {"regime": regime}
+
+    points = runner._draw_points({"a": 2, "b": 1}, draw)
+    assert [pt["regime"] for pt in points] == ["a", "a", "b"]
+    assert calls == [("a", 0), ("a", 0), ("a", 1), ("a", 1), ("b", 0), ("b", 0)]
+
+
+# ------------------------------------------------------------- spec parsing
+
+@pytest.mark.parametrize("line, message", [
+    ("points = abc", "line 3: points must be an integer, got 'abc'"),
+    ("seed = 1.5", "line 3: seed must be an integer, got '1.5'"),
+    ("points = -5", "line 3: points must be at least 1"),
+    ("points = 0", "line 3: points must be at least 1"),
+])
+def test_parse_sweep_rejects_bad_numbers(line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_sweep(f"[sweep]\nkind = ode-si\n{line}\n")
+
+
+def test_cli_sweep_with_negative_points_writes_nothing(tmp_path, capsys):
+    spec_file = tmp_path / "oracle.cfg"
+    spec_file.write_text("[sweep]\nkind = ode-si\npoints = -5\n")
+    code = cli_main(["sweep", str(spec_file), "--out", str(tmp_path / "sw")])
+    assert code == 2
+    assert "points must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+# ------------------------------------------------------------- pde journal
+
+def _bistable_spec(S, I):
+    return SweepSpec(kind="pde", base="sis-bistable", axes=(
+        ("initial.S", (S,)), ("initial.I", (I,)), ("solver.t_end", ("2.0",))))
+
+
+def test_pde_sweep_refuses_the_journal_of_a_changed_spec(tmp_path, capsys):
+    old = "[sweep]\nkind = pde\nbase = sis-bistable\nvary.solver.t_end = 2.0\n"
+    spec_file = tmp_path / "sweep.cfg"
+    out = tmp_path / "same"
+    spec_file.write_text(old + "vary.initial.S = constant(0.4)\n"
+                               "vary.initial.I = constant(0.6)\n")
+    assert cli_main(["sweep", str(spec_file), "--out", str(out)]) == 0
+    first = (out / "results.csv").read_text()
+    assert "constant(0.4),constant(0.6)" in first
+    found = json.loads((out / "rows.part").read_text().splitlines()[0])
+
+    spec_file.write_text(old + "vary.initial.S = constant(0.8)\n"
+                               "vary.initial.I = constant(0.2)\n")
+    capsys.readouterr()
+    assert cli_main(["sweep", str(spec_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert found["fingerprint"] in err and str(out) in err
+    assert runner._sweep_fingerprint(parse_sweep(spec_file.read_text())) in err
+    assert (out / "results.csv").read_text() == first
+
+
+def test_pde_sweep_refuses_a_journal_without_fingerprint(tmp_path):
+    (tmp_path / "rows.part").write_text(
+        '{"index": 0, "line": "constant(0.4),constant(0.6),2.0,Persistent,,"}\n')
+    with pytest.raises(ConfigError, match="fingerprint none"):
+        run_sweep(_bistable_spec("constant(0.8)", "constant(0.2)"), tmp_path)
+
+
+def test_pde_sweep_identical_spec_resumes_byte_identical(tmp_path):
+    spec = SweepSpec(kind="pde", base="sis-bistable", axes=(
+        ("initial.S", ("constant(0.4)", "constant(0.8)")),
+        ("solver.t_end", ("2.0",))))
+    fresh = Path(run_sweep(spec, tmp_path / "fresh")).read_bytes()
+    run_sweep(spec, tmp_path / "resumed")
+    part = tmp_path / "resumed" / "rows.part"
+    header, first, _ = part.read_text().splitlines()
+    part.write_text(header + "\n" + first + "\n")  # interrupted after row 0
+    assert Path(run_sweep(spec, tmp_path / "resumed")).read_bytes() == fresh
+    assert Path(run_sweep(spec, tmp_path / "resumed")).read_bytes() == fresh
+
+
+def test_pde_sweep_rewrites_a_torn_fingerprint_line(tmp_path):
+    spec = _bistable_spec("constant(0.4)", "constant(0.6)")
+    (tmp_path / "rows.part").write_text('{"fingerp')
+    run_sweep(spec, tmp_path)
+    first = (tmp_path / "rows.part").read_text().splitlines()[0]
+    assert json.loads(first) == {"fingerprint": runner._sweep_fingerprint(spec)}
+
+
+# ------------------------------------------------------------- docs
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines()
+             if ln.startswith("sqip ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
