@@ -23,7 +23,7 @@ from .model import (AssumptionReport, CoefficientField, Exponents, Incidence,
                     read_coefficient_table, validate_assumptions)
 from .ode import (SiOdeParams, SisOdeParams, extinction_time_bound, n_star,
                   rk4_integrate, si_classify, sis_classify, sis_steady_states)
-from .solver import SolverSettings, Stepper, SystemState, Trajectory, run, step
+from .solver import SolverSettings, Stepper, SystemState, Trajectory, run
 from .spectral import (LinearizedProblem, SpectralResult, monodromy_radius,
                        principal_eigenvalue, r0)
 from .config import ScenarioConfig, load_config, parse_config
@@ -43,5 +43,5 @@ __all__ = [
     "parse_config", "poincare_constant", "preset_config",
     "principal_eigenvalue", "r0", "read_coefficient_table", "rk4_integrate",
     "run", "run_scenario", "run_sweep", "si_classify", "sis_classify",
-    "sis_steady_states", "step", "validate_assumptions",
+    "sis_steady_states", "validate_assumptions",
 ]

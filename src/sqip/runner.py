@@ -367,6 +367,13 @@ def ode_sweep_csv(rows: list[dict]) -> str:
 # Generic sweep runner with a completed-row manifest
 # --------------------------------------------------------------------------
 
+def _check_sweep_value(key: str, value, line: int | None = None) -> None:
+    if key == "kind" and value not in ("ode-si", "ode-sis", "pde"):
+        raise ConfigError(f"unknown sweep kind {value!r}", line)
+    if key == "points" and value < 1:
+        raise ConfigError(f"points must be at least 1, got {value}", line)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     kind: str                       # "ode-si" | "ode-sis" | "pde"
@@ -375,11 +382,20 @@ class SweepSpec:
     seed: int | None = None         # None: the sampler's reference seed
     axes: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
+    def __post_init__(self):
+        _check_sweep_value("kind", self.kind)
+        _check_sweep_value("points", self.points)
+        if self.kind == "pde" and self.base is None:
+            raise ConfigError("pde sweeps need base = <preset>")
+
 
 def parse_sweep(text: str) -> SweepSpec:
-    """Parse a [sweep] section: kind, base, points, seed, vary.* axes."""
+    """Parse a [sweep] section: kind, base, points, seed, vary.* axes;
+    a key that the kind never reads (pde: points, seed; ode-*: base,
+    vary.*) is an error."""
     section = None
     fields: dict = {}
+    lines: dict[str, int] = {}
     axes: list[tuple[str, tuple[str, ...]]] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -395,26 +411,27 @@ def parse_sweep(text: str) -> SweepSpec:
         if "=" not in line:
             raise ConfigError(f"cannot parse line {rawline!r}", lineno)
         key, value = (s.strip() for s in line.split("=", 1))
+        lines.setdefault(key.split(".")[0], lineno)
         if key.startswith("vary."):
             axes.append((key[5:], tuple(value.split())))
         elif key not in ("kind", "base", "points", "seed"):
             raise ConfigError(f"unknown sweep key {key!r}", lineno)
-        elif key == "kind" and value not in ("ode-si", "ode-sis", "pde"):
-            raise ConfigError(f"unknown sweep kind {value!r}", lineno)
         elif key in ("points", "seed"):
             try:
                 fields[key] = int(value)
             except ValueError:
                 raise ConfigError(f"{key} must be an integer, got {value!r}",
                                   lineno) from None
-            if key == "points" and fields[key] < 1:
-                raise ConfigError(f"points must be at least 1, got {value}", lineno)
         else:
             fields[key] = value
+        _check_sweep_value(key, fields.get(key), lineno)
     if "kind" not in fields:
         raise ConfigError("sweep file must set kind")
-    if fields["kind"] == "pde" and "base" not in fields:
-        raise ConfigError("pde sweeps need base = <preset>")
+    unread = ("points", "seed") if fields["kind"] == "pde" else ("base", "vary")
+    for key in unread:
+        if key in lines:
+            raise ConfigError(f"{fields['kind']} sweeps do not read {key}",
+                              lines[key])
     return SweepSpec(**fields, axes=tuple(axes))
 
 

@@ -211,12 +211,6 @@ class Stepper:
         return max(dt, s.dt_min)
 
 
-def step(state: SystemState, dt: float, model: ModelSpec, domain: Domain,
-         settings: SolverSettings | None = None) -> SystemState | None:
-    """Single IMEX step; convenience wrapper over :class:`Stepper`."""
-    return Stepper(model, domain, settings).step(state, dt)
-
-
 def _marginal_positivity_flags(model: ModelSpec, S0: np.ndarray,
                                I0: np.ndarray) -> list[str]:
     """Flag strictly positive data sitting at the edge of machine zero.

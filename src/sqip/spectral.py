@@ -6,13 +6,13 @@ mean density N/|domain| is
 
     phi_t = d_I * Lap(phi) + [beta(x,t) * (N/|domain|)^q - gamma(x,t)] * phi.
 
-Power iteration on the one-period flow map of this problem gives its
-spectral radius rho; the principal eigenvalue is lambda0 = -ln(rho)/omega,
-and it has the opposite sign of R0 - 1. R0 itself is located by bisection
-on the scaling mu_hat that makes the eigenvalue of the rescaled potential
-beta*(N/|domain|)^q/mu_hat - gamma vanish; with constant coefficients the
-closed form beta*(N/|domain|)^q/gamma is returned and the bisection is
-kept as a cross-check.
+Power iteration on its entrywise positive one-period flow map M encloses
+the spectral radius rho by the Collatz-Wielandt bounds min(M phi/phi) <=
+rho <= max(M phi/phi); lambda0 = -ln(rho)/omega has the sign of 1 - R0.
+R0 is the scaling mu_hat that makes lambda0 of the potential
+beta*(N/|domain|)^q/mu_hat - gamma vanish, found by a warm-started
+Illinois root-find; for spatially flat coefficients the discrete map's
+closed form is returned, with the root-find as a cross-check.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from .grid import Domain
 from .model import CoefficientField, ModelSpec
 from .solver import LinearPropagator
 
-RAYLEIGH_TOL = 1e-8
+CW_REL_TOL = 1e-11
 MAX_POWER_ITER = 200
 DEFAULT_STEPS_PER_PERIOD = 512
-R0_BISECT_TOL = 1e-6
-R0_CROSS_CHECK_TOL = 1e-4
+R0_REL_TOL = 1e-12
+R0_CROSS_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,6 @@ class LinearizedProblem:
             domain=domain,
         )
 
-    def potential(self, scale: float = 1.0):
-        """Callable a(x,t) = beta*(mean density)^q/scale - gamma."""
-        factor = self.mean_density**self.q / scale
-
-        def a(x, t):
-            return self.beta(x, t) * factor - self.gamma(x, t)
-
-        return a
-
     def coefficient_samples(self, steps_per_period: int
                             ) -> tuple[np.ndarray, np.ndarray]:
         """beta and gamma at the step midpoints of one period.
@@ -102,8 +93,8 @@ class LinearizedProblem:
         return samples
 
     def growth_factors(self, scale: float, steps_per_period: int) -> np.ndarray:
-        """exp(dt * a(x, t_k)) of every step of one period, with
-        a = beta*(mean density)^q/scale - gamma as in ``potential``.
+        """exp(dt * a(x, t_k)) of every step of one period, with the
+        potential a = beta*(mean density)^q/scale - gamma.
 
         Shape (steps_per_period, *domain.shape), or one row when the
         problem is autonomous; built in place from the coefficient samples.
@@ -117,14 +108,6 @@ class LinearizedProblem:
         np.multiply(dt, growth, out=growth)
         return np.exp(growth, out=growth)
 
-    @property
-    def potential_bound(self) -> float:
-        return self.beta.upper * self.mean_density**self.q + self.gamma.upper
-
-    @property
-    def is_autonomous(self) -> bool:
-        return self.beta.is_time_constant and self.gamma.is_time_constant
-
 
 @dataclass(frozen=True)
 class SpectralResult:
@@ -136,10 +119,16 @@ class SpectralResult:
     iterations: int
     residual: float
     omega: float
+    # Collatz-Wielandt enclosure of lambda0 at scale 1.
+    lambda0_lo: float
+    lambda0_hi: float
     # One-period propagations and lambda0 evaluations behind this result.
     period_maps: int
     r0_evals: int
     r0_cross_check: float | None = None
+    # Positive eigenfield (sup norm 1): the next solve's warm start.
+    eigenfield: np.ndarray | None = field(default=None, repr=False,
+                                          compare=False)
 
     def summary_lines(self) -> list[str]:
         r0_txt = "none" if self.r0 is None else f"{self.r0:.10g}"
@@ -152,100 +141,114 @@ class SpectralResult:
         ]
 
     def stats_lines(self) -> list[str]:
-        """Deterministic work counters, for the ``[stats]`` block."""
-        return [f"period_maps={self.period_maps}", f"r0_evals={self.r0_evals}"]
+        """Work counters and lambda0's enclosure, for ``[stats]``."""
+        return [f"period_maps={self.period_maps}", f"r0_evals={self.r0_evals}",
+                f"lambda0_lo={self.lambda0_lo:.17g}",
+                f"lambda0_hi={self.lambda0_hi:.17g}"]
 
 
 def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
-                     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
+                     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
+                     start: np.ndarray | None = None, sign_only: bool = False
                      ) -> tuple[float, np.ndarray, int, float]:
     """Spectral radius of the one-period flow map by power iteration.
 
-    Iteration starts from the positive constant field, which has full
-    overlap with the principal bundle, and renormalizes in the sup norm;
-    the Rayleigh ratio is the sup norm of the propagated unit field. It
-    stops once that ratio changes by at most ``RAYLEIGH_TOL`` (relative)
-    and fails after ``MAX_POWER_ITER`` period maps.
+    Iteration starts from ``start`` (default: the constant field; any
+    positive field will do) and renormalizes in the sup norm. A period
+    map phi -> M phi encloses rho in [lo, hi] = [min, max] of M phi / phi;
+    iteration stops once ln(hi/lo) <= ``CW_REL_TOL`` or, with
+    ``sign_only``, once [lo, hi] excludes 1, and fails after
+    ``MAX_POWER_ITER`` period maps.
 
     Returns:
-        (rho, eigenfield, iterations, final relative ratio change).
+        (sqrt(lo * hi), eigenfield, iterations, ln(hi/lo)).
     """
     prop = LinearPropagator(problem.domain, problem.d_I,
                             problem.growth_factors(scale, steps_per_period))
-    phi = np.ones(problem.domain.shape)
-    rho_prev = None
-    residual = math.inf
+    phi = np.ones(problem.domain.shape) if start is None else start
     for iteration in range(1, MAX_POWER_ITER + 1):
         mapped = prop.advance(phi, 0.0, problem.omega, steps_per_period)
-        rho = float(np.abs(mapped).max())
-        if rho == 0.0 or not math.isfinite(rho):
-            raise NumericsError("period map annihilated the field", rho=rho)
-        phi = mapped / rho
-        if rho_prev is not None:
-            residual = abs(rho - rho_prev) / rho
-            if residual <= RAYLEIGH_TOL:
-                return rho, phi, iteration, residual
-        rho_prev = rho
-    raise NumericsError(
-        "power iteration did not converge",
-        last_ratios=(rho_prev, rho), residual=residual)
+        ratios = mapped / phi
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if not 0.0 < lo <= hi < math.inf:
+            raise NumericsError("period map lost positivity", bracket=(lo, hi))
+        phi = mapped / float(mapped.max())
+        width = math.log(hi / lo)
+        if width <= CW_REL_TOL or (sign_only and (lo > 1.0 or hi < 1.0)):
+            return math.sqrt(lo * hi), phi, iteration, width
+    raise NumericsError("power iteration did not converge",
+                        bracket=(lo, hi), residual=width)
 
 
 def principal_eigenvalue(problem: LinearizedProblem, scale: float = 1.0,
-                         steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
-                         ) -> SpectralResult:
-    """lambda0 = -ln(rho)/omega with a strictly positive eigenfield."""
-    rho, phi, iterations, residual = monodromy_radius(
-        problem, scale, steps_per_period)
-    if phi.min() <= 0:
-        raise NumericsError("eigenfield lost positivity", min_value=phi.min())
+                         steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
+                         start: np.ndarray | None = None,
+                         sign_only: bool = False) -> SpectralResult:
+    """lambda0 = -ln(rho)/omega with a strictly positive eigenfield and
+    its Collatz-Wielandt enclosure [lambda0_lo, lambda0_hi]."""
+    rho, phi, iterations, width = monodromy_radius(
+        problem, scale, steps_per_period, start, sign_only)
     lam = -math.log(rho) / problem.omega
+    half = 0.5 * width / problem.omega
     return SpectralResult(lambda0=lam, rho=rho, r0=None,
-                          iterations=iterations, residual=residual,
-                          omega=problem.omega, period_maps=iterations,
-                          r0_evals=1)
+                          iterations=iterations, residual=width,
+                          omega=problem.omega, lambda0_lo=lam - half,
+                          lambda0_hi=lam + half, period_maps=iterations,
+                          r0_evals=1, eigenfield=phi)
 
 
-def _bisect_r0(problem: LinearizedProblem, lam_mid: float
-               ) -> tuple[float, list[SpectralResult]]:
+def _find_r0(problem: LinearizedProblem, base: SpectralResult
+             ) -> tuple[float, list[SpectralResult]]:
     """Root of scale -> lambda0(scale); the eigenvalue grows with scale.
 
-    ``lam_mid`` is lambda0 at scale 1, which the caller already holds.
-    Returns the root and every eigenvalue evaluation made to find it.
+    Starting from ``base``, the evaluation at scale 1, the root is
+    bracketed by doubling or halving the scale, then closed by the
+    Illinois variant of regula falsi. Each evaluation starts from the
+    previous eigenfield and stops once the sign of lambda0 is certain; a
+    scale whose converged enclosure of lambda0 holds 0 is a root. Returns
+    the root and every evaluation, ``base`` first.
     """
-    evaluations: list[SpectralResult] = []
+    evaluations = [base]
 
     def lam(s):
-        evaluations.append(principal_eigenvalue(problem, s))
-        return evaluations[-1].lambda0
+        e = principal_eigenvalue(problem, s, start=evaluations[-1].eigenfield,
+                                 sign_only=True)
+        evaluations.append(e)
+        return e.lambda0, e.lambda0_lo <= 0.0 <= e.lambda0_hi
 
-    lo = hi = 1.0
-    if lam_mid < 0:
-        while lam_mid < 0:
-            hi *= 2.0
-            if hi > 2.0**60:
-                raise NumericsError("reproduction-number bracket not found",
-                                    bracket=(lo, hi))
-            lam_mid = lam(hi)
-        lo = hi / 2.0
-    elif lam_mid > 0:
-        while lam_mid > 0:
-            lo /= 2.0
-            if lo < 2.0**-60:
-                raise NumericsError("reproduction-number bracket not found",
-                                    bracket=(lo, hi))
-            lam_mid = lam(lo)
-        hi = lo * 2.0
-    else:
-        return 1.0, evaluations
-
-    while hi - lo > R0_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if lam(mid) < 0:
-            lo = mid
+    a = b = 1.0
+    fa = fb = base.lambda0
+    root = base.lambda0_lo <= 0.0 <= base.lambda0_hi
+    step = 2.0 if fb < 0 else 0.5
+    while not root and fb * base.lambda0 > 0:
+        a, fa, b = b, fb, b * step
+        if not 2.0**-60 <= b <= 2.0**60:
+            raise NumericsError("reproduction-number bracket not found",
+                                bracket=(a, b))
+        fb, root = lam(b)
+    # fa and fb have opposite signs; b is the latest point, and the
+    # Illinois step halves fa whenever a survives a step.
+    while not root and abs(b - a) > R0_REL_TOL * max(a, b):
+        c = (a * fb - b * fa) / (fb - fa)
+        fc, root = lam(c)
+        if (fc > 0) != (fb > 0):
+            a, fa = b, fb
         else:
-            hi = mid
-    return 0.5 * (lo + hi), evaluations
+            fa *= 0.5
+        b, fb = c, fc
+    return (b if root else 0.5 * (a + b)), evaluations
+
+
+def _flat_r0(problem: LinearizedProblem) -> float | None:
+    """mean(beta)*(mean density)^q/mean(gamma) over the midpoint samples
+    if no coefficient varies in space, else None: the constant field then
+    stays an eigenfield of every step, and the period map's factor
+    exp(dt * sum_k a(t_k)) is 1 exactly at this scale."""
+    beta, gamma = problem.coefficient_samples(DEFAULT_STEPS_PER_PERIOD)
+    if (beta != beta[:, :1]).any() or (gamma != gamma[:, :1]).any():
+        return None
+    return float(beta[:, :1].mean() * problem.mean_density**problem.q
+                 / gamma[:, :1].mean())
 
 
 def r0(problem: LinearizedProblem) -> SpectralResult:
@@ -253,34 +256,20 @@ def r0(problem: LinearizedProblem) -> SpectralResult:
 
     Undefined (returned as None) when the recovery rate vanishes
     identically, since the generation operator then has no decay to sum
-    against. For constant coefficients the closed form is returned and
-    the bisection value is kept alongside as an independent check. The
-    counters sum over every eigenvalue evaluation, scale 1 included.
+    against. For spatially flat coefficients the closed form is returned
+    and the root-find value is kept alongside as an independent check.
+    The counters sum over every eigenvalue evaluation, scale 1 included.
     """
     base = principal_eigenvalue(problem, 1.0)
     if problem.gamma.upper <= 0:
         return base
-
-    def result(value, evaluations, check=None):
-        evaluations = [base, *evaluations]
-        return replace(base, r0=value, r0_cross_check=check,
-                       period_maps=sum(e.period_maps for e in evaluations),
-                       r0_evals=len(evaluations))
-
-    if problem.is_autonomous:
-        x = problem.domain.x_coordinate()
-        beta0 = float(np.asarray(problem.beta(x, 0.0)).ravel()[0])
-        gamma0 = float(np.asarray(problem.gamma(x, 0.0)).ravel()[0])
-        spatially_flat = (
-            float(np.ptp(np.asarray(problem.beta(x, 0.0)))) == 0.0
-            and float(np.ptp(np.asarray(problem.gamma(x, 0.0)))) == 0.0)
-        if spatially_flat and gamma0 > 0:
-            closed = beta0 * problem.mean_density**problem.q / gamma0
-            check, evaluations = _bisect_r0(problem, base.lambda0)
-            if abs(check - closed) > R0_CROSS_CHECK_TOL * max(1.0, closed):
-                raise NumericsError(
-                    "closed-form and bisection reproduction numbers disagree",
-                    closed_form=closed, bisection=check)
-            return result(closed, evaluations, check)
-
-    return result(*_bisect_r0(problem, base.lambda0))
+    root, evaluations = _find_r0(problem, base)
+    counts = dict(period_maps=sum(e.period_maps for e in evaluations),
+                  r0_evals=len(evaluations))
+    closed = _flat_r0(problem)
+    if closed is None:
+        return replace(base, r0=root, **counts)
+    if abs(root - closed) > R0_CROSS_CHECK_TOL * max(1.0, closed):
+        raise NumericsError("closed-form and root-find R0 disagree",
+                            closed_form=closed, root_find=root)
+    return replace(base, r0=closed, r0_cross_check=root, **counts)

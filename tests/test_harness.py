@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqip
 from sqip.cli import main as cli_main
 from sqip.config import load_config, parse_config
 from sqip.errors import ConfigError
@@ -441,3 +445,14 @@ def test_two_dim_preset_flag():
     assert S0.shape == (48, 48)
     assert integrate(cfg.domain, S0 + I0) == pytest.approx(
         cfg.domain.measure, rel=1e-12)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about a third of a second to ``import sqip``,
+    # which every CLI call pays; the R0 root-find is written out instead
+    env = dict(os.environ, PYTHONPATH=str(Path(sqip.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sqip; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -7,7 +7,7 @@ from sqip.errors import AssumptionError, NumericsError, StiffnessError
 from sqip.grid import Domain1D, Domain2D, integrate
 from sqip.model import CoefficientField, Exponents, Incidence, ModelSpec
 from sqip.presets import preset_config
-from sqip.solver import SolverSettings, Stepper, SystemState, run, step
+from sqip.solver import SolverSettings, Stepper, SystemState, run
 
 
 def make_model(p=1.0, q=1.0, s=0.0, r=1.0, beta=1.0, gamma=1.0, mu=0.0,
@@ -40,7 +40,7 @@ def test_constant_state_stays_constant():
     dom = Domain1D(2.0, 80)
     model = make_model(beta=1.5, gamma=0.7, mu=0.2)
     state = SystemState(np.full(80, 0.8), np.full(80, 0.4), 0.0)
-    new = step(state, 0.01, model, dom)
+    new = Stepper(model, dom).step(state, 0.01)
     assert new.S.max() - new.S.min() <= 1e-12
     assert new.I.max() - new.I.min() <= 1e-12
 

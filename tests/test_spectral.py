@@ -7,9 +7,19 @@ from sqip.grid import DiffusionSolver, Domain1D, Domain2D
 from sqip.model import CoefficientField
 from sqip.presets import preset_config
 from sqip.runner import compute_spectral
-from sqip.spectral import (DEFAULT_STEPS_PER_PERIOD, MAX_POWER_ITER,
-                           RAYLEIGH_TOL, LinearizedProblem, monodromy_radius,
+from sqip.spectral import (CW_REL_TOL, DEFAULT_STEPS_PER_PERIOD,
+                           MAX_POWER_ITER, LinearizedProblem, monodromy_radius,
                            principal_eigenvalue, r0)
+
+
+def potential(problem, scale=1.0):
+    """Callable a(x,t) = beta*(mean density)^q/scale - gamma."""
+    factor = problem.mean_density**problem.q / scale
+
+    def a(x, t):
+        return problem.beta(x, t) * factor - problem.gamma(x, t)
+
+    return a
 
 
 def make_problem(beta, gamma, q=1.0, density=1.0, omega=1.0, n=64, d_I=1.0):
@@ -76,7 +86,7 @@ def test_r0_autonomous_closed_form():
                         CoefficientField.constant(1.0))
     res = r0(prob)
     assert res.r0 == 2.0  # closed form, exact
-    assert res.r0_cross_check == pytest.approx(2.0, abs=1e-4)
+    assert res.r0_cross_check == pytest.approx(2.0, abs=1e-8)
 
 
 def test_r0_threshold_symmetry():
@@ -166,33 +176,23 @@ def test_refinement_consistency():
 def test_potential_bound_holds():
     prob = make_problem(CoefficientField.constant(2.0),
                         CoefficientField.constant(1.0), q=2.0, density=1.5)
-    a = prob.potential()
+    a = potential(prob)
     x = np.linspace(0, 1, 33)
     vals = np.abs(np.asarray(a(x, 0.0)))
-    assert vals.max() <= prob.potential_bound + 1e-12
+    bound = prob.beta.upper * prob.mean_density**prob.q + prob.gamma.upper
+    assert vals.max() <= bound + 1e-12
 
 
 def test_power_iteration_matches_dense_floquet_spectrum():
-    # assemble the one-period map column by column and take its spectral
-    # radius with a dense eigensolver: power iteration must reproduce it
-    # on a genuinely space- and time-dependent potential
-    from sqip.solver import LinearPropagator
-
-    n = 24
+    # assemble the one-period map and take its spectral radius with a
+    # dense eigensolver: power iteration must reproduce it on a genuinely
+    # space- and time-dependent potential
     beta = CoefficientField.cosine_modulated(
         2.0, time_amp=0.3, period=1.0, space_amp=0.5, length=1.0)
     gamma = CoefficientField.constant(1.5)
-    prob = make_problem(beta, gamma, n=n)
+    prob = make_problem(beta, gamma, n=24)
     steps = 256
-
-    prop = LinearPropagator(prob.domain, prob.d_I, prob.growth_factors(1.0, steps))
-    columns = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        columns.append(prop.advance(e, 0.0, prob.omega, steps))
-    monodromy = np.array(columns).T
-    rho_dense = float(np.abs(np.linalg.eigvals(monodromy)).max())
+    rho_dense = perron_root(dense_period_map(prob, 1.0, steps))
 
     rho_power, phi, _, _ = monodromy_radius(prob, steps_per_period=steps)
     assert rho_power == pytest.approx(rho_dense, rel=1e-7)
@@ -236,8 +236,9 @@ def test_preset_spectral_values():
 def reference_monodromy(problem, scale=1.0,
                         steps_per_period=DEFAULT_STEPS_PER_PERIOD):
     """Power iteration with the potential sampled at every step of every
-    period map: the loop that the coefficient tables replace."""
-    a = problem.potential(scale)
+    period map (the loop that the coefficient tables replace), stopped on
+    the width of its Collatz-Wielandt enclosure."""
+    a = potential(problem, scale)
     x = problem.domain.x_coordinate()
     diffusion = DiffusionSolver(problem.domain)
     t0, duration, nsteps = 0.0, problem.omega, steps_per_period
@@ -254,16 +255,14 @@ def reference_monodromy(problem, scale=1.0,
         return out
 
     phi = np.ones(problem.domain.shape)
-    rho_prev = None
     for iteration in range(1, MAX_POWER_ITER + 1):
         mapped = period_map(phi)
-        rho = float(np.abs(mapped).max())
-        phi = mapped / rho
-        if rho_prev is not None:
-            residual = abs(rho - rho_prev) / rho
-            if residual <= RAYLEIGH_TOL:
-                return rho, phi, iteration, residual
-        rho_prev = rho
+        ratios = mapped / phi
+        lo, hi = float(ratios.min()), float(ratios.max())
+        phi = mapped / float(mapped.max())
+        width = math.log(hi / lo)
+        if width <= CW_REL_TOL:
+            return math.sqrt(lo * hi), phi, iteration, width
     raise AssertionError("reference power iteration did not converge")
 
 
@@ -335,17 +334,20 @@ def test_coefficients_sampled_once_per_problem(monkeypatch):
 
 
 @pytest.mark.parametrize("preset,overrides,counts", [
-    ("thm-2.11-persist", {}, (48, 24)),
-    ("r0-threshold", {}, (44, 22)),
+    ("thm-2.11-persist", {}, (6, 6)),
+    ("r0-threshold", {}, (3, 3)),
     ("thm-2.11-periodic",
      {"model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": "64"},
-     (96, 24)),
+     (26, 16)),
 ], ids=["thm-2.11-persist", "r0-threshold", "het-periodic"])
 def test_spectral_counters(preset, overrides, counts):
     res = compute_spectral(preset_config(preset, overrides or None))
     assert (res.period_maps, res.r0_evals) == counts
     assert res.stats_lines() == [f"period_maps={counts[0]}",
-                                 f"r0_evals={counts[1]}"]
+                                 f"r0_evals={counts[1]}",
+                                 f"lambda0_lo={res.lambda0_lo:.17g}",
+                                 f"lambda0_hi={res.lambda0_hi:.17g}"]
+    assert res.lambda0_lo <= res.lambda0 <= res.lambda0_hi
 
 
 def test_principal_eigenvalue_counts_one_evaluation():
@@ -364,3 +366,100 @@ def test_propagator_rejects_a_table_for_another_step_count():
     prop.advance(np.ones(8), 0.0, 1.0, 4)
     with pytest.raises(ConfigError, match="4 rows for 3 steps"):
         prop.advance(np.ones(8), 0.0, 1.0, 3)
+
+
+# ------------------------------------------ dense period-map reference
+
+def dense_period_map(problem, scale, steps=DEFAULT_STEPS_PER_PERIOD):
+    """The 1D one-period map as a matrix: every identity column pushed
+    through the steps of ``LinearPropagator.advance`` at once."""
+    growth = problem.growth_factors(scale, steps)
+    diffusion = DiffusionSolver(problem.domain)
+    c = problem.omega / steps * problem.d_I
+    m = np.eye(problem.domain.n)
+    for k in range(steps):
+        m = diffusion.solve(c, growth[k % len(growth)][:, None] * m)
+    return m
+
+
+def perron_root(matrix):
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
+
+
+def dense_r0(problem, lo, hi):
+    """R0 of the dense map: Brent on the log of its Perron root."""
+    from scipy.optimize import brentq
+
+    return brentq(lambda s: math.log(perron_root(dense_period_map(problem, s))),
+                  lo, hi, xtol=1e-14)
+
+
+@pytest.mark.parametrize("build,expected", [
+    (_heterogeneous_1d, 2.086103356558332),
+    (_tabulated_beta, None),
+], ids=["heterogeneous-1d", "tabulated"])
+def test_r0_matches_dense_period_map(build, expected):
+    prob = build()
+    res = r0(prob)
+    reference = dense_r0(prob, 1.0, 4.0)
+    if expected is not None:
+        assert reference == pytest.approx(expected, abs=1e-12)
+    assert abs(res.r0 - reference) <= 1e-9
+    # the Collatz-Wielandt enclosure at scale 1 holds the dense eigenvalue
+    lam = -math.log(perron_root(dense_period_map(prob, 1.0))) / prob.omega
+    assert res.lambda0_lo - 1e-13 <= lam <= res.lambda0_hi + 1e-13
+    assert res.lambda0_hi - res.lambda0_lo <= CW_REL_TOL / prob.omega
+
+
+def test_period_map_is_entrywise_positive():
+    # the premise of the Collatz-Wielandt bounds
+    assert dense_period_map(_tabulated_beta(), 1.0).min() > 0
+
+
+def test_flat_periodic_r0_is_the_discrete_closed_form():
+    beta = CoefficientField.cosine_modulated(1.7, time_amp=0.6, period=1.0)
+    gamma = CoefficientField.cosine_modulated(0.9, time_amp=0.3, period=1.0)
+    prob = make_problem(beta, gamma, q=0.8, density=1.3, n=16)
+    res = r0(prob)
+    b, g = prob.coefficient_samples(DEFAULT_STEPS_PER_PERIOD)
+    closed = float(b[:, :1].mean() * 1.3**0.8 / g[:, :1].mean())
+    assert res.r0 == closed
+    assert res.r0_cross_check == pytest.approx(closed, rel=1e-8)
+
+
+def test_sign_only_stops_once_the_sign_is_certain():
+    beta = CoefficientField.cosine_modulated(2.0, space_amp=0.5, length=1.0)
+    prob = make_problem(beta, CoefficientField.constant(1.0), n=32, d_I=0.1)
+    rho, _, iterations, width = monodromy_radius(prob)
+    rho_s, _, iterations_s, width_s = monodromy_radius(prob, sign_only=True)
+    assert width <= CW_REL_TOL < width_s
+    assert iterations_s < iterations
+    # the early enclosure lies wholly above 1 and still holds rho
+    assert math.log(rho_s) - 0.5 * width_s > 0
+    assert abs(math.log(rho / rho_s)) <= 0.5 * width_s
+
+
+def test_warm_start_from_the_eigenfield_converges_at_once():
+    beta = CoefficientField.cosine_modulated(2.0, space_amp=0.5, length=1.0)
+    prob = make_problem(beta, CoefficientField.constant(1.0), n=32, d_I=0.1)
+    rho, phi, iterations, _ = monodromy_radius(prob)
+    warm_rho, _, warm_iterations, _ = monodromy_radius(prob, start=phi)
+    assert iterations > 3
+    assert warm_iterations == 1
+    assert warm_rho == pytest.approx(rho, rel=1e-11)
+
+
+def test_root_find_warm_starts_every_evaluation(monkeypatch):
+    from sqip import spectral
+
+    starts = []
+    original = spectral.principal_eigenvalue
+
+    def recording(problem, scale=1.0, *args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return original(problem, scale, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "principal_eigenvalue", recording)
+    r0(_heterogeneous_1d())
+    assert starts[0] is None
+    assert all(s is not None and s.min() > 0 for s in starts[1:])

@@ -93,6 +93,29 @@ def test_parse_sweep_rejects_bad_numbers(line, message):
         parse_sweep(f"[sweep]\nkind = ode-si\n{line}\n")
 
 
+@pytest.mark.parametrize("kind, line, message", [
+    ("ode-si", "base = sis-bistable", "line 3: ode-si sweeps do not read base"),
+    ("ode-sis", "vary.model.p = 1 2", "line 3: ode-sis sweeps do not read vary"),
+    ("pde", "points = 7", "line 3: pde sweeps do not read points"),
+    ("pde", "seed = 3", "line 3: pde sweeps do not read seed"),
+])
+def test_parse_sweep_rejects_keys_the_kind_never_reads(kind, line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_sweep(f"[sweep]\n\n{line}\nkind = {kind}\n")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "ode-sir"}, "unknown sweep kind 'ode-sir'"),
+    ({"kind": "ode-si", "points": -5}, "points must be at least 1, got -5"),
+    ({"kind": "ode-sis", "points": 0}, "points must be at least 1, got 0"),
+    ({"kind": "pde"}, "pde sweeps need base"),
+])
+def test_sweep_spec_rejects_what_run_sweep_cannot_run(tmp_path, fields, message):
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(SweepSpec(**fields), tmp_path / "sw")
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cli_sweep_with_negative_points_writes_nothing(tmp_path, capsys):
     spec_file = tmp_path / "oracle.cfg"
     spec_file.write_text("[sweep]\nkind = ode-si\npoints = -5\n")
