@@ -16,8 +16,7 @@ from .diagnostics import (OutcomeReport, Tolerances, classify_longtime,
                           detect_periodic, lk_norm)
 from .errors import (AssumptionError, ConfigError, DomainError, NumericsError,
                      SqipError, StiffnessError)
-from .grid import (DiscreteLaplacian, Domain1D, Domain2D, build_laplacian,
-                   integrate, poincare_constant)
+from .grid import Domain1D, Domain2D, integrate, poincare_constant
 from .model import (AssumptionReport, CoefficientField, Exponents, Incidence,
                     ModelSpec, classify_exponents, evaluate_incidence,
                     read_coefficient_table, validate_assumptions)
@@ -32,12 +31,12 @@ from .runner import RunResult, run_scenario, run_sweep
 
 __all__ = [
     "AssumptionError", "AssumptionReport", "CoefficientField", "ConfigError",
-    "DiscreteLaplacian", "Domain1D", "Domain2D", "DomainError", "Exponents",
+    "Domain1D", "Domain2D", "DomainError", "Exponents",
     "Incidence", "LinearizedProblem", "ModelSpec", "NumericsError",
     "OutcomeReport", "PRESET_NAMES", "RunResult", "ScenarioConfig",
     "SiOdeParams", "SisOdeParams", "SolverSettings", "SpectralResult",
     "SqipError", "Stepper", "StiffnessError", "SystemState", "Tolerances",
-    "Trajectory", "build_laplacian", "classify_exponents", "classify_longtime",
+    "Trajectory", "classify_exponents", "classify_longtime",
     "detect_periodic", "evaluate_incidence", "extinction_time_bound",
     "integrate", "lk_norm", "load_config", "monodromy_radius", "n_star",
     "parse_config", "poincare_constant", "preset_config",

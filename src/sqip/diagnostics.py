@@ -20,6 +20,11 @@ ROW_DTYPE = np.dtype([(name, np.float64) for name in ROW_FIELDS])
 
 CSV_HEADER = "t,mass_S,mass_I,sup_S,sup_I,min_S,min_I,L2_S,L2_I,flat_S,flat_I"
 
+# Default share of the run's time span that forms the tail window.
+TAIL_FRACTION = 0.2
+# Snapshot pairs one period apart that a periodicity verdict needs.
+MIN_PERIOD_PAIRS = 3
+
 # Outcome labels, spelled exactly as they appear in summaries.
 DISEASE_FREE = "DiseaseFreeLimit"
 EXTINCTION_BOTH = "ExtinctionBoth"
@@ -64,7 +69,7 @@ class Tolerances:
     flat: float = 1e-4
     persist: float = 1e-3
     periodic: float = 1e-4
-    window_fraction: float = 0.2
+    window_fraction: float = TAIL_FRACTION
     min_window: int = 5
 
 
@@ -84,7 +89,6 @@ class OutcomeReport:
     window_start: float = 0.0
     window_end: float = 0.0
     window_samples: int = 0
-    tolerances: Tolerances = field(default_factory=Tolerances)
     tail_stats: dict = field(default_factory=dict)
 
     def summary_lines(self) -> list[str]:
@@ -135,13 +139,13 @@ def periodic_residuals(traj, omega: float) -> list[tuple[float, float]]:
     return out
 
 
-def detect_periodic(traj, omega: float, tol: Tolerances | None = None,
-                    min_pairs: int = 3) -> float:
+def detect_periodic(traj, omega: float, tol: Tolerances | None = None
+                    ) -> float:
     """Largest one-period mismatch over snapshot pairs in the tail window.
 
     Pairs whose span starts before the tail (as set by the tolerance's
     window fraction) are transient-dominated and excluded; fewer than
-    ``min_pairs`` remaining pairs is a configuration error.
+    ``MIN_PERIOD_PAIRS`` remaining pairs is a configuration error.
     """
     tol = tol or Tolerances()
     pairs = periodic_residuals(traj, omega)
@@ -150,10 +154,10 @@ def detect_periodic(traj, omega: float, tol: Tolerances | None = None,
         t0, t1 = float(rows["t"][0]), float(rows["t"][-1])
         cutoff = t1 - tol.window_fraction * (t1 - t0) - omega
         pairs = [(t, r) for t, r in pairs if t >= cutoff - 1e-9]
-    if len(pairs) < min_pairs:
+    if len(pairs) < MIN_PERIOD_PAIRS:
         raise ConfigError(
-            f"periodicity check needs >= {min_pairs} snapshot pairs one "
-            f"period apart in the tail window, found {len(pairs)}")
+            f"periodicity check needs >= {MIN_PERIOD_PAIRS} snapshot pairs "
+            f"one period apart in the tail window, found {len(pairs)}")
     return max(r for _, r in pairs)
 
 
@@ -167,7 +171,7 @@ def classify_longtime(traj, tol: Tolerances | None = None,
     """
     tol = tol or Tolerances()
     tail = _tail_rows(traj, tol.window_fraction)
-    base = dict(window_samples=len(tail), tolerances=tol)
+    base = dict(window_samples=len(tail))
     if len(tail) < tol.min_window:
         return OutcomeReport(
             UNDETERMINED,

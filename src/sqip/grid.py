@@ -1,9 +1,12 @@
 """Cell-centered finite-volume grids with zero-flux boundaries.
 
 The spatial operator is the standard second-order Laplacian stencil with
-mirror ghost cells, so the matrix has exactly zero row and column sums.
-That makes discrete integration of any Laplacian image vanish identically,
-which is the backbone of every mass-control check in this package.
+mirror ghost cells. Its only representation is the banded stiffness
+matrix A = -Laplacian of one axis, which the diffusion solves factor
+(a sum of two axis operators in 2D). A has exactly zero row and column
+sums, so discrete integration of any Laplacian image vanishes
+identically, which is the backbone of every mass-control check in this
+package.
 """
 
 from __future__ import annotations
@@ -96,57 +99,6 @@ class Domain2D:
 
 
 Domain = Domain1D | Domain2D
-
-
-def _axis_laplacian(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second difference along one axis with mirrored end cells."""
-    f = np.moveaxis(values, axis, 0)
-    out = np.empty_like(f)
-    out[1:-1] = f[:-2] - 2.0 * f[1:-1] + f[2:]
-    out[0] = f[1] - f[0]
-    out[-1] = f[-2] - f[-1]
-    out /= h * h
-    return np.moveaxis(out, 0, axis)
-
-
-class DiscreteLaplacian:
-    """Zero-flux Laplacian on a 1D or tensor-product 2D grid.
-
-    Symmetric negative semidefinite; constants are in the kernel exactly.
-    """
-
-    def __init__(self, domain: Domain):
-        self.domain = domain
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.domain.shape:
-            raise DomainError(
-                f"field shape {values.shape} does not match grid {self.domain.shape}"
-            )
-        if isinstance(self.domain, Domain1D):
-            return _axis_laplacian(values, self.domain.h, axis=0)
-        out = _axis_laplacian(values, self.domain.hx, axis=0)
-        out += _axis_laplacian(values, self.domain.hy, axis=1)
-        return out
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self.apply(values)
-
-    def dense(self) -> np.ndarray:
-        """Dense matrix form, intended for small-grid tests only."""
-        size = int(np.prod(self.domain.shape))
-        cols = []
-        for j in range(size):
-            e = np.zeros(size)
-            e[j] = 1.0
-            cols.append(self.apply(e.reshape(self.domain.shape)).ravel())
-        return np.array(cols).T
-
-
-def build_laplacian(domain: Domain) -> DiscreteLaplacian:
-    """Construct the zero-flux Laplacian for a validated domain."""
-    return DiscreteLaplacian(domain)
 
 
 def integrate(domain: Domain, values: np.ndarray) -> float:
@@ -251,7 +203,7 @@ def _axis_poincare(n: int, length: float) -> float:
     return 4.0 / (h * h) * math.sin(math.pi * h / (2.0 * length)) ** 2
 
 
-def poincare_constant(domain: Domain, n: int | None = None) -> float:
+def poincare_constant(domain: Domain) -> float:
     """Smallest positive eigenvalue of -Laplacian with zero-flux boundaries.
 
     This is the constant in the mean-zero Poincare inequality on the grid.
@@ -259,19 +211,12 @@ def poincare_constant(domain: Domain, n: int | None = None) -> float:
     smallest positive value is the minimum of the two axis values. The
     value is the exact eigenvalue of the discrete operator, which tends to
     the continuum value (pi/L)^2 at second order in h.
-
-    Args:
-        domain: Grid description; ``n`` optionally overrides its resolution.
-        n: Replacement cell count (applied per axis in 2D).
     """
     if isinstance(domain, Domain1D):
-        cells = domain.n if n is None else int(n)
-        if cells < 8:
+        if domain.n < 8:
             raise ConfigError("Poincare constant needs at least 8 cells")
-        return _axis_poincare(cells, domain.length)
-    nx = domain.nx if n is None else int(n)
-    ny = domain.ny if n is None else int(n)
-    if nx < 8 or ny < 8:
+        return _axis_poincare(domain.n, domain.length)
+    if domain.nx < 8 or domain.ny < 8:
         raise ConfigError("Poincare constant needs at least 8 cells per axis")
-    return min(_axis_poincare(nx, domain.length_x),
-               _axis_poincare(ny, domain.length_y))
+    return min(_axis_poincare(domain.nx, domain.length_x),
+               _axis_poincare(domain.ny, domain.length_y))

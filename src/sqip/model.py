@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grid import Domain, Domain1D
+from .grid import Domain
 
 __all__ = [
     "Exponents",
@@ -207,28 +207,23 @@ def evaluate_incidence(kind: Incidence, S, I):
 # Space-time coefficients
 # --------------------------------------------------------------------------
 
-COEFFICIENT_KINDS = ("constant", "separable-product", "tabulated")
-
-
 @dataclass(frozen=True)
 class CoefficientField:
     """Bounded space-time coefficient with optional time period.
 
     The evaluator maps (x, t) to nonnegative values; x is the cell-center
     coordinate array of the grid (broadcast along the first axis in 2D).
-    Boundedness is a declared contract checked by sampling; smoothness is
-    not verified.
+    A field has a period exactly when its values depend on t, so a field
+    without one is time-constant and is sampled once. Boundedness is a
+    declared contract checked by sampling; smoothness is not verified.
     """
 
-    kind: str
     lower: float
     upper: float
     period: float | None
     evaluator: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        if self.kind not in COEFFICIENT_KINDS:
-            raise ConfigError(f"unknown coefficient kind {self.kind!r}")
         if self.lower < 0 or self.upper < self.lower:
             raise ConfigError(
                 f"need 0 <= lower <= upper, got [{self.lower}, {self.upper}]")
@@ -240,14 +235,25 @@ class CoefficientField:
 
     @property
     def is_time_constant(self) -> bool:
-        return self.kind == "constant"
+        return self.period is None
+
+    def sample(self, domain: Domain, times) -> np.ndarray:
+        """Values at the grid's cell centres, one row per entry of ``times``.
+
+        A time-constant field gives one row, at ``times[0]``. Rows are not
+        broadcast to the grid: their shape is (n,) in 1D and (nx, 1) in 2D.
+        """
+        x = domain.x_coordinate()
+        if self.is_time_constant:
+            times = times[:1]
+        return np.array([self(x, t) for t in times])
 
     @classmethod
     def constant(cls, value: float) -> "CoefficientField":
         if value < 0:
             raise ConfigError(f"coefficient must be nonnegative, got {value}")
         v = float(value)
-        return cls("constant", v, v, None, lambda x, t: np.full_like(x, v))
+        return cls(v, v, None, lambda x, t: np.full_like(x, v))
 
     @classmethod
     def cosine_modulated(cls, base: float, *, time_amp: float = 0.0,
@@ -280,8 +286,7 @@ class CoefficientField:
 
         lower = base * (1.0 - abs(space_amp)) * (1.0 - abs(time_amp))
         upper = base * (1.0 + abs(space_amp)) * (1.0 + abs(time_amp))
-        return cls("separable-product", lower, upper,
-                   period if time_amp != 0.0 else None, evaluator)
+        return cls(lower, upper, period if time_amp != 0.0 else None, evaluator)
 
     @classmethod
     def tabulated(cls, table: np.ndarray, length: float,
@@ -316,7 +321,7 @@ class CoefficientField:
             flat = np.interp(np.ravel(x), x_nodes, col)
             return flat.reshape(np.shape(x))
 
-        return cls("tabulated", float(table.min()), float(table.max()),
+        return cls(float(table.min()), float(table.max()),
                    period if n_t > 1 else None, evaluator)
 
 
@@ -444,16 +449,14 @@ class AssumptionReport:
                 for i in self.items]
 
 
-def _sample_field(coeff: CoefficientField, domain: Domain,
-                  t_values: np.ndarray) -> np.ndarray:
-    x = domain.x_coordinate()
-    samples = [np.broadcast_to(coeff(x, t), domain.shape) for t in t_values]
-    return np.stack([np.asarray(s, dtype=float) for s in samples])
+# Time scan of the coefficient checks: this many samples over
+# [0, max(ASSUMPTION_HORIZON, twice every declared period)].
+ASSUMPTION_HORIZON = 10.0
+ASSUMPTION_TIME_SAMPLES = 33
 
 
-def validate_assumptions(spec: ModelSpec, initial, domain: Domain,
-                         t_horizon: float = 10.0,
-                         n_time_samples: int = 33) -> AssumptionReport:
+def validate_assumptions(spec: ModelSpec, initial, domain: Domain
+                         ) -> AssumptionReport:
     """Report-only admissibility checks of a scenario.
 
     ``initial`` is any object with nonnegative ``S`` and ``I`` grid fields
@@ -466,13 +469,13 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain,
     e = spec.exponents
     items: list[AssumptionItem] = []
 
-    horizons = [t_horizon]
+    horizons = [ASSUMPTION_HORIZON]
     for coeff in (spec.beta, spec.gamma, spec.mu):
         if coeff.period:
             horizons.append(2.0 * coeff.period)
-    t_values = np.linspace(0.0, max(horizons), n_time_samples)
+    t_values = np.linspace(0.0, max(horizons), ASSUMPTION_TIME_SAMPLES)
 
-    samples = {name: _sample_field(coeff, domain, t_values)
+    samples = {name: coeff.sample(domain, t_values)
                for name, coeff in (("beta", spec.beta), ("gamma", spec.gamma),
                                    ("mu", spec.mu))}
 
@@ -539,15 +542,13 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain,
                                         f"conflicting periods {sorted(periods)}"))
         else:
             omega = periods.pop()
-            x = domain.x_coordinate()
             t_check = np.linspace(0.0, omega, 17)
             worst = 0.0
             for coeff in (spec.beta, spec.gamma, spec.mu):
                 if coeff.period is None:
                     continue
-                for t in t_check:
-                    a = np.asarray(coeff(x, t), dtype=float)
-                    b = np.asarray(coeff(x, t + omega), dtype=float)
+                later = coeff.sample(domain, t_check + omega)
+                for a, b in zip(coeff.sample(domain, t_check), later):
                     scale = max(1.0, float(np.abs(a).max()))
                     worst = max(worst, float(np.abs(a - b).max()) / scale)
             ok = worst <= 1e-10

@@ -108,12 +108,9 @@ class Trajectory:
     def mass(self) -> np.ndarray:
         return self.rows["mass_S"] + self.rows["mass_I"]
 
-    def tail_sup_monitor(self, window_fraction: float = 0.2) -> float:
-        """Largest sup-norm over the final stretch of recorded samples."""
-        rows = self.rows
-        t0, t1 = rows["t"][0], rows["t"][-1]
-        cutoff = t1 - window_fraction * (t1 - t0)
-        tail = rows[rows["t"] >= cutoff - EVENT_SNAP]
+    def tail_sup_monitor(self) -> float:
+        """Largest sup-norm over the default tail window of the samples."""
+        tail = diagnostics._tail_rows(self, diagnostics.TAIL_FRACTION)
         return float(np.maximum(tail["sup_S"], tail["sup_I"]).max())
 
 
@@ -127,21 +124,18 @@ class Stepper:
         self.settings = settings or SolverSettings()
         self.diffusion = DiffusionSolver(domain)
         self._x = domain.x_coordinate()
-        self._const: dict[str, np.ndarray | None] = {}
+        # Time-constant coefficients are sampled once. Samples keep the
+        # evaluator's shape ((nx, 1) in 2D) and broadcast in ``reaction``.
+        self._const: dict[str, np.ndarray] = {}
         for name in ("beta", "gamma", "mu"):
             coeff = getattr(model, name)
             if coeff.is_time_constant:
-                self._const[name] = np.broadcast_to(
-                    coeff(self._x, 0.0), domain.shape).astype(float)
-            else:
-                self._const[name] = None
+                self._const[name] = coeff.sample(domain, [0.0])[0]
 
     def _coeff(self, name: str, t: float) -> np.ndarray:
-        cached = self._const[name]
-        if cached is not None:
-            return cached
-        coeff = getattr(self.model, name)
-        return np.broadcast_to(coeff(self._x, t), self.domain.shape).astype(float)
+        if name in self._const:
+            return self._const[name]
+        return getattr(self.model, name)(self._x, t)
 
     def reaction(self, S: np.ndarray, I: np.ndarray, t: float
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +354,7 @@ class LinearPropagator:
     This is the solver's stepping with the nonlinearity disabled: implicit
     diffusion and an explicit potential factor. The factor of step k is
     the exact exponential exp(dt * a(x, t_k)) of the midpoint sample
-    t_k = t0 + (k + 1/2) dt, so a spatially uniform potential is
+    t_k = (k + 1/2) dt, so a spatially uniform potential is
     integrated with quadrature error only, which is what makes the
     closed-form spectral checks meet their tight tolerances.
 
@@ -378,12 +372,12 @@ class LinearPropagator:
         self.growth = growth
         self.diffusion = DiffusionSolver(domain)
 
-    def advance(self, phi: np.ndarray, t0: float, duration: float,
+    def advance(self, phi: np.ndarray, duration: float,
                 nsteps: int) -> np.ndarray:
-        """Propagate ``phi`` from ``t0`` over ``duration`` in ``nsteps`` steps.
+        """Propagate ``phi`` over ``duration`` in ``nsteps`` steps.
 
         The table fixes the time grid: its row k is the factor of step k,
-        sampled by the caller for this ``t0``, ``duration`` and ``nsteps``.
+        sampled by the caller for this ``duration`` and ``nsteps``.
         """
         rows = len(self.growth)
         if rows not in (1, nsteps):

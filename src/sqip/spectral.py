@@ -81,15 +81,11 @@ class LinearizedProblem:
         """
         samples = self._samples.get(steps_per_period)
         if samples is None:
-            dt = self.omega / steps_per_period
-            x = self.domain.x_coordinate()
-
-            def table(coeff: CoefficientField) -> np.ndarray:
-                rows = 1 if coeff.is_time_constant else steps_per_period
-                return np.array([coeff(x, (k + 0.5) * dt) for k in range(rows)])
-
+            times = (np.arange(steps_per_period) + 0.5) * (
+                self.omega / steps_per_period)
             samples = self._samples[steps_per_period] = (
-                table(self.beta), table(self.gamma))
+                self.beta.sample(self.domain, times),
+                self.gamma.sample(self.domain, times))
         return samples
 
     def growth_factors(self, scale: float, steps_per_period: int) -> np.ndarray:
@@ -167,7 +163,7 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
                             problem.growth_factors(scale, steps_per_period))
     phi = np.ones(problem.domain.shape) if start is None else start
     for iteration in range(1, MAX_POWER_ITER + 1):
-        mapped = prop.advance(phi, 0.0, problem.omega, steps_per_period)
+        mapped = prop.advance(phi, problem.omega, steps_per_period)
         ratios = mapped / phi
         lo, hi = float(ratios.min()), float(ratios.max())
         if not 0.0 < lo <= hi < math.inf:

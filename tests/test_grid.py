@@ -2,29 +2,52 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from sqip.errors import ConfigError, DomainError
 from sqip.grid import (AxisSolver, DiffusionSolver, Domain1D, Domain2D,
-                       _stiffness_banded, build_laplacian, integrate,
-                       poincare_constant)
+                       _stiffness_banded, integrate, poincare_constant)
+
+# Property tests draw a fixed sequence of examples, so reruns match.
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def stiffness_dense(n, h):
+    """Dense A = -Laplacian of one axis, from the banded form the
+    diffusion solves factor."""
+    ab = _stiffness_banded(n, h)
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+
+
+def laplacian_dense(dom):
+    """Dense Laplacian -A of the grid: in 2D the Kronecker sum of the two
+    axis operators, acting on C-order flattened (nx, ny) fields."""
+    if isinstance(dom, Domain1D):
+        return -stiffness_dense(dom.n, dom.h)
+    ax = stiffness_dense(dom.nx, dom.hx)
+    ay = stiffness_dense(dom.ny, dom.hy)
+    return -(np.kron(ax, np.eye(dom.ny)) + np.kron(np.eye(dom.nx), ay))
 
 
 def test_constant_field_in_kernel():
     dom = Domain1D(3.0, 50)
-    lap = build_laplacian(dom)
-    out = lap.apply(np.full(50, 3.7))
-    assert np.abs(out).max() == 0.0
+    lap = laplacian_dense(dom)
+    assert np.abs(lap.sum(axis=1)).max() == 0.0
+    out = lap @ np.full(50, 3.7)
+    assert np.abs(out).max() <= 1e-13 * 3.7 * np.abs(lap).max()
 
 
 def test_cosine_is_discrete_eigenfunction():
     # cos(pi x / L) at cell centers is an exact eigenvector of the mirrored
-    # stencil; its eigenvalue approaches -(pi/L)^2 at second order.
+    # stencil, with the eigenvalue -poincare_constant; that approaches
+    # -(pi/L)^2 at second order.
     dom = Domain1D(1.0, 200)
-    lap = build_laplacian(dom)
+    lap = laplacian_dense(dom)
     x = dom.cell_centers()
     f = np.cos(math.pi * x / dom.length)
-    residual = np.abs(lap.apply(f) + (math.pi / dom.length) ** 2 * f).max()
+    assert np.abs(lap @ f + poincare_constant(dom) * f).max() < 1e-8
+    residual = np.abs(lap @ f + (math.pi / dom.length) ** 2 * f).max()
     # O(h^2) constant is pi^4/12 ~ 8.1
     assert residual < 10.0 * dom.h**2
     assert residual > 0  # not exactly the continuum value
@@ -32,18 +55,48 @@ def test_cosine_is_discrete_eigenfunction():
 
 def test_dense_matrix_symmetric_zero_row_sums():
     dom = Domain1D(2.0, 12)
-    A = build_laplacian(dom).dense()
+    A = laplacian_dense(dom)
     assert np.abs(A - A.T).max() == 0.0
     assert np.abs(A.sum(axis=1)).max() == 0.0
+    assert np.abs(A.sum(axis=0)).max() == 0.0
     assert np.linalg.eigvalsh(A).max() < 1e-12
 
 
 def test_2d_dense_symmetric_nonpositive():
     dom = Domain2D(1.0, 2.0, 5, 4)
-    A = build_laplacian(dom).dense()
+    A = laplacian_dense(dom)
+    scale = np.abs(A).max()
     assert np.abs(A - A.T).max() == 0.0
-    assert np.abs(A.sum(axis=1)).max() < 1e-12
-    assert np.linalg.eigvalsh(A).max() < 1e-10
+    assert np.abs(A.sum(axis=1)).max() < 1e-14 * scale
+    assert np.abs(A.sum(axis=0)).max() < 1e-14 * scale
+    assert np.linalg.eigvalsh(A).max() < 1e-12 * scale
+
+
+@PROPERTY
+@given(n=st.integers(4, 300), h=st.floats(1e-3, 10.0))
+def test_stiffness_rows_and_columns_sum_to_zero(n, h):
+    A = stiffness_dense(n, h)
+    assert np.array_equal(A, A.T)
+    assert not A.sum(axis=1).any()
+    assert not A.sum(axis=0).any()
+
+
+@PROPERTY
+@given(dims=st.sampled_from([(7,), (64,), (200,), (6, 9), (24, 24)]),
+       length=st.floats(0.5, 4.0), stiffness=st.floats(1e-4, 2e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_diffusion_solve_keeps_the_integral(dims, length, stiffness, seed):
+    # c is drawn as stiffness * h^2: the solve's rounding grows with
+    # c / h^2, which stays below 500 in the presets (dt <= 0.05, d = 1,
+    # L = 1, n <= 128); the bound holds to about 1e4.
+    dom = (Domain1D(length, *dims) if len(dims) == 1
+           else Domain2D(length, 2.0, *dims))
+    h = dom.h if len(dims) == 1 else min(dom.hx, dom.hy)
+    c = stiffness * h * h
+    rhs = np.random.default_rng(seed).uniform(0.0, 1.0, dom.shape)
+    out = DiffusionSolver(dom).solve(c, rhs)
+    mass = integrate(dom, rhs)
+    assert abs(integrate(dom, out) - mass) <= 1e-12 * mass
 
 
 def test_integrate_constant_exact():
@@ -74,17 +127,17 @@ def test_divergence_theorem_random_fields():
     # every mass-control check
     rng = np.random.default_rng(42)
     dom1 = Domain1D(1.7, 33)
-    lap1 = build_laplacian(dom1)
+    lap1 = laplacian_dense(dom1)
     for _ in range(20):
-        f = rng.uniform(-5, 5, dom1.shape)
-        scale = max(np.abs(lap1.apply(f)).max(), 1.0)
-        assert abs(integrate(dom1, lap1.apply(f))) < 1e-11 * scale
+        f = lap1 @ rng.uniform(-5, 5, dom1.shape)
+        scale = max(np.abs(f).max(), 1.0)
+        assert abs(integrate(dom1, f)) < 1e-11 * scale
     dom2 = Domain2D(2.0, 1.5, 16, 12)
-    lap2 = build_laplacian(dom2)
+    lap2 = laplacian_dense(dom2)
     for _ in range(10):
-        f = rng.uniform(0, 3, dom2.shape)
-        scale = max(np.abs(lap2.apply(f)).max(), 1.0)
-        assert abs(integrate(dom2, lap2.apply(f))) < 1e-11 * scale
+        f = (lap2 @ rng.uniform(0, 3, dom2.shape).ravel()).reshape(dom2.shape)
+        scale = max(np.abs(f).max(), 1.0)
+        assert abs(integrate(dom2, f)) < 1e-11 * scale
 
 
 def test_small_grid_rejected():
@@ -120,12 +173,12 @@ def test_poincare_refinement_order():
 
 def test_poincare_needs_enough_cells():
     with pytest.raises(ConfigError):
-        poincare_constant(Domain1D(1.0, 16), n=6)
+        poincare_constant(Domain1D(1.0, 6))
 
 
 def test_poincare_resolution_override():
     coarse = poincare_constant(Domain1D(1.0, 16))
-    fine = poincare_constant(Domain1D(1.0, 16), n=256)
+    fine = poincare_constant(Domain1D(1.0, 256))
     assert abs(fine - math.pi**2) < abs(coarse - math.pi**2)
 
 

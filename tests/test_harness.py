@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -456,3 +457,24 @@ def test_import_leaves_scipy_optimize_unloaded():
          "import sys, sqip; print('scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_star_import_resolves_every_export_and_mapped_module():
+    # a name dropped from the package but left in ``__all__`` makes
+    # ``from sqip import *`` raise; so does a module in README's module
+    # map that no longer imports
+    readme = Path(__file__).parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    modules = sorted(set(re.findall(r"`(sqip\.\w+)`", table)))
+    assert len(modules) == 10
+    code = ("import importlib\n"
+            "from sqip import *\n"
+            "import sqip\n"
+            "assert all(name in globals() for name in sqip.__all__)\n"
+            f"for module in {modules!r}:\n"
+            "    importlib.import_module(module)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sqip.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr

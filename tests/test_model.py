@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sqip.errors import ConfigError, DomainError
-from sqip.grid import Domain1D
+from sqip.grid import Domain1D, Domain2D
 from sqip.model import (CoefficientField, Exponents, Incidence, ModelSpec,
                         classify_exponents, evaluate_incidence,
                         read_coefficient_table, validate_assumptions,
@@ -177,8 +177,8 @@ def test_tabulated_bilinear_within_bounds(tmp_path):
     path = tmp_path / "beta.txt"
     write_coefficient_table(path, table, omega=2.0)
     f = read_coefficient_table(path, length=1.0)
-    assert f.kind == "tabulated"
     assert f.period == 2.0
+    assert not f.is_time_constant
     assert f.lower == table.min() and f.upper == table.max()
     x = np.linspace(0, 1, 57)
     for t in rng.uniform(0, 10, 30):
@@ -196,6 +196,37 @@ def test_tabulated_reproduces_nodes(tmp_path):
     f = read_coefficient_table(path, length=2.0)
     assert f(np.array([0.0, 1.0, 2.0]), 0.0) == pytest.approx([1.0, 2.0, 4.0])
     assert f(np.array([0.5]), 5.0) == pytest.approx([1.5])  # linear between rows
+
+
+def test_a_field_without_period_is_time_constant():
+    # Time-constancy is the absence of a period, also for fields that
+    # vary in space: such a field is sampled once, not once per time.
+    spatial = CoefficientField.cosine_modulated(2.0, space_amp=0.9, length=1.0)
+    assert spatial.period is None and spatial.is_time_constant
+    one_column = CoefficientField.tabulated(
+        np.array([[1.0], [2.0], [4.0]]), length=1.0, period=None)
+    assert one_column.is_time_constant
+    periodic = CoefficientField.cosine_modulated(2.0, time_amp=0.5, period=1.0)
+    assert not periodic.is_time_constant
+
+
+def test_sample_gives_one_row_for_a_time_constant_field(coeff_calls):
+    spatial = CoefficientField.cosine_modulated(2.0, space_amp=0.9, length=1.0)
+    periodic = CoefficientField.cosine_modulated(
+        2.0, time_amp=0.5, period=1.0, space_amp=0.9, length=1.0)
+    times = np.linspace(0.0, 1.0, 5)
+    dom1, dom2 = Domain1D(1.0, 16), Domain2D(1.0, 2.0, 8, 6)
+    x = dom1.cell_centers()
+    want = spatial(x, 0.0)
+    coeff_calls.clear()
+    assert np.array_equal(spatial.sample(dom1, times), [want])
+    assert spatial.sample(dom2, times).shape == (1, 8, 1)
+    assert coeff_calls == [0.0, 0.0]  # one evaluation each, at times[0]
+    rows = periodic.sample(dom1, times)
+    assert rows.shape == (5, 16)
+    for row, t in zip(rows, times):
+        assert np.array_equal(row, periodic(x, t))
+    assert periodic.sample(dom2, times).shape == (5, 8, 1)
 
 
 def test_tabulated_header_errors(tmp_path):
@@ -271,6 +302,23 @@ def test_assumptions_periodicity_checked():
         d_S=1.0, d_I=1.0, incidence=Incidence.power(1, 1))
     report = validate_assumptions(model, state, dom)
     assert report["A6-period-consistency"].status == "pass"
+
+
+def test_assumptions_periodicity_defect_found_in_2d():
+    # a declared period of 1.5 on a field whose true period is 2
+    dom = Domain2D(1.0, 1.0, 8, 6)
+    state = SystemState(np.full(dom.shape, 1.0), np.full(dom.shape, 0.5), 0.0)
+    true = CoefficientField.cosine_modulated(1.0, time_amp=0.5, period=2.0,
+                                             space_amp=0.5, length=1.0)
+    lying = CoefficientField(true.lower, true.upper, 1.5, true.evaluator)
+    model = ModelSpec(
+        exponents=Exponents(p=1, q=1), beta=lying,
+        gamma=CoefficientField.constant(1.0),
+        mu=CoefficientField.constant(0.0),
+        d_S=1.0, d_I=1.0, incidence=Incidence.power(1, 1))
+    report = validate_assumptions(model, state, dom)
+    assert report["A6-period-consistency"].status == "fail"
+    assert report["A1-coefficient-bounds"].status == "pass"
 
 
 def test_assumptions_dual_floor_flagged():

@@ -54,6 +54,39 @@ def test_reaction_values_at_half_half():
     assert g == pytest.approx(np.full(16, -0.25))
 
 
+def test_reaction_broadcasts_a_2d_sample_to_the_same_bits():
+    # time-constant samples keep the evaluator's (nx, 1) shape in 2D;
+    # broadcasting in the arithmetic gives what full (nx, ny) fields give
+    dom = Domain2D(1.0, 1.5, 12, 10)
+    model = ModelSpec(
+        exponents=Exponents(p=1.0, q=1.0),
+        beta=CoefficientField.cosine_modulated(2.0, space_amp=0.9, length=1.0),
+        gamma=CoefficientField.cosine_modulated(
+            1.0, time_amp=0.5, period=1.0, space_amp=0.3, length=1.0),
+        mu=CoefficientField.constant(0.2), d_S=1.0, d_I=1.0,
+        incidence=Incidence.power(q=1.0, p=1.0))
+    rng = np.random.default_rng(11)
+    S, I = rng.uniform(0.1, 1.0, dom.shape), rng.uniform(0.1, 1.0, dom.shape)
+    t = 0.3
+    x = dom.x_coordinate()
+    beta, gamma, mu = (np.broadcast_to(c(x, t), dom.shape).copy()
+                       for c in (model.beta, model.gamma, model.mu))
+    f, g = Stepper(model, dom).reaction(S, I, t)
+    assert np.array_equal(f, -beta * (S * I) + gamma * I)
+    assert np.array_equal(g, beta * (S * I) - (gamma + mu) * I)
+
+
+def test_time_constant_coefficients_are_evaluated_once_per_run(coeff_calls):
+    # beta varies in space but has no period: the assumption scan and the
+    # stepper sample each coefficient once (495 evaluations when beta was
+    # evaluated on every step and at 33 scan times)
+    cfg = preset_config("thm-2.11-persist", {"model.beta_x_amp": "0.9",
+                                             "solver.t_end": "5"})
+    traj = run(cfg)
+    assert traj.steps_accepted > 100
+    assert len(coeff_calls) <= 6
+
+
 def _rk4_reduced(y, dt, beta=1.0, gamma=1.0, mu=0.0):
     def rhs(y):
         S, I = y
@@ -270,15 +303,17 @@ def test_marginal_positivity_is_flagged():
 
 def test_terminal_state_matches_independent_stiff_integrator():
     # same semidiscrete system, independent time integrator: the reaction
-    # is written out by hand and the lines are solved by scipy's Radau at
-    # tight tolerance; the IMEX terminal state must approach it at first
-    # order in dt
+    # is written out by hand, the Laplacian is the dense form of the banded
+    # matrix the diffusion solves factor, and the lines are solved by
+    # scipy's Radau at tight tolerance; the IMEX terminal state must
+    # approach it at first order in dt
     from scipy.integrate import solve_ivp
-    from sqip.grid import build_laplacian
+    from sqip.grid import _stiffness_banded
 
     n = 48
     dom = Domain1D(1.0, n)
-    lap = build_laplacian(dom)
+    ab = _stiffness_banded(n, dom.h)
+    lap = -(np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1))
     x = dom.cell_centers()
     I0 = 0.5 * np.exp(-0.5 * ((x - 0.5) / 0.1) ** 2)
     S0 = 1.0 - I0
@@ -286,8 +321,8 @@ def test_terminal_state_matches_independent_stiff_integrator():
     def rhs(t, y):
         S, I = y[:n], y[n:]
         inc = 2.0 * S * I  # beta = 2, gamma = 1, mu = 0, p = q = 1
-        dS = lap.apply(S) + (-inc + I)
-        dI = lap.apply(I) + (inc - I)
+        dS = lap @ S + (-inc + I)
+        dI = lap @ I + (inc - I)
         return np.concatenate([dS, dI])
 
     ref = solve_ivp(rhs, (0.0, 1.0), np.concatenate([S0, I0]),

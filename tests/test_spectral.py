@@ -233,6 +233,23 @@ def test_preset_spectral_values():
     assert res.r0 == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("two_dim,overrides,expected", [
+    (False, {}, 2.0794296452330667),
+    (True, {"domain.nx": "16", "domain.ny": "16"}, 2.079668506613069),
+], ids=["1d", "2d"])
+def test_time_constant_heterogeneous_problem_is_sampled_once(
+        coeff_calls, two_dim, overrides, expected):
+    # beta varies in space but not in time: one sample of beta and one of
+    # gamma serve all 512 steps of every period map (513 evaluations when
+    # beta was tabulated per step), and R0 keeps its bits
+    cfg = preset_config("thm-2.11-persist",
+                        {"model.beta_x_amp": "0.9", **overrides},
+                        two_dim=two_dim)
+    res = compute_spectral(cfg)
+    assert len(coeff_calls) <= 2
+    assert res.r0 == expected
+
+
 def reference_monodromy(problem, scale=1.0,
                         steps_per_period=DEFAULT_STEPS_PER_PERIOD):
     """Power iteration with the potential sampled at every step of every
@@ -363,9 +380,9 @@ def test_propagator_rejects_a_table_for_another_step_count():
     beta = CoefficientField.cosine_modulated(2.0, time_amp=0.5, period=1.0)
     prob = make_problem(beta, CoefficientField.constant(1.0), n=8)
     prop = LinearPropagator(prob.domain, prob.d_I, prob.growth_factors(1.0, 4))
-    prop.advance(np.ones(8), 0.0, 1.0, 4)
+    prop.advance(np.ones(8), 1.0, 4)
     with pytest.raises(ConfigError, match="4 rows for 3 steps"):
-        prop.advance(np.ones(8), 0.0, 1.0, 3)
+        prop.advance(np.ones(8), 1.0, 3)
 
 
 # ------------------------------------------ dense period-map reference
@@ -425,6 +442,14 @@ def test_flat_periodic_r0_is_the_discrete_closed_form():
     closed = float(b[:, :1].mean() * 1.3**0.8 / g[:, :1].mean())
     assert res.r0 == closed
     assert res.r0_cross_check == pytest.approx(closed, rel=1e-8)
+
+
+def test_flat_one_column_tables_give_the_exact_ratio():
+    # one-column tables have no period, so each is a single sample and the
+    # closed form is beta/gamma itself, not a mean over 512 equal rows
+    beta = CoefficientField.tabulated(np.full((5, 1), 2.7), 1.0, None)
+    gamma = CoefficientField.tabulated(np.full((5, 1), 0.7), 1.0, None)
+    assert r0(make_problem(beta, gamma, n=32)).r0 == 2.7 / 0.7
 
 
 def test_sign_only_stops_once_the_sign_is_certain():
