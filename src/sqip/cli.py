@@ -17,27 +17,27 @@ import argparse
 import sys
 
 from . import ode, runner
-from .config import load_config
+from .config import ScenarioConfig, load_config, read_lines
 from .errors import SqipError
 from .presets import ODE_PRESETS, PRESET_NAMES, preset_config, preset_kind
 
 
 def _parse_overrides(items: list[str] | None) -> dict[str, str]:
-    overrides = {}
-    for item in items or []:
-        if "=" not in item:
-            raise SqipError(f"override must look like section.key=value: {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    return overrides
+    """``--override section.key=value`` items, read as lines of config
+    text (so ``#`` starts a comment); a bad item names its position."""
+    return {key: value for _, key, value, _ in
+            read_lines("\n".join(items or ()), sections=())}
+
+
+def _load_config(args) -> ScenarioConfig:
+    """The config file of ``run`` and ``r0`` with any --override layered on."""
+    config = load_config(args.config)
+    overrides = _parse_overrides(args.override)
+    return config.with_overrides(overrides) if overrides else config
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    overrides = _parse_overrides(args.override)
-    if overrides:
-        config = config.with_overrides(overrides)
-    result = runner.run_scenario(config, out_dir=args.out)
+    result = runner.run_scenario(_load_config(args), out_dir=args.out)
     sys.stdout.write(result.summary)
     return 0
 
@@ -96,11 +96,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_r0(args) -> int:
-    config = load_config(args.config)
-    overrides = _parse_overrides(args.override)
-    if overrides:
-        config = config.with_overrides(overrides)
-    result = runner.compute_spectral(config)
+    result = runner.compute_spectral(_load_config(args))
     sys.stdout.write("\n".join(result.summary_lines()) + "\n")
     return 0
 

@@ -19,16 +19,17 @@ to the named catalog entry, with the file's own keys layered on top.
 from __future__ import annotations
 
 import re
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import Tolerances
 from .errors import ConfigError
-from .grid import Domain, Domain1D, Domain2D
+from .grid import Domain, Domain1D, Domain2D, integrate
 from .model import (CoefficientField, Exponents, Incidence, ModelSpec,
                     read_coefficient_table)
-from .solver import SolverSettings
+from .solver import EVENT_SNAP, SolverSettings
 
 # Schema: section -> key -> (type tag, default string or None = mandatory
 # within its group). Domain keys are group-validated separately.
@@ -91,7 +92,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
 }
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
-_KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
 _CALL_RE = re.compile(r"^([a-z]+)\((.*)\)$")
 
 
@@ -192,7 +192,7 @@ def _parse_initial(text: str, line: int) -> InitialData:
     raise ConfigError(f"unknown initial data form {name!r}", line)
 
 
-def _coerce(tag: str, raw: str, section: str, key: str, line: int | None):
+def _coerce(tag: str, raw: str, full: str, line: int | None):
     raw = raw.strip()
     try:
         if tag == "float":
@@ -223,42 +223,48 @@ def _coerce(tag: str, raw: str, section: str, key: str, line: int | None):
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {exc}", line) from None
+        raise ConfigError(f"bad value for {full}: {exc}", line) from None
     raise ConfigError(f"internal schema tag {tag!r}")
 
 
-def parse_pairs(text: str, name: str = "<config>"
-                ) -> tuple[str | None, dict[str, tuple[str, int]]]:
-    """Raw (section.key -> (value text, line)) map plus any preset name."""
-    preset = None
+def read_lines(text: str, sections: Container[str]
+               ) -> Iterator[tuple[str | None, str, str, int]]:
+    """(section, key, value, line) of every ``key = value`` line of
+    sectioned text; ``section`` is None before the first header, ``#``
+    starts a comment and blank lines are skipped.
+
+    Raises:
+        ConfigError: with the line number, for a header other than
+            ``[name]`` with a name in ``sections``, or a line without
+            ``=`` or without a key.
+    """
     section = None
-    pairs: dict[str, tuple[str, int]] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _SECTION_RE.match(line)
-        if m:
+        if line.startswith("["):
+            m = _SECTION_RE.match(line)
+            if not m or m.group(1) not in sections:
+                raise ConfigError(f"unknown section {line}", lineno)
             section = m.group(1)
-            if section not in SCHEMA:
-                raise ConfigError(f"unknown section [{section}]", lineno)
             continue
-        m = _KEY_RE.match(line)
-        if not m:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq or not key:
             raise ConfigError(f"cannot parse line {rawline!r}", lineno)
-        key, value = m.group(1), m.group(2).strip()
-        if section is None:
-            if key == "preset":
-                preset = value.strip().strip("\"'")
-                continue
-            raise ConfigError(
-                f"key {key!r} appears before any section (only 'preset' may)",
-                lineno)
-        if key not in SCHEMA[section]:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]",
-                              lineno)
-        pairs[f"{section}.{key}"] = (value, lineno)
-    return preset, pairs
+        yield section, key, value, lineno
+
+
+def parse_pairs(text: str) -> tuple[dict[str, str], dict[str, int]]:
+    """Raw ``section.key`` -> value text map of config text, and the line
+    of each key. A key before any section keeps its bare name; only
+    ``preset`` is valid there."""
+    pairs: dict[str, str] = {}
+    lines: dict[str, int] = {}
+    for section, key, value, line in read_lines(text, SCHEMA):
+        full = f"{section}.{key}" if section else key
+        pairs[full], lines[full] = value, line
+    return pairs, lines
 
 
 @dataclass(frozen=True)
@@ -280,11 +286,19 @@ class ScenarioConfig:
     allow_degenerate_initial: bool
     resolved: tuple[tuple[str, str], ...]  # every key, defaults included
 
+    def __post_init__(self):
+        if not self.t_end > 0:
+            raise ConfigError("solver.t_end must be positive")
+        if not self.cadence > 0:
+            raise ConfigError("diagnostics cadence must be positive")
+        for ts in self.snapshot_times:
+            if ts < 0 or ts > self.t_end + EVENT_SNAP:
+                raise ConfigError(f"snapshot time {ts} outside [0, t_end]")
+
     def initial_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.initial_S.build(self.domain), self.initial_I.build(self.domain)
 
     def total_mass(self) -> float:
-        from .grid import integrate
         S0, I0 = self.initial_arrays()
         return integrate(self.domain, S0) + integrate(self.domain, I0)
 
@@ -293,14 +307,8 @@ class ScenarioConfig:
         return [f"{key}={val}" for key, val in self.resolved]
 
     def with_overrides(self, overrides: dict[str, str]) -> "ScenarioConfig":
-        pairs = {key: (val, None) for key, val in self.resolved}
-        for key, val in overrides.items():
-            section = key.split(".", 1)[0] if "." in key else ""
-            if "." not in key or section not in SCHEMA \
-                    or key.split(".", 1)[1] not in SCHEMA[section]:
-                raise ConfigError(f"unknown override key {key!r}")
-            pairs[key] = (val, None)
-        return resolve_config(pairs, name=self.name, preset=self.preset)
+        return resolve_config({**dict(self.resolved), **overrides},
+                              name=self.name, preset=self.preset)
 
 
 def _build_coefficient(values: dict, which: str, length: float,
@@ -317,59 +325,54 @@ def _build_coefficient(values: dict, which: str, length: float,
     )
 
 
-def resolve_config(pairs: dict[str, tuple[str, int | None]],
-                   name: str = "<config>",
-                   preset: str | None = None) -> ScenarioConfig:
-    """Validate raw pairs, apply defaults, and build the scenario."""
+def resolve_config(pairs: dict[str, str], name: str = "<config>",
+                   preset: str | None = None,
+                   lines: dict[str, int] | None = None) -> ScenarioConfig:
+    """Validate raw ``section.key`` -> value text pairs, apply defaults,
+    and build the scenario; errors name the line that ``lines`` gives.
+    Every layering (preset, file, overrides) is one dict merge into this
+    function, the only check for unknown keys."""
+    lines = lines or {}
     for full in pairs:
         section, _, key = full.partition(".")
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"unknown key {full!r}", pairs[full][1])
+        if key not in SCHEMA.get(section, ()):
+            raise ConfigError(f"unknown key {full!r}", lines.get(full))
     values: dict[str, object] = {}
-    provided = set(pairs)
+    resolved = []
     for section, keys in SCHEMA.items():
         for key, (tag, default) in keys.items():
             full = f"{section}.{key}"
-            if full in pairs:
-                raw, line = pairs[full]
-                values[full] = _coerce(tag, raw, section, key, line)
-            elif default is not None:
-                values[full] = _coerce(tag, default, section, key, None)
-            else:
-                values[full] = None
+            raw = pairs.get(full, default)
+            values[full] = None if raw is None else _coerce(
+                tag, raw, full, lines.get(full))
+            if values[full] is not None or full in pairs:
+                resolved.append((full, raw))
 
-    has_1d = values["domain.L"] is not None or values["domain.n"] is not None
-    has_2d = any(values[f"domain.{k}"] is not None
-                 for k in ("Lx", "Ly", "nx", "ny"))
-    if has_1d and has_2d:
-        raise ConfigError("domain must be 1D (L, n) or 2D (Lx, Ly, nx, ny), not both")
-    if has_1d:
-        if values["domain.L"] is None or values["domain.n"] is None:
-            raise ConfigError("missing mandatory key: domain needs both L and n")
-        domain: Domain = Domain1D(values["domain.L"], values["domain.n"])
-        length = domain.length
-    elif has_2d:
-        missing = [k for k in ("Lx", "Ly", "nx", "ny")
-                   if values[f"domain.{k}"] is None]
-        if missing:
-            raise ConfigError(f"missing mandatory domain keys: {missing}")
-        domain = Domain2D(values["domain.Lx"], values["domain.Ly"],
-                          values["domain.nx"], values["domain.ny"])
-        length = domain.length_x
-    else:
+    given = {k for k in SCHEMA["domain"] if values[f"domain.{k}"] is not None}
+    if not given:
         raise ConfigError("missing mandatory section [domain] (L and n)")
+    shape = ("L", "n") if given & {"L", "n"} else ("Lx", "Ly", "nx", "ny")
+    if given - set(shape):
+        raise ConfigError("domain must be 1D (L, n) or 2D (Lx, Ly, nx, ny), not both")
+    missing = [k for k in shape if k not in given]
+    if missing:
+        raise ConfigError(f"missing mandatory domain keys: {missing}")
+    dims = [values[f"domain.{k}"] for k in shape]
+    domain: Domain = Domain1D(*dims) if len(dims) == 2 else Domain2D(*dims)
+    length = dims[0]  # coefficients vary along x only
 
     omega = values["model.omega"]
     exponents = Exponents(p=values["model.p"], q=values["model.q"],
                           s=values["model.s"], r=values["model.r"])
     variant = values["model.incidence"]
-    if variant == "power":
-        incidence = Incidence.power(q=values["model.q"], p=values["model.p"])
-    elif variant == "binomial":
-        incidence = Incidence.binomial(k=values["model.k"])
-    else:
-        incidence = Incidence(variant, q=values["model.q"], p=values["model.p"],
-                              ell=values["model.ell"])
+    for key, readers in (("k", ("binomial",)), ("ell", ("saturated", "media"))):
+        full = f"model.{key}"
+        if variant not in readers and values[full] != float(SCHEMA["model"][key][1]):
+            raise ConfigError(f"{full} is not read by incidence = {variant}",
+                              lines.get(full))
+    incidence = Incidence(variant, q=values["model.q"],
+                          p=values["model.p"], k=values["model.k"],
+                          ell=values["model.ell"])
 
     model = ModelSpec(
         exponents=exponents,
@@ -382,8 +385,6 @@ def resolve_config(pairs: dict[str, tuple[str, int | None]],
     )
 
     t_end = values["solver.t_end"]
-    if t_end <= 0:
-        raise ConfigError("solver.t_end must be positive")
     cadence = values["solver.cadence"]
     if cadence is None:
         cadence = t_end / 400.0
@@ -415,15 +416,6 @@ def resolve_config(pairs: dict[str, tuple[str, int | None]],
         min_window=values["detect.min_window"],
     )
 
-    resolved = []
-    for section, keys in SCHEMA.items():
-        for key in keys:
-            full = f"{section}.{key}"
-            if values[full] is None and full not in provided:
-                continue
-            raw = pairs[full][0] if full in pairs else SCHEMA[section][key][1]
-            resolved.append((full, str(raw)))
-
     return ScenarioConfig(
         name=name,
         preset=preset,
@@ -448,13 +440,13 @@ def parse_config(text: str, name: str = "<config>") -> ScenarioConfig:
     A ``preset = name`` line pulls the catalog entry as the base layer;
     keys in the file override the preset's.
     """
-    preset, pairs = parse_pairs(text, name)
+    pairs, lines = parse_pairs(text)
+    preset = pairs.pop("preset", None)
     if preset is not None:
         from .presets import preset_pairs
-        base = {key: (val, None) for key, val in preset_pairs(preset).items()}
-        base.update(pairs)
-        pairs = base
-    return resolve_config(pairs, name=name, preset=preset)
+        preset = preset.strip("\"'")
+        pairs = {**preset_pairs(preset), **pairs}
+    return resolve_config(pairs, name=name, preset=preset, lines=lines)
 
 
 def load_config(path) -> ScenarioConfig:

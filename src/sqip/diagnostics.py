@@ -72,6 +72,12 @@ class Tolerances:
     window_fraction: float = TAIL_FRACTION
     min_window: int = 5
 
+    def __post_init__(self):
+        if not 0 < self.window_fraction <= 1:
+            raise ConfigError("detect.window must lie in (0, 1]")
+        if self.min_window < 1:
+            raise ConfigError("detect.min_window must be at least 1")
+
 
 @dataclass(frozen=True)
 class OutcomeReport:

@@ -156,7 +156,5 @@ def preset_config(name: str, overrides: dict[str, str] | None = None,
         pairs.pop("domain.n")
         pairs.update({"domain.Lx": length, "domain.Ly": length,
                       "domain.nx": "48", "domain.ny": "48"})
-    if overrides:
-        pairs.update(overrides)
-    return resolve_config({k: (v, None) for k, v in pairs.items()},
-                          name=name, preset=name)
+    return resolve_config({**pairs, **(overrides or {})}, name=name,
+                          preset=name)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, diagnostics, ode, solver, spectral
-from .config import ScenarioConfig
+from .config import ScenarioConfig, read_lines
 from .errors import ConfigError, NumericsError, SqipError
 from .grid import Domain1D
 from .presets import preset_config, preset_pairs
@@ -78,7 +78,8 @@ def summarize(config: ScenarioConfig, traj: Trajectory,
     lines.extend(outcome.summary_lines())
     lines.extend([
         f"M_inf_monitor={traj.sup_monitor:.10g}",
-        f"N_inf_tail_monitor={traj.tail_sup_monitor():.10g}",
+        f"N_inf_tail_monitor="
+        f"{traj.tail_sup_monitor(config.detect.window_fraction):.10g}",
         f"mass_initial={mass0:.12g}",
         f"mass_final={mass_end:.12g}",
         f"mass_drift_rel={(mass_end - mass0) / mass0 if mass0 else 0.0:.3e}",
@@ -393,24 +394,12 @@ def parse_sweep(text: str) -> SweepSpec:
     """Parse a [sweep] section: kind, base, points, seed, vary.* axes;
     a key that the kind never reads (pde: points, seed; ode-*: base,
     vary.*) is an error."""
-    section = None
     fields: dict = {}
     lines: dict[str, int] = {}
     axes: list[tuple[str, tuple[str, ...]]] = []
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[sweep]":
-            section = "sweep"
-            continue
-        if line.startswith("["):
-            raise ConfigError(f"unexpected section {line}", lineno)
-        if section != "sweep":
+    for section, key, value, lineno in read_lines(text, ("sweep",)):
+        if section is None:
             raise ConfigError("sweep files start with [sweep]", lineno)
-        if "=" not in line:
-            raise ConfigError(f"cannot parse line {rawline!r}", lineno)
-        key, value = (s.strip() for s in line.split("=", 1))
         lines.setdefault(key.split(".")[0], lineno)
         if key.startswith("vary."):
             axes.append((key[5:], tuple(value.split())))

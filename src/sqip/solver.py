@@ -82,6 +82,8 @@ class SolverSettings:
             raise ConfigError("need 0 < dt_min <= dt_max")
         if self.dt_init is not None and not (self.dt_min <= self.dt_init <= self.dt_max):
             raise ConfigError("dt_init must lie in [dt_min, dt_max]")
+        if self.max_steps < 1:
+            raise ConfigError("solver.max_steps must be at least 1")
 
 
 @dataclass
@@ -108,10 +110,18 @@ class Trajectory:
     def mass(self) -> np.ndarray:
         return self.rows["mass_S"] + self.rows["mass_I"]
 
-    def tail_sup_monitor(self) -> float:
-        """Largest sup-norm over the default tail window of the samples."""
-        tail = diagnostics._tail_rows(self, diagnostics.TAIL_FRACTION)
+    def tail_sup_monitor(self, fraction: float) -> float:
+        """Largest sup-norm over the tail window of the samples, the rows
+        that ``classify_longtime`` reads for the same window fraction."""
+        tail = diagnostics._tail_rows(self, fraction)
         return float(np.maximum(tail["sup_S"], tail["sup_I"]).max())
+
+
+def _require_finite(checked: SystemState, state: SystemState, dt: float) -> None:
+    """Raise the step's NumericsError unless ``checked`` is all finite."""
+    if not all(map(math.isfinite, checked.extrema)):
+        raise NumericsError("non-finite value during step", t=state.t, dt=dt,
+                            S=state.S.copy(), I=state.I.copy())
 
 
 class Stepper:
@@ -169,25 +179,24 @@ class Stepper:
         """Advance by dt; returns None when positivity rejects the step.
 
         The diffusion solves do not check for finite values. This method
-        does, once per step, from the ``extrema`` of the new state, which
-        also give the negativity test and stay cached on the returned
-        state for the caller.
+        checks the ``extrema`` of the state before any arithmetic and of
+        the new state, whose extrema also give the negativity test and
+        stay cached for the next step's check.
 
         Raises:
-            NumericsError: a non-finite value appeared; the payload holds
-                ``t``, ``dt`` and copies of the pre-step ``S`` and ``I``.
+            NumericsError: a non-finite value was given or appeared; the
+                payload holds ``t``, ``dt`` and copies of the pre-step
+                ``S`` and ``I``.
         """
+        _require_finite(state, state, dt)
         f, g = self.reaction(state.S, state.I, state.t)
         S_star = state.S + dt * f
         I_star = state.I + dt * g
         new = SystemState(self.diffusion.solve(dt * self.model.d_S, S_star),
                           self.diffusion.solve(dt * self.model.d_I, I_star),
                           state.t + dt)
-        lo_S, hi_S, lo_I, hi_I = new.extrema
-        if not all(math.isfinite(v) for v in (lo_S, hi_S, lo_I, hi_I)):
-            raise NumericsError(
-                "non-finite value during step",
-                t=state.t, dt=dt, S=state.S.copy(), I=state.I.copy())
+        _require_finite(new, state, dt)
+        lo_S, _, lo_I, _ = new.extrema
         if lo_S < 0.0 or lo_I < 0.0:
             return None
         return new
@@ -258,13 +267,7 @@ def run(config) -> Trajectory:
     stepper = Stepper(model, domain, settings)
     t_end = float(config.t_end)
     cadence = float(config.cadence)
-    if cadence <= 0:
-        raise ConfigError("diagnostics cadence must be positive")
-
     events = sorted({float(ts) for ts in config.snapshot_times} | {t_end})
-    for ts in events:
-        if ts < 0 or ts > t_end + EVENT_SNAP:
-            raise ConfigError(f"snapshot time {ts} outside [0, t_end]")
 
     rows = [diagnostics.compute_row(domain, state.S, state.I, 0.0)]
     snapshots: dict[float, SystemState] = {}

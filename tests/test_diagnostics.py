@@ -9,6 +9,7 @@ from sqip.diagnostics import (CSV_HEADER, ROW_DTYPE, Tolerances,
 from sqip.errors import ConfigError, DomainError
 from sqip.grid import Domain1D, integrate
 from sqip.presets import preset_config
+from sqip.runner import run_scenario
 from sqip.solver import SystemState, Trajectory, run
 
 
@@ -166,3 +167,17 @@ def test_compute_row_consistency():
     assert row["flat_S"] == pytest.approx(S.max() - S.min())
     assert row["L2_S"] == pytest.approx(lk_norm(dom, S, 2))
     assert row["min_S"] <= row["sup_S"]
+
+
+def test_tail_monitor_reads_the_classifier_window():
+    # With window = 0.9 the summary's monitor must span the same rows as
+    # the classifier's tail, not the default 0.2 of the run.
+    cfg = preset_config("thm-2.11-persist", {"detect.window": "0.9",
+                                             "solver.t_end": "5.0"})
+    result = run_scenario(cfg)
+    stats = result.outcome.tail_stats
+    summary = dict(line.split("=", 1) for line in result.summary.splitlines()
+                   if "=" in line)
+    assert summary["N_inf_tail_monitor"] == \
+        f"{max(stats['sup_S'], stats['sup_I']):.10g}"
+    assert summary["evidence_window"].startswith("[0.505493,5]")
