@@ -7,7 +7,7 @@ variant shows that a zero-mean modulation of the transmission rate does
 not move the threshold.
 """
 
-from sqip import CoefficientField, Domain1D
+from sqip import CoefficientField, Domain
 from sqip.spectral import LinearizedProblem, r0
 
 
@@ -19,7 +19,7 @@ def problem(beta_field, gamma=1.0):
         q=1.0,
         mean_density=1.0,
         omega=1.0,
-        domain=Domain1D(1.0, 96),
+        domain=Domain((1.0,), (96,)),
     )
 
 

@@ -16,7 +16,7 @@ from .diagnostics import (OutcomeReport, Tolerances, classify_longtime,
                           detect_periodic, lk_norm)
 from .errors import (AssumptionError, ConfigError, DomainError, NumericsError,
                      SqipError, StiffnessError)
-from .grid import Domain1D, Domain2D, integrate, poincare_constant
+from .grid import Domain, integrate, poincare_constant
 from .model import (AssumptionReport, CoefficientField, Exponents, Incidence,
                     ModelSpec, classify_exponents, evaluate_incidence,
                     read_coefficient_table, validate_assumptions)
@@ -31,7 +31,7 @@ from .runner import RunResult, run_scenario, run_sweep
 
 __all__ = [
     "AssumptionError", "AssumptionReport", "CoefficientField", "ConfigError",
-    "Domain1D", "Domain2D", "DomainError", "Exponents",
+    "Domain", "DomainError", "Exponents",
     "Incidence", "LinearizedProblem", "ModelSpec", "NumericsError",
     "OutcomeReport", "PRESET_NAMES", "RunResult", "ScenarioConfig",
     "SiOdeParams", "SisOdeParams", "SolverSettings", "SpectralResult",

@@ -18,6 +18,7 @@ to the named catalog entry, with the file's own keys layered on top.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 
 from .diagnostics import Tolerances
 from .errors import ConfigError
-from .grid import Domain, Domain1D, Domain2D, integrate
+from .grid import Domain, integrate
 from .model import (CoefficientField, Exponents, Incidence, ModelSpec,
                     read_coefficient_table)
 from .solver import EVENT_SNAP, SolverSettings
@@ -126,19 +127,11 @@ class InitialData:
         else:
             # Gaussian bump: strictly positive everywhere, so it satisfies
             # the strict-positivity requirements of fractional exponents.
-            if isinstance(domain, Domain1D):
-                x = domain.cell_centers()
-                center = self.center[0] if self.center else 0.5 * domain.length
-                width = self.width or 0.1 * domain.length
-                r2 = (x - center) ** 2
-            else:
-                x, y = domain.cell_centers()
-                cx = self.center[0] if self.center else 0.5 * domain.length_x
-                cy = (self.center[1] if len(self.center) > 1
-                      else 0.5 * domain.length_y)
-                width = self.width or 0.1 * min(domain.length_x,
-                                                domain.length_y)
-                r2 = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
+            center = self.center + tuple(
+                0.5 * length for length in domain.lengths[len(self.center):])
+            width = self.width or 0.1 * min(domain.lengths)
+            axes = np.meshgrid(*domain.cell_centers(), indexing="ij", sparse=True)
+            r2 = sum((x - c) ** 2 for x, c in zip(axes, center))
             # inf * exp(...) is NaN where the exponential underflows; the
             # check below reports it.
             with np.errstate(invalid="ignore", over="ignore"):
@@ -291,6 +284,9 @@ class ScenarioConfig:
             raise ConfigError("solver.t_end must be positive")
         if not self.cadence > 0:
             raise ConfigError("diagnostics cadence must be positive")
+        if self.omega is not None and not 0 < self.omega < math.inf:
+            raise ConfigError(
+                f"model.omega must be finite and positive, got {self.omega}")
         for ts in self.snapshot_times:
             if ts < 0 or ts > self.t_end + EVENT_SNAP:
                 raise ConfigError(f"snapshot time {ts} outside [0, t_end]")
@@ -358,7 +354,7 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
     if missing:
         raise ConfigError(f"missing mandatory domain keys: {missing}")
     dims = [values[f"domain.{k}"] for k in shape]
-    domain: Domain = Domain1D(*dims) if len(dims) == 2 else Domain2D(*dims)
+    domain = Domain(tuple(dims[:len(dims) // 2]), tuple(dims[len(dims) // 2:]))
     length = dims[0]  # coefficients vary along x only
 
     omega = values["model.omega"]

@@ -24,81 +24,49 @@ MIN_CELLS = 4
 
 
 @dataclass(frozen=True)
-class Domain1D:
-    """Interval [0, L] split into n equal cells, unknowns at cell centers."""
+class Domain:
+    """Interval or rectangle on a tensor-product cell-centered grid.
 
-    length: float
-    n: int
+    Axis k is [0, lengths[k]] split into cells[k] equal cells, with the
+    unknowns at the cell centers; fields have the shape ``cells``.
+    """
+
+    lengths: tuple[float, ...]
+    cells: tuple[int, ...]
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ConfigError(f"domain length must be positive, got {self.length}")
-        if self.n < MIN_CELLS:
-            raise ConfigError(f"need at least {MIN_CELLS} cells, got {self.n}")
+        if len(self.lengths) != len(self.cells):
+            raise ConfigError(f"{len(self.lengths)} lengths for "
+                              f"{len(self.cells)} cell counts")
+        if not 1 <= len(self.cells) <= 2:
+            raise ConfigError(f"domain needs 1 or 2 axes, got {len(self.cells)}")
+        for length, n in zip(self.lengths, self.cells):
+            if not 0 < length < math.inf:
+                raise ConfigError(
+                    f"domain length must be finite and positive, got {length}")
+            if n < MIN_CELLS:
+                raise ConfigError(f"need at least {MIN_CELLS} cells per axis, got {n}")
 
     @property
-    def h(self) -> float:
-        return self.length / self.n
+    def spacing(self) -> tuple[float, ...]:
+        return tuple(length / n for length, n in zip(self.lengths, self.cells))
 
     @property
     def measure(self) -> float:
-        return self.length
+        return math.prod(self.lengths)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return (self.n,)
+        return self.cells
 
-    def cell_centers(self) -> np.ndarray:
-        return (np.arange(self.n) + 0.5) * self.h
-
-    def x_coordinate(self) -> np.ndarray:
-        """Coordinate array used by coefficient evaluators (1D: the centers)."""
-        return self.cell_centers()
-
-
-@dataclass(frozen=True)
-class Domain2D:
-    """Rectangle [0, Lx] x [0, Ly] on a tensor-product cell-centered grid."""
-
-    length_x: float
-    length_y: float
-    nx: int
-    ny: int
-
-    def __post_init__(self):
-        if self.length_x <= 0 or self.length_y <= 0:
-            raise ConfigError("domain lengths must be positive")
-        if self.nx < MIN_CELLS or self.ny < MIN_CELLS:
-            raise ConfigError(f"need at least {MIN_CELLS} cells per direction")
-
-    @property
-    def hx(self) -> float:
-        return self.length_x / self.nx
-
-    @property
-    def hy(self) -> float:
-        return self.length_y / self.ny
-
-    @property
-    def measure(self) -> float:
-        return self.length_x * self.length_y
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.nx, self.ny)
-
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        x = (np.arange(self.nx) + 0.5) * self.hx
-        y = (np.arange(self.ny) + 0.5) * self.hy
-        return x, y
+    def cell_centers(self) -> tuple[np.ndarray, ...]:
+        """The cell centers of each axis, one 1D array per axis."""
+        return tuple((np.arange(n) + 0.5) * h
+                     for n, h in zip(self.cells, self.spacing))
 
     def x_coordinate(self) -> np.ndarray:
-        """x-coordinate broadcast over the (nx, ny) field layout."""
-        x, _ = self.cell_centers()
-        return x[:, None]
-
-
-Domain = Domain1D | Domain2D
+        """x-coordinate broadcast over the field layout: (n,) or (nx, 1)."""
+        return np.meshgrid(*self.cell_centers(), indexing="ij", sparse=True)[0]
 
 
 def integrate(domain: Domain, values: np.ndarray) -> float:
@@ -108,9 +76,10 @@ def integrate(domain: Domain, values: np.ndarray) -> float:
         raise DomainError(
             f"field shape {values.shape} does not match grid {domain.shape}"
         )
-    if isinstance(domain, Domain1D):
-        return float(values.sum() * domain.h)
-    return float(values.sum() * domain.hx * domain.hy)
+    total = values.sum()
+    for h in domain.spacing:
+        total = total * h
+    return float(total)
 
 
 def _stiffness_banded(n: int, h: float) -> np.ndarray:
@@ -174,11 +143,8 @@ class DiffusionSolver:
 
     def __init__(self, domain: Domain):
         self.domain = domain
-        if isinstance(domain, Domain1D):
-            self._axes = [AxisSolver(domain.n, domain.h)]
-        else:
-            self._axes = [AxisSolver(domain.nx, domain.hx),
-                          AxisSolver(domain.ny, domain.hy)]
+        self._axes = [AxisSolver(n, h)
+                      for n, h in zip(domain.cells, domain.spacing)]
 
     def solve(self, c: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (I + c*A) x = rhs on the grid, axis 0 first in 2D.
@@ -208,15 +174,11 @@ def poincare_constant(domain: Domain) -> float:
 
     This is the constant in the mean-zero Poincare inequality on the grid.
     On a rectangle the spectrum is the sum of the per-axis spectra, so the
-    smallest positive value is the minimum of the two axis values. The
+    smallest positive value is the minimum of the axis values. The
     value is the exact eigenvalue of the discrete operator, which tends to
     the continuum value (pi/L)^2 at second order in h.
     """
-    if isinstance(domain, Domain1D):
-        if domain.n < 8:
-            raise ConfigError("Poincare constant needs at least 8 cells")
-        return _axis_poincare(domain.n, domain.length)
-    if domain.nx < 8 or domain.ny < 8:
+    if min(domain.cells) < 8:
         raise ConfigError("Poincare constant needs at least 8 cells per axis")
-    return min(_axis_poincare(domain.nx, domain.length_x),
-               _axis_poincare(domain.ny, domain.length_y))
+    return min(_axis_poincare(n, length)
+               for n, length in zip(domain.cells, domain.lengths))

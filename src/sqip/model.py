@@ -148,22 +148,6 @@ class Incidence:
             if self.ell < 0:
                 raise DomainError("saturation exponent ell must be nonnegative")
 
-    @classmethod
-    def power(cls, q: float, p: float) -> "Incidence":
-        return cls("power", q=q, p=p)
-
-    @classmethod
-    def binomial(cls, k: float) -> "Incidence":
-        return cls("binomial", k=k)
-
-    @classmethod
-    def saturated(cls, q: float, p: float, ell: float) -> "Incidence":
-        return cls("saturated", q=q, p=p, ell=ell)
-
-    @classmethod
-    def media(cls, q: float, p: float, ell: float) -> "Incidence":
-        return cls("media", q=q, p=p, ell=ell)
-
     @property
     def core_exponents(self) -> tuple[float, float]:
         """(q, p) pair that governs growth; binomial behaves like (1, 1)."""
@@ -224,11 +208,12 @@ class CoefficientField:
     evaluator: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        if self.lower < 0 or self.upper < self.lower:
+        if not 0 <= self.lower <= self.upper < math.inf:
+            raise ConfigError(f"need 0 <= lower <= upper < inf, "
+                              f"got [{self.lower}, {self.upper}]")
+        if self.period is not None and not 0 < self.period < math.inf:
             raise ConfigError(
-                f"need 0 <= lower <= upper, got [{self.lower}, {self.upper}]")
-        if self.period is not None and self.period <= 0:
-            raise ConfigError("period must be positive when set")
+                f"period must be finite and positive when set, got {self.period}")
 
     def __call__(self, x, t: float):
         return self.evaluator(np.asarray(x, dtype=float), float(t))
@@ -385,8 +370,9 @@ class ModelSpec:
     incidence: Incidence
 
     def __post_init__(self):
-        if self.d_S <= 0 or self.d_I <= 0:
-            raise ConfigError("diffusivities must be positive")
+        if not (0 < self.d_S < math.inf and 0 < self.d_I < math.inf):
+            raise ConfigError("diffusivities must be finite and positive, "
+                              f"got dS={self.d_S}, dI={self.d_I}")
 
     @property
     def has_mortality(self) -> bool:
@@ -422,8 +408,11 @@ PASS, FAIL, NOT_APPLICABLE = "pass", "fail", "n/a"
 class AssumptionItem:
     name: str
     status: str
-    mandatory: bool
     detail: str = ""
+
+    @property
+    def mandatory(self) -> bool:
+        return self.name in MANDATORY_ITEMS
 
 
 @dataclass(frozen=True)
@@ -487,24 +476,24 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
         if vals.min() < -pad or vals.max() > coeff.upper + pad or vals.min() < coeff.lower - pad:
             violations.append(name)
     items.append(AssumptionItem(
-        A1, FAIL if violations else PASS, False,
+        A1, FAIL if violations else PASS,
         f"bounds violated for {', '.join(violations)}" if violations else ""))
 
     # A2: nonnegative initial data.
     ok = bool((S0 >= 0).all() and (I0 >= 0).all())
-    items.append(AssumptionItem(A2, PASS if ok else FAIL, True,
+    items.append(AssumptionItem(A2, PASS if ok else FAIL,
                                 "" if ok else "negative initial values present"))
 
     # A3: strictly positive transmission floor.
     beta_min = float(samples["beta"].min())
     ok = spec.beta.lower > 0 and beta_min >= spec.beta.lower - 1e-12
     items.append(AssumptionItem(
-        A3, PASS if ok else FAIL, False,
+        A3, PASS if ok else FAIL,
         f"min sampled beta = {beta_min:.3g}, declared floor = {spec.beta.lower:.3g}"))
 
     # A4(i): infection actually seeded.
     ok = bool(I0.max() > 0)
-    items.append(AssumptionItem(A4I, PASS if ok else FAIL, True,
+    items.append(AssumptionItem(A4I, PASS if ok else FAIL,
                                 "" if ok else "I0 vanishes identically"))
 
     # A4(ii): q < 1 needs strictly positive S0 and a recovery floor.
@@ -512,33 +501,33 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
         ok = bool(S0.min() > 0) and spec.gamma.lower > 0
         detail = "" if ok else (
             "S0 touches zero" if S0.min() <= 0 else "gamma has no positive floor")
-        items.append(AssumptionItem(A4II, PASS if ok else FAIL, True, detail))
+        items.append(AssumptionItem(A4II, PASS if ok else FAIL, detail))
     else:
-        items.append(AssumptionItem(A4II, NOT_APPLICABLE, True))
+        items.append(AssumptionItem(A4II, NOT_APPLICABLE))
 
     # A4(iii): p < 1 needs strictly positive I0.
     if e.p < 1:
         ok = bool(I0.min() > 0)
-        items.append(AssumptionItem(A4III, PASS if ok else FAIL, True,
+        items.append(AssumptionItem(A4III, PASS if ok else FAIL,
                                     "" if ok else "I0 touches zero"))
     else:
-        items.append(AssumptionItem(A4III, NOT_APPLICABLE, True))
+        items.append(AssumptionItem(A4III, NOT_APPLICABLE))
 
     # A5: mortality floor, only when the scenario claims mortality.
     if spec.has_mortality:
         mu_min = float(samples["mu"].min())
         ok = spec.mu.lower > 0 and mu_min >= spec.mu.lower - 1e-12
         items.append(AssumptionItem(
-            A5, PASS if ok else FAIL, False,
+            A5, PASS if ok else FAIL,
             f"min sampled mu = {mu_min:.3g}"))
     else:
-        items.append(AssumptionItem(A5, NOT_APPLICABLE, False))
+        items.append(AssumptionItem(A5, NOT_APPLICABLE))
 
     # A6: declared periods are honored and agree across fields.
     periods = {c.period for c in (spec.beta, spec.gamma, spec.mu) if c.period}
     if periods:
         if len(periods) > 1:
-            items.append(AssumptionItem(A6, FAIL, False,
+            items.append(AssumptionItem(A6, FAIL,
                                         f"conflicting periods {sorted(periods)}"))
         else:
             omega = periods.pop()
@@ -552,10 +541,10 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
                     scale = max(1.0, float(np.abs(a).max()))
                     worst = max(worst, float(np.abs(a - b).max()) / scale)
             ok = worst <= 1e-10
-            items.append(AssumptionItem(A6, PASS if ok else FAIL, False,
+            items.append(AssumptionItem(A6, PASS if ok else FAIL,
                                         f"worst periodicity defect {worst:.2e}"))
     else:
-        items.append(AssumptionItem(A6, NOT_APPLICABLE, False))
+        items.append(AssumptionItem(A6, NOT_APPLICABLE))
 
     # A3': removal floor, needed only by the dual exponent regimes.
     if spec.regime().needs_dual_floor:
@@ -563,9 +552,9 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
         floor = spec.gamma.lower + spec.mu.lower
         ok = floor > 0 and float(total.min()) >= floor - 1e-12
         items.append(AssumptionItem(
-            A3P, PASS if ok else FAIL, False,
+            A3P, PASS if ok else FAIL,
             f"min sampled gamma+mu = {float(total.min()):.3g}"))
     else:
-        items.append(AssumptionItem(A3P, NOT_APPLICABLE, False))
+        items.append(AssumptionItem(A3P, NOT_APPLICABLE))
 
     return AssumptionReport(tuple(items))

@@ -138,8 +138,8 @@ def preset_kind(name: str) -> str:
 def preset_pairs(name: str) -> dict[str, str]:
     """Raw config pairs of a PDE preset (a copy, safe to layer over)."""
     if name not in PDE_PRESETS:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+        raise ConfigError(f"preset {name!r} is not a PDE preset; only these can "
+                          f"be a config layer: {', '.join(sorted(PDE_PRESETS))}")
     return dict(PDE_PRESETS[name])
 
 

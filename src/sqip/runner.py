@@ -9,6 +9,7 @@ its CSV byte for byte.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,7 +21,6 @@ import numpy as np
 from . import __version__, diagnostics, ode, solver, spectral
 from .config import ScenarioConfig, read_lines
 from .errors import ConfigError, NumericsError, SqipError
-from .grid import Domain1D
 from .presets import preset_config, preset_pairs
 from .solver import Trajectory
 
@@ -100,20 +100,15 @@ def summarize(config: ScenarioConfig, traj: Trajectory,
 
 
 def write_snapshot(path, domain, state) -> None:
-    """Plain-text state dump: header with t, one row per grid node."""
+    """Plain-text state dump: header with t, one row per grid node in C
+    order, the node's coordinates first."""
+    labels = [[f"{c:.12g} " for c in axis] for axis in domain.cell_centers()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# t = {state.t:.12g}\n")
-        if isinstance(domain, Domain1D):
-            fh.write("# columns: x S I\n")
-            for x, s, i in zip(domain.cell_centers(), state.S, state.I):
-                fh.write(f"{x:.12g} {s:.17g} {i:.17g}\n")
-        else:
-            fh.write("# columns: x y S I\n")
-            xs, ys = domain.cell_centers()
-            for ix, x in enumerate(xs):
-                for iy, y in enumerate(ys):
-                    fh.write(f"{x:.12g} {y:.12g} "
-                             f"{state.S[ix, iy]:.17g} {state.I[ix, iy]:.17g}\n")
+        fh.write(f"# columns: {' '.join('xy'[:len(labels)])} S I\n")
+        for coords, s, i in zip(map("".join, itertools.product(*labels)),
+                                state.S.ravel().tolist(), state.I.ravel().tolist()):
+            fh.write(f"{coords}{s:.17g} {i:.17g}\n")
 
 
 def _snapshot_filename(t: float) -> str:

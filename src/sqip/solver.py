@@ -205,9 +205,7 @@ class Stepper:
         s = self.settings
         if s.dt_init is not None:
             return s.dt_init
-        h = getattr(self.domain, "h", None)
-        if h is None:
-            h = min(self.domain.hx, self.domain.hy)
+        h = min(self.domain.spacing)
         dt = DT_INIT_GAIN * h * h / max(self.model.d_S, self.model.d_I)
         _, hi_S, _, hi_I = state.extrema
         dt = min(dt, DT_INIT_CAP, s.dt_max, self.reaction_dt_cap(max(hi_S, hi_I)))

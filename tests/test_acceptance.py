@@ -13,7 +13,7 @@ import pytest
 
 from sqip import diagnostics, solver
 from sqip.config import InitialData
-from sqip.grid import Domain1D, integrate, poincare_constant
+from sqip.grid import Domain, integrate, poincare_constant
 from sqip.presets import PDE_PRESETS, preset_config
 from sqip.runner import compute_spectral, si_sweep_rows, sis_sweep_rows
 from sqip.ode import SiOdeParams, SisOdeParams, rk4_integrate, sis_classify
@@ -219,10 +219,10 @@ def test_criterion_10_spectral_closed_forms():
 
 
 def test_criterion_11_discretization_quality():
-    lam = poincare_constant(Domain1D(1.0, 400))
+    lam = poincare_constant(Domain((1.0,), (400,)))
     err_400 = abs(lam - math.pi**2)
     assert err_400 <= 1e-2
-    errs = [abs(poincare_constant(Domain1D(1.0, n)) - math.pi**2)
+    errs = [abs(poincare_constant(Domain((1.0,), (n,))) - math.pi**2)
             for n in (100, 200, 400)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8

@@ -137,3 +137,41 @@ def test_readme_sweep_blocks_parse():
     assert len(blocks) >= 2
     for block in blocks:
         parse_sweep(block)
+
+
+def test_an_ode_preset_is_refused_as_a_config_layer():
+    with pytest.raises(ConfigError) as err:
+        parse_config("preset = si-finite-extinction\n")
+    message = str(err.value)
+    assert "'si-finite-extinction' is not a PDE preset" in message
+    assert message.endswith(", ".join(sorted(PDE_PRESETS)))
+
+
+@pytest.mark.parametrize("command", ["r0", "run"])
+@pytest.mark.parametrize("model, message", [
+    ("dS = nan", "diffusivities must be finite and positive"),
+    ("dI = inf", "diffusivities must be finite and positive"),
+    ("beta = nan", "need 0 <= lower <= upper < inf"),
+    ("beta_table = table.txt", "need 0 <= lower <= upper < inf"),
+    ("omega = nan", "model.omega must be finite and positive"),
+    ("omega = inf\nbeta_t_amp = 0.5", "period must be finite and positive")],
+    ids=["dS-nan", "dI-inf", "beta-nan", "table-nan", "omega-nan",
+         "omega-inf-modulated"])
+def test_cli_refuses_a_non_finite_model_input(tmp_path, capsys, monkeypatch,
+                                              command, model, message):
+    # refused while the config is read, before any step or period map
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.txt").write_text("0 2 1\n1.0\nnan\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[domain]\nL = 1.0\nn = 16\n[model]\n{model}\n")
+    args = [command, str(cfg)] + (["--out", "out"] if command == "run" else [])
+    assert cli_main(args) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_domain_length_is_refused(value):
+    with pytest.raises(ConfigError, match="finite and positive"):
+        parse_config(f"[domain]\nL = {value}\nn = 16\n")
+    with pytest.raises(ConfigError, match="finite and positive"):
+        parse_config(f"[domain]\nLx = 1.0\nLy = {value}\nnx = 8\nny = 8\n")

@@ -7,25 +7,25 @@ from sqip.diagnostics import (CSV_HEADER, ROW_DTYPE, Tolerances,
                               classify_longtime, compute_row, detect_periodic,
                               format_csv, lk_norm, periodic_residuals)
 from sqip.errors import ConfigError, DomainError
-from sqip.grid import Domain1D, integrate
+from sqip.grid import Domain, integrate
 from sqip.presets import preset_config
 from sqip.runner import run_scenario
 from sqip.solver import SystemState, Trajectory, run
 
 
 def test_lk_norm_constant():
-    dom = Domain1D(2.0, 40)  # measure-2 domain
+    dom = Domain((2.0,), (40,))  # measure-2 domain
     c = 1.7
     assert lk_norm(dom, np.full(40, c), 2) == pytest.approx(c * math.sqrt(2.0))
 
 
 def test_lk_norm_zero():
-    dom = Domain1D(1.0, 10)
+    dom = Domain((1.0,), (10,))
     assert lk_norm(dom, np.zeros(10), 3) == 0.0
 
 
 def test_lk_norm_k1_is_integral():
-    dom = Domain1D(1.5, 30)
+    dom = Domain((1.5,), (30,))
     rng = np.random.default_rng(6)
     f = rng.uniform(-2, 2, 30)
     assert lk_norm(dom, f, 1) == pytest.approx(integrate(dom, np.abs(f)))
@@ -33,7 +33,7 @@ def test_lk_norm_k1_is_integral():
 
 def test_lk_norm_order_validated():
     with pytest.raises(DomainError):
-        lk_norm(Domain1D(1.0, 10), np.ones(10), 0.5)
+        lk_norm(Domain((1.0,), (10,)), np.ones(10), 0.5)
 
 
 def _traj_from_rows(rows, snapshots=None, measure=1.0):
@@ -156,7 +156,7 @@ def test_csv_format():
 
 
 def test_compute_row_consistency():
-    dom = Domain1D(2.0, 32)
+    dom = Domain((2.0,), (32,))
     rng = np.random.default_rng(12)
     S = rng.uniform(0.5, 2.0, 32)
     I = rng.uniform(0.0, 1.0, 32)

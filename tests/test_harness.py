@@ -11,7 +11,7 @@ import sqip
 from sqip.cli import main as cli_main
 from sqip.config import load_config, parse_config
 from sqip.errors import ConfigError
-from sqip.grid import Domain1D, integrate
+from sqip.grid import Domain, integrate
 from sqip.presets import (ODE_PRESETS, PDE_PRESETS, PRESET_NAMES,
                           preset_config, preset_kind)
 from sqip.model import validate_assumptions
@@ -33,8 +33,7 @@ n = 100
 
 def test_parse_minimal_with_defaults():
     cfg = parse_config(MINIMAL)
-    assert isinstance(cfg.domain, Domain1D)
-    assert cfg.domain.n == 100
+    assert cfg.domain == Domain((1.0,), (100,))
     assert cfg.t_end == 50.0            # documented default
     assert cfg.model.d_S == 1.0
     assert cfg.detect.extinct == 1e-4
@@ -134,7 +133,7 @@ def test_run_scenario_writes_artifacts(tmp_path):
     # snapshot format: header with t, then x S I rows
     snap_text = (tmp_path / snaps[0]).read_text().splitlines()
     assert snap_text[0].startswith("# t = ")
-    assert len(snap_text) == 2 + cfg.domain.n
+    assert len(snap_text) == 2 + cfg.domain.cells[0]
     assert len(snap_text[2].split()) == 3
 
 
@@ -174,7 +173,7 @@ vary.initial.S = constant(0.5) constant(0.75)
 def test_empty_sweep_header_only(tmp_path):
     spec = SweepSpec(kind="pde", base="sis-bistable", axes=())
     csv_path = run_sweep(spec, tmp_path)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].endswith("outcome,value,error")
 
@@ -183,20 +182,20 @@ def test_pde_sweep_rows_and_resume(tmp_path):
     spec = SweepSpec(kind="pde", base="sis-bistable", axes=(
         ("solver.t_end", ("2.0", "3.0")),))
     csv_path = run_sweep(spec, tmp_path)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert len(lines) == 3
     assert lines[0] == "solver.t_end,outcome,value,error"
     # resume: the journal short-circuits recomputation and output is stable
-    before = open(csv_path).read()
+    before = Path(csv_path).read_text()
     run_sweep(spec, tmp_path)
-    assert open(csv_path).read() == before
+    assert Path(csv_path).read_text() == before
 
 
 def test_pde_sweep_records_failures_in_row(tmp_path):
     spec = SweepSpec(kind="pde", base="sis-bistable", axes=(
         ("solver.t_end", ("2.0", "-1.0")),))
     csv_path = run_sweep(spec, tmp_path)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert len(lines) == 3
     assert "ConfigError" in lines[2]
     assert lines[1].endswith(",")  # healthy row, empty error column
@@ -254,7 +253,7 @@ def test_cli_sweep_exits_nonzero_on_failed_row(tmp_path, capsys):
 def test_run_sweep_ode_kind(tmp_path):
     spec = SweepSpec(kind="ode-si", points=8, seed=3)
     csv_path = run_sweep(spec, tmp_path)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == ODE_SWEEP_HEADER
     assert len(lines) == 9
 
@@ -265,8 +264,9 @@ def test_ode_sweep_rerun_with_new_seed(tmp_path):
                      tmp_path / "used")
     fresh = run_sweep(SweepSpec(kind="ode-si", points=8, seed=4),
                       tmp_path / "fresh")
-    assert open(used).read() == open(fresh).read()
-    assert open(fresh).read() == ode_sweep_csv(si_sweep_rows(count=8, seed=4))
+    assert Path(used).read_text() == Path(fresh).read_text()
+    assert (Path(fresh).read_text()
+            == ode_sweep_csv(si_sweep_rows(count=8, seed=4)))
 
 
 @pytest.mark.parametrize("kind", ["ode-si", "ode-sis"])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sqip.errors import ConfigError, DomainError
-from sqip.grid import Domain1D, Domain2D
-from sqip.model import (CoefficientField, Exponents, Incidence, ModelSpec,
+from sqip.grid import Domain
+from sqip.model import (MANDATORY_ITEMS, AssumptionItem, CoefficientField,
+                        Exponents, Incidence, ModelSpec,
                         classify_exponents, evaluate_incidence,
                         read_coefficient_table, validate_assumptions,
                         write_coefficient_table)
@@ -16,22 +17,23 @@ from sqip.solver import SystemState
 # ---------------------------------------------------------------- incidence
 
 def test_power_incidence_values():
-    kind = Incidence.power(q=1, p=2)
+    kind = Incidence("power", q=1, p=2)
     assert evaluate_incidence(kind, 2.0, 0.0) == 0.0
     assert evaluate_incidence(kind, 2.0, 3.0) == 18.0  # 2 * 3^2 by hand
 
 
 def test_binomial_k_zero():
-    assert evaluate_incidence(Incidence.binomial(k=0.0), 5.0, 7.0) == 0.0
+    assert evaluate_incidence(Incidence("binomial", k=0.0), 5.0, 7.0) == 0.0
 
 
 def test_media_zero_infection():
-    assert evaluate_incidence(Incidence.media(q=1, p=1, ell=0), 1.0, 0.0) == 0.0
+    assert evaluate_incidence(Incidence("media", q=1, p=1, ell=0), 1.0, 0.0) == 0.0
 
 
 def test_all_variants_vanish_at_zero():
-    kinds = [Incidence.power(0.5, 0.5), Incidence.binomial(2.0),
-             Incidence.saturated(1, 2, 3), Incidence.media(0.7, 0.3, 1)]
+    kinds = [Incidence("power", q=0.5, p=0.5), Incidence("binomial", k=2.0),
+             Incidence("saturated", q=1, p=2, ell=3),
+             Incidence("media", q=0.7, p=0.3, ell=1)]
     for kind in kinds:
         assert evaluate_incidence(kind, 0.0, 1.3) == 0.0
         assert evaluate_incidence(kind, 1.3, 0.0) == 0.0
@@ -39,16 +41,17 @@ def test_all_variants_vanish_at_zero():
 
 def test_incidence_negative_inputs_rejected():
     with pytest.raises(DomainError):
-        evaluate_incidence(Incidence.power(1, 1), -0.1, 1.0)
+        evaluate_incidence(Incidence("power", q=1, p=1), -0.1, 1.0)
     with pytest.raises(DomainError):
-        evaluate_incidence(Incidence.power(1, 1), 1.0, -0.1)
+        evaluate_incidence(Incidence("power", q=1, p=1), 1.0, -0.1)
 
 
 def test_incidence_monotone_in_susceptibles():
     # nondecreasing in S for fixed I, every variant, on a sample lattice
-    kinds = [Incidence.power(0.5, 2), Incidence.power(2, 0.5),
-             Incidence.binomial(1.5), Incidence.saturated(1, 1, 2),
-             Incidence.media(1, 2, 1)]
+    kinds = [Incidence("power", q=0.5, p=2), Incidence("power", q=2, p=0.5),
+             Incidence("binomial", k=1.5),
+             Incidence("saturated", q=1, p=1, ell=2),
+             Incidence("media", q=1, p=2, ell=1)]
     S = np.linspace(0, 4, 41)
     for kind in kinds:
         for I in (0.0, 0.3, 1.0, 5.0):
@@ -57,7 +60,7 @@ def test_incidence_monotone_in_susceptibles():
 
 
 def test_incidence_vectorized_matches_scalar():
-    kind = Incidence.media(1.2, 0.8, 2.0)
+    kind = Incidence("media", q=1.2, p=0.8, ell=2.0)
     S = np.array([0.0, 0.5, 2.0])
     I = np.array([1.0, 0.0, 3.0])
     vec = evaluate_incidence(kind, S, I)
@@ -215,8 +218,8 @@ def test_sample_gives_one_row_for_a_time_constant_field(coeff_calls):
     periodic = CoefficientField.cosine_modulated(
         2.0, time_amp=0.5, period=1.0, space_amp=0.9, length=1.0)
     times = np.linspace(0.0, 1.0, 5)
-    dom1, dom2 = Domain1D(1.0, 16), Domain2D(1.0, 2.0, 8, 6)
-    x = dom1.cell_centers()
+    dom1, dom2 = Domain((1.0,), (16,)), Domain((1.0, 2.0), (8, 6))
+    (x,) = dom1.cell_centers()
     want = spatial(x, 0.0)
     coeff_calls.clear()
     assert np.array_equal(spatial.sample(dom1, times), [want])
@@ -236,6 +239,29 @@ def test_tabulated_header_errors(tmp_path):
         read_coefficient_table(path, length=1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CoefficientField.constant(math.nan),
+    lambda: CoefficientField.cosine_modulated(math.nan, space_amp=0.5, length=1.0),
+    lambda: CoefficientField.tabulated(np.array([[1.0], [math.nan]]), 1.0, None),
+    lambda: CoefficientField.tabulated(np.array([[1.0], [math.inf]]), 1.0, None),
+    lambda: CoefficientField.cosine_modulated(1.0, time_amp=0.5, period=math.nan),
+    lambda: CoefficientField(0.0, math.inf, None, lambda x, t: x)],
+    ids=["constant-nan", "cosine-nan", "table-nan", "table-inf", "period-nan",
+         "upper-inf"])
+def test_non_finite_coefficient_refused(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
+@pytest.mark.parametrize("d_S, d_I", [(math.nan, 1.0), (1.0, math.inf)])
+def test_diffusivities_must_be_finite(d_S, d_I):
+    flat = CoefficientField.constant(1.0)
+    with pytest.raises(ConfigError, match="finite and positive"):
+        ModelSpec(exponents=Exponents(p=1.0, q=1.0), beta=flat, gamma=flat,
+                  mu=flat, d_S=d_S, d_I=d_I,
+                  incidence=Incidence("power", q=1.0, p=1.0))
+
+
 # -------------------------------------------------------------- assumptions
 
 def _model(p=1.0, q=1.0, beta=1.0, gamma=1.0, mu=0.0, **kw):
@@ -245,20 +271,30 @@ def _model(p=1.0, q=1.0, beta=1.0, gamma=1.0, mu=0.0, **kw):
         gamma=CoefficientField.constant(gamma),
         mu=CoefficientField.constant(mu),
         d_S=1.0, d_I=1.0,
-        incidence=Incidence.power(q=q, p=p),
+        incidence=Incidence("power", q=q, p=p),
     )
 
 
 def test_assumptions_all_pass_constant_positive():
-    dom = Domain1D(1.0, 16)
+    dom = Domain((1.0,), (16,))
     state = SystemState(np.full(16, 1.0), np.full(16, 0.5), 0.0)
     report = validate_assumptions(_model(mu=0.5), state, dom)
     assert report.all_pass
     assert not report.mandatory_failures
 
 
+def test_mandatory_items_are_the_one_list():
+    dom = Domain((1.0,), (16,))
+    state = SystemState(np.full(16, 1.0), np.full(16, 0.5), 0.0)
+    report = validate_assumptions(_model(mu=0.5), state, dom)
+    assert ([i.name for i in report.items if i.mandatory]
+            == list(MANDATORY_ITEMS))
+    assert AssumptionItem(MANDATORY_ITEMS[0], "fail").mandatory
+    assert not AssumptionItem("A1-coefficient-bounds", "fail").mandatory
+
+
 def test_assumptions_vanishing_s0_with_sublinear_q():
-    dom = Domain1D(1.0, 16)
+    dom = Domain((1.0,), (16,))
     S0 = np.full(16, 1.0)
     S0[7] = 0.0  # one grid point touching zero
     state = SystemState(S0, np.full(16, 0.5), 0.0)
@@ -269,21 +305,21 @@ def test_assumptions_vanishing_s0_with_sublinear_q():
 
 
 def test_assumptions_mortality_not_applicable_without_mu():
-    dom = Domain1D(1.0, 16)
+    dom = Domain((1.0,), (16,))
     state = SystemState(np.full(16, 1.0), np.full(16, 0.5), 0.0)
     report = validate_assumptions(_model(mu=0.0), state, dom)
     assert report["A5-mortality-floor"].status == "n/a"
 
 
 def test_assumptions_infection_seed():
-    dom = Domain1D(1.0, 16)
+    dom = Domain((1.0,), (16,))
     state = SystemState(np.full(16, 1.0), np.zeros(16), 0.0)
     report = validate_assumptions(_model(), state, dom)
     assert report["A4i-infection-seed"].status == "fail"
 
 
 def test_assumptions_sublinear_p_needs_positive_i0():
-    dom = Domain1D(1.0, 16)
+    dom = Domain((1.0,), (16,))
     I0 = np.full(16, 0.5)
     I0[0] = 0.0
     state = SystemState(np.full(16, 1.0), I0, 0.0)
@@ -292,21 +328,21 @@ def test_assumptions_sublinear_p_needs_positive_i0():
 
 
 def test_assumptions_periodicity_checked():
-    dom = Domain1D(1.0, 16)
+    dom = Domain((1.0,), (16,))
     state = SystemState(np.full(16, 1.0), np.full(16, 0.5), 0.0)
     model = ModelSpec(
         exponents=Exponents(p=1, q=1),
         beta=CoefficientField.cosine_modulated(1.0, time_amp=0.5, period=2.0),
         gamma=CoefficientField.constant(1.0),
         mu=CoefficientField.constant(0.0),
-        d_S=1.0, d_I=1.0, incidence=Incidence.power(1, 1))
+        d_S=1.0, d_I=1.0, incidence=Incidence("power", q=1, p=1))
     report = validate_assumptions(model, state, dom)
     assert report["A6-period-consistency"].status == "pass"
 
 
 def test_assumptions_periodicity_defect_found_in_2d():
     # a declared period of 1.5 on a field whose true period is 2
-    dom = Domain2D(1.0, 1.0, 8, 6)
+    dom = Domain((1.0, 1.0), (8, 6))
     state = SystemState(np.full(dom.shape, 1.0), np.full(dom.shape, 0.5), 0.0)
     true = CoefficientField.cosine_modulated(1.0, time_amp=0.5, period=2.0,
                                              space_amp=0.5, length=1.0)
@@ -315,20 +351,20 @@ def test_assumptions_periodicity_defect_found_in_2d():
         exponents=Exponents(p=1, q=1), beta=lying,
         gamma=CoefficientField.constant(1.0),
         mu=CoefficientField.constant(0.0),
-        d_S=1.0, d_I=1.0, incidence=Incidence.power(1, 1))
+        d_S=1.0, d_I=1.0, incidence=Incidence("power", q=1, p=1))
     report = validate_assumptions(model, state, dom)
     assert report["A6-period-consistency"].status == "fail"
     assert report["A1-coefficient-bounds"].status == "pass"
 
 
 def test_assumptions_dual_floor_flagged():
-    dom = Domain1D(1.0, 16)
+    dom = Domain((1.0,), (16,))
     state = SystemState(np.full(16, 1.0), np.full(16, 0.5), 0.0)
     model = ModelSpec(
         exponents=Exponents(p=1, q=1, s=2, r=2),  # H1-iii, dual regime
         beta=CoefficientField.constant(1.0),
         gamma=CoefficientField.constant(0.0),
         mu=CoefficientField.constant(0.0),
-        d_S=1.0, d_I=1.0, incidence=Incidence.power(1, 1))
+        d_S=1.0, d_I=1.0, incidence=Incidence("power", q=1, p=1))
     report = validate_assumptions(model, state, dom)
     assert report["A3prime-removal-floor"].status == "fail"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqip.errors import AssumptionError, NumericsError, StiffnessError
-from sqip.grid import Domain1D, Domain2D, integrate
+from sqip.grid import Domain, integrate
 from sqip.model import CoefficientField, Exponents, Incidence, ModelSpec
 from sqip.presets import preset_config
 from sqip.solver import SolverSettings, Stepper, SystemState, run
@@ -18,12 +18,12 @@ def make_model(p=1.0, q=1.0, s=0.0, r=1.0, beta=1.0, gamma=1.0, mu=0.0,
         gamma=CoefficientField.constant(gamma),
         mu=CoefficientField.constant(mu),
         d_S=d_S, d_I=d_I,
-        incidence=Incidence.power(q=q, p=p),
+        incidence=Incidence("power", q=q, p=p),
     )
 
 
 def test_pure_diffusion_conserves_each_mass():
-    dom = Domain1D(1.0, 64)
+    dom = Domain((1.0,), (64,))
     model = make_model(beta=0.0, gamma=0.0, mu=0.0, d_S=0.7, d_I=1.3)
     stepper = Stepper(model, dom)
     rng = np.random.default_rng(1)
@@ -37,7 +37,7 @@ def test_pure_diffusion_conserves_each_mass():
 
 
 def test_constant_state_stays_constant():
-    dom = Domain1D(2.0, 80)
+    dom = Domain((2.0,), (80,))
     model = make_model(beta=1.5, gamma=0.7, mu=0.2)
     state = SystemState(np.full(80, 0.8), np.full(80, 0.4), 0.0)
     new = Stepper(model, dom).step(state, 0.01)
@@ -47,7 +47,7 @@ def test_constant_state_stays_constant():
 
 def test_reaction_values_at_half_half():
     # p=q=1, beta=gamma=1, mu=0, state (0.5, 0.5): f = 0.25, g = -0.25
-    dom = Domain1D(1.0, 16)
+    dom = Domain((1.0,), (16,))
     stepper = Stepper(make_model(), dom)
     f, g = stepper.reaction(np.full(16, 0.5), np.full(16, 0.5), 0.0)
     assert f == pytest.approx(np.full(16, 0.25))
@@ -57,14 +57,14 @@ def test_reaction_values_at_half_half():
 def test_reaction_broadcasts_a_2d_sample_to_the_same_bits():
     # time-constant samples keep the evaluator's (nx, 1) shape in 2D;
     # broadcasting in the arithmetic gives what full (nx, ny) fields give
-    dom = Domain2D(1.0, 1.5, 12, 10)
+    dom = Domain((1.0, 1.5), (12, 10))
     model = ModelSpec(
         exponents=Exponents(p=1.0, q=1.0),
         beta=CoefficientField.cosine_modulated(2.0, space_amp=0.9, length=1.0),
         gamma=CoefficientField.cosine_modulated(
             1.0, time_amp=0.5, period=1.0, space_amp=0.3, length=1.0),
         mu=CoefficientField.constant(0.2), d_S=1.0, d_I=1.0,
-        incidence=Incidence.power(q=1.0, p=1.0))
+        incidence=Incidence("power", q=1.0, p=1.0))
     rng = np.random.default_rng(11)
     S, I = rng.uniform(0.1, 1.0, dom.shape), rng.uniform(0.1, 1.0, dom.shape)
     t = 0.3
@@ -102,7 +102,7 @@ def _rk4_reduced(y, dt, beta=1.0, gamma=1.0, mu=0.0):
 def test_single_step_matches_rk4_to_second_order():
     # spatially constant state: the discrete step must agree with a
     # fourth-order reference on the reduced system to O(dt^2) per step
-    dom = Domain1D(1.0, 32)
+    dom = Domain((1.0,), (32,))
     stepper = Stepper(make_model(), dom)
     state = SystemState(np.full(32, 0.5), np.full(32, 0.5), 0.0)
     errors = []
@@ -120,7 +120,7 @@ def test_single_step_matches_rk4_to_second_order():
 def test_mass_identity_per_step():
     # mass(S+I) changes by exactly -dt * integral(mu * S^s I^r) per step,
     # up to linear-solver tolerance times grid size
-    dom = Domain1D(1.0, 48)
+    dom = Domain((1.0,), (48,))
     model = make_model(p=1.5, q=0.8, s=0.3, r=1.2, beta=1.2, gamma=0.4, mu=0.6)
     stepper = Stepper(model, dom)
     rng = np.random.default_rng(2)
@@ -137,7 +137,7 @@ def test_mass_identity_per_step():
 
 def test_reject_signal_on_negativity():
     # fractional q makes the explicit stage overshoot near S = 0
-    dom = Domain1D(1.0, 16)
+    dom = Domain((1.0,), (16,))
     model = make_model(q=0.5, p=1.0, beta=1.0, gamma=0.0)
     stepper = Stepper(model, dom)
     S = np.full(16, 1e-6)
@@ -157,7 +157,7 @@ def test_stiffness_error_carries_location():
     assert err.value.location is not None
 
 
-@pytest.mark.parametrize("dom", (Domain1D(1.0, 32), Domain2D(1.0, 1.0, 8, 8)))
+@pytest.mark.parametrize("dom", (Domain((1.0,), (32,)), Domain((1.0, 1.0), (8, 8))))
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_non_finite_state_raises_numerics_error_with_state(dom, bad):
     stepper = Stepper(make_model(), dom)
@@ -310,10 +310,10 @@ def test_terminal_state_matches_independent_stiff_integrator():
     from sqip.grid import _stiffness_banded
 
     n = 48
-    dom = Domain1D(1.0, n)
-    ab = _stiffness_banded(n, dom.h)
+    dom = Domain((1.0,), (n,))
+    ab = _stiffness_banded(n, dom.spacing[0])
     lap = -(np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1))
-    x = dom.cell_centers()
+    (x,) = dom.cell_centers()
     I0 = 0.5 * np.exp(-0.5 * ((x - 0.5) / 0.1) ** 2)
     S0 = 1.0 - I0
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqip.grid import DiffusionSolver, Domain1D, Domain2D
+from sqip.grid import DiffusionSolver, Domain
 from sqip.model import CoefficientField
 from sqip.presets import preset_config
 from sqip.runner import compute_spectral
@@ -25,7 +25,7 @@ def potential(problem, scale=1.0):
 def make_problem(beta, gamma, q=1.0, density=1.0, omega=1.0, n=64, d_I=1.0):
     return LinearizedProblem(
         d_I=d_I, beta=beta, gamma=gamma, q=q, mean_density=density,
-        omega=omega, domain=Domain1D(1.0, n))
+        omega=omega, domain=Domain((1.0,), (n,)))
 
 
 def test_monodromy_constant_potential():
@@ -295,7 +295,7 @@ def _periodic_2d():
         2.0, time_amp=0.5, period=1.0, space_amp=0.6, length=1.0)
     return LinearizedProblem(
         d_I=0.5, beta=beta, gamma=CoefficientField.constant(1.5), q=1.0,
-        mean_density=1.0, omega=1.0, domain=Domain2D(1.0, 1.0, 16, 16))
+        mean_density=1.0, omega=1.0, domain=Domain((1.0, 1.0), (16, 16)))
 
 
 def _tabulated_beta():
@@ -393,7 +393,7 @@ def dense_period_map(problem, scale, steps=DEFAULT_STEPS_PER_PERIOD):
     growth = problem.growth_factors(scale, steps)
     diffusion = DiffusionSolver(problem.domain)
     c = problem.omega / steps * problem.d_I
-    m = np.eye(problem.domain.n)
+    m = np.eye(problem.domain.cells[0])
     for k in range(steps):
         m = diffusion.solve(c, growth[k % len(growth)][:, None] * m)
     return m
