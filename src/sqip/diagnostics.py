@@ -41,12 +41,13 @@ def lk_norm(domain: Domain, values: np.ndarray, k: float) -> float:
     return float(integrate(domain, mag**k) ** (1.0 / k))
 
 
-def compute_row(domain: Domain, S: np.ndarray, I: np.ndarray, t: float) -> tuple:
-    """One diagnostics record for the state (S, I) at time t."""
-    hi_S, lo_S = float(S.max()), float(S.min())
-    hi_I, lo_I = float(I.max()), float(I.min())
+def compute_row(domain: Domain, state) -> tuple:
+    """One diagnostics record of a ``SystemState``; its cached extrema
+    give the sup, min and flatness columns."""
+    S, I = state.S, state.I
+    lo_S, hi_S, lo_I, hi_I = state.extrema
     return (
-        t,
+        state.t,
         integrate(domain, S),
         integrate(domain, I),
         hi_S,

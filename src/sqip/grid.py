@@ -93,68 +93,51 @@ def _stiffness_banded(n: int, h: float) -> np.ndarray:
     return ab
 
 
-class AxisSolver:
-    """Cached Cholesky solve of (I + c*A) along one axis, A = -Laplacian.
-
-    Each solve is one LAPACK ``dpbtrs`` call on the cached factor. The
-    right-hand side is not checked for finite values: a NaN or infinity
-    passes through into the result, and callers that need finite output
-    check it there (:meth:`sqip.solver.Stepper.step` does).
-    """
-
-    def __init__(self, n: int, h: float):
-        self._ab = _stiffness_banded(n, h)
-        self._factors: dict[float, np.ndarray] = {}
-
-    def _factor(self, c: float) -> np.ndarray:
-        factor = self._factors.get(c)
-        if factor is None:
-            ab = c * self._ab
-            ab[1, :] += 1.0
-            factor = cholesky_banded(ab)
-            self._factors[c] = factor
-        return factor
-
-    def solve(self, c: float, rhs: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Solve (I + c*A) x = rhs along the given axis of a 1D or 2D rhs.
-
-        Always returns a new array; ``rhs`` is left unchanged.
-        """
-        if c == 0.0:
-            return rhs.copy()
-        factor = self._factor(c)
-        # Axis 1 exists only in 2D, where the transpose is the swap of axes.
-        out, info = dpbtrs(factor, rhs if axis == 0 else rhs.T)
-        if axis != 0:
-            out = out.T
-        if info != 0:
-            raise NumericsError(f"dpbtrs rejected argument {-info}", info=info)
-        return out
-
-
 class DiffusionSolver:
     """Backward-Euler diffusion solve on a grid.
 
-    1D solves are exact banded Cholesky solves. 2D uses the factored
-    alternating-direction form (I + c*Ax)(I + c*Ay), which is first-order
-    consistent with the unsplit step and conserves the discrete integral
-    exactly, factor by factor.
+    Each axis solve is one LAPACK ``dpbtrs`` call on a Cholesky factor of
+    (I + c*A) for that axis, cached per ``c``. 1D solves are exact banded
+    solves. 2D uses the factored alternating-direction form
+    (I + c*Ax)(I + c*Ay), which is first-order consistent with the
+    unsplit step and conserves the discrete integral exactly, factor by
+    factor.
     """
 
     def __init__(self, domain: Domain):
         self.domain = domain
-        self._axes = [AxisSolver(n, h)
-                      for n, h in zip(domain.cells, domain.spacing)]
+        self._stiffness = [_stiffness_banded(n, h)
+                           for n, h in zip(domain.cells, domain.spacing)]
+        self._factors: dict[float, list[tuple[np.ndarray, bool]]] = {}
+
+    def _axis_factors(self, c: float) -> list[tuple[np.ndarray, bool]]:
+        """Per axis: the factor of (I + c*A) and whether the solve along
+        it goes through the transpose (axis 1 of a 2D field)."""
+        factors = []
+        for axis, stiffness in enumerate(self._stiffness):
+            ab = c * stiffness
+            ab[1, :] += 1.0
+            factors.append((cholesky_banded(ab), axis > 0))
+        self._factors[c] = factors
+        return factors
 
     def solve(self, c: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (I + c*A) x = rhs on the grid, axis 0 first in 2D.
 
-        Like :meth:`AxisSolver.solve`, this does not check for finite
-        values; a non-finite rhs gives a non-finite result.
+        Always returns a new array; ``rhs`` is left unchanged. The rhs is
+        not checked for finite values: a NaN or infinity passes through
+        into the result, and callers that need finite output check it
+        there (:meth:`sqip.solver.Stepper.step` does).
         """
+        if c == 0.0:
+            return rhs.copy()
         out = rhs
-        for axis, solver in enumerate(self._axes):
-            out = solver.solve(c, out, axis=axis)
+        for factor, swap in self._factors.get(c) or self._axis_factors(c):
+            out, info = dpbtrs(factor, out.T if swap else out)
+            if info != 0:
+                raise NumericsError(f"dpbtrs rejected argument {-info}", info=info)
+            if swap:
+                out = out.T
         return out
 
 

@@ -51,6 +51,14 @@ class SystemState:
     def copy(self) -> "SystemState":
         return SystemState(self.S.copy(), self.I.copy(), self.t)
 
+    @classmethod
+    def _from_step(cls, S: np.ndarray, I: np.ndarray, t: float,
+                   extrema: tuple[float, float, float, float]) -> "SystemState":
+        """A state of float arrays the stepper made, with its extrema."""
+        state = object.__new__(cls)
+        vars(state).update(S=S, I=I, t=t, extrema=extrema)
+        return state
+
     @cached_property
     def extrema(self) -> tuple[float, float, float, float]:
         """(min S, max S, min I, max I), computed once per state.
@@ -59,8 +67,13 @@ class SystemState:
         infinity is its min or max, so the four values are all finite
         exactly when both fields are.
         """
-        return (float(self.S.min()), float(self.S.max()),
-                float(self.I.min()), float(self.I.max()))
+        return _extrema(self.S, self.I)
+
+
+def _extrema(S: np.ndarray, I: np.ndarray) -> tuple[float, float, float, float]:
+    lo, hi = np.minimum.reduce, np.maximum.reduce
+    return (float(lo(S, axis=None)), float(hi(S, axis=None)),
+            float(lo(I, axis=None)), float(hi(I, axis=None)))
 
 
 @dataclass(frozen=True)
@@ -117,9 +130,9 @@ class Trajectory:
         return float(np.maximum(tail["sup_S"], tail["sup_I"]).max())
 
 
-def _require_finite(checked: SystemState, state: SystemState, dt: float) -> None:
-    """Raise the step's NumericsError unless ``checked`` is all finite."""
-    if not all(map(math.isfinite, checked.extrema)):
+def _require_finite(extrema: tuple, state: SystemState, dt: float) -> None:
+    """Raise the step's NumericsError unless the ``extrema`` are all finite."""
+    if not all(map(math.isfinite, extrema)):
         raise NumericsError("non-finite value during step", t=state.t, dt=dt,
                             S=state.S.copy(), I=state.I.copy())
 
@@ -141,6 +154,13 @@ class Stepper:
             coeff = getattr(model, name)
             if coeff.is_time_constant:
                 self._const[name] = coeff.sample(domain, [0.0])[0]
+        self._gamma_mu = None
+        if "gamma" in self._const and "mu" in self._const:
+            self._gamma_mu = self._const["gamma"] + self._const["mu"]
+        e = model.exponents
+        self._removal = None if (e.s, e.r) == (0.0, 1.0) else (e.s, e.r)
+        self._sigma = model.sigma_sup
+        self._cap_power = sum(model.incidence.core_exponents)
 
     def _coeff(self, name: str, t: float) -> np.ndarray:
         if name in self._const:
@@ -149,57 +169,61 @@ class Stepper:
 
     def reaction(self, S: np.ndarray, I: np.ndarray, t: float
                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Reaction pair (f, g) evaluated at the given state and time."""
-        e = self.model.exponents
-        beta = self._coeff("beta", t)
+        """Reaction pair (f, g) evaluated at the given state and time.
+
+        f = gamma*R - beta*K equals -beta*K + gamma*R bit for bit, since
+        IEEE negation is exact; beta*K is formed once for both.
+        """
+        bk = self._coeff("beta", t) * self.model.incidence.kernel(S, I)
         gamma = self._coeff("gamma", t)
-        mu = self._coeff("mu", t)
-        kernel = self.model.incidence.kernel(S, I)
-        if e.s == 0.0 and e.r == 1.0:
+        gamma_mu = self._gamma_mu
+        if gamma_mu is None:
+            gamma_mu = gamma + self._coeff("mu", t)
+        if self._removal is None:
             removal = I
         else:
-            removal = S**e.s * I**e.r
-        f = -beta * kernel + gamma * removal
-        g = beta * kernel - (gamma + mu) * removal
-        return f, g
+            s, r = self._removal
+            removal = S**s * I**r
+        return gamma * removal - bk, bk - gamma_mu * removal
 
     def reaction_dt_cap(self, sup: float) -> float:
         """Step ceiling 0.5 / (sigma_sup * (1 + M^(p+q))), M = max(sup, 0).
 
         ``sup`` is the largest value of S and I (see ``SystemState.extrema``).
         """
-        sigma = self.model.sigma_sup
-        if sigma <= 0:
+        if self._sigma <= 0:
             return math.inf
-        q, p = self.model.incidence.core_exponents
         m = max(sup, 0.0)
-        return 0.5 / (sigma * (1.0 + m ** (p + q)))
+        return 0.5 / (self._sigma * (1.0 + m ** self._cap_power))
 
     def step(self, state: SystemState, dt: float) -> SystemState | None:
         """Advance by dt; returns None when positivity rejects the step.
 
-        The diffusion solves do not check for finite values. This method
+        Everything fixed for a run is taken once, in the constructor: the
+        samples of time-constant coefficients (and gamma + mu when both
+        are), the removal powers, sigma_sup and p + q of the dt cap. The
+        diffusion solves do not check for finite values. This method
         checks the ``extrema`` of the state before any arithmetic and of
-        the new state, whose extrema also give the negativity test and
-        stay cached for the next step's check.
+        the new state. The new state's four extrema are reduced once
+        here and cached on it: they give the finiteness and negativity
+        tests, and the caller's dt cap, floors and diagnostics row.
 
         Raises:
             NumericsError: a non-finite value was given or appeared; the
                 payload holds ``t``, ``dt`` and copies of the pre-step
                 ``S`` and ``I``.
         """
-        _require_finite(state, state, dt)
+        _require_finite(state.extrema, state, dt)
         f, g = self.reaction(state.S, state.I, state.t)
         S_star = state.S + dt * f
         I_star = state.I + dt * g
-        new = SystemState(self.diffusion.solve(dt * self.model.d_S, S_star),
-                          self.diffusion.solve(dt * self.model.d_I, I_star),
-                          state.t + dt)
-        _require_finite(new, state, dt)
-        lo_S, _, lo_I, _ = new.extrema
-        if lo_S < 0.0 or lo_I < 0.0:
+        S = self.diffusion.solve(dt * self.model.d_S, S_star)
+        I = self.diffusion.solve(dt * self.model.d_I, I_star)
+        extrema = _extrema(S, I)
+        _require_finite(extrema, state, dt)
+        if extrema[0] < 0.0 or extrema[2] < 0.0:
             return None
-        return new
+        return SystemState._from_step(S, I, state.t + dt, extrema)
 
     def initial_dt(self, state: SystemState) -> float:
         s = self.settings
@@ -265,12 +289,15 @@ def run(config) -> Trajectory:
     stepper = Stepper(model, domain, settings)
     t_end = float(config.t_end)
     cadence = float(config.cadence)
-    events = sorted({float(ts) for ts in config.snapshot_times} | {t_end})
+    # One sorted list of (time, is_snapshot); t_end is always the last.
+    snap_times = [float(ts) for ts in config.snapshot_times]
+    events = [(te, any(abs(te - ts) <= EVENT_SNAP for ts in snap_times))
+              for te in sorted({*snap_times, t_end})]
 
-    rows = [diagnostics.compute_row(domain, state.S, state.I, 0.0)]
+    rows = [diagnostics.compute_row(domain, state)]
     snapshots: dict[float, SystemState] = {}
-    if events and abs(events[0]) <= EVENT_SNAP:
-        snapshots[events[0]] = state.copy()
+    if abs(events[0][0]) <= EVENT_SNAP:
+        snapshots[events[0][0]] = state.copy()
         events = events[1:]
 
     # The four reductions of the current state feed the step cap, the
@@ -291,7 +318,7 @@ def run(config) -> Trajectory:
             raise NumericsError(
                 "max_steps exhausted before t_end", t=state.t,
                 steps=accepted + rejected)
-        next_event = events[0] if events else t_end
+        next_event, is_snapshot = events[0]
         dt_try = min(dt, stepper.reaction_dt_cap(max(hi_S, hi_I)))
         remaining = next_event - state.t
         hit_event = dt_try >= remaining - EVENT_SNAP
@@ -311,7 +338,8 @@ def run(config) -> Trajectory:
 
         lo_S, hi_S, lo_I, hi_I = new_state.extrema
         if hit_event:
-            new_state = SystemState(new_state.S, new_state.I, next_event)
+            new_state = SystemState._from_step(new_state.S, new_state.I,
+                                               next_event, new_state.extrema)
         state = new_state
         accepted += 1
         streak += 1
@@ -324,14 +352,12 @@ def run(config) -> Trajectory:
         floor_I = min(floor_I, lo_I)
 
         if hit_event:
-            if events and abs(state.t - events[0]) <= EVENT_SNAP:
-                events = events[1:]
-            if state.t in config.snapshot_times or any(
-                    abs(state.t - ts) <= EVENT_SNAP for ts in config.snapshot_times):
+            events = events[1:]
+            if is_snapshot:
                 snapshots[state.t] = state.copy()
 
         if state.t >= next_mark - EVENT_SNAP or state.t >= t_end - EVENT_SNAP:
-            rows.append(diagnostics.compute_row(domain, state.S, state.I, state.t))
+            rows.append(diagnostics.compute_row(domain, state))
             next_mark = (math.floor(state.t / cadence + EVENT_SNAP) + 1) * cadence
 
     return Trajectory(

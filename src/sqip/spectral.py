@@ -50,10 +50,14 @@ class LinearizedProblem:
                            compare=False)
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ConfigError("period must be positive")
-        if self.mean_density <= 0:
-            raise ConfigError("mean density must be positive")
+        # Written so that NaN fails each test.
+        if not self.omega > 0:
+            raise ConfigError(f"period must be positive, got {self.omega}")
+        if not self.mean_density > 0:
+            raise ConfigError(
+                f"mean density must be positive, got {self.mean_density}")
+        if not 0 < self.d_I < math.inf:
+            raise ConfigError(f"d_I must be finite and positive, got {self.d_I}")
 
     @classmethod
     def from_model(cls, model: ModelSpec, domain: Domain, total_mass: float,

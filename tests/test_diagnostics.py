@@ -160,7 +160,7 @@ def test_compute_row_consistency():
     rng = np.random.default_rng(12)
     S = rng.uniform(0.5, 2.0, 32)
     I = rng.uniform(0.0, 1.0, 32)
-    row = np.array([compute_row(dom, S, I, 1.5)], dtype=ROW_DTYPE)[0]
+    row = np.array([compute_row(dom, SystemState(S, I, 1.5))], dtype=ROW_DTYPE)[0]
     assert row["t"] == 1.5
     assert row["mass_S"] == pytest.approx(integrate(dom, S))
     assert row["sup_S"] == S.max() and row["min_I"] == I.min()

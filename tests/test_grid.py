@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from sqip.errors import ConfigError, DomainError
-from sqip.grid import (AxisSolver, DiffusionSolver, Domain, _stiffness_banded,
+from sqip.grid import (DiffusionSolver, Domain, _stiffness_banded,
                        integrate, poincare_constant)
 
 # Property tests draw a fixed sequence of examples, so reruns match.
@@ -248,7 +248,6 @@ def test_axis_solve_bitwise_matches_reference_1d(n, c):
     kept = rhs.copy()
     (h,) = dom.spacing
     want = _reference_axis_solve(n, h, c, rhs, 0)
-    assert np.array_equal(AxisSolver(n, h).solve(c, rhs), want)
     assert np.array_equal(DiffusionSolver(dom).solve(c, rhs), want)
     assert np.array_equal(rhs, kept)
 
@@ -260,9 +259,6 @@ def test_axis_solve_bitwise_matches_reference_2d(c):
     kept = rhs.copy()
     hx, hy = dom.spacing
     along_x = _reference_axis_solve(48, hx, c, rhs, 0)
-    along_y = _reference_axis_solve(48, hy, c, rhs, 1)
-    assert np.array_equal(AxisSolver(48, hx).solve(c, rhs, axis=0), along_x)
-    assert np.array_equal(AxisSolver(48, hy).solve(c, rhs, axis=1), along_y)
     adi = _reference_axis_solve(48, hy, c, along_x, 1)
     assert np.array_equal(DiffusionSolver(dom).solve(c, rhs), adi)
     assert np.array_equal(rhs, kept)

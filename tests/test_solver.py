@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from sqip.errors import AssumptionError, NumericsError, StiffnessError
-from sqip.grid import Domain, integrate
+from sqip.grid import Domain, _stiffness_banded, integrate
 from sqip.model import CoefficientField, Exponents, Incidence, ModelSpec
 from sqip.presets import preset_config
 from sqip.solver import SolverSettings, Stepper, SystemState, run
@@ -76,6 +79,73 @@ def test_reaction_broadcasts_a_2d_sample_to_the_same_bits():
     assert np.array_equal(g, beta * (S * I) - (gamma + mu) * I)
 
 
+def _reference_solve(dom, c, rhs):
+    """(I + c*A) x = rhs, axis by axis, by dpbtrs on a fresh factor."""
+    out = rhs
+    for axis, (n, h) in enumerate(zip(dom.cells, dom.spacing)):
+        ab = c * _stiffness_banded(n, h)
+        ab[1, :] += 1.0
+        x, info = dpbtrs(cholesky_banded(ab), np.moveaxis(out, axis, 0))
+        assert info == 0
+        out = np.moveaxis(x, 0, axis)
+    return out
+
+
+def _reference_step(model, dom, state, dt):
+    """One IMEX step in the plain algebra: every coefficient evaluated at
+    the step's time, -beta*K + gamma*R and gamma + mu formed each step."""
+    x = dom.x_coordinate()
+    beta, gamma, mu = (c(x, state.t) for c in (model.beta, model.gamma, model.mu))
+    e = model.exponents
+    kernel = model.incidence.kernel(state.S, state.I)
+    removal = state.I if (e.s, e.r) == (0.0, 1.0) else state.S**e.s * state.I**e.r
+    f = -beta * kernel + gamma * removal
+    g = beta * kernel - (gamma + mu) * removal
+    return (_reference_solve(dom, dt * model.d_S, state.S + dt * f),
+            _reference_solve(dom, dt * model.d_I, state.I + dt * g))
+
+
+def _coefficient(base, periodic, length):
+    if periodic:
+        return CoefficientField.cosine_modulated(
+            base, time_amp=0.7, period=0.9, space_amp=0.4, length=length)
+    return CoefficientField.cosine_modulated(base, space_amp=0.4, length=length)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cells=st.sampled_from(((24,), (96,), (9, 7), (12, 16))),
+       pq=st.tuples(st.floats(0.5, 2.0), st.floats(0.3, 2.0)),
+       sr=st.one_of(st.just((0.0, 1.0)),
+                    st.tuples(st.floats(0.0, 1.5), st.floats(0.5, 2.0))),
+       periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       t=st.floats(0.0, 3.0), dt=st.floats(1e-4, 0.05),
+       seed=st.integers(0, 2**16))
+def test_step_matches_the_plain_algebra_bit_for_bit(cells, pq, sr, periodic,
+                                                     t, dt, seed):
+    # 1D and 2D, the SI removal and (s, r) != (0, 1), time-constant and
+    # time-periodic coefficients (gamma and mu independently)
+    lengths = (1.0, 1.5)[:len(cells)]
+    dom = Domain(lengths, cells)
+    (p, q), (s, r) = pq, sr
+    model = ModelSpec(
+        exponents=Exponents(p=p, q=q, s=s, r=r),
+        beta=_coefficient(1.5, periodic[0], lengths[0]),
+        gamma=_coefficient(0.6, periodic[1], lengths[0]),
+        mu=_coefficient(0.3, periodic[2], lengths[0]),
+        d_S=0.3, d_I=0.05, incidence=Incidence("power", q=q, p=p))
+    rng = np.random.default_rng(seed)
+    state = SystemState(rng.uniform(0.05, 2.0, dom.shape),
+                        rng.uniform(0.05, 2.0, dom.shape), t)
+    new = Stepper(model, dom).step(state, dt)
+    S, I = _reference_step(model, dom, state, dt)
+    if new is None:
+        assert min(S.min(), I.min()) < 0.0
+        return
+    assert np.array_equal(new.S, S) and np.array_equal(new.I, I)
+    assert new.t == t + dt
+    assert new.extrema == (S.min(), S.max(), I.min(), I.max())
+
+
 def test_time_constant_coefficients_are_evaluated_once_per_run(coeff_calls):
     # beta varies in space but has no period: the assumption scan and the
     # stepper sample each coefficient once (495 evaluations when beta was
@@ -145,16 +215,33 @@ def test_reject_signal_on_negativity():
     assert stepper.step(SystemState(S, I, 0.0), 0.01) is None
 
 
-def test_stiffness_error_carries_location():
+def test_stiffness_error_carries_location(monkeypatch):
+    # S is a bump on a floor of 1e-6: the floor's far end runs out first,
+    # after some accepted steps, so t, dt and the index are all nontrivial
     cfg = preset_config("thm-2.11-persist", {
         "model.q": "0.5", "model.gamma": "0.0",
-        "initial.S": "constant(1e-6)", "initial.I": "constant(1.0)",
+        "initial.S": "bump(0.3, 0.1, 1.0, floor=1e-6)",
+        "initial.I": "constant(1.0)",
         "solver.dt_min": "0.005", "solver.dt_max": "0.02",
         "solver.dt_init": "0.02", "solver.t_end": "1.0",
         "solver.allow_degenerate_initial": "true"})
+    attempts = []
+    step = Stepper.step
+
+    def recording_step(self, state, dt):
+        attempts.append((state, dt))
+        return step(self, state, dt)
+
+    monkeypatch.setattr(Stepper, "step", recording_step)
     with pytest.raises(StiffnessError) as err:
         run(cfg)
-    assert err.value.location is not None
+    last, last_dt = attempts[-1]
+    assert last.t > 0.0 and err.value.t == last.t
+    assert last_dt >= cfg.solver.dt_min > err.value.dt == last_dt / 2.0
+    worst = np.unravel_index(int(np.argmin(np.minimum(last.S, last.I))),
+                             last.S.shape)
+    assert err.value.location == worst
+    assert worst != (0,)
 
 
 @pytest.mark.parametrize("dom", (Domain((1.0,), (32,)), Domain((1.0, 1.0), (8, 8))))

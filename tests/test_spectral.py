@@ -385,6 +385,18 @@ def test_propagator_rejects_a_table_for_another_step_count():
         prop.advance(np.ones(8), 1.0, 3)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("omega", math.nan), ("density", math.nan),
+    ("d_I", math.nan), ("d_I", math.inf), ("d_I", 0.0)])
+def test_linearized_problem_refuses_a_bad_input(field, value):
+    # NaN passes a "<= 0" test, and scipy would later die untyped on it.
+    from sqip.errors import ConfigError
+
+    with pytest.raises(ConfigError):
+        make_problem(CoefficientField.constant(2.0),
+                     CoefficientField.constant(1.0), **{field: value})
+
+
 # ------------------------------------------ dense period-map reference
 
 def dense_period_map(problem, scale, steps=DEFAULT_STEPS_PER_PERIOD):
