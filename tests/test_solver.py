@@ -215,13 +215,12 @@ def test_reject_signal_on_negativity():
     assert stepper.step(SystemState(S, I, 0.0), 0.01) is None
 
 
-def test_stiffness_error_carries_location(monkeypatch):
-    # S is a bump on a floor of 1e-6: the floor's far end runs out first,
-    # after some accepted steps, so t, dt and the index are all nontrivial
+def _stiffness_failure(monkeypatch, initial_s):
+    """Run a degenerate thm-2.11-persist variant to its StiffnessError;
+    return the error, the config and the last attempted (state, dt)."""
     cfg = preset_config("thm-2.11-persist", {
         "model.q": "0.5", "model.gamma": "0.0",
-        "initial.S": "bump(0.3, 0.1, 1.0, floor=1e-6)",
-        "initial.I": "constant(1.0)",
+        "initial.S": initial_s, "initial.I": "constant(1.0)",
         "solver.dt_min": "0.005", "solver.dt_max": "0.02",
         "solver.dt_init": "0.02", "solver.t_end": "1.0",
         "solver.allow_degenerate_initial": "true"})
@@ -236,12 +235,31 @@ def test_stiffness_error_carries_location(monkeypatch):
     with pytest.raises(StiffnessError) as err:
         run(cfg)
     last, last_dt = attempts[-1]
-    assert last.t > 0.0 and err.value.t == last.t
-    assert last_dt >= cfg.solver.dt_min > err.value.dt == last_dt / 2.0
     worst = np.unravel_index(int(np.argmin(np.minimum(last.S, last.I))),
                              last.S.shape)
+    assert err.value.t == last.t
+    assert last_dt >= cfg.solver.dt_min > err.value.dt == last_dt / 2.0
     assert err.value.location == worst
-    assert worst != (0,)
+    return err.value, cfg, last
+
+
+def test_stiffness_error_carries_location(monkeypatch):
+    # a flat degenerate start fails on its first steps, at t = 0; all
+    # nodes tie, so the worst index is the first
+    err, cfg, last = _stiffness_failure(monkeypatch, "constant(1e-6)")
+    assert last.t == 0.0 and err.t == 0.0
+    assert err.location == (0,)
+    # dt_init = 0.02 halves through 0.01 and 0.005 = dt_min to 0.0025
+    assert err.dt == cfg.solver.dt_min / 2.0 == 0.0025
+
+
+def test_stiffness_error_carries_location_after_accepted_steps(monkeypatch):
+    # S is a bump on a floor of 1e-6: the floor's far end runs out first,
+    # after some accepted steps, so t, dt and the index are all nontrivial
+    err, _, last = _stiffness_failure(
+        monkeypatch, "bump(0.3, 0.1, 1.0, floor=1e-6)")
+    assert last.t > 0.0
+    assert err.location != (0,)
 
 
 @pytest.mark.parametrize("dom", (Domain((1.0,), (32,)), Domain((1.0, 1.0), (8, 8))))

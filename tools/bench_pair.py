@@ -1,27 +1,31 @@
 """Paired benchmark runs of two trees: a base revision and a change.
 
     python3 tools/bench_pair.py --base HEAD~1 --head HEAD --out BENCH_11.json
-    python3 tools/bench_pair.py --base main --head . --pairs 5 --workload imex-1d
+    python3 tools/bench_pair.py --base main --head HEAD --workload imex-1d
 
-Each side is exported into a fresh directory under a temporary folder
-(``git archive`` of the revision; ``--head .`` copies the working tree's
-tracked and untracked, not ignored, files), so neither run sees build
-leftovers of the other. For every workload the runner then alternates
-``bench/run.py --workload W --trace 0 --seed i`` between the two trees,
-pair i running base first when i is even and the change first when it
-is odd, and keeps the last JSON line of each run.
+Each side is a committed revision, exported by ``git archive`` into a
+fresh directory under a temporary folder, so neither run sees build
+leftovers of the other or uncommitted files. For every workload the
+runner then alternates ``bench/run.py --workload W --trace 0 --seed i``
+between the two trees, at the benchmark's own run length, pair i running
+base first when i is even and the change first when it is odd, and keeps
+the last JSON line of each run.
 
 The output file holds, per workload and end-to-end metric of
-``BENCHMARK.json``: each side's median and quartiles, the change's wins
-over the pairs (ties count for neither side), the median ratio, and a
+``BENCHMARK.json``: each side's median and quartiles over its successful
+runs, the change's wins over all pairs run (ties count for neither side,
+a pair in which either run failed is not a win), the median ratio, and a
 verdict:
 
-- ``gain``: the change won at least nine tenths of the pairs and the
-  medians differ by more than the base's interquartile range;
+- ``gain``: at least ``MIN_PAIRS`` pairs ran, the change won at least
+  nine tenths of them, its median is better than the base's by more than
+  the base's interquartile range, and no more of its runs or operations
+  failed than the base's;
 - ``worse``: the change's median is worse than the base's by more than
   the metric's bound;
-- ``unresolved``: neither, and the base's own spread is wider than the
-  bound, unless every change run beats every base run (then ``gain``);
+- ``unresolved``: neither, and the base's interquartile range is wider
+  than the bound, unless every change run beats every base run (then
+  ``same``: the spread hides no regression);
 - ``same``: otherwise.
 
 It also holds the machine (platform, Python, CPU, load) and every raw run.
@@ -34,7 +38,6 @@ import io
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +47,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_PAIRS = 10  # fewer pairs than this never give a ``gain`` verdict
 
 
 def _git(*args: str) -> bytes:
@@ -52,28 +56,16 @@ def _git(*args: str) -> bytes:
 
 
 def export_tree(rev: str, dest: Path) -> str:
-    """Write the files of ``rev`` (or of the working tree for ``.``) to
-    ``dest``; return the commit id, with ``+worktree`` for ``.``."""
+    """Write the files of revision ``rev`` to ``dest``; return its commit id."""
     dest.mkdir(parents=True)
-    if rev == ".":
-        names = _git("ls-files", "-z", "--cached", "--others",
-                     "--exclude-standard").decode().split("\0")
-        for name in filter(None, names):
-            src = ROOT / name
-            if src.is_file():
-                (dest / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(src, dest / name)
-        return _git("rev-parse", "HEAD").decode().strip() + "+worktree"
     with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
         tar.extractall(dest, filter="data")
     return _git("rev-parse", rev).decode().strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--trace", "0", "--seed", str(seed)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     t0 = time.time()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -96,37 +88,46 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(pairs: list[dict], spec: dict) -> dict:
     """Per-metric statistics of one workload's pairs (see module doc)."""
     out = {}
+    failures = {side: sum(1 if p[side]["result"] is None
+                          else p[side]["result"]["failed"] for p in pairs)
+                for side in ("base", "head")}
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
-        ok = [p for p in pairs
-              if p["base"]["result"] and p["head"]["result"]]
-        if not ok:
+        values = {side: [p[side]["result"]["metrics"][name]["value"]
+                         if p[side]["result"] else None for p in pairs]
+                  for side in ("base", "head")}
+        base = [v for v in values["base"] if v is not None]
+        head = [v for v in values["head"] if v is not None]
+        if not base or not head:
             out[name] = {"verdict": "no-data"}
             continue
-        base = [p["base"]["result"]["metrics"][name]["value"] for p in ok]
-        head = [p["head"]["result"]["metrics"][name]["value"] for p in ok]
-        wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
+        wins = sum(b is not None and h is not None
+                   and ((h > b) if higher else (h < b))
+                   for b, h in zip(values["base"], values["head"]))
         bq, hq = quartiles(base), quartiles(head)
         spread = bq[2] - bq[0]
-        change = (hq[1] - bq[1]) / bq[1] if bq[1] else 0.0
-        worse_by = -change if higher else change
+        better_by = (hq[1] - bq[1]) if higher else (bq[1] - hq[1])
+        worse_by = -better_by / bq[1] if bq[1] else 0.0
         separated = min(head) > max(base) if higher else max(head) < min(base)
-        if (wins >= 0.9 * len(ok) and abs(hq[1] - bq[1]) > spread) or separated:
+        if (len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs)
+                and better_by > spread
+                and failures["head"] <= failures["base"]):
             verdict = "gain"
         elif worse_by > metric["bound"]:
             verdict = "worse"
-        elif bq[1] and spread / bq[1] > metric["bound"]:
+        elif bq[1] and spread / bq[1] > metric["bound"] and not separated:
             verdict = "unresolved"
         else:
             verdict = "same"
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
-            "bound": metric["bound"], "pairs": len(ok),
+            "bound": metric["bound"], "pairs": len(pairs),
             "base": {"median": bq[1], "q1": bq[0], "q3": bq[2]},
             "head": {"median": hq[1], "q1": hq[0], "q3": hq[2]},
             "ratio": hq[1] / bq[1] if bq[1] else None,
             "head_wins": wins, "verdict": verdict,
         }
+    out["failures"] = failures
     out["correct"] = all(p[side]["result"] and p[side]["result"]["correct"]
                          and p[side]["result"]["failed"] == 0
                          for p in pairs for side in ("base", "head"))
@@ -151,14 +152,11 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", default="HEAD~1", help="base revision")
-    ap.add_argument("--head", default="HEAD",
-                    help="changed revision, or . for the working tree")
+    ap.add_argument("--head", default="HEAD", help="changed revision")
     ap.add_argument("--workload", action="append", choices=names,
                     help="workload to run (repeatable; default all)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed-start", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="bench/run.py --seconds (default: its own)")
     ap.add_argument("--out", default="BENCH.json")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -178,7 +176,7 @@ def main(argv=None) -> int:
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 pair = {}
                 for side in order:
-                    pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                    pair[side] = run_once(trees[side], workload, seed)
                     report["raw"].append({"workload": workload, "pair": i,
                                           "seed": seed, "side": side,
                                           **pair[side]})
