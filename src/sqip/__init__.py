@@ -18,8 +18,8 @@ from .errors import (AssumptionError, ConfigError, DomainError, NumericsError,
                      SqipError, StiffnessError)
 from .grid import Domain, integrate, poincare_constant
 from .model import (AssumptionReport, CoefficientField, Exponents, Incidence,
-                    ModelSpec, classify_exponents, evaluate_incidence,
-                    read_coefficient_table, validate_assumptions)
+                    ModelSpec, classify_exponents, read_coefficient_table,
+                    validate_assumptions)
 from .ode import (SiOdeParams, SisOdeParams, extinction_time_bound, n_star,
                   rk4_integrate, si_classify, sis_classify, sis_steady_states)
 from .solver import SolverSettings, Stepper, SystemState, Trajectory, run
@@ -37,7 +37,7 @@ __all__ = [
     "SiOdeParams", "SisOdeParams", "SolverSettings", "SpectralResult",
     "SqipError", "Stepper", "StiffnessError", "SystemState", "Tolerances",
     "Trajectory", "classify_exponents", "classify_longtime",
-    "detect_periodic", "evaluate_incidence", "extinction_time_bound",
+    "detect_periodic", "extinction_time_bound",
     "integrate", "lk_norm", "load_config", "monodromy_radius", "n_star",
     "parse_config", "poincare_constant", "preset_config",
     "principal_eigenvalue", "r0", "read_coefficient_table", "rk4_integrate",

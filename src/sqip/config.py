@@ -32,8 +32,7 @@ from .model import (CoefficientField, Exponents, Incidence, ModelSpec,
                     read_coefficient_table)
 from .solver import EVENT_SNAP, SolverSettings
 
-# Schema: section -> key -> (type tag, default string or None = mandatory
-# within its group). Domain keys are group-validated separately.
+# Schema: section -> key -> (type tag, default string or None = mandatory).
 SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
     "model": {
         "p": ("float", "1.0"),
@@ -59,13 +58,9 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "k": ("float", "1.0"),
         "ell": ("float", "0.0"),
     },
-    "domain": {
-        "L": ("float", None),
-        "n": ("int", None),
-        "Lx": ("float", None),
-        "Ly": ("float", None),
-        "nx": ("int", None),
-        "ny": ("int", None),
+    "domain": {  # one value per axis: an interval or a rectangle
+        "L": ("float-list", None),
+        "n": ("int-list", None),
     },
     "initial": {
         "S": ("initial", "constant(1.0)"),
@@ -206,6 +201,8 @@ def _coerce(tag: str, raw: str, full: str, line: int | None):
             return float(raw)
         if tag == "float-list":
             return tuple(float(tok) for tok in raw.split())
+        if tag == "int-list":
+            return tuple(int(tok) for tok in raw.split())
         if tag.startswith("choice:"):
             choices = tag.split(":", 1)[1].split("|")
             if raw not in choices:
@@ -344,18 +341,11 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
             if values[full] is not None or full in pairs:
                 resolved.append((full, raw))
 
-    given = {k for k in SCHEMA["domain"] if values[f"domain.{k}"] is not None}
-    if not given:
-        raise ConfigError("missing mandatory section [domain] (L and n)")
-    shape = ("L", "n") if given & {"L", "n"} else ("Lx", "Ly", "nx", "ny")
-    if given - set(shape):
-        raise ConfigError("domain must be 1D (L, n) or 2D (Lx, Ly, nx, ny), not both")
-    missing = [k for k in shape if k not in given]
+    missing = [full for full in ("domain.L", "domain.n") if values[full] is None]
     if missing:
         raise ConfigError(f"missing mandatory domain keys: {missing}")
-    dims = [values[f"domain.{k}"] for k in shape]
-    domain = Domain(tuple(dims[:len(dims) // 2]), tuple(dims[len(dims) // 2:]))
-    length = dims[0]  # coefficients vary along x only
+    domain = Domain(values["domain.L"], values["domain.n"])
+    length = domain.lengths[0]  # coefficients vary along x only
 
     omega = values["model.omega"]
     exponents = Exponents(p=values["model.p"], q=values["model.q"],

@@ -18,7 +18,7 @@ ROW_FIELDS = ("t", "mass_S", "mass_I", "sup_S", "sup_I",
               "min_S", "min_I", "L2_S", "L2_I", "flat_S", "flat_I")
 ROW_DTYPE = np.dtype([(name, np.float64) for name in ROW_FIELDS])
 
-CSV_HEADER = "t,mass_S,mass_I,sup_S,sup_I,min_S,min_I,L2_S,L2_I,flat_S,flat_I"
+CSV_HEADER = ",".join(ROW_FIELDS)
 
 # Default share of the run's time span that forms the tail window.
 TAIL_FRACTION = 0.2

@@ -25,7 +25,6 @@ __all__ = [
     "RegimeReport",
     "classify_exponents",
     "Incidence",
-    "evaluate_incidence",
     "CoefficientField",
     "read_coefficient_table",
     "ModelSpec",
@@ -71,7 +70,6 @@ class RegimeReport:
     """Outcome of the exponent classification."""
 
     label: str
-    bounds_theorem_applicable: bool
     needs_dual_floor: bool
     dissipativity_assured: bool
 
@@ -106,7 +104,6 @@ def classify_exponents(e: Exponents) -> RegimeReport:
         dissipative = True
     return RegimeReport(
         label=label,
-        bounds_theorem_applicable=label != "none",
         needs_dual_floor=label in DUAL_REGIMES,
         dissipativity_assured=dissipative,
     )
@@ -162,8 +159,6 @@ class Incidence:
         right), which numpy's power already provides for positive
         exponents.
         """
-        S = np.asarray(S, dtype=float)
-        I = np.asarray(I, dtype=float)
         if self.variant == "power":
             return S**self.q * I**self.p
         if self.variant == "binomial":
@@ -173,18 +168,6 @@ class Incidence:
         if self.variant == "media":
             return core * np.exp(-I) / damp
         return core / damp
-
-
-def evaluate_incidence(kind: Incidence, S, I):
-    """Kernel value with input validation; scalar in, scalar out."""
-    S_arr = np.asarray(S, dtype=float)
-    I_arr = np.asarray(I, dtype=float)
-    if np.any(S_arr < 0) or np.any(I_arr < 0):
-        raise DomainError("incidence inputs must be nonnegative")
-    out = kind.kernel(S_arr, I_arr)
-    if np.isscalar(S) and np.isscalar(I):
-        return float(out)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -343,16 +326,6 @@ def read_coefficient_table(path, length: float) -> CoefficientField:
         np.array(rows), length, omega if omega > 0 else None)
 
 
-def write_coefficient_table(path, table: np.ndarray, omega: float | None) -> None:
-    """Inverse of :func:`read_coefficient_table`, used by tooling and tests."""
-    table = np.asarray(table, dtype=float)
-    n_x, n_t = table.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{omega if omega else 0.0:.17g} {n_x} {n_t}\n")
-        for row in table:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
 # --------------------------------------------------------------------------
 # Full model description
 # --------------------------------------------------------------------------
@@ -429,10 +402,6 @@ class AssumptionReport:
     def mandatory_failures(self) -> list[str]:
         return [i.name for i in self.items if i.mandatory and i.status == FAIL]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(i.status != FAIL for i in self.items)
-
     def lines(self) -> list[str]:
         return [f"{i.name}: {i.status}" + (f" ({i.detail})" if i.detail else "")
                 for i in self.items]
@@ -455,106 +424,64 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
     """
     S0 = np.asarray(initial.S, dtype=float)
     I0 = np.asarray(initial.I, dtype=float)
-    e = spec.exponents
-    items: list[AssumptionItem] = []
+    coeffs = {"beta": spec.beta, "gamma": spec.gamma, "mu": spec.mu}
+    periods = sorted({c.period for c in coeffs.values() if c.period})
+    horizon = max([ASSUMPTION_HORIZON] + [2.0 * w for w in periods])
+    t_values = np.linspace(0.0, horizon, ASSUMPTION_TIME_SAMPLES)
+    samples = {name: c.sample(domain, t_values) for name, c in coeffs.items()}
 
-    horizons = [ASSUMPTION_HORIZON]
-    for coeff in (spec.beta, spec.gamma, spec.mu):
-        if coeff.period:
-            horizons.append(2.0 * coeff.period)
-    t_values = np.linspace(0.0, max(horizons), ASSUMPTION_TIME_SAMPLES)
+    def on_fail(ok, why):
+        return ok, "" if ok else why
 
-    samples = {name: coeff.sample(domain, t_values)
-               for name, coeff in (("beta", spec.beta), ("gamma", spec.gamma),
-                                   ("mu", spec.mu))}
+    def floor(label, values, lower, suffix=""):
+        low = float(values.min())
+        ok = lower > 0 and low >= lower - 1e-12
+        return ok, f"min sampled {label} = {low:.3g}{suffix}"
 
-    # A1: declared bounds actually contain the sampled values.
-    violations = []
-    for name, coeff in (("beta", spec.beta), ("gamma", spec.gamma), ("mu", spec.mu)):
-        vals = samples[name]
-        pad = 1e-12 * max(1.0, coeff.upper)
-        if vals.min() < -pad or vals.max() > coeff.upper + pad or vals.min() < coeff.lower - pad:
-            violations.append(name)
-    items.append(AssumptionItem(
-        A1, FAIL if violations else PASS,
-        f"bounds violated for {', '.join(violations)}" if violations else ""))
+    def bounds():
+        # lower >= 0 is enforced, so this also catches samples below zero
+        bad = [name for name, c in coeffs.items()
+               if samples[name].max() > c.upper + 1e-12 * max(1.0, c.upper)
+               or samples[name].min() < c.lower - 1e-12 * max(1.0, c.upper)]
+        return on_fail(not bad, f"bounds violated for {', '.join(bad)}")
 
-    # A2: nonnegative initial data.
-    ok = bool((S0 >= 0).all() and (I0 >= 0).all())
-    items.append(AssumptionItem(A2, PASS if ok else FAIL,
-                                "" if ok else "negative initial values present"))
-
-    # A3: strictly positive transmission floor.
-    beta_min = float(samples["beta"].min())
-    ok = spec.beta.lower > 0 and beta_min >= spec.beta.lower - 1e-12
-    items.append(AssumptionItem(
-        A3, PASS if ok else FAIL,
-        f"min sampled beta = {beta_min:.3g}, declared floor = {spec.beta.lower:.3g}"))
-
-    # A4(i): infection actually seeded.
-    ok = bool(I0.max() > 0)
-    items.append(AssumptionItem(A4I, PASS if ok else FAIL,
-                                "" if ok else "I0 vanishes identically"))
-
-    # A4(ii): q < 1 needs strictly positive S0 and a recovery floor.
-    if e.q < 1:
-        ok = bool(S0.min() > 0) and spec.gamma.lower > 0
-        detail = "" if ok else (
-            "S0 touches zero" if S0.min() <= 0 else "gamma has no positive floor")
-        items.append(AssumptionItem(A4II, PASS if ok else FAIL, detail))
-    else:
-        items.append(AssumptionItem(A4II, NOT_APPLICABLE))
-
-    # A4(iii): p < 1 needs strictly positive I0.
-    if e.p < 1:
-        ok = bool(I0.min() > 0)
-        items.append(AssumptionItem(A4III, PASS if ok else FAIL,
-                                    "" if ok else "I0 touches zero"))
-    else:
-        items.append(AssumptionItem(A4III, NOT_APPLICABLE))
-
-    # A5: mortality floor, only when the scenario claims mortality.
-    if spec.has_mortality:
-        mu_min = float(samples["mu"].min())
-        ok = spec.mu.lower > 0 and mu_min >= spec.mu.lower - 1e-12
-        items.append(AssumptionItem(
-            A5, PASS if ok else FAIL,
-            f"min sampled mu = {mu_min:.3g}"))
-    else:
-        items.append(AssumptionItem(A5, NOT_APPLICABLE))
-
-    # A6: declared periods are honored and agree across fields.
-    periods = {c.period for c in (spec.beta, spec.gamma, spec.mu) if c.period}
-    if periods:
+    def periodicity():
         if len(periods) > 1:
-            items.append(AssumptionItem(A6, FAIL,
-                                        f"conflicting periods {sorted(periods)}"))
-        else:
-            omega = periods.pop()
-            t_check = np.linspace(0.0, omega, 17)
-            worst = 0.0
-            for coeff in (spec.beta, spec.gamma, spec.mu):
-                if coeff.period is None:
-                    continue
-                later = coeff.sample(domain, t_check + omega)
-                for a, b in zip(coeff.sample(domain, t_check), later):
+            return False, f"conflicting periods {periods}"
+        omega = periods[0]
+        t_check = np.linspace(0.0, omega, 17)
+        worst = 0.0
+        for c in coeffs.values():
+            if c.period:
+                later = c.sample(domain, t_check + omega)
+                for a, b in zip(c.sample(domain, t_check), later):
                     scale = max(1.0, float(np.abs(a).max()))
                     worst = max(worst, float(np.abs(a - b).max()) / scale)
-            ok = worst <= 1e-10
-            items.append(AssumptionItem(A6, PASS if ok else FAIL,
-                                        f"worst periodicity defect {worst:.2e}"))
-    else:
-        items.append(AssumptionItem(A6, NOT_APPLICABLE))
+        return worst <= 1e-10, f"worst periodicity defect {worst:.2e}"
 
-    # A3': removal floor, needed only by the dual exponent regimes.
-    if spec.regime().needs_dual_floor:
-        total = samples["gamma"] + samples["mu"]
-        floor = spec.gamma.lower + spec.mu.lower
-        ok = floor > 0 and float(total.min()) >= floor - 1e-12
-        items.append(AssumptionItem(
-            A3P, PASS if ok else FAIL,
-            f"min sampled gamma+mu = {float(total.min()):.3g}"))
-    else:
-        items.append(AssumptionItem(A3P, NOT_APPLICABLE))
-
+    # (name, applies, check) in report order; check runs only if applies.
+    rows = (
+        (A1, True, bounds),
+        (A2, True, lambda: on_fail((S0 >= 0).all() and (I0 >= 0).all(),
+                                   "negative initial values present")),
+        (A3, True, lambda: floor("beta", samples["beta"], spec.beta.lower,
+                                 f", declared floor = {spec.beta.lower:.3g}")),
+        (A4I, True, lambda: on_fail(I0.max() > 0, "I0 vanishes identically")),
+        (A4II, spec.exponents.q < 1, lambda: on_fail(
+            S0.min() > 0 and spec.gamma.lower > 0,
+            "S0 touches zero" if S0.min() <= 0 else "gamma has no positive floor")),
+        (A4III, spec.exponents.p < 1, lambda: on_fail(I0.min() > 0, "I0 touches zero")),
+        (A5, spec.has_mortality, lambda: floor("mu", samples["mu"], spec.mu.lower)),
+        (A6, bool(periods), periodicity),
+        (A3P, spec.regime().needs_dual_floor, lambda: floor(
+            "gamma+mu", samples["gamma"] + samples["mu"],
+            spec.gamma.lower + spec.mu.lower)),
+    )
+    items = []
+    for name, applies, check in rows:
+        if applies:
+            ok, detail = check()
+            items.append(AssumptionItem(name, PASS if ok else FAIL, detail))
+        else:
+            items.append(AssumptionItem(name, NOT_APPLICABLE))
     return AssumptionReport(tuple(items))

@@ -335,7 +335,7 @@ def sis_classify(params: SisOdeParams, S0: float | None = None) -> SisOutcome:
 # RK4 oracle
 # --------------------------------------------------------------------------
 
-SYSTEMS = ("si", "sis", "reduced")
+SYSTEMS = ("si", "sis")
 
 
 @dataclass
@@ -353,8 +353,6 @@ class OdeTrajectory:
 def _rhs(system: str, params, y: np.ndarray) -> np.ndarray:
     """Stage-safe right-hand side; negative excursions inside Runge-Kutta
     stages are evaluated at the clipped state."""
-    if system == "reduced":
-        return _reduced_flow(params, y)
     S = np.maximum(y[..., 0], 0.0)
     I = np.maximum(y[..., 1], 0.0)
     incidence = params.beta * S**params.q * I**params.p
@@ -418,7 +416,7 @@ def rk4_integrate(system: str, params, t_end: float, dt: float,
     if dt <= 0 or t_end <= 0:
         raise DomainError("need positive dt and t_end")
 
-    y = np.array([params.S0] if system == "reduced" else [params.S0, params.I0])
+    y = np.array([params.S0, params.I0])
     total = y.sum()
     clamp_time = np.full((), np.nan)
     n_steps = int(round(t_end / dt))
@@ -460,8 +458,8 @@ def settle_batch(system: str, params_batch: dict[str, np.ndarray],
     Converged points are frozen while the rest continue, which keeps the
     oracle sweeps cheap.
     """
-    if system not in ("si", "sis"):
-        raise DomainError("batch settling supports the si and sis systems")
+    if system not in SYSTEMS:
+        raise DomainError(f"unknown system {system!r}")
 
     p = SimpleNamespace(**{name: np.asarray(vals, dtype=float)
                            for name, vals in params_batch.items()})

@@ -3,7 +3,7 @@
 Each PDE preset is a flat config-key dictionary, so ``preset = name`` in
 a config file and ``--override`` flags compose through one resolution
 path. Presets are 1D by default (fast enough for CI); 2D variants are
-produced by the harness flag, which swaps the domain keys.
+produced by the harness flag, which overrides the two domain keys.
 """
 
 from __future__ import annotations
@@ -152,9 +152,7 @@ def preset_config(name: str, overrides: dict[str, str] | None = None,
     """
     pairs = preset_pairs(name)
     if two_dim:
-        length = pairs.pop("domain.L")
-        pairs.pop("domain.n")
-        pairs.update({"domain.Lx": length, "domain.Ly": length,
-                      "domain.nx": "48", "domain.ny": "48"})
+        length = pairs["domain.L"]
+        pairs.update({"domain.L": f"{length} {length}", "domain.n": "48 48"})
     return resolve_config({**pairs, **(overrides or {})}, name=name,
                           preset=name)

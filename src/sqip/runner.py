@@ -55,13 +55,6 @@ def compute_spectral(config: ScenarioConfig) -> spectral.SpectralResult:
     return spectral.r0(problem)
 
 
-def _format_summary(result_lines: list[str], config: ScenarioConfig) -> str:
-    lines = list(result_lines)
-    lines.append("[defaults]")
-    lines.extend(config.defaults_table())
-    return "\n".join(lines) + "\n"
-
-
 def summarize(config: ScenarioConfig, traj: Trajectory,
               outcome: diagnostics.OutcomeReport,
               spec_result: spectral.SpectralResult | None) -> str:
@@ -72,7 +65,7 @@ def summarize(config: ScenarioConfig, traj: Trajectory,
         f"name={config.name}",
         f"preset={config.preset or 'none'}",
         f"regime={regime.label}",
-        f"bounds_theorem_applicable={str(regime.bounds_theorem_applicable).lower()}",
+        f"bounds_theorem_applicable={str(regime.label != 'none').lower()}",
         f"dissipativity_assured={str(regime.dissipativity_assured).lower()}",
     ]
     lines.extend(outcome.summary_lines())
@@ -96,7 +89,9 @@ def summarize(config: ScenarioConfig, traj: Trajectory,
     if traj.assumptions is not None:
         lines.append("[assumptions]")
         lines.extend(traj.assumptions.lines())
-    return _format_summary(lines, config)
+    lines.append("[defaults]")
+    lines.extend(config.defaults_table())
+    return "\n".join(lines) + "\n"
 
 
 def write_snapshot(path, domain, state) -> None:

@@ -158,7 +158,7 @@ class Stepper:
         if "gamma" in self._const and "mu" in self._const:
             self._gamma_mu = self._const["gamma"] + self._const["mu"]
         e = model.exponents
-        self._removal = None if (e.s, e.r) == (0.0, 1.0) else (e.s, e.r)
+        self._removal = None if e.is_si_specialization else (e.s, e.r)
         self._sigma = model.sigma_sup
         self._cap_power = sum(model.incidence.core_exponents)
 

@@ -9,6 +9,7 @@ import pytest
 from sqip.cli import main as cli_main
 from sqip.config import SCHEMA, parse_config, read_lines
 from sqip.errors import ConfigError
+from sqip.grid import Domain
 from sqip.presets import PDE_PRESETS, preset_config
 from sqip.runner import parse_sweep
 
@@ -30,9 +31,10 @@ def test_every_layering_resolves_alike(name, two_dim):
     assert base.with_overrides(LAYER).defaults_table() == table
     assert base.with_overrides({}).defaults_table() == base.defaults_table()
     assert dict(kv.split("=", 1) for kv in table)["solver.t_end"] == "3.0"
-    if not two_dim:  # a file cannot drop the preset's L and n
-        assert parse_config(f"preset = {name}\n" + _as_file(LAYER)
-                            ).defaults_table() == table
+    domain = {key: value for key, value in (kv.split("=", 1) for kv in table)
+              if key.startswith("domain.")}
+    assert parse_config(f"preset = {name}\n" + _as_file({**LAYER, **domain})
+                        ).defaults_table() == table
 
 
 CONFIG = ["[model]", "p = 1", "[domain]", "L = 1", "n = 10"]
@@ -174,4 +176,31 @@ def test_a_non_finite_domain_length_is_refused(value):
     with pytest.raises(ConfigError, match="finite and positive"):
         parse_config(f"[domain]\nL = {value}\nn = 16\n")
     with pytest.raises(ConfigError, match="finite and positive"):
-        parse_config(f"[domain]\nLx = 1.0\nLy = {value}\nnx = 8\nny = 8\n")
+        parse_config(f"[domain]\nL = 1.0 {value}\nn = 8 8\n")
+
+
+@pytest.mark.parametrize("L, n, lengths, cells", [
+    ("2.0", "16", (2.0,), (16,)),
+    ("2.0 0.5", "16 8", (2.0, 0.5), (16, 8))], ids=["interval", "rectangle"])
+def test_domain_keys_take_one_value_per_axis(L, n, lengths, cells):
+    cfg = parse_config(f"[domain]\nL = {L}\nn = {n}\n")
+    assert cfg.domain == Domain(lengths, cells)
+
+
+@pytest.mark.parametrize("domain", [
+    "L = 1 1\nn = 48", "L = 1", "n = 48", "L = 1 1 1\nn = 8 8 8",
+    "L = nan 1\nn = 8 8", "Lx = 1\nLy = 1\nnx = 8\nny = 8"],
+    ids=["count-mismatch", "no-n", "no-L", "three-axes", "nan-length",
+         "per-axis-keys"])
+def test_a_bad_domain_is_refused(domain):
+    with pytest.raises(ConfigError):
+        parse_config(f"[domain]\n{domain}\n")
+
+
+def test_the_two_dim_variant_is_two_domain_pairs():
+    cfg = preset_config("sis-bistable", two_dim=True)
+    table = cfg.defaults_table()
+    assert [kv for kv in table if kv.startswith("domain.")] == [
+        "domain.L=1.0 1.0", "domain.n=48 48"]
+    finer = cfg.with_overrides({"domain.n": "24 24"})
+    assert finer.domain == Domain((1.0, 1.0), (24, 24))

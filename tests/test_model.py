@@ -7,27 +7,27 @@ import pytest
 from sqip.errors import ConfigError, DomainError
 from sqip.grid import Domain
 from sqip.model import (MANDATORY_ITEMS, AssumptionItem, CoefficientField,
-                        Exponents, Incidence, ModelSpec,
-                        classify_exponents, evaluate_incidence,
-                        read_coefficient_table, validate_assumptions,
-                        write_coefficient_table)
+                        Exponents, Incidence, ModelSpec, classify_exponents,
+                        read_coefficient_table, validate_assumptions)
 from sqip.solver import SystemState
+
+from conftest import write_coefficient_table
 
 
 # ---------------------------------------------------------------- incidence
 
 def test_power_incidence_values():
     kind = Incidence("power", q=1, p=2)
-    assert evaluate_incidence(kind, 2.0, 0.0) == 0.0
-    assert evaluate_incidence(kind, 2.0, 3.0) == 18.0  # 2 * 3^2 by hand
+    assert kind.kernel(2.0, 0.0) == 0.0
+    assert kind.kernel(2.0, 3.0) == 18.0  # 2 * 3^2 by hand
 
 
 def test_binomial_k_zero():
-    assert evaluate_incidence(Incidence("binomial", k=0.0), 5.0, 7.0) == 0.0
+    assert Incidence("binomial", k=0.0).kernel(5.0, 7.0) == 0.0
 
 
 def test_media_zero_infection():
-    assert evaluate_incidence(Incidence("media", q=1, p=1, ell=0), 1.0, 0.0) == 0.0
+    assert Incidence("media", q=1, p=1, ell=0).kernel(1.0, 0.0) == 0.0
 
 
 def test_all_variants_vanish_at_zero():
@@ -35,15 +35,8 @@ def test_all_variants_vanish_at_zero():
              Incidence("saturated", q=1, p=2, ell=3),
              Incidence("media", q=0.7, p=0.3, ell=1)]
     for kind in kinds:
-        assert evaluate_incidence(kind, 0.0, 1.3) == 0.0
-        assert evaluate_incidence(kind, 1.3, 0.0) == 0.0
-
-
-def test_incidence_negative_inputs_rejected():
-    with pytest.raises(DomainError):
-        evaluate_incidence(Incidence("power", q=1, p=1), -0.1, 1.0)
-    with pytest.raises(DomainError):
-        evaluate_incidence(Incidence("power", q=1, p=1), 1.0, -0.1)
+        assert kind.kernel(0.0, 1.3) == 0.0
+        assert kind.kernel(1.3, 0.0) == 0.0
 
 
 def test_incidence_monotone_in_susceptibles():
@@ -55,7 +48,7 @@ def test_incidence_monotone_in_susceptibles():
     S = np.linspace(0, 4, 41)
     for kind in kinds:
         for I in (0.0, 0.3, 1.0, 5.0):
-            vals = evaluate_incidence(kind, S, np.full_like(S, I))
+            vals = kind.kernel(S, np.full_like(S, I))
             assert (np.diff(vals) >= -1e-14).all(), kind.variant
 
 
@@ -63,10 +56,10 @@ def test_incidence_vectorized_matches_scalar():
     kind = Incidence("media", q=1.2, p=0.8, ell=2.0)
     S = np.array([0.0, 0.5, 2.0])
     I = np.array([1.0, 0.0, 3.0])
-    vec = evaluate_incidence(kind, S, I)
+    vec = kind.kernel(S, I)
     for i in range(3):
         assert vec[i] == pytest.approx(
-            evaluate_incidence(kind, float(S[i]), float(I[i])), abs=1e-15)
+            kind.kernel(float(S[i]), float(I[i])), abs=1e-15)
 
 
 # ------------------------------------------------------------------ regimes
@@ -79,7 +72,7 @@ def test_classify_examples():
 
 def test_classify_priority_and_flags():
     rep = classify_exponents(Exponents(p=2, q=1))
-    assert rep.bounds_theorem_applicable
+    assert rep.label != "none"
     assert not rep.needs_dual_floor
     assert rep.dissipativity_assured
     # the (1,1,0,1) case is dissipative because p = r = 1
@@ -105,7 +98,6 @@ def test_classify_none_exists():
     rep = classify_exponents(Exponents(p=3, q=0.5, s=4, r=3.5))
     # H1-i: p > r false; H1-iii: sp-rq = 12-1.75 > s-q = 3.5 -> false
     assert rep.label == "none"
-    assert not rep.bounds_theorem_applicable
 
 
 def test_si_specialization_always_covered():
@@ -279,7 +271,7 @@ def test_assumptions_all_pass_constant_positive():
     dom = Domain((1.0,), (16,))
     state = SystemState(np.full(16, 1.0), np.full(16, 0.5), 0.0)
     report = validate_assumptions(_model(mu=0.5), state, dom)
-    assert report.all_pass
+    assert "fail" not in [i.status for i in report.items]
     assert not report.mandatory_failures
 
 
@@ -368,3 +360,74 @@ def test_assumptions_dual_floor_flagged():
         d_S=1.0, d_I=1.0, incidence=Incidence("power", q=1, p=1))
     report = validate_assumptions(model, state, dom)
     assert report["A3prime-removal-floor"].status == "fail"
+
+
+def _pin_cases():
+    """Three (model, initial state) pairs that between them take every
+    row to n/a, to an applied pass and to an applied fail."""
+    dom = Domain((1.0,), (16,))
+    ones = np.full(16, 1.0)
+    # H1-iv (s = q, p < r) with q < 1 and p < 1: every conditional row
+    # applies, and A3' is the dual regime's removal floor.
+    dual = dict(exponents=Exponents(p=0.5, q=0.5, s=0.5, r=1.0), d_S=1.0,
+                d_I=1.0, incidence=Incidence("power", q=0.5, p=0.5))
+    passing = ModelSpec(
+        beta=CoefficientField.cosine_modulated(
+            2.0, time_amp=0.5, period=1.0, space_amp=0.5, length=1.0),
+        gamma=CoefficientField.constant(0.5),
+        mu=CoefficientField.cosine_modulated(0.25, time_amp=0.5, period=1.0),
+        **dual)
+    # gamma leaves its declared [0, 0.5] and has period 2 against beta's
+    # 1; beta and mu vanish at x = L, so no floor holds.
+    too_high = CoefficientField(
+        0.0, 0.5, 2.0,
+        lambda x, t: np.full_like(x, 1.0 + 0.5 * math.cos(math.pi * t)))
+    failing = ModelSpec(
+        beta=CoefficientField.cosine_modulated(
+            1.0, time_amp=0.5, period=1.0, space_amp=1.0, length=1.0),
+        gamma=too_high,
+        mu=CoefficientField.cosine_modulated(0.5, space_amp=1.0, length=1.0),
+        **dual)
+    S_neg = ones.copy()
+    S_neg[3] = -0.1
+    return [(_model(beta=2.0), SystemState(ones, 0.5 * ones, 0.0), dom),
+            (passing, SystemState(ones, 0.5 * ones, 0.0), dom),
+            (failing, SystemState(S_neg, np.zeros(16), 0.0), dom)]
+
+
+PINNED_LINES = [
+    ["A1-coefficient-bounds: pass",
+     "A2-nonnegative-initial-data: pass",
+     "A3-transmission-floor: pass (min sampled beta = 2, declared floor = 2)",
+     "A4i-infection-seed: pass",
+     "A4ii-positive-S0-and-recovery-floor: n/a",
+     "A4iii-positive-I0: n/a",
+     "A5-mortality-floor: n/a",
+     "A6-period-consistency: n/a",
+     "A3prime-removal-floor: n/a"],
+    ["A1-coefficient-bounds: pass",
+     "A2-nonnegative-initial-data: pass",
+     "A3-transmission-floor: pass (min sampled beta = 0.502, declared floor = 0.5)",
+     "A4i-infection-seed: pass",
+     "A4ii-positive-S0-and-recovery-floor: pass",
+     "A4iii-positive-I0: pass",
+     "A5-mortality-floor: pass (min sampled mu = 0.125)",
+     "A6-period-consistency: pass (worst periodicity defect 6.88e-16)",
+     "A3prime-removal-floor: pass (min sampled gamma+mu = 0.625)"],
+    ["A1-coefficient-bounds: fail (bounds violated for gamma)",
+     "A2-nonnegative-initial-data: fail (negative initial values present)",
+     "A3-transmission-floor: fail (min sampled beta = 0.00241, declared floor = 0)",
+     "A4i-infection-seed: fail (I0 vanishes identically)",
+     "A4ii-positive-S0-and-recovery-floor: fail (S0 touches zero)",
+     "A4iii-positive-I0: fail (I0 touches zero)",
+     "A5-mortality-floor: fail (min sampled mu = 0.00241)",
+     "A6-period-consistency: fail (conflicting periods [1.0, 2.0])",
+     "A3prime-removal-floor: fail (min sampled gamma+mu = 0.502)"],
+]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["not-applicable", "pass", "fail"])
+def test_assumption_lines_are_pinned(case):
+    # the [assumptions] block of summary.txt, byte for byte
+    model, state, dom = _pin_cases()[case]
+    assert validate_assumptions(model, state, dom).lines() == PINNED_LINES[case]

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from sqip.errors import DomainError
 from sqip.ode import (BOTH_TO_ZERO, S_HITS_ZERO, S_POSITIVE_LIMIT,
-                      SiOdeParams, SisOdeParams, extinction_time_bound,
-                      n_star, rk4_integrate, settle_batch, si_classify,
-                      sis_classify, sis_steady_states)
+                      SiOdeParams, SisOdeParams, _reduced_flow,
+                      extinction_time_bound, n_star, rk4_integrate,
+                      settle_batch, si_classify, sis_classify,
+                      sis_steady_states)
 
 
 # ------------------------------------------------------------- SI system
@@ -222,11 +224,14 @@ def test_rk4_sis_conserves_total():
 
 
 def test_rk4_reduced_matches_full():
+    # the full pair's RK4 run against a tight DOP853 solve of the scalar
+    # conserved-sum flow S' = -beta*S^q*(N-S)^p + gamma*(N-S)
     params = SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=0.45)
     full = rk4_integrate("sis", params, t_end=30.0, dt=1e-3, record_every=500)
-    reduced = rk4_integrate("reduced", params, t_end=30.0, dt=1e-3,
-                            record_every=500)
-    assert np.abs(full.y[:, 0] - reduced.y[:, 0]).max() < 1e-9
+    reduced = solve_ivp(lambda t, S: _reduced_flow(params, S),
+                        (0.0, full.t[-1]), [params.S0], method="DOP853",
+                        t_eval=full.t, rtol=1e-12, atol=1e-14)
+    assert np.abs(full.y[:, 0] - reduced.y[0]).max() < 1e-9
 
 
 def test_rk4_rejects_unknown_system():

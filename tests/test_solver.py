@@ -456,7 +456,7 @@ def test_snapshots_land_exactly():
 def test_2d_run_conserves_mass():
     cfg = preset_config("thm-2.11-persist", two_dim=True,
                         overrides={"solver.t_end": "1.0",
-                                   "domain.nx": "24", "domain.ny": "24"})
+                                   "domain.n": "24 24"})
     traj = run(cfg)
     mass = traj.mass
     assert np.abs(mass - mass[0]).max() <= 1e-10 * mass[0]

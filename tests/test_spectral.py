@@ -235,7 +235,7 @@ def test_preset_spectral_values():
 
 @pytest.mark.parametrize("two_dim,overrides,expected", [
     (False, {}, 2.0794296452330667),
-    (True, {"domain.nx": "16", "domain.ny": "16"}, 2.079668506613069),
+    (True, {"domain.n": "16 16"}, 2.079668506613069),
 ], ids=["1d", "2d"])
 def test_time_constant_heterogeneous_problem_is_sampled_once(
         coeff_calls, two_dim, overrides, expected):
