@@ -28,7 +28,7 @@ import numpy as np
 from .diagnostics import Tolerances
 from .errors import ConfigError
 from .grid import Domain, integrate
-from .model import (CoefficientField, Exponents, Incidence, ModelSpec,
+from .model import (CoefficientField, Incidence, ModelSpec,
                     read_coefficient_table)
 from .solver import EVENT_SNAP, SolverSettings
 
@@ -348,10 +348,10 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
     length = domain.lengths[0]  # coefficients vary along x only
 
     omega = values["model.omega"]
-    exponents = Exponents(p=values["model.p"], q=values["model.q"],
-                          s=values["model.s"], r=values["model.r"])
     variant = values["model.incidence"]
-    for key, readers in (("k", ("binomial",)), ("ell", ("saturated", "media"))):
+    powered = ("power", "saturated", "media")
+    for key, readers in (("p", powered), ("q", powered), ("k", ("binomial",)),
+                         ("ell", ("saturated", "media"))):
         full = f"model.{key}"
         if variant not in readers and values[full] != float(SCHEMA["model"][key][1]):
             raise ConfigError(f"{full} is not read by incidence = {variant}",
@@ -361,13 +361,13 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
                           ell=values["model.ell"])
 
     model = ModelSpec(
-        exponents=exponents,
         beta=_build_coefficient(values, "beta", length, omega),
         gamma=_build_coefficient(values, "gamma", length, omega),
         mu=_build_coefficient(values, "mu", length, omega),
         d_S=values["model.dS"],
         d_I=values["model.dI"],
         incidence=incidence,
+        s=values["model.s"], r=values["model.r"],
     )
 
     t_end = values["solver.t_end"]

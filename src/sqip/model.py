@@ -57,9 +57,6 @@ class Exponents:
         return self.s == 0.0 and self.r == 1.0
 
 
-# Regime labels, in the fixed priority order used by the classifier.
-REGIME_LABELS = ("H1-i", "H1-ii", "H1-iii", "H1-iv", "H2-i", "H2-ii")
-
 # Regimes whose sup-norm bounds require the removal-rate floor on
 # gamma + mu instead of the transmission floor on beta.
 DUAL_REGIMES = frozenset({"H1-iii", "H1-iv", "H2-ii"})
@@ -79,8 +76,7 @@ def classify_exponents(e: Exponents) -> RegimeReport:
 
     The families overlap, so matching uses a fixed priority order
     (H1-i, H1-ii, H1-iii, H1-iv, H2-i, H2-ii; first match wins) to keep
-    the label deterministic. Incidence variants other than the pure power
-    kernel are labeled by their (q, p) core.
+    the label deterministic.
     """
     p, q, s, r = e.p, e.q, e.s, e.r
     label = "none"
@@ -144,13 +140,6 @@ class Incidence:
                 raise DomainError("incidence exponents must be positive")
             if self.ell < 0:
                 raise DomainError("saturation exponent ell must be nonnegative")
-
-    @property
-    def core_exponents(self) -> tuple[float, float]:
-        """(q, p) pair that governs growth; binomial behaves like (1, 1)."""
-        if self.variant == "binomial":
-            return (1.0, 1.0)
-        return (self.q, self.p)
 
     def kernel(self, S, I):
         """Vectorized kernel value; inputs are assumed nonnegative.
@@ -332,20 +321,30 @@ def read_coefficient_table(path, length: float) -> CoefficientField:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Complete reaction-diffusion model description."""
+    """Complete reaction-diffusion model description; the incidence
+    kernel is the only home of (p, q)."""
 
-    exponents: Exponents
     beta: CoefficientField
     gamma: CoefficientField
     mu: CoefficientField
     d_S: float
     d_I: float
     incidence: Incidence
+    s: float = 0.0
+    r: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.d_S < math.inf and 0 < self.d_I < math.inf):
             raise ConfigError("diffusivities must be finite and positive, "
                               f"got dS={self.d_S}, dI={self.d_I}")
+        self.exponents  # Exponents refuses a negative s or r
+
+    @property
+    def exponents(self) -> Exponents:
+        """(p, q, s, r); the binomial kernel S ln(1 + kI) grows like (1, 1)."""
+        if self.incidence.variant == "binomial":
+            return Exponents(1.0, 1.0, self.s, self.r)
+        return Exponents(self.incidence.p, self.incidence.q, self.s, self.r)
 
     @property
     def has_mortality(self) -> bool:

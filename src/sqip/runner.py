@@ -45,7 +45,7 @@ def _spectral_applicable(config: ScenarioConfig) -> bool:
     """The linearized threshold theory covers the conserved-mass case
     with an incidence linear in the infected density."""
     model = config.model
-    return model.mu.upper == 0 and model.incidence.core_exponents[1] == 1.0
+    return not model.has_mortality and model.exponents.p == 1.0
 
 
 def compute_spectral(config: ScenarioConfig) -> spectral.SpectralResult:

@@ -160,7 +160,7 @@ class Stepper:
         e = model.exponents
         self._removal = None if e.is_si_specialization else (e.s, e.r)
         self._sigma = model.sigma_sup
-        self._cap_power = sum(model.incidence.core_exponents)
+        self._cap_power = e.p + e.q
 
     def _coeff(self, name: str, t: float) -> np.ndarray:
         if name in self._const:

@@ -69,7 +69,7 @@ class LinearizedProblem:
             d_I=model.d_I,
             beta=model.beta,
             gamma=model.gamma,
-            q=model.incidence.core_exponents[0],
+            q=model.exponents.q,
             mean_density=total_mass / domain.measure,
             omega=omega,
             domain=domain,

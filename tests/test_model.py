@@ -249,8 +249,7 @@ def test_non_finite_coefficient_refused(make):
 def test_diffusivities_must_be_finite(d_S, d_I):
     flat = CoefficientField.constant(1.0)
     with pytest.raises(ConfigError, match="finite and positive"):
-        ModelSpec(exponents=Exponents(p=1.0, q=1.0), beta=flat, gamma=flat,
-                  mu=flat, d_S=d_S, d_I=d_I,
+        ModelSpec(beta=flat, gamma=flat, mu=flat, d_S=d_S, d_I=d_I,
                   incidence=Incidence("power", q=1.0, p=1.0))
 
 
@@ -258,7 +257,7 @@ def test_diffusivities_must_be_finite(d_S, d_I):
 
 def _model(p=1.0, q=1.0, beta=1.0, gamma=1.0, mu=0.0, **kw):
     return ModelSpec(
-        exponents=Exponents(p=p, q=q, **kw),
+        **kw,
         beta=CoefficientField.constant(beta),
         gamma=CoefficientField.constant(gamma),
         mu=CoefficientField.constant(mu),
@@ -323,7 +322,6 @@ def test_assumptions_periodicity_checked():
     dom = Domain((1.0,), (16,))
     state = SystemState(np.full(16, 1.0), np.full(16, 0.5), 0.0)
     model = ModelSpec(
-        exponents=Exponents(p=1, q=1),
         beta=CoefficientField.cosine_modulated(1.0, time_amp=0.5, period=2.0),
         gamma=CoefficientField.constant(1.0),
         mu=CoefficientField.constant(0.0),
@@ -340,7 +338,7 @@ def test_assumptions_periodicity_defect_found_in_2d():
                                              space_amp=0.5, length=1.0)
     lying = CoefficientField(true.lower, true.upper, 1.5, true.evaluator)
     model = ModelSpec(
-        exponents=Exponents(p=1, q=1), beta=lying,
+        beta=lying,
         gamma=CoefficientField.constant(1.0),
         mu=CoefficientField.constant(0.0),
         d_S=1.0, d_I=1.0, incidence=Incidence("power", q=1, p=1))
@@ -353,7 +351,7 @@ def test_assumptions_dual_floor_flagged():
     dom = Domain((1.0,), (16,))
     state = SystemState(np.full(16, 1.0), np.full(16, 0.5), 0.0)
     model = ModelSpec(
-        exponents=Exponents(p=1, q=1, s=2, r=2),  # H1-iii, dual regime
+        s=2, r=2,  # H1-iii, dual regime
         beta=CoefficientField.constant(1.0),
         gamma=CoefficientField.constant(0.0),
         mu=CoefficientField.constant(0.0),
@@ -369,7 +367,7 @@ def _pin_cases():
     ones = np.full(16, 1.0)
     # H1-iv (s = q, p < r) with q < 1 and p < 1: every conditional row
     # applies, and A3' is the dual regime's removal floor.
-    dual = dict(exponents=Exponents(p=0.5, q=0.5, s=0.5, r=1.0), d_S=1.0,
+    dual = dict(s=0.5, r=1.0, d_S=1.0,
                 d_I=1.0, incidence=Incidence("power", q=0.5, p=0.5))
     # mu's table is exactly periodic at the dyadic check times, so the
     # A6 detail does not hang on the last bits of a cosine.

@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dpbtrs
 
 from sqip.errors import AssumptionError, NumericsError, StiffnessError
 from sqip.grid import Domain, _stiffness_banded, integrate
-from sqip.model import CoefficientField, Exponents, Incidence, ModelSpec
+from sqip.model import CoefficientField, Incidence, ModelSpec
 from sqip.presets import preset_config
 from sqip.solver import SolverSettings, Stepper, SystemState, run
 
@@ -16,7 +16,7 @@ from sqip.solver import SolverSettings, Stepper, SystemState, run
 def make_model(p=1.0, q=1.0, s=0.0, r=1.0, beta=1.0, gamma=1.0, mu=0.0,
                d_S=1.0, d_I=1.0):
     return ModelSpec(
-        exponents=Exponents(p=p, q=q, s=s, r=r),
+        s=s, r=r,
         beta=CoefficientField.constant(beta),
         gamma=CoefficientField.constant(gamma),
         mu=CoefficientField.constant(mu),
@@ -62,7 +62,6 @@ def test_reaction_broadcasts_a_2d_sample_to_the_same_bits():
     # broadcasting in the arithmetic gives what full (nx, ny) fields give
     dom = Domain((1.0, 1.5), (12, 10))
     model = ModelSpec(
-        exponents=Exponents(p=1.0, q=1.0),
         beta=CoefficientField.cosine_modulated(2.0, space_amp=0.9, length=1.0),
         gamma=CoefficientField.cosine_modulated(
             1.0, time_amp=0.5, period=1.0, space_amp=0.3, length=1.0),
@@ -128,7 +127,7 @@ def test_step_matches_the_plain_algebra_bit_for_bit(cells, pq, sr, periodic,
     dom = Domain(lengths, cells)
     (p, q), (s, r) = pq, sr
     model = ModelSpec(
-        exponents=Exponents(p=p, q=q, s=s, r=r),
+        s=s, r=r,
         beta=_coefficient(1.5, periodic[0], lengths[0]),
         gamma=_coefficient(0.6, periodic[1], lengths[0]),
         mu=_coefficient(0.3, periodic[2], lengths[0]),
