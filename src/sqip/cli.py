@@ -14,6 +14,7 @@ Exit code is 0 exactly when no operation reported an error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import ode, runner
@@ -65,10 +66,9 @@ def _run_ode_preset(name: str, out_dir) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out_dir:
-        import os
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "summary.txt"), "w",
-                  encoding="utf-8") as fh:
+                  encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     return 0
 

@@ -28,8 +28,8 @@ import numpy as np
 from .diagnostics import Tolerances
 from .errors import ConfigError
 from .grid import Domain, integrate
-from .model import (CoefficientField, Incidence, ModelSpec,
-                    read_coefficient_table)
+from .model import (INCIDENCE_VARIANTS, CoefficientField, Incidence,
+                    ModelSpec, read_coefficient_table)
 from .solver import EVENT_SNAP, SolverSettings
 
 # Schema: section -> key -> (type tag, default string or None = mandatory).
@@ -54,7 +54,7 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "mu_x_amp": ("float", "0.0"),
         "mu_table": ("str", ""),
         "omega": ("float-or-none", "none"),
-        "incidence": ("choice:power|binomial|saturated|media", "power"),
+        "incidence": ("choice:" + "|".join(INCIDENCE_VARIANTS), "power"),
         "k": ("float", "1.0"),
         "ell": ("float", "0.0"),
     },
@@ -344,7 +344,11 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
     missing = [full for full in ("domain.L", "domain.n") if values[full] is None]
     if missing:
         raise ConfigError(f"missing mandatory domain keys: {missing}")
-    domain = Domain(values["domain.L"], values["domain.n"])
+    try:
+        domain = Domain(values["domain.L"], values["domain.n"])
+    except ConfigError as exc:
+        raise ConfigError(f"domain.L and domain.n: {exc}", lines.get(
+            "domain.L", lines.get("domain.n"))) from None
     length = domain.lengths[0]  # coefficients vary along x only
 
     omega = values["model.omega"]
@@ -369,6 +373,12 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
         incidence=incidence,
         s=values["model.s"], r=values["model.r"],
     )
+    for which in ("beta", "gamma", "mu"):
+        period = getattr(model, which).period
+        if omega is not None and period not in (None, omega):
+            raise ConfigError(f"model.omega = {omega} differs from the period "
+                              f"{period} of model.{which}_table",
+                              lines.get("model.omega"))
 
     t_end = values["solver.t_end"]
     cadence = values["solver.cadence"]

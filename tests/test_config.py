@@ -4,6 +4,7 @@ rule for config, preset, override and sweep text."""
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sqip.cli import main as cli_main
@@ -12,6 +13,8 @@ from sqip.errors import ConfigError
 from sqip.grid import Domain
 from sqip.presets import PDE_PRESETS, preset_config
 from sqip.runner import parse_sweep
+
+from conftest import write_coefficient_table
 
 LAYER = {"solver.t_end": "3.0", "model.beta": "1.5",
          "initial.I": "constant(0.2)", "detect.window": "0.3"}
@@ -70,7 +73,8 @@ def test_override_items_are_read_as_config_lines(capsys):
 
 @pytest.mark.parametrize("key, value, variant", [
     ("model.k", "5", "power"), ("model.k", "5", "saturated"),
-    ("model.ell", "3", "power"), ("model.ell", "3", "binomial")])
+    ("model.ell", "3", "power"), ("model.ell", "3", "binomial"),
+    ("model.p", "0.5", "binomial"), ("model.q", "2", "binomial")])
 def test_unread_incidence_parameter_is_refused(key, value, variant):
     with pytest.raises(ConfigError, match=re.escape(key)):
         preset_config("thm-2.11-persist",
@@ -87,7 +91,8 @@ def test_unread_incidence_parameter_is_refused(key, value, variant):
     {"model.k": "5", "model.incidence": "binomial"},
     {"model.ell": "3", "model.incidence": "saturated"},
     {"model.ell": "3", "model.incidence": "media"},
-    {"model.k": "1.0", "model.ell": "0"}])
+    {"model.k": "1.0", "model.ell": "0"},
+    {"model.p": "1.0", "model.incidence": "binomial"}])
 def test_read_or_default_incidence_parameter_is_accepted(pairs):
     preset_config("thm-2.11-persist", pairs)
 
@@ -195,6 +200,34 @@ def test_domain_keys_take_one_value_per_axis(L, n, lengths, cells):
 def test_a_bad_domain_is_refused(domain):
     with pytest.raises(ConfigError):
         parse_config(f"[domain]\n{domain}\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[domain]\nL = 1 1\nn = 48\n", 2),
+    ("[domain]\nL = 1 1 1\nn = 4 4 4\n", 2),
+    ("[domain]\nL = nan\nn = 16\n", 2),
+    ("preset = thm-2.11-persist\n[domain]\nn = 2\n", 3)],
+    ids=["count-mismatch", "three-axes", "nan-length", "too-few-cells"])
+def test_a_domain_that_does_not_fit_names_its_keys_and_line(text, line):
+    with pytest.raises(ConfigError, match="domain.L and domain.n") as err:
+        parse_config(text)
+    assert err.value.line == line
+
+
+def test_omega_must_match_a_tabulated_period(tmp_path):
+    # beta = 2 (1 + 0.5 sin(pi t)) has period 2, and its table says so
+    t_nodes = np.linspace(0.0, 2.0, 33)
+    table = np.tile(2.0 * (1 + 0.5 * np.sin(np.pi * t_nodes)), (2, 1))
+    path = tmp_path / "beta.txt"
+    write_coefficient_table(path, table, omega=2.0)
+    text = (f"[domain]\nL = 1\nn = 16\n[model]\nbeta_table = {path}\n"
+            "omega = {}\n")
+    with pytest.raises(ConfigError, match="differs from the period 2.0 "
+                       "of model.beta_table") as err:
+        parse_config(text.format("1.0"))
+    assert err.value.line == 6
+    for omega in ("2", "none"):
+        assert parse_config(text.format(omega)).model.beta.period == 2.0
 
 
 def test_the_two_dim_variant_is_two_domain_pairs():

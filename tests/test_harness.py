@@ -14,7 +14,7 @@ from sqip.errors import ConfigError
 from sqip.grid import Domain, integrate
 from sqip.presets import (ODE_PRESETS, PDE_PRESETS, PRESET_NAMES,
                           preset_config, preset_kind)
-from sqip.model import validate_assumptions
+from sqip.model import classify_exponents, validate_assumptions
 from sqip.runner import (ODE_SWEEP_HEADER, SweepSpec, ode_sweep_csv,
                          parse_sweep, run_scenario, run_sweep, si_sweep_rows,
                          sis_sweep_rows)
@@ -146,6 +146,26 @@ def test_run_scenario_byte_identical(tmp_path):
     run_scenario(cfg, out_dir=b)
     assert (a / "diagnostics.csv").read_bytes() == (b / "diagnostics.csv").read_bytes()
     assert (a / "summary.txt").read_bytes() == (b / "summary.txt").read_bytes()
+
+
+@pytest.mark.parametrize("kernel", [
+    {"model.incidence": "binomial", "model.k": "2"},
+    {"model.incidence": "saturated", "model.ell": "1"},
+    {"model.incidence": "media", "model.ell": "1"}],
+    ids=["binomial", "saturated", "media"])
+def test_incidence_kernel_runs_conserving_and_reproducible(tmp_path, kernel):
+    cfg = preset_config("thm-2.11-persist", {**kernel, "solver.t_end": "2"})
+    result = run_scenario(cfg, out_dir=tmp_path / "a")
+    run_scenario(cfg, out_dir=tmp_path / "b")
+    mass = result.trajectory.mass
+    assert np.abs(mass - mass[0]).max() <= 1e-11 * mass[0]
+    regime = classify_exponents(cfg.model.exponents).label
+    assert f"regime={regime}" in result.summary.splitlines()
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
 
 
 def test_mortality_preset_skips_spectral(tmp_path):

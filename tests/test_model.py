@@ -139,6 +139,18 @@ def test_exponents_validation():
     assert not Exponents(p=1, q=1, s=1, r=1).is_si_specialization
 
 
+def test_model_exponents_come_from_the_kernel():
+    flat = CoefficientField.constant(1.0)
+    common = dict(beta=flat, gamma=flat, mu=flat, d_S=1.0, d_I=1.0)
+    binomial = ModelSpec(incidence=Incidence("binomial", k=2), **common)
+    assert binomial.exponents == Exponents(1, 1)
+    saturated = ModelSpec(incidence=Incidence("saturated", q=2, p=0.5, ell=1),
+                          s=1, r=2, **common)
+    assert saturated.exponents == Exponents(p=0.5, q=2, s=1, r=2)
+    with pytest.raises(DomainError):
+        ModelSpec(incidence=Incidence("power"), s=-0.1, **common)
+
+
 # ------------------------------------------------------------- coefficients
 
 def test_constant_field():
