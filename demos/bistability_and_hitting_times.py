@@ -10,8 +10,6 @@ Two stories told by the well-mixed models:
      integrator's measured clamp time.
 """
 
-import numpy as np
-
 from sqip.ode import (SiOdeParams, SisOdeParams, extinction_time_bound,
                       n_star, rk4_integrate, si_classify, sis_classify,
                       sis_steady_states)
@@ -27,7 +25,7 @@ def fold_structure():
         states = sis_steady_states(params)
         labels = [f"(S={st.S:.4f}, I={st.I:.4f}; {'/'.join(st.stability)})"
                   for st in states.all_states]
-        print(f"gamma = {gamma:.4f}: {states.n_interior} interior state(s)")
+        print(f"gamma = {gamma:.4f}: {len(states.interior)} interior state(s)")
         for lab in labels:
             print(f"    {lab}")
 
@@ -51,7 +49,7 @@ def hitting_time():
     outcome = si_classify(params)
     bound = extinction_time_bound(params)
     traj = rk4_integrate("si", params, t_end=2.0, dt=1e-3)
-    t_clamp = traj.clamp_events[0][0] if traj.clamp_events else np.nan
+    t_clamp = traj.clamp_time
     print(f"prediction: {outcome.kind}")
     print(f"closed-form upper bound on the hitting time: {bound:.6f}")
     print(f"measured hitting time of the integrator:     {t_clamp:.6f}")

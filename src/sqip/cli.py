@@ -14,6 +14,7 @@ Exit code is 0 exactly when no operation reported an error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -60,8 +61,8 @@ def _run_ode_preset(name: str, out_dir) -> int:
     else:
         lines.append(f"predicted_limit=({outcome.limit_S:.10g},"
                      f"{outcome.limit_I:.10g})")
-    if traj.clamp_events:
-        lines.append(f"first_clamp_time={traj.clamp_events[0][0]:.10g}")
+    if not math.isnan(traj.clamp_time):
+        lines.append(f"first_clamp_time={traj.clamp_time:.10g}")
     lines.append(f"terminal=({traj.terminal[0]:.10g},{traj.terminal[1]:.10g})")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)

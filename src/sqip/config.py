@@ -28,7 +28,7 @@ import numpy as np
 from .diagnostics import Tolerances
 from .errors import ConfigError
 from .grid import Domain, integrate
-from .model import (INCIDENCE_VARIANTS, CoefficientField, Incidence,
+from .model import (INCIDENCE_PARAMS, CoefficientField, Incidence,
                     ModelSpec, read_coefficient_table)
 from .solver import EVENT_SNAP, SolverSettings
 
@@ -54,7 +54,7 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "mu_x_amp": ("float", "0.0"),
         "mu_table": ("str", ""),
         "omega": ("float-or-none", "none"),
-        "incidence": ("choice:" + "|".join(INCIDENCE_VARIANTS), "power"),
+        "incidence": ("choice:" + "|".join(INCIDENCE_PARAMS), "power"),
         "k": ("float", "1.0"),
         "ell": ("float", "0.0"),
     },
@@ -272,7 +272,6 @@ class ScenarioConfig:
     snapshot_times: tuple[float, ...]
     solver: SolverSettings
     detect: Tolerances
-    omega: float | None
     allow_degenerate_initial: bool
     resolved: tuple[tuple[str, str], ...]  # every key, defaults included
 
@@ -281,12 +280,14 @@ class ScenarioConfig:
             raise ConfigError("solver.t_end must be positive")
         if not self.cadence > 0:
             raise ConfigError("diagnostics cadence must be positive")
-        if self.omega is not None and not 0 < self.omega < math.inf:
-            raise ConfigError(
-                f"model.omega must be finite and positive, got {self.omega}")
         for ts in self.snapshot_times:
             if ts < 0 or ts > self.t_end + EVENT_SNAP:
                 raise ConfigError(f"snapshot time {ts} outside [0, t_end]")
+
+    @property
+    def omega(self) -> float | None:
+        """The forcing period: ``model.period``."""
+        return self.model.period
 
     def initial_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.initial_S.build(self.domain), self.initial_I.build(self.domain)
@@ -352,12 +353,14 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
     length = domain.lengths[0]  # coefficients vary along x only
 
     omega = values["model.omega"]
+    if omega is not None and not 0 < omega < math.inf:
+        raise ConfigError(f"model.omega must be finite and positive, got {omega}",
+                          lines.get("model.omega"))
     variant = values["model.incidence"]
-    powered = ("power", "saturated", "media")
-    for key, readers in (("p", powered), ("q", powered), ("k", ("binomial",)),
-                         ("ell", ("saturated", "media"))):
+    for key in ("p", "q", "k", "ell"):
         full = f"model.{key}"
-        if variant not in readers and values[full] != float(SCHEMA["model"][key][1]):
+        if (key not in INCIDENCE_PARAMS[variant]
+                and values[full] != float(SCHEMA["model"][key][1])):
             raise ConfigError(f"{full} is not read by incidence = {variant}",
                               lines.get(full))
     incidence = Incidence(variant, q=values["model.q"],
@@ -373,12 +376,10 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
         incidence=incidence,
         s=values["model.s"], r=values["model.r"],
     )
-    for which in ("beta", "gamma", "mu"):
-        period = getattr(model, which).period
-        if omega is not None and period not in (None, omega):
-            raise ConfigError(f"model.omega = {omega} differs from the period "
-                              f"{period} of model.{which}_table",
-                              lines.get("model.omega"))
+    if omega not in (None, model.period):
+        raise ConfigError(f"model.omega = {omega} is not the period of the "
+                          f"coefficients ({model.period or 'none varies in time'})",
+                          lines.get("model.omega"))
 
     t_end = values["solver.t_end"]
     cadence = values["solver.cadence"]
@@ -388,10 +389,11 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
     snapshot_times = list(values["solver.snapshots"])
     n_periodic = values["solver.periodic_snapshots"]
     if n_periodic:
-        if omega is None:
-            raise ConfigError("periodic_snapshots requires model.omega")
+        if model.period is None:
+            raise ConfigError("solver.periodic_snapshots needs a time-varying "
+                              "coefficient", lines.get("solver.periodic_snapshots"))
         for k in range(n_periodic + 1):
-            ts = t_end - k * omega
+            ts = t_end - k * model.period
             if ts < -1e-9:
                 break
             snapshot_times.append(max(ts, 0.0))
@@ -424,7 +426,6 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
         snapshot_times=snapshot_times,
         solver=settings,
         detect=detect,
-        omega=omega,
         allow_degenerate_initial=values["solver.allow_degenerate_initial"],
         resolved=tuple(resolved),
     )

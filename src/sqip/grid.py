@@ -105,7 +105,6 @@ class DiffusionSolver:
     """
 
     def __init__(self, domain: Domain):
-        self.domain = domain
         self._stiffness = [_stiffness_banded(n, h)
                            for n, h in zip(domain.cells, domain.spacing)]
         self._factors: dict[float, list[tuple[np.ndarray, bool]]] = {}
@@ -129,8 +128,6 @@ class DiffusionSolver:
         into the result, and callers that need finite output check it
         there (:meth:`sqip.solver.Stepper.step` does).
         """
-        if c == 0.0:
-            return rhs.copy()
         out = rhs
         for factor, swap in self._factors.get(c) or self._axis_factors(c):
             out, info = dpbtrs(factor, out.T if swap else out)

@@ -12,7 +12,7 @@ outside it). The susceptible-infected specialization has s = 0, r = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -109,7 +109,9 @@ def classify_exponents(e: Exponents) -> RegimeReport:
 # Incidence kernels
 # --------------------------------------------------------------------------
 
-INCIDENCE_VARIANTS = ("power", "binomial", "saturated", "media")
+# Variant -> the kernel parameters it reads; the rest keep valid defaults.
+INCIDENCE_PARAMS = {"power": ("q", "p"), "binomial": ("k",),
+                    "saturated": ("q", "p", "ell"), "media": ("q", "p", "ell")}
 
 
 @dataclass(frozen=True)
@@ -130,16 +132,19 @@ class Incidence:
     ell: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in INCIDENCE_VARIANTS:
+        reads = INCIDENCE_PARAMS.get(self.variant)
+        if reads is None:
             raise ConfigError(f"unknown incidence variant {self.variant!r}")
-        if self.variant == "binomial":
-            if self.k < 0:
-                raise DomainError("binomial incidence needs k >= 0")
-        else:
-            if not (self.q > 0 and self.p > 0):
-                raise DomainError("incidence exponents must be positive")
-            if self.ell < 0:
-                raise DomainError("saturation exponent ell must be nonnegative")
+        for f in fields(self)[1:]:
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigError(
+                    f"{f.name} is not read by incidence = {self.variant}")
+        if self.k < 0:
+            raise DomainError("binomial incidence needs k >= 0")
+        if not (self.q > 0 and self.p > 0):
+            raise DomainError("incidence exponents must be positive")
+        if self.ell < 0:
+            raise DomainError("saturation exponent ell must be nonnegative")
 
     def kernel(self, S, I):
         """Vectorized kernel value; inputs are assumed nonnegative.
@@ -322,7 +327,7 @@ def read_coefficient_table(path, length: float) -> CoefficientField:
 @dataclass(frozen=True)
 class ModelSpec:
     """Complete reaction-diffusion model description; the incidence
-    kernel is the only home of (p, q)."""
+    kernel is the only home of (p, q), and ``period`` the only period."""
 
     beta: CoefficientField
     gamma: CoefficientField
@@ -338,6 +343,15 @@ class ModelSpec:
             raise ConfigError("diffusivities must be finite and positive, "
                               f"got dS={self.d_S}, dI={self.d_I}")
         self.exponents  # Exponents refuses a negative s or r
+        self.period  # refuses coefficients whose periods differ
+
+    @property
+    def period(self) -> float | None:
+        """The common period of beta, gamma and mu; None if none varies in t."""
+        periods = {c.period for c in (self.beta, self.gamma, self.mu)} - {None}
+        if len(periods) > 1:
+            raise ConfigError(f"coefficient periods {sorted(periods)} differ")
+        return min(periods, default=None)
 
     @property
     def exponents(self) -> Exponents:
@@ -407,7 +421,7 @@ class AssumptionReport:
 
 
 # Time scan of the coefficient checks: this many samples over
-# [0, max(ASSUMPTION_HORIZON, twice every declared period)].
+# [0, max(ASSUMPTION_HORIZON, twice the model's period)].
 ASSUMPTION_HORIZON = 10.0
 ASSUMPTION_TIME_SAMPLES = 33
 
@@ -424,8 +438,8 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
     S0 = np.asarray(initial.S, dtype=float)
     I0 = np.asarray(initial.I, dtype=float)
     coeffs = {"beta": spec.beta, "gamma": spec.gamma, "mu": spec.mu}
-    periods = sorted({c.period for c in coeffs.values() if c.period})
-    horizon = max([ASSUMPTION_HORIZON] + [2.0 * w for w in periods])
+    omega = spec.period
+    horizon = max(ASSUMPTION_HORIZON, 2.0 * (omega or 0.0))
     t_values = np.linspace(0.0, horizon, ASSUMPTION_TIME_SAMPLES)
     samples = {name: c.sample(domain, t_values) for name, c in coeffs.items()}
 
@@ -445,9 +459,6 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
         return on_fail(not bad, f"bounds violated for {', '.join(bad)}")
 
     def periodicity():
-        if len(periods) > 1:
-            return False, f"conflicting periods {periods}"
-        omega = periods[0]
         t_check = np.linspace(0.0, omega, 17)
         worst = 0.0
         for c in coeffs.values():
@@ -471,7 +482,7 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
             "S0 touches zero" if S0.min() <= 0 else "gamma has no positive floor")),
         (A4III, spec.exponents.p < 1, lambda: on_fail(I0.min() > 0, "I0 touches zero")),
         (A5, spec.has_mortality, lambda: floor("mu", samples["mu"], spec.mu.lower)),
-        (A6, bool(periods), periodicity),
+        (A6, omega is not None, periodicity),
         (A3P, spec.regime().needs_dual_floor, lambda: floor(
             "gamma+mu", samples["gamma"] + samples["mu"],
             spec.gamma.lower + spec.mu.lower)),

@@ -99,10 +99,6 @@ class SteadyStateSet:
     bistability_threshold: float | None  # beta * N* for p > 1, else None
 
     @property
-    def n_interior(self) -> int:
-        return len(self.interior)
-
-    @property
     def all_states(self) -> tuple[SteadyState, ...]:
         return self.interior + (self.boundary,)
 
@@ -342,8 +338,7 @@ SYSTEMS = ("si", "sis")
 class OdeTrajectory:
     t: np.ndarray
     y: np.ndarray  # shape (len(t), n_components)
-    clamp_events: tuple[tuple[float, int], ...]
-    conservation_drift: float | None = None
+    clamp_time: float  # first S-clamp time, nan if none
 
     @property
     def terminal(self) -> np.ndarray:
@@ -429,12 +424,8 @@ def rk4_integrate(system: str, params, t_end: float, dt: float,
         ts.append(t)
         ys.append(y)
 
-    ys = np.array(ys)
-    return OdeTrajectory(
-        t=np.array(ts), y=ys,
-        clamp_events=() if np.isnan(clamp_time) else ((float(clamp_time), 0),),
-        conservation_drift=(float(np.abs(ys.sum(axis=1) - total).max())
-                            if system == "sis" else None))
+    return OdeTrajectory(t=np.array(ts), y=np.array(ys),
+                         clamp_time=float(clamp_time))
 
 
 @dataclass

@@ -34,24 +34,29 @@ SWEEP_T_MAX = 600.0
 
 @dataclass
 class RunResult:
-    config: ScenarioConfig
     trajectory: Trajectory
     outcome: diagnostics.OutcomeReport
     spectral: spectral.SpectralResult | None
     summary: str
 
 
-def _spectral_applicable(config: ScenarioConfig) -> bool:
-    """The linearized threshold theory covers the conserved-mass case
-    with an incidence linear in the infected density."""
+def _spectral_gaps(config: ScenarioConfig) -> list[str]:
+    """Conditions of the linearized threshold theory (mu = 0: conserved
+    mass; p = 1: incidence linear in I) that the model fails."""
     model = config.model
-    return not model.has_mortality and model.exponents.p == 1.0
+    p = model.exponents.p
+    return [gap for gap, fails in (("mu > 0", model.has_mortality),
+                                   (f"p = {p:g} != 1", p != 1.0)) if fails]
 
 
 def compute_spectral(config: ScenarioConfig) -> spectral.SpectralResult:
+    """lambda0 and R0; a ConfigError names each failed theory condition."""
+    gaps = _spectral_gaps(config)
+    if gaps:
+        raise ConfigError(
+            f"R0 needs mu = 0 and p = 1; this model has {', '.join(gaps)}")
     problem = spectral.LinearizedProblem.from_model(
-        config.model, config.domain, config.total_mass(),
-        omega=config.omega)
+        config.model, config.domain, config.total_mass())
     return spectral.r0(problem)
 
 
@@ -120,7 +125,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunResult:
     traj = solver.run(config)
     outcome = diagnostics.classify_longtime(traj, config.detect,
                                             omega=config.omega)
-    spec_result = compute_spectral(config) if _spectral_applicable(config) else None
+    spec_result = None if _spectral_gaps(config) else compute_spectral(config)
     summary = summarize(config, traj, outcome, spec_result)
 
     if out_dir is not None:
@@ -132,7 +137,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunResult:
         with open(os.path.join(out_dir, "summary.txt"), "w",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(summary)
-    return RunResult(config, traj, outcome, spec_result, summary)
+    return RunResult(traj, outcome, spec_result, summary)
 
 
 # --------------------------------------------------------------------------

@@ -116,10 +116,6 @@ class Trajectory:
     assumptions: object | None = None
 
     @property
-    def times(self) -> np.ndarray:
-        return self.rows["t"]
-
-    @property
     def mass(self) -> np.ndarray:
         return self.rows["mass_S"] + self.rows["mass_I"]
 
@@ -394,7 +390,6 @@ class LinearPropagator:
     def __init__(self, domain: Domain, diffusivity: float, growth: np.ndarray):
         if diffusivity <= 0:
             raise ConfigError("diffusivity must be positive")
-        self.domain = domain
         self.diffusivity = diffusivity
         self.growth = growth
         self.diffusion = DiffusionSolver(domain)

@@ -60,18 +60,17 @@ class LinearizedProblem:
             raise ConfigError(f"d_I must be finite and positive, got {self.d_I}")
 
     @classmethod
-    def from_model(cls, model: ModelSpec, domain: Domain, total_mass: float,
-                   omega: float | None = None) -> "LinearizedProblem":
-        """Linearize a model at the flat disease-free state of given mass."""
-        if omega is None:
-            omega = model.beta.period or model.gamma.period or 1.0
+    def from_model(cls, model: ModelSpec, domain: Domain,
+                   total_mass: float) -> "LinearizedProblem":
+        """Linearize a model at the flat disease-free state of given mass,
+        over the model's period (1 for an autonomous model)."""
         return cls(
             d_I=model.d_I,
             beta=model.beta,
             gamma=model.gamma,
             q=model.exponents.q,
             mean_density=total_mass / domain.measure,
-            omega=omega,
+            omega=model.period or 1.0,
             domain=domain,
         )
 

@@ -184,8 +184,7 @@ def test_criterion_09_ode_oracle_agreement():
     # finite-time loss of susceptibles, measured against the closed bound
     si = SiOdeParams(beta=1, mu=1, p=1, q=0.5, S0=1, I0=4)
     traj = rk4_integrate("si", si, t_end=2.0, dt=1e-3)
-    assert traj.clamp_events
-    assert traj.clamp_events[0][0] <= math.log(2.0) + 0.01
+    assert traj.clamp_time <= math.log(2.0) + 0.01
 
     wall = time.perf_counter() - start
     assert wall <= 60.0

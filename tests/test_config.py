@@ -160,8 +160,9 @@ def test_an_ode_preset_is_refused_as_a_config_layer():
     ("dI = inf", "diffusivities must be finite and positive"),
     ("beta = nan", "need 0 <= lower <= upper < inf"),
     ("beta_table = table.txt", "need 0 <= lower <= upper < inf"),
-    ("omega = nan", "model.omega must be finite and positive"),
-    ("omega = inf\nbeta_t_amp = 0.5", "period must be finite and positive")],
+    ("omega = nan", "line 5: model.omega must be finite and positive"),
+    ("omega = inf\nbeta_t_amp = 0.5",
+     "line 5: model.omega must be finite and positive")],
     ids=["dS-nan", "dI-inf", "beta-nan", "table-nan", "omega-nan",
          "omega-inf-modulated"])
 def test_cli_refuses_a_non_finite_model_input(tmp_path, capsys, monkeypatch,
@@ -222,12 +223,32 @@ def test_omega_must_match_a_tabulated_period(tmp_path):
     write_coefficient_table(path, table, omega=2.0)
     text = (f"[domain]\nL = 1\nn = 16\n[model]\nbeta_table = {path}\n"
             "omega = {}\n")
-    with pytest.raises(ConfigError, match="differs from the period 2.0 "
-                       "of model.beta_table") as err:
+    with pytest.raises(ConfigError, match=re.escape(
+            "model.omega = 1.0 is not the period of the coefficients (2.0)")
+            ) as err:
         parse_config(text.format("1.0"))
     assert err.value.line == 6
     for omega in ("2", "none"):
         assert parse_config(text.format(omega)).model.beta.period == 2.0
+
+
+def test_omega_without_a_time_varying_coefficient_is_refused():
+    with pytest.raises(ConfigError, match="none varies in time") as err:
+        parse_config("[domain]\nL = 1\nn = 16\n[model]\nomega = 1\n")
+    assert err.value.line == 5
+
+
+def test_coefficient_tables_with_different_periods_are_refused(tmp_path, capsys):
+    for name, period in (("beta", 1.0), ("gamma", 2.0)):
+        t_nodes = np.linspace(0.0, period, 17)
+        table = np.tile(1 + 0.5 * np.sin(2 * np.pi * t_nodes / period), (2, 1))
+        write_coefficient_table(tmp_path / f"{name}.txt", table, omega=period)
+    cfg = tmp_path / "two-tables.cfg"
+    cfg.write_text(f"preset = thm-2.11-periodic\n[model]\nbeta_t_amp = 0\n"
+                   f"omega = none\nbeta_table = {tmp_path / 'beta.txt'}\n"
+                   f"gamma_table = {tmp_path / 'gamma.txt'}\n")
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "coefficient periods [1.0, 2.0] differ" in capsys.readouterr().err
 
 
 def test_the_two_dim_variant_is_two_domain_pairs():

@@ -330,6 +330,19 @@ def test_cli_preset_and_r0(tmp_path, capsys):
         "lambda0", "rho", "r0", "iterations", "residual"]
 
 
+@pytest.mark.parametrize("preset, condition", [
+    ("thm-2.10-i", "has mu > 0\n"), ("thm-2.10-ii", "has mu > 0, p = 0.5 != 1\n"),
+    ("sis-bistable", "has p = 2 != 1\n")])
+def test_cli_r0_refuses_a_model_outside_the_theory(tmp_path, capsys, preset,
+                                                   condition):
+    cfg_file = tmp_path / "scenario.cfg"
+    cfg_file.write_text(f"preset = {preset}\n")
+    assert cli_main(["r0", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert condition in captured.err
+
+
 def test_cli_ode_classify(capsys):
     code = cli_main(["ode", "classify", "si", "--p", "1", "--q", "0.5",
                      "--beta", "1", "--mu", "1", "--S0", "1", "--I0", "4"])
@@ -399,6 +412,24 @@ def test_tabulated_coefficient_drives_a_run(tmp_path):
     assert "fail" not in [i.status for i in traj.assumptions.items]
     mass = traj.mass
     assert abs(mass[-1] - mass[0]) <= 1e-10 * mass[0]
+
+
+def test_a_table_alone_sets_the_period(tmp_path):
+    from conftest import write_coefficient_table
+
+    # beta = 2 (1 + 0.5 sin 2 pi t), period 1 from the table header only
+    t_nodes = np.linspace(0, 1, 33)
+    table = np.tile(2.0 * (1 + 0.5 * np.sin(2 * np.pi * t_nodes)), (2, 1))
+    beta_path = tmp_path / "beta.txt"
+    write_coefficient_table(beta_path, table, omega=1.0)
+    cfg = preset_config("thm-2.11-periodic", {
+        "model.beta_table": str(beta_path), "model.beta_t_amp": "0.0",
+        "model.omega": "none"})
+    assert cfg.omega == 1.0
+    assert cfg.snapshot_times == tuple(52.0 + k for k in range(9))
+    result = run_scenario(cfg)
+    assert result.outcome.label == "PeriodicCandidate"
+    assert result.outcome.period_residual < 1e-4
 
 
 def test_tabulated_initial_data(tmp_path):

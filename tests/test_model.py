@@ -139,6 +139,15 @@ def test_exponents_validation():
     assert not Exponents(p=1, q=1, s=1, r=1).is_si_specialization
 
 
+@pytest.mark.parametrize("kwargs, unread", [
+    (dict(variant="binomial", q=2, p=0.5, ell=3), "q"),
+    (dict(variant="power", k=7.0), "k")], ids=["binomial", "power"])
+def test_incidence_refuses_a_parameter_its_kernel_never_reads(kwargs, unread):
+    with pytest.raises(ConfigError, match=f"^{unread} is not read by "
+                       f"incidence = {kwargs['variant']}$"):
+        Incidence(**kwargs)
+
+
 def test_model_exponents_come_from_the_kernel():
     flat = CoefficientField.constant(1.0)
     common = dict(beta=flat, gamma=flat, mu=flat, d_S=1.0, d_I=1.0)
@@ -390,12 +399,12 @@ def _pin_cases():
                                       length=1.0, period=1.0),
         **dual)
     # beta dips below its declared floor of 0.1 and gamma rises above
-    # its declared ceiling of 0.5; their periods are 1 and 2, and beta and
-    # mu vanish at x = L.
+    # its declared ceiling of 0.5; gamma declares the period 1 but its
+    # evaluator's true period is 2, and beta and mu vanish at x = L.
     beta = CoefficientField.cosine_modulated(
         1.0, time_amp=0.5, period=1.0, space_amp=1.0, length=1.0)
     too_high = CoefficientField(
-        0.0, 0.5, 2.0,
+        0.0, 0.5, 1.0,
         lambda x, t: np.full_like(x, 1.0 + 0.5 * math.cos(math.pi * t)))
     failing = ModelSpec(
         beta=CoefficientField(0.1, beta.upper, beta.period, beta.evaluator),
@@ -435,7 +444,7 @@ PINNED_LINES = [
      "A4ii-positive-S0-and-recovery-floor: fail (S0 touches zero)",
      "A4iii-positive-I0: fail (I0 touches zero)",
      "A5-mortality-floor: fail (min sampled mu = 0.00241)",
-     "A6-period-consistency: fail (conflicting periods [1.0, 2.0])",
+     "A6-period-consistency: fail (worst periodicity defect 1.00e+00)",
      "A3prime-removal-floor: fail (min sampled gamma+mu = 0.502)"],
 ]
 

@@ -283,11 +283,17 @@ def reference_monodromy(problem, scale=1.0,
     raise AssertionError("reference power iteration did not converge")
 
 
+@pytest.mark.parametrize("omega, period", [("1.0", 1.0), ("0.5", 0.5)])
+def test_from_model_takes_the_model_period(omega, period):
+    cfg = preset_config("thm-2.11-periodic", {"model.omega": omega})
+    problem = LinearizedProblem.from_model(cfg.model, cfg.domain, cfg.total_mass())
+    assert problem.omega == period
+
+
 def _heterogeneous_1d():
     cfg = preset_config("thm-2.11-periodic", {
         "model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": "64"})
-    return LinearizedProblem.from_model(cfg.model, cfg.domain,
-                                        cfg.total_mass(), omega=cfg.omega)
+    return LinearizedProblem.from_model(cfg.model, cfg.domain, cfg.total_mass())
 
 
 def _periodic_2d():
