@@ -438,8 +438,7 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
     S0 = np.asarray(initial.S, dtype=float)
     I0 = np.asarray(initial.I, dtype=float)
     coeffs = {"beta": spec.beta, "gamma": spec.gamma, "mu": spec.mu}
-    omega = spec.period
-    horizon = max(ASSUMPTION_HORIZON, 2.0 * (omega or 0.0))
+    horizon = max(ASSUMPTION_HORIZON, 2.0 * (spec.period or 0.0))
     t_values = np.linspace(0.0, horizon, ASSUMPTION_TIME_SAMPLES)
     samples = {name: c.sample(domain, t_values) for name, c in coeffs.items()}
 
@@ -459,11 +458,11 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
         return on_fail(not bad, f"bounds violated for {', '.join(bad)}")
 
     def periodicity():
-        t_check = np.linspace(0.0, omega, 17)
+        t_check = np.linspace(0.0, spec.period, 17)
         worst = 0.0
         for c in coeffs.values():
             if c.period:
-                later = c.sample(domain, t_check + omega)
+                later = c.sample(domain, t_check + spec.period)
                 for a, b in zip(c.sample(domain, t_check), later):
                     scale = max(1.0, float(np.abs(a).max()))
                     worst = max(worst, float(np.abs(a - b).max()) / scale)
@@ -482,7 +481,7 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
             "S0 touches zero" if S0.min() <= 0 else "gamma has no positive floor")),
         (A4III, spec.exponents.p < 1, lambda: on_fail(I0.min() > 0, "I0 touches zero")),
         (A5, spec.has_mortality, lambda: floor("mu", samples["mu"], spec.mu.lower)),
-        (A6, omega is not None, periodicity),
+        (A6, spec.period is not None, periodicity),
         (A3P, spec.regime().needs_dual_floor, lambda: floor(
             "gamma+mu", samples["gamma"] + samples["mu"],
             spec.gamma.lower + spec.mu.lower)),
