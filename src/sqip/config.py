@@ -277,12 +277,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if not self.t_end > 0:
-            raise ConfigError("solver.t_end must be positive")
+            raise ConfigError("solver.t_end must be positive", key="solver.t_end")
         if not self.cadence > 0:
-            raise ConfigError("diagnostics cadence must be positive")
+            raise ConfigError("diagnostics cadence must be positive",
+                              key="solver.cadence")
         for ts in self.snapshot_times:
             if ts < 0 or ts > self.t_end + EVENT_SNAP:
-                raise ConfigError(f"snapshot time {ts} outside [0, t_end]")
+                raise ConfigError(f"snapshot time {ts} outside [0, t_end]",
+                                  key="solver.snapshots")
 
     @property
     def omega(self) -> float | None:
@@ -307,25 +309,32 @@ class ScenarioConfig:
 
 def _build_coefficient(values: dict, which: str, length: float,
                        omega: float | None) -> CoefficientField:
-    table_path = values[f"model.{which}_table"]
-    if table_path:
-        return read_coefficient_table(table_path, length)
-    return CoefficientField.cosine_modulated(
-        values[f"model.{which}"],
-        time_amp=values[f"model.{which}_t_amp"],
-        period=omega,
-        space_amp=values[f"model.{which}_x_amp"],
-        length=length,
-    )
+    """Coefficient ``which``; a refusal is keyed by the config key at fault."""
+    key = f"model.{which}"
+    table_path = values[f"{key}_table"]
+    try:
+        if table_path:
+            return read_coefficient_table(table_path, length)
+        return CoefficientField.cosine_modulated(
+            values[key],
+            time_amp=values[f"{key}_t_amp"],
+            period=omega,
+            space_amp=values[f"{key}_x_amp"],
+            length=length,
+        )
+    except ConfigError as exc:
+        suffix = "_table" if table_path else {"time_amp": "_t_amp",
+                                              "space_amp": "_x_amp"}.get(exc.key, "")
+        raise ConfigError(str(exc), key=key + suffix) from None
 
 
 def resolve_config(pairs: dict[str, str], name: str = "<config>",
                    preset: str | None = None,
                    lines: dict[str, int] | None = None) -> ScenarioConfig:
     """Validate raw ``section.key`` -> value text pairs, apply defaults,
-    and build the scenario; errors name the line that ``lines`` gives.
-    Every layering (preset, file, overrides) is one dict merge into this
-    function, the only check for unknown keys."""
+    and build the scenario; errors name the refused key and the line that
+    ``lines`` gives. Every layering (preset, file, overrides) is one dict
+    merge into this function, the only check for unknown keys."""
     lines = lines or {}
     for full in pairs:
         section, _, key = full.partition(".")
@@ -352,83 +361,72 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
             "domain.L", lines.get("domain.n"))) from None
     length = domain.lengths[0]  # coefficients vary along x only
 
-    omega = values["model.omega"]
-    if omega is not None and not 0 < omega < math.inf:
-        raise ConfigError(f"model.omega must be finite and positive, got {omega}",
-                          lines.get("model.omega"))
-    variant = values["model.incidence"]
-    for key in ("p", "q", "k", "ell"):
-        full = f"model.{key}"
-        if (key not in INCIDENCE_PARAMS[variant]
-                and values[full] != float(SCHEMA["model"][key][1])):
-            raise ConfigError(f"{full} is not read by incidence = {variant}",
-                              lines.get(full))
-    incidence = Incidence(variant, q=values["model.q"],
-                          p=values["model.p"], k=values["model.k"],
-                          ell=values["model.ell"])
+    try:
+        omega = values["model.omega"]
+        if omega is not None and not 0 < omega < math.inf:
+            raise ConfigError(f"model.omega must be finite and positive, "
+                              f"got {omega}", key="model.omega")
+        model = ModelSpec(
+            beta=_build_coefficient(values, "beta", length, omega),
+            gamma=_build_coefficient(values, "gamma", length, omega),
+            mu=_build_coefficient(values, "mu", length, omega),
+            d_S=values["model.dS"],
+            d_I=values["model.dI"],
+            incidence=Incidence(values["model.incidence"], q=values["model.q"],
+                                p=values["model.p"], k=values["model.k"],
+                                ell=values["model.ell"]),
+            s=values["model.s"], r=values["model.r"],
+        )
+        if omega not in (None, model.period):
+            raise ConfigError(
+                f"model.omega = {omega} is not the period of the coefficients "
+                f"({model.period or 'none varies in time'})", key="model.omega")
 
-    model = ModelSpec(
-        beta=_build_coefficient(values, "beta", length, omega),
-        gamma=_build_coefficient(values, "gamma", length, omega),
-        mu=_build_coefficient(values, "mu", length, omega),
-        d_S=values["model.dS"],
-        d_I=values["model.dI"],
-        incidence=incidence,
-        s=values["model.s"], r=values["model.r"],
-    )
-    if omega not in (None, model.period):
-        raise ConfigError(f"model.omega = {omega} is not the period of the "
-                          f"coefficients ({model.period or 'none varies in time'})",
-                          lines.get("model.omega"))
+        t_end, cadence = values["solver.t_end"], values["solver.cadence"]
+        if cadence is None:
+            cadence = t_end / 400.0
 
-    t_end = values["solver.t_end"]
-    cadence = values["solver.cadence"]
-    if cadence is None:
-        cadence = t_end / 400.0
+        snapshot_times = list(values["solver.snapshots"])
+        n_periodic = values["solver.periodic_snapshots"]
+        if n_periodic:
+            if model.period is None:
+                raise ConfigError("solver.periodic_snapshots needs a time-varying "
+                                  "coefficient", key="solver.periodic_snapshots")
+            for k in range(n_periodic + 1):
+                ts = t_end - k * model.period
+                if ts < -1e-9:
+                    break
+                snapshot_times.append(max(ts, 0.0))
 
-    snapshot_times = list(values["solver.snapshots"])
-    n_periodic = values["solver.periodic_snapshots"]
-    if n_periodic:
-        if model.period is None:
-            raise ConfigError("solver.periodic_snapshots needs a time-varying "
-                              "coefficient", lines.get("solver.periodic_snapshots"))
-        for k in range(n_periodic + 1):
-            ts = t_end - k * model.period
-            if ts < -1e-9:
-                break
-            snapshot_times.append(max(ts, 0.0))
-    snapshot_times = tuple(sorted(set(snapshot_times)))
-
-    settings = SolverSettings(
-        dt_init=values["solver.dt_init"],
-        dt_min=values["solver.dt_min"],
-        dt_max=values["solver.dt_max"],
-        max_steps=values["solver.max_steps"],
-    )
-    detect = Tolerances(
-        extinct=values["detect.tol_extinct"],
-        flat=values["detect.tol_flat"],
-        persist=values["detect.tol_persist"],
-        periodic=values["detect.tol_periodic"],
-        window_fraction=values["detect.window"],
-        min_window=values["detect.min_window"],
-    )
-
-    return ScenarioConfig(
-        name=name,
-        preset=preset,
-        model=model,
-        domain=domain,
-        initial_S=values["initial.S"],
-        initial_I=values["initial.I"],
-        t_end=t_end,
-        cadence=cadence,
-        snapshot_times=snapshot_times,
-        solver=settings,
-        detect=detect,
-        allow_degenerate_initial=values["solver.allow_degenerate_initial"],
-        resolved=tuple(resolved),
-    )
+        return ScenarioConfig(
+            name=name,
+            preset=preset,
+            model=model,
+            domain=domain,
+            initial_S=values["initial.S"],
+            initial_I=values["initial.I"],
+            t_end=t_end,
+            cadence=cadence,
+            snapshot_times=tuple(sorted(set(snapshot_times))),
+            solver=SolverSettings(
+                dt_init=values["solver.dt_init"],
+                dt_min=values["solver.dt_min"],
+                dt_max=values["solver.dt_max"],
+                max_steps=values["solver.max_steps"],
+            ),
+            detect=Tolerances(
+                extinct=values["detect.tol_extinct"],
+                flat=values["detect.tol_flat"],
+                persist=values["detect.tol_persist"],
+                periodic=values["detect.tol_periodic"],
+                window_fraction=values["detect.window"],
+                min_window=values["detect.min_window"],
+            ),
+            allow_degenerate_initial=values["solver.allow_degenerate_initial"],
+            resolved=tuple(resolved),
+        )
+    except ConfigError as exc:
+        raise exc.located(lines) from None
 
 
 def parse_config(text: str, name: str = "<config>") -> ScenarioConfig:

@@ -75,9 +75,10 @@ class Tolerances:
 
     def __post_init__(self):
         if not 0 < self.window_fraction <= 1:
-            raise ConfigError("detect.window must lie in (0, 1]")
+            raise ConfigError("detect.window must lie in (0, 1]", key="detect.window")
         if self.min_window < 1:
-            raise ConfigError("detect.min_window must be at least 1")
+            raise ConfigError("detect.min_window must be at least 1",
+                              key="detect.min_window")
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,22 @@ class SqipError(Exception):
 class ConfigError(SqipError):
     """Invalid configuration text or scenario description.
 
-    Carries the offending line number when the error originates from a
-    config file.
+    Carries the refused input's config key (or argument name, where no key
+    applies) and, when it comes from a config file, the offending line.
     """
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
+        self.line, self.key = line, key
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+    def located(self, lines: dict[str, int]) -> "ConfigError":
+        """This error naming its key, at the key's line in ``lines``."""
+        if self.key is None or self.line is not None:
+            return self
+        message = str(self) if self.key in str(self) else f"{self.key}: {self}"
+        return ConfigError(message, lines.get(self.key), self.key)
 
 
 class DomainError(SqipError, ValueError):

@@ -134,17 +134,16 @@ class Incidence:
     def __post_init__(self):
         reads = INCIDENCE_PARAMS.get(self.variant)
         if reads is None:
-            raise ConfigError(f"unknown incidence variant {self.variant!r}")
+            raise ConfigError(f"unknown incidence variant {self.variant!r}",
+                              key="model.incidence")
         for f in fields(self)[1:]:
-            if f.name not in reads and getattr(self, f.name) != f.default:
+            value, key = getattr(self, f.name), f"model.{f.name}"
+            if f.name not in reads and value != f.default:
                 raise ConfigError(
-                    f"{f.name} is not read by incidence = {self.variant}")
-        if self.k < 0:
-            raise DomainError("binomial incidence needs k >= 0")
-        if not (self.q > 0 and self.p > 0):
-            raise DomainError("incidence exponents must be positive")
-        if self.ell < 0:
-            raise DomainError("saturation exponent ell must be nonnegative")
+                    f"{f.name} is not read by incidence = {self.variant}", key=key)
+            ok, op = (value > 0, ">") if f.name in ("q", "p") else (value >= 0, ">=")
+            if not ok:
+                raise ConfigError(f"need {f.name} {op} 0, got {value}", key=key)
 
     def kernel(self, S, I):
         """Vectorized kernel value; inputs are assumed nonnegative.
@@ -212,8 +211,6 @@ class CoefficientField:
 
     @classmethod
     def constant(cls, value: float) -> "CoefficientField":
-        if value < 0:
-            raise ConfigError(f"coefficient must be nonnegative, got {value}")
         v = float(value)
         return cls(v, v, None, lambda x, t: np.full_like(x, v))
 
@@ -227,14 +224,14 @@ class CoefficientField:
         nonnegative; the spatial profile has zero normal derivative at
         both ends of [0, L], matching the boundary condition.
         """
-        if base < 0:
-            raise ConfigError("base level must be nonnegative")
-        if not (0 <= abs(time_amp) <= 1 and 0 <= abs(space_amp) <= 1):
-            raise ConfigError("modulation amplitudes must lie in [-1, 1]")
+        for key, amp in (("time_amp", time_amp), ("space_amp", space_amp)):
+            if not abs(amp) <= 1:
+                raise ConfigError("modulation amplitudes must lie in [-1, 1]", key=key)
         if time_amp != 0.0 and period is None:
-            raise ConfigError("time modulation requires a period")
+            raise ConfigError("time modulation requires a period", key="time_amp")
         if space_amp != 0.0 and length is None:
-            raise ConfigError("space modulation requires the domain length")
+            raise ConfigError("space modulation requires the domain length",
+                              key="space_amp")
         if time_amp == 0.0 and space_amp == 0.0:
             return cls.constant(base)
 
@@ -263,8 +260,6 @@ class CoefficientField:
         table = np.asarray(table, dtype=float)
         if table.ndim != 2 or table.shape[0] < 2:
             raise ConfigError("coefficient table needs >= 2 spatial rows")
-        if np.any(table < 0):
-            raise ConfigError("coefficient table entries must be nonnegative")
         n_x, n_t = table.shape
         if n_t > 1 and period is None:
             raise ConfigError("time-varying table requires a period")
@@ -339,9 +334,10 @@ class ModelSpec:
     r: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.d_S < math.inf and 0 < self.d_I < math.inf):
-            raise ConfigError("diffusivities must be finite and positive, "
-                              f"got dS={self.d_S}, dI={self.d_I}")
+        for key, d in (("model.dS", self.d_S), ("model.dI", self.d_I)):
+            if not 0 < d < math.inf:
+                raise ConfigError("diffusivities must be finite and positive, "
+                                  f"got {d}", key=key)
         self.exponents  # Exponents refuses a negative s or r
         self.period  # refuses coefficients whose periods differ
 

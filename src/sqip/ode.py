@@ -286,8 +286,8 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
                           bistability_threshold=threshold)
 
 
-def sis_classify(params: SisOdeParams, S0: float | None = None) -> SisOutcome:
-    """Predicted limit point of the SIS flow for the given start.
+def sis_classify(params: SisOdeParams) -> SisOutcome:
+    """Predicted limit point of the SIS flow from ``params.S0``.
 
     For p > 1 the outcome is bistable below the threshold recovery rate:
     starts below the upper steady state fall to the lower one, starts
@@ -295,11 +295,8 @@ def sis_classify(params: SisOdeParams, S0: float | None = None) -> SisOutcome:
     interior state attracts everything when it exists; for p < 1 it
     always exists and always attracts.
     """
-    S0 = params.S0 if S0 is None else float(S0)
-    if not (0 < S0 < params.N):
-        raise DomainError(f"need 0 < S0 < N, got S0={S0}")
+    S0, N = params.S0, params.N
     states = sis_steady_states(params)
-    N = params.N
 
     if params.p > 1:
         threshold = states.bistability_threshold

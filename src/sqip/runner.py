@@ -363,39 +363,41 @@ def ode_sweep_csv(rows: list[dict]) -> str:
 # Generic sweep runner with a completed-row manifest
 # --------------------------------------------------------------------------
 
-def _check_sweep_value(key: str, value, line: int | None = None) -> None:
-    if key == "kind" and value not in ("ode-si", "ode-sis", "pde"):
-        raise ConfigError(f"unknown sweep kind {value!r}", line)
-    if key == "points" and value < 1:
-        raise ConfigError(f"points must be at least 1, got {value}", line)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     kind: str                       # "ode-si" | "ode-sis" | "pde"
     base: str | None = None         # preset name (pde)
-    points: int = 100               # sample count (ode kinds)
+    points: int | None = None       # sample count (ode kinds); None: 100
     seed: int | None = None         # None: the sampler's reference seed
     axes: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self):
-        _check_sweep_value("kind", self.kind)
-        _check_sweep_value("points", self.points)
+        # a field that the kind never reads is refused once set
+        if self.kind not in ("ode-si", "ode-sis", "pde"):
+            raise ConfigError(f"unknown sweep kind {self.kind!r}", key="kind")
+        unread = ((("points", self.points), ("seed", self.seed))
+                  if self.kind == "pde"
+                  else (("base", self.base), ("vary", self.axes or None)))
+        for key, value in unread:
+            if value is not None:
+                raise ConfigError(f"{self.kind} sweeps do not read {key}", key=key)
+        if self.points is not None and self.points < 1:
+            raise ConfigError(f"points must be at least 1, got {self.points}",
+                              key="points")
         if self.kind == "pde" and self.base is None:
-            raise ConfigError("pde sweeps need base = <preset>")
+            raise ConfigError("pde sweeps need base = <preset>", key="base")
 
 
 def parse_sweep(text: str) -> SweepSpec:
-    """Parse a [sweep] section: kind, base, points, seed, vary.* axes;
-    a key that the kind never reads (pde: points, seed; ode-*: base,
-    vary.*) is an error."""
+    """Parse a [sweep] section: kind, base, points, seed, vary.* axes; an
+    error that ``SweepSpec`` raises names the line of its key."""
     fields: dict = {}
     lines: dict[str, int] = {}
     axes: list[tuple[str, tuple[str, ...]]] = []
     for section, key, value, lineno in read_lines(text, ("sweep",)):
         if section is None:
             raise ConfigError("sweep files start with [sweep]", lineno)
-        lines.setdefault(key.split(".")[0], lineno)
+        lines[key.split(".")[0]] = lineno
         if key.startswith("vary."):
             axes.append((key[5:], tuple(value.split())))
         elif key not in ("kind", "base", "points", "seed"):
@@ -408,15 +410,12 @@ def parse_sweep(text: str) -> SweepSpec:
                                   lineno) from None
         else:
             fields[key] = value
-        _check_sweep_value(key, fields.get(key), lineno)
     if "kind" not in fields:
         raise ConfigError("sweep file must set kind")
-    unread = ("points", "seed") if fields["kind"] == "pde" else ("base", "vary")
-    for key in unread:
-        if key in lines:
-            raise ConfigError(f"{fields['kind']} sweeps do not read {key}",
-                              lines[key])
-    return SweepSpec(**fields, axes=tuple(axes))
+    try:
+        return SweepSpec(**fields, axes=tuple(axes))
+    except ConfigError as exc:
+        raise exc.located(lines) from None
 
 
 def _pde_sweep_points(spec: SweepSpec) -> list[dict[str, str]]:
@@ -511,10 +510,10 @@ def run_sweep(spec: SweepSpec, out_dir) -> str:
     scenario raises a package error records it in its error column; any
     other exception aborts the sweep. The ``ode-*`` kinds integrate all
     points in one batch, so they keep no journal and are recomputed in
-    full, from ``spec.seed`` or, when it is unset, the sampler's reference
-    seed (20240501 for ``ode-si``, 20240502 for ``ode-sis``). Either way
-    results.csv is written in deterministic row order via an atomic
-    rename.
+    full, with ``spec.points`` (unset: 100) and ``spec.seed`` (unset: the
+    sampler's reference seed, 20240501 for ``ode-si`` and 20240502 for
+    ``ode-sis``). Either way results.csv is written in deterministic row
+    order via an atomic rename.
     """
     os.makedirs(out_dir, exist_ok=True)
     if spec.kind == "pde":
@@ -538,8 +537,8 @@ def run_sweep(spec: SweepSpec, out_dir) -> str:
         text = "\n".join([header] + [done[i] for i in range(len(combos))]) + "\n"
     else:
         maker = si_sweep_rows if spec.kind == "ode-si" else sis_sweep_rows
-        text = ode_sweep_csv(maker(spec.points) if spec.seed is None
-                             else maker(spec.points, spec.seed))
+        given = {"count": spec.points, "seed": spec.seed}
+        text = ode_sweep_csv(maker(**{k: v for k, v in given.items() if v is not None}))
 
     csv_path = os.path.join(out_dir, "results.csv")
     tmp_path = csv_path + ".tmp"

@@ -92,11 +92,13 @@ class SolverSettings:
 
     def __post_init__(self):
         if not (0 < self.dt_min <= self.dt_max):
-            raise ConfigError("need 0 < dt_min <= dt_max")
+            raise ConfigError("need 0 < dt_min <= dt_max", key="solver.dt_min")
         if self.dt_init is not None and not (self.dt_min <= self.dt_init <= self.dt_max):
-            raise ConfigError("dt_init must lie in [dt_min, dt_max]")
+            raise ConfigError("dt_init must lie in [dt_min, dt_max]",
+                              key="solver.dt_init")
         if self.max_steps < 1:
-            raise ConfigError("solver.max_steps must be at least 1")
+            raise ConfigError("solver.max_steps must be at least 1",
+                              key="solver.max_steps")
 
 
 @dataclass

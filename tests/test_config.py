@@ -1,6 +1,7 @@
 """Text front end: one line reader, one unknown-key check, one layering
 rule for config, preset, override and sweep text."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -8,9 +9,12 @@ import numpy as np
 import pytest
 
 from sqip.cli import main as cli_main
-from sqip.config import SCHEMA, parse_config, read_lines
+from sqip.config import SCHEMA, _coerce, parse_config, read_lines
+from sqip.diagnostics import Tolerances
 from sqip.errors import ConfigError
 from sqip.grid import Domain
+from sqip.model import Incidence, ModelSpec
+from sqip.solver import SolverSettings
 from sqip.presets import PDE_PRESETS, preset_config
 from sqip.runner import parse_sweep
 
@@ -111,6 +115,49 @@ def test_read_or_default_incidence_parameter_is_accepted(pairs):
 def test_out_of_range_value_is_refused_where_it_is_built(key, value, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         preset_config("thm-2.11-persist", {key: value})
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("[solver]\nmax_steps = 0", "solver.max_steps", 5),
+    ("[solver]\ndt_min = 1", "solver.dt_min", 5),
+    ("[solver]\nt_end = 0", "solver.t_end", 5),
+    ("[detect]\nwindow = 2", "detect.window", 5),
+    ("[model]\ndS = 0", "model.dS", 5),
+    ("[model]\np = 0", "model.p", 5),
+    ("[model]\nincidence = binomial\nk = -1", "model.k", 6),
+    ("[model]\nbeta_t_amp = 1.5\nomega = 1", "model.beta_t_amp", 5),
+    ("[model]\nbeta_t_amp = 0.5", "model.beta_t_amp", 5),
+    ("[model]\nbeta = -1", "model.beta", 5)],
+    ids=["max-steps", "dt-min", "t-end", "window", "dS", "p", "binomial-k",
+         "amplitude", "no-period", "negative-beta"])
+def test_a_refused_value_names_its_key_and_line(text, key, line):
+    # the code that builds the value refuses it; the reader adds the line
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[domain]\nL = 1\nn = 16\n{text}\n")
+    assert (err.value.key, err.value.line) == (key, line)
+    assert str(err.value).startswith(f"line {line}: {key}")
+
+
+# Dataclass defaults that SCHEMA states again as default strings.
+TWICE_STATED = [(Incidence, name, f"model.{name}") for name in ("q", "p", "k", "ell")]
+TWICE_STATED += [(ModelSpec, name, f"model.{name}") for name in ("s", "r")]
+TWICE_STATED += [(SolverSettings, name, f"solver.{name}")
+                 for name in ("dt_init", "dt_min", "dt_max", "max_steps")]
+TWICE_STATED += [(Tolerances, name, f"detect.{key}") for name, key in (
+    ("extinct", "tol_extinct"), ("flat", "tol_flat"), ("persist", "tol_persist"),
+    ("periodic", "tol_periodic"), ("window_fraction", "window"),
+    ("min_window", "min_window"))]
+
+
+@pytest.mark.parametrize("cls, name, full", TWICE_STATED,
+                         ids=[full for _, _, full in TWICE_STATED])
+def test_schema_defaults_equal_the_dataclass_defaults(cls, name, full):
+    # Incidence refuses an unread parameter that differs from its default,
+    # so a drift here would change which config values are refused.
+    section, key = full.split(".")
+    tag, default = SCHEMA[section][key]
+    field = next(f for f in dataclasses.fields(cls) if f.name == name)
+    assert _coerce(tag, default, full, None) == field.default
 
 
 @pytest.mark.parametrize("command", ["r0", "run"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -191,7 +192,7 @@ def test_sis_classify_spot_checks():
     params = SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=0.75)
     out = sis_classify(params)
     assert (out.limit_S, out.limit_I) == (1.0, 0.0)
-    out = sis_classify(params, 0.5)
+    out = sis_classify(dataclasses.replace(params, S0=0.5))
     assert out.limit_S == pytest.approx(0.3, abs=1e-10)
     assert out.limit_I == pytest.approx(0.7, abs=1e-10)
 

@@ -116,6 +116,24 @@ def test_sweep_spec_rejects_what_run_sweep_cannot_run(tmp_path, fields, message)
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "ode-si", "base": "sis-bistable"}, "ode-si sweeps do not read base"),
+    ({"kind": "ode-sis", "axes": (("model.p", ("1",)),)},
+     "ode-sis sweeps do not read vary"),
+    ({"kind": "pde", "base": "sis-bistable", "seed": 0},
+     "pde sweeps do not read seed")], ids=["ode-base", "ode-axes", "pde-seed-0"])
+def test_a_spec_built_in_code_refuses_fields_its_kind_never_reads(fields, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        SweepSpec(**fields)
+
+
+@pytest.mark.parametrize("line, key", [("points = 100", "points"),
+                                       ("seed = 0", "seed")])
+def test_a_pde_file_refuses_points_and_seed_even_at_their_defaults(line, key):
+    with pytest.raises(ConfigError, match=f"^line 4: pde sweeps do not read {key}$"):
+        parse_sweep(f"[sweep]\nkind = pde\nbase = sis-bistable\n{line}\n")
+
+
 def test_cli_sweep_with_negative_points_writes_nothing(tmp_path, capsys):
     spec_file = tmp_path / "oracle.cfg"
     spec_file.write_text("[sweep]\nkind = ode-si\npoints = -5\n")
