@@ -14,9 +14,9 @@ from sqip.diagnostics import Tolerances
 from sqip.errors import ConfigError
 from sqip.grid import Domain
 from sqip.model import Incidence, ModelSpec
-from sqip.solver import SolverSettings
 from sqip.presets import PDE_PRESETS, preset_config
 from sqip.runner import parse_sweep
+from sqip.solver import SolverSettings
 
 from conftest import write_coefficient_table
 
