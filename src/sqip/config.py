@@ -22,14 +22,14 @@ import math
 import re
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from .diagnostics import Tolerances
 from .errors import ConfigError
 from .grid import Domain, integrate
-from .model import (INCIDENCE_PARAMS, CoefficientField, Incidence,
-                    ModelSpec, read_coefficient_table)
+from .model import CoefficientField, Incidence, ModelSpec, read_coefficient_table
 from .solver import EVENT_SNAP, SolverSettings
 
 # Schema: section -> key -> (type tag, default string or None = mandatory).
@@ -54,7 +54,7 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "mu_x_amp": ("float", "0.0"),
         "mu_table": ("str", ""),
         "omega": ("float-or-none", "none"),
-        "incidence": ("choice:" + "|".join(INCIDENCE_PARAMS), "power"),
+        "incidence": ("str", "power"),
         "k": ("float", "1.0"),
         "ell": ("float", "0.0"),
     },
@@ -97,8 +97,8 @@ class InitialData:
 
     kind: str  # constant | bump | tabulated
     value: float = 0.0
-    center: tuple[float, ...] = ()
-    width: float = 0.0
+    center: tuple[float | None, ...] = ()  # None: the axis midpoint
+    width: float | None = None  # None: 0.1 * the shortest side
     amplitude: float = 0.0
     floor: float = 0.0
     path: str = ""
@@ -122,9 +122,9 @@ class InitialData:
         else:
             # Gaussian bump: strictly positive everywhere, so it satisfies
             # the strict-positivity requirements of fractional exponents.
-            center = self.center + tuple(
-                0.5 * length for length in domain.lengths[len(self.center):])
-            width = self.width or 0.1 * min(domain.lengths)
+            center = [0.5 * length if c is None else c for c, length in
+                      zip_longest(self.center, domain.lengths)]
+            width = 0.1 * min(domain.lengths) if self.width is None else self.width
             axes = np.meshgrid(*domain.cell_centers(), indexing="ij", sparse=True)
             r2 = sum((x - c) ** 2 for x, c in zip(axes, center))
             # inf * exp(...) is NaN where the exponential underflows; the
@@ -138,7 +138,7 @@ class InitialData:
         return field
 
 
-def _parse_initial(text: str, line: int) -> InitialData:
+def _parse_initial(text: str) -> InitialData:
     text = text.strip()
     try:
         return InitialData("constant", value=float(text))
@@ -146,7 +146,7 @@ def _parse_initial(text: str, line: int) -> InitialData:
         pass
     m = _CALL_RE.match(text)
     if not m:
-        raise ConfigError(f"cannot parse initial data {text!r}", line)
+        raise ValueError(f"cannot parse initial data {text!r}")
     name, argtext = m.group(1), m.group(2)
     args, kwargs = [], {}
     for piece in filter(None, (p.strip() for p in argtext.split(","))):
@@ -157,27 +157,27 @@ def _parse_initial(text: str, line: int) -> InitialData:
             args.append(piece)
     if name == "constant":
         if len(args) != 1 or kwargs:
-            raise ConfigError("constant(...) takes exactly one value", line)
+            raise ValueError("constant(...) takes exactly one value")
         return InitialData("constant", value=float(args[0]))
     if name == "tabulated":
         if len(args) != 1 or kwargs:
-            raise ConfigError("tabulated(...) takes exactly one path", line)
+            raise ValueError("tabulated(...) takes exactly one path")
         return InitialData("tabulated", path=args[0])
     if name == "bump":
         if len(args) < 3:
-            raise ConfigError(
-                "bump(...) needs center..., width, amplitude", line)
+            raise ValueError("bump(...) needs center..., width, amplitude")
         floor = float(kwargs.pop("floor", 0.0))
         if kwargs:
-            raise ConfigError(f"unknown bump option {sorted(kwargs)}", line)
+            raise ValueError(f"unknown bump option {sorted(kwargs)}")
         nums = [None if a == "auto" else float(a) for a in args]
         *center, width, amplitude = nums
         if amplitude is None:
-            raise ConfigError("bump amplitude cannot be auto", line)
-        center_vals = tuple(c for c in center if c is not None)
-        return InitialData("bump", center=center_vals, width=width or 0.0,
+            raise ValueError("bump amplitude cannot be auto")
+        if width is not None and not width > 0:
+            raise ValueError(f"bump width must be positive or auto, got {width}")
+        return InitialData("bump", center=tuple(center), width=width,
                            amplitude=amplitude, floor=floor)
-    raise ConfigError(f"unknown initial data form {name!r}", line)
+    raise ValueError(f"unknown initial data form {name!r}")
 
 
 def _coerce(tag: str, raw: str, full: str, line: int | None):
@@ -203,17 +203,10 @@ def _coerce(tag: str, raw: str, full: str, line: int | None):
             return tuple(float(tok) for tok in raw.split())
         if tag == "int-list":
             return tuple(int(tok) for tok in raw.split())
-        if tag.startswith("choice:"):
-            choices = tag.split(":", 1)[1].split("|")
-            if raw not in choices:
-                raise ValueError(f"must be one of {choices}, got {raw!r}")
-            return raw
         if tag == "initial":
-            return _parse_initial(raw, line)
-    except ConfigError:
-        raise
+            return _parse_initial(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {full}: {exc}", line) from None
+        raise ConfigError(f"bad value for {full}: {exc}", line, full) from None
     raise ConfigError(f"internal schema tag {tag!r}")
 
 
@@ -225,10 +218,11 @@ def read_lines(text: str, sections: Container[str]
 
     Raises:
         ConfigError: with the line number, for a header other than
-            ``[name]`` with a name in ``sections``, or a line without
-            ``=`` or without a key.
+            ``[name]`` with a name in ``sections``, a line without ``=``
+            or without a key, or a key set twice in one section.
     """
     section = None
+    seen: dict[tuple[str | None, str], int] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -242,6 +236,10 @@ def read_lines(text: str, sections: Container[str]
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq or not key:
             raise ConfigError(f"cannot parse line {rawline!r}", lineno)
+        first = seen.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigError(f"duplicate key {key!r}, first set on line {first}",
+                              lineno)
         yield section, key, value, lineno
 
 
@@ -285,6 +283,11 @@ class ScenarioConfig:
             if ts < 0 or ts > self.t_end + EVENT_SNAP:
                 raise ConfigError(f"snapshot time {ts} outside [0, t_end]",
                                   key="solver.snapshots")
+        axes = len(self.domain.lengths)
+        for key, data in (("initial.S", self.initial_S), ("initial.I", self.initial_I)):
+            if len(data.center) > axes:
+                raise ConfigError(f"bump has {len(data.center)} centre coordinates "
+                                  f"for a {axes}D grid", key=key)
 
     @property
     def omega(self) -> float | None:

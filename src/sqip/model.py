@@ -17,21 +17,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .grid import Domain
 
-__all__ = [
-    "Exponents",
-    "RegimeReport",
-    "classify_exponents",
-    "Incidence",
-    "CoefficientField",
-    "read_coefficient_table",
-    "ModelSpec",
-    "AssumptionItem",
-    "AssumptionReport",
-    "validate_assumptions",
-]
+
+def _refuse_sign(name: str, value: float) -> None:
+    """Refuse p or q <= 0 and any other exponent or kernel parameter < 0,
+    keyed ``model.<name>``; a NaN fails both tests."""
+    ok, op = (value > 0, ">") if name in ("q", "p") else (value >= 0, ">=")
+    if not ok:
+        raise ConfigError(f"need {name} {op} 0, got {value}", key=f"model.{name}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +42,8 @@ class Exponents:
     r: float = 1.0
 
     def __post_init__(self):
-        if not (self.p > 0 and self.q > 0):
-            raise DomainError(f"p and q must be positive, got p={self.p}, q={self.q}")
-        if self.s < 0 or self.r < 0:
-            raise DomainError(f"s and r must be nonnegative, got s={self.s}, r={self.r}")
+        for f in fields(self):
+            _refuse_sign(f.name, getattr(self, f.name))
 
     @property
     def is_si_specialization(self) -> bool:
@@ -134,16 +127,14 @@ class Incidence:
     def __post_init__(self):
         reads = INCIDENCE_PARAMS.get(self.variant)
         if reads is None:
-            raise ConfigError(f"unknown incidence variant {self.variant!r}",
-                              key="model.incidence")
+            raise ConfigError(f"unknown incidence variant {self.variant!r}; known: "
+                              f"{', '.join(INCIDENCE_PARAMS)}", key="model.incidence")
         for f in fields(self)[1:]:
-            value, key = getattr(self, f.name), f"model.{f.name}"
+            value = getattr(self, f.name)
             if f.name not in reads and value != f.default:
-                raise ConfigError(
-                    f"{f.name} is not read by incidence = {self.variant}", key=key)
-            ok, op = (value > 0, ">") if f.name in ("q", "p") else (value >= 0, ">=")
-            if not ok:
-                raise ConfigError(f"need {f.name} {op} 0, got {value}", key=key)
+                raise ConfigError(f"{f.name} is not read by incidence = "
+                                  f"{self.variant}", key=f"model.{f.name}")
+            _refuse_sign(f.name, value)
 
     def kernel(self, S, I):
         """Vectorized kernel value; inputs are assumed nonnegative.
@@ -287,32 +278,22 @@ def read_coefficient_table(path, length: float) -> CoefficientField:
 
     Line 1 is the header ``omega n_x n_t`` (omega = 0 marks a
     time-constant table); each of the following n_x lines holds the n_t
-    time samples of one grid row.
+    time samples of one grid row. ``#`` starts a comment on any line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ConfigError(f"empty coefficient table {path}")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ConfigError(f"bad table header {lines[0]!r}; expected 'omega n_x n_t'")
+        lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in fh) if ln]
     try:
-        omega = float(header[0])
-        n_x = int(header[1])
-        n_t = int(header[2])
+        header, *rows = lines or [""]
+        omega, n_x, n_t = header.split()
+        omega, shape = float(omega), (int(n_x), int(n_t))
+        # np.loadtxt warns on empty input; no rows fails the shape test
+        table = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, 0))
+        if table.shape != shape:
+            raise ValueError(f"rows x columns {table.shape}, header {shape}")
     except ValueError as exc:
-        raise ConfigError(f"bad table header {lines[0]!r}: {exc}") from None
-    if len(lines) - 1 != n_x:
-        raise ConfigError(
-            f"table declares {n_x} rows but file has {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        vals = [float(tok) for tok in ln.split()]
-        if len(vals) != n_t:
-            raise ConfigError(f"table row has {len(vals)} entries, expected {n_t}")
-        rows.append(vals)
-    return CoefficientField.tabulated(
-        np.array(rows), length, omega if omega > 0 else None)
+        raise ConfigError(f"coefficient table {path}: {exc}; expected a header "
+                          "'omega n_x n_t' and n_x rows of n_t numbers") from None
+    return CoefficientField.tabulated(table, length, omega if omega > 0 else None)
 
 
 # --------------------------------------------------------------------------
@@ -338,15 +319,17 @@ class ModelSpec:
             if not 0 < d < math.inf:
                 raise ConfigError("diffusivities must be finite and positive, "
                                   f"got {d}", key=key)
-        self.exponents  # Exponents refuses a negative s or r
+        self.exponents  # Exponents refuses a negative or NaN s or r
         self.period  # refuses coefficients whose periods differ
 
     @property
     def period(self) -> float | None:
         """The common period of beta, gamma and mu; None if none varies in t."""
-        periods = {c.period for c in (self.beta, self.gamma, self.mu)} - {None}
+        named = {name: getattr(self, name).period for name in ("beta", "gamma", "mu")}
+        periods = set(named.values()) - {None}
         if len(periods) > 1:
-            raise ConfigError(f"coefficient periods {sorted(periods)} differ")
+            which = ", ".join(f"{n} {w}" for n, w in named.items() if w is not None)
+            raise ConfigError(f"coefficient periods {sorted(periods)} differ ({which})")
         return min(periods, default=None)
 
     @property

@@ -48,9 +48,6 @@ class SystemState:
         if self.S.shape != self.I.shape:
             raise ConfigError("S and I fields must share a grid")
 
-    def copy(self) -> "SystemState":
-        return SystemState(self.S.copy(), self.I.copy(), self.t)
-
     @classmethod
     def _from_step(cls, S: np.ndarray, I: np.ndarray, t: float,
                    extrema: tuple[float, float, float, float]) -> "SystemState":
@@ -295,7 +292,7 @@ def run(config) -> Trajectory:
     rows = [diagnostics.compute_row(domain, state)]
     snapshots: dict[float, SystemState] = {}
     if abs(events[0][0]) <= EVENT_SNAP:
-        snapshots[events[0][0]] = state.copy()
+        snapshots[events[0][0]] = state
         events = events[1:]
 
     # The four reductions of the current state feed the step cap, the
@@ -352,7 +349,7 @@ def run(config) -> Trajectory:
         if hit_event:
             events = events[1:]
             if is_snapshot:
-                snapshots[state.t] = state.copy()
+                snapshots[state.t] = state
 
         if state.t >= next_mark - EVENT_SNAP or state.t >= t_end - EVENT_SNAP:
             rows.append(diagnostics.compute_row(domain, state))

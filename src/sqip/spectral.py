@@ -117,7 +117,6 @@ class SpectralResult:
     r0: float | None
     iterations: int
     residual: float
-    omega: float
     # Collatz-Wielandt enclosure of lambda0 at scale 1.
     lambda0_lo: float
     lambda0_hi: float
@@ -191,9 +190,8 @@ def principal_eigenvalue(problem: LinearizedProblem, scale: float = 1.0,
     half = 0.5 * width / problem.omega
     return SpectralResult(lambda0=lam, rho=rho, r0=None,
                           iterations=iterations, residual=width,
-                          omega=problem.omega, lambda0_lo=lam - half,
-                          lambda0_hi=lam + half, period_maps=iterations,
-                          r0_evals=1, eigenfield=phi)
+                          lambda0_lo=lam - half, lambda0_hi=lam + half,
+                          period_maps=iterations, r0_evals=1, eigenfield=phi)
 
 
 def _find_r0(problem: LinearizedProblem, base: SpectralResult

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqip.cli import main as cli_main
+from sqip.cli import _parse_overrides, main as cli_main
 from sqip.config import SCHEMA, _coerce, parse_config, read_lines
 from sqip.diagnostics import Tolerances
 from sqip.errors import ConfigError
@@ -127,15 +127,52 @@ def test_out_of_range_value_is_refused_where_it_is_built(key, value, message):
     ("[model]\nincidence = binomial\nk = -1", "model.k", 6),
     ("[model]\nbeta_t_amp = 1.5\nomega = 1", "model.beta_t_amp", 5),
     ("[model]\nbeta_t_amp = 0.5", "model.beta_t_amp", 5),
-    ("[model]\nbeta = -1", "model.beta", 5)],
+    ("[model]\nbeta = -1", "model.beta", 5),
+    ("[model]\ns = -1", "model.s", 5),
+    ("[model]\nr = nan", "model.r", 5),
+    ("[model]\nincidence = bogus", "model.incidence", 5)],
     ids=["max-steps", "dt-min", "t-end", "window", "dS", "p", "binomial-k",
-         "amplitude", "no-period", "negative-beta"])
+         "amplitude", "no-period", "negative-beta", "s", "r-nan", "incidence"])
 def test_a_refused_value_names_its_key_and_line(text, key, line):
     # the code that builds the value refuses it; the reader adds the line
     with pytest.raises(ConfigError) as err:
         parse_config(f"[domain]\nL = 1\nn = 16\n{text}\n")
     assert (err.value.key, err.value.line) == (key, line)
     assert str(err.value).startswith(f"line {line}: {key}")
+
+
+@pytest.mark.parametrize("domain, bump, same_or_refused", [
+    ("L = 2 1\nn = 8 8", "bump(auto, 0.3, 0.05, 1.0)", "bump(1.0, 0.3, 0.05, 1.0)"),
+    ("L = 2 1\nn = 8 8", "bump(0.3, auto, 1.0)", "bump(0.3, 0.5, 0.1, 1.0)"),
+    ("L = 1\nn = 8", "bump(0.2, 0.7, 0.05, 1.0)", "2 centre coordinates for a 1D grid"),
+    ("L = 1\nn = 8", "bump(0.2, 0, 1.0)", "width must be positive or auto, got 0.0"),
+    ("L = 1\nn = 8", "bump(0.2, -0.1, 1.0)", "width must be positive or auto, got -0.1")],
+    ids=["auto-x", "auto-y-and-width", "extra-centre", "zero-width", "negative-width"])
+def test_each_bump_argument_is_used_on_its_axis_or_refused(domain, bump,
+                                                          same_or_refused):
+    def build(value):
+        cfg = parse_config(f"[domain]\n{domain}\n[initial]\nI = {value}\n")
+        return cfg.initial_I.build(cfg.domain)
+
+    if same_or_refused.startswith("bump("):
+        assert np.array_equal(build(bump), build(same_or_refused))
+        return
+    with pytest.raises(ConfigError, match=re.escape(same_or_refused)) as err:
+        build(bump)
+    assert (err.value.key, err.value.line) == ("initial.I", 5)
+    assert str(err.value).startswith("line 5: ") and "initial.I" in str(err.value)
+
+
+@pytest.mark.parametrize("read, text", [
+    (parse_config, "[domain]\nL = 1\nn = 16\nn = 8\n"),
+    (parse_sweep, "[sweep]\nkind = ode-si\npoints = 5\npoints = 7\n"),
+    (lambda text: _parse_overrides(text.splitlines()),
+     "model.beta=2\nsolver.dt_max=0.01\nsolver.t_end=1\nsolver.t_end=2")],
+    ids=["config", "sweep", "override"])
+def test_a_duplicate_key_is_refused_with_both_lines(read, text):
+    with pytest.raises(ConfigError, match="duplicate key .*, first set on line 3") as err:
+        read(text)
+    assert err.value.line == 4
 
 
 # Dataclass defaults that SCHEMA states again as default strings.

@@ -1,10 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sqip.errors import ConfigError, DomainError
+from sqip.errors import ConfigError
 from sqip.grid import Domain
 from sqip.model import (MANDATORY_ITEMS, AssumptionItem, CoefficientField,
                         Exponents, Incidence, ModelSpec, classify_exponents,
@@ -131,9 +132,9 @@ def test_h1i_inequality_exact_in_rational_arithmetic():
 
 
 def test_exponents_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         Exponents(p=0, q=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         Exponents(p=1, q=1, s=-0.1)
     assert Exponents(p=1, q=1).is_si_specialization
     assert not Exponents(p=1, q=1, s=1, r=1).is_si_specialization
@@ -156,7 +157,7 @@ def test_model_exponents_come_from_the_kernel():
     saturated = ModelSpec(incidence=Incidence("saturated", q=2, p=0.5, ell=1),
                           s=1, r=2, **common)
     assert saturated.exponents == Exponents(p=0.5, q=2, s=1, r=2)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         ModelSpec(incidence=Incidence("power"), s=-0.1, **common)
 
 
@@ -245,11 +246,38 @@ def test_sample_gives_one_row_for_a_time_constant_field(coeff_calls):
     assert periodic.sample(dom2, times).shape == (5, 8, 1)
 
 
-def test_tabulated_header_errors(tmp_path):
+@pytest.mark.filterwarnings("error")  # np.loadtxt warns on empty input
+@pytest.mark.parametrize("text, cause", [
+    ("", "expected 3, got 0"),
+    ("1.0 2\n1 2 3\n", "expected 3, got 2"),
+    ("one 2 1\n1\n2\n", "could not convert string to float: 'one'"),
+    ("0 2 1\n", "rows x columns (0, 0), header (2, 1)"),
+    ("0 3 1\n1\n2\n", "rows x columns (2, 1), header (3, 1)"),
+    ("0 2 2\n1 2\n3\n", "columns"),
+    ("0 2 1  # omega n_x n_t\n1  # first row\n", "rows x columns (1, 1), header (2, 1)")],
+    ids=["empty", "two-field-header", "non-numeric-header", "no-rows",
+         "fewer-rows", "ragged-row", "inline-comment"])
+def test_a_malformed_table_is_refused(tmp_path, text, cause):
     path = tmp_path / "bad.txt"
-    path.write_text("1.0 2\n1 2 3\n")
-    with pytest.raises(ConfigError):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(cause)) as err:
         read_coefficient_table(path, length=1.0)
+    assert str(err.value).startswith(f"coefficient table {path}: ")
+    assert str(err.value).endswith("expected a header 'omega n_x n_t' and n_x rows "
+                                   "of n_t numbers")
+
+
+def test_a_written_table_reads_back_exactly(tmp_path, monkeypatch):
+    table = np.random.default_rng(5).uniform(0.0, 10.0, (6, 4)) / 3.0
+    write_coefficient_table(tmp_path / "t.txt", table, omega=2.5)
+    built = []
+    monkeypatch.setattr(CoefficientField, "tabulated",
+                        classmethod(lambda cls, *args: built.append(args)))
+    read_coefficient_table(tmp_path / "t.txt", length=1.0)
+    assert len(built) == 1
+    read, length, period = built[0]
+    assert (read == table).all() and read.shape == table.shape
+    assert (length, period) == (1.0, 2.5)
 
 
 @pytest.mark.parametrize("make", [

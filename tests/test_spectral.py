@@ -63,7 +63,7 @@ def test_principal_eigenvalue_constant():
                         CoefficientField.constant(1.0))
     res = principal_eigenvalue(prob)
     assert res.lambda0 == pytest.approx(-1.0, abs=1e-6)
-    assert res.lambda0 == pytest.approx(-math.log(res.rho) / res.omega,
+    assert res.lambda0 == pytest.approx(-math.log(res.rho) / prob.omega,
                                         abs=1e-12)
 
 
