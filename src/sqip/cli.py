@@ -14,6 +14,7 @@ Exit code is 0 exactly when no operation reported an error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -46,21 +47,13 @@ def _cmd_run(args) -> int:
 
 def _run_ode_preset(name: str, out_dir) -> int:
     spec = dict(ODE_PRESETS[name])
-    system = spec.pop("system")
-    dt = spec.pop("dt")
-    t_end = spec.pop("t_end")
-    params = ode.SiOdeParams(**spec) if system == "si" else ode.SisOdeParams(**spec)
-    outcome = ode.si_classify(params) if system == "si" \
-        else ode.sis_classify(params)
-    traj = ode.rk4_integrate(system, params, t_end=t_end, dt=dt)
-    lines = [f"name={name}", f"system={system}"]
-    if system == "si":
-        lines.append(f"predicted={outcome.kind}")
-        if outcome.t_upper is not None:
-            lines.append(f"t_upper={outcome.t_upper:.10g}")
-    else:
-        lines.append(f"predicted_limit=({outcome.limit_S:.10g},"
-                     f"{outcome.limit_I:.10g})")
+    dt, t_end = spec.pop("dt"), spec.pop("t_end")
+    params = ode.SiOdeParams(**spec)
+    outcome = ode.si_classify(params)
+    traj = ode.rk4_integrate("si", params, t_end=t_end, dt=dt)
+    lines = [f"name={name}", "system=si", f"predicted={outcome.kind}"]
+    if outcome.t_upper is not None:
+        lines.append(f"t_upper={outcome.t_upper:.10g}")
     if not math.isnan(traj.clamp_time):
         lines.append(f"first_clamp_time={traj.clamp_time:.10g}")
     lines.append(f"terminal=({traj.terminal[0]:.10g},{traj.terminal[1]:.10g})")
@@ -103,11 +96,8 @@ def _cmd_r0(args) -> int:
 
 
 def _ode_params_from_args(args):
-    if args.system == "si":
-        return ode.SiOdeParams(beta=args.beta, mu=args.mu, p=args.p,
-                               q=args.q, S0=args.S0, I0=args.I0)
-    return ode.SisOdeParams(beta=args.beta, gamma=args.gamma, p=args.p,
-                            q=args.q, N=args.N, S0=args.S0)
+    cls = ode.SiOdeParams if args.system == "si" else ode.SisOdeParams
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _cmd_ode_classify(args) -> int:

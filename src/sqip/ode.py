@@ -96,7 +96,6 @@ class SteadyStateSet:
 
     interior: tuple[SteadyState, ...]
     boundary: SteadyState
-    bistability_threshold: float | None  # beta * N* for p > 1, else None
 
     @property
     def all_states(self) -> tuple[SteadyState, ...]:
@@ -195,9 +194,10 @@ def _gain(params: SisOdeParams, S: float) -> float:
     return params.beta * S**params.q * (params.N - S) ** (params.p - 1.0)
 
 
-def _bisect_gain(params: SisOdeParams, target: float, lo: float, hi: float,
-                 increasing: bool) -> float:
-    """Bracketed bisection of g(S) = target on a monotone piece of g."""
+def _bisect_gain(params: SisOdeParams, target: float, lo: float, hi: float
+                 ) -> float:
+    """Bracketed bisection of g(S) = target on a monotone piece of g; the
+    end whose residual has the sign of ``f_lo`` moves to the midpoint."""
     f_lo = _gain(params, lo) - target
     f_hi = _gain(params, hi) - target
     if f_lo == 0.0:
@@ -212,8 +212,7 @@ def _bisect_gain(params: SisOdeParams, target: float, lo: float, hi: float,
         f_mid = _gain(params, mid) - target
         if f_mid == 0.0 or hi - lo <= ROOT_TOL * params.N:
             return mid
-        below = f_mid < 0
-        if below == increasing:
+        if (f_mid < 0) == (f_lo < 0):
             lo = mid
         else:
             hi = mid
@@ -250,15 +249,13 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
     N, gamma = params.N, params.gamma
     tiny = 1e-13 * N
     roots: list[float] = []
-    threshold = None
 
     if params.p > 1:
         threshold = params.beta * n_star(params.p, params.q, N)
         s_peak = params.q * N / (params.p - 1.0 + params.q)
         if gamma < threshold:
-            roots.append(_bisect_gain(params, gamma, tiny, s_peak, increasing=True))
-            roots.append(_bisect_gain(params, gamma, s_peak, N - tiny,
-                                      increasing=False))
+            roots.append(_bisect_gain(params, gamma, tiny, s_peak))
+            roots.append(_bisect_gain(params, gamma, s_peak, N - tiny))
         elif gamma == threshold:
             roots.append(s_peak)
     elif params.p == 1:
@@ -271,7 +268,7 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
             hi = 0.5 * (hi + N)
             if N - hi < 1e-300:
                 raise NumericsError("gain never exceeded gamma", gamma=gamma)
-        roots.append(_bisect_gain(params, gamma, tiny, hi, increasing=True))
+        roots.append(_bisect_gain(params, gamma, tiny, hi))
 
     interior = tuple(
         SteadyState(S=s, I=N - s, stability=_stability_tags(params, s))
@@ -282,46 +279,37 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
     near = float(_reduced_flow(params, N - 1e-7 * N))
     tags = ("boundary", "attracting-from-below") if near > 0 else ("boundary",)
     boundary = SteadyState(S=N, I=0.0, stability=tags)
-    return SteadyStateSet(interior=interior, boundary=boundary,
-                          bistability_threshold=threshold)
+    return SteadyStateSet(interior=interior, boundary=boundary)
 
 
 def sis_classify(params: SisOdeParams) -> SisOutcome:
     """Predicted limit point of the SIS flow from ``params.S0``.
 
-    For p > 1 the outcome is bistable below the threshold recovery rate:
-    starts below the upper steady state fall to the lower one, starts
-    above it converge to the disease-free boundary. For p = 1 a single
-    interior state attracts everything when it exists; for p < 1 it
-    always exists and always attracts.
+    The number of interior steady states decides. Two (p > 1 below the
+    fold): starts below the upper state fall to the lower one, starts
+    above it converge to the disease-free boundary. One: it attracts
+    everything (p <= 1), or, at the p > 1 fold, every start at or below
+    it. None: the boundary attracts.
     """
     S0, N = params.S0, params.N
-    states = sis_steady_states(params)
-
+    interior = sis_steady_states(params).interior
+    if len(interior) == 2:
+        low, high = interior
+        if S0 < high.S:
+            return SisOutcome(low.S, low.I, case="bistable-lower-basin")
+        if S0 > high.S:
+            return SisOutcome(N, 0.0, case="bistable-upper-basin")
+        return SisOutcome(high.S, high.I, case="bistable-separatrix")
+    if not interior:
+        return SisOutcome(N, 0.0, case="recovery-dominates" if params.p > 1
+                          else "disease-free")
+    (state,) = interior
     if params.p > 1:
-        threshold = states.bistability_threshold
-        if params.gamma < threshold:
-            low, high = states.interior
-            if S0 < high.S:
-                return SisOutcome(low.S, low.I, case="bistable-lower-basin")
-            if S0 > high.S:
-                return SisOutcome(N, 0.0, case="bistable-upper-basin")
-            return SisOutcome(high.S, high.I, case="bistable-separatrix")
-        if params.gamma == threshold:
-            (saddle,) = states.interior
-            if S0 <= saddle.S:
-                return SisOutcome(saddle.S, saddle.I, case="tangent-state")
-            return SisOutcome(N, 0.0, case="tangent-above")
-        return SisOutcome(N, 0.0, case="recovery-dominates")
-
-    if params.p == 1:
-        if params.gamma < params.beta * N**params.q:
-            (state,) = states.interior
-            return SisOutcome(state.S, state.I, case="endemic")
-        return SisOutcome(N, 0.0, case="disease-free")
-
-    (state,) = states.interior
-    return SisOutcome(state.S, state.I, case="endemic-sublinear")
+        if S0 <= state.S:
+            return SisOutcome(state.S, state.I, case="tangent-state")
+        return SisOutcome(N, 0.0, case="tangent-above")
+    return SisOutcome(state.S, state.I,
+                      case="endemic" if params.p == 1 else "endemic-sublinear")
 
 
 # --------------------------------------------------------------------------
@@ -345,31 +333,40 @@ class OdeTrajectory:
 def _rhs(system: str, params, y: np.ndarray) -> np.ndarray:
     """Stage-safe right-hand side; negative excursions inside Runge-Kutta
     stages are evaluated at the clipped state."""
-    S = np.maximum(y[..., 0], 0.0)
-    I = np.maximum(y[..., 1], 0.0)
+    S = np.maximum(y[:, 0], 0.0)
+    I = np.maximum(y[:, 1], 0.0)
     incidence = params.beta * S**params.q * I**params.p
     out = np.empty_like(y)
     if system == "si":
-        out[..., 0] = -incidence
-        out[..., 1] = incidence - params.mu * I
+        out[:, 0] = -incidence
+        out[:, 1] = incidence - params.mu * I
     else:
-        out[..., 0] = -incidence + params.gamma * I
-        out[..., 1] = incidence - params.gamma * I
+        out[:, 0] = -incidence + params.gamma * I
+        out[:, 1] = incidence - params.gamma * I
     return out
+
+
+def _batch(system: str, params_batch: dict, y0):
+    """Start of an RK4 batch: one float array per parameter, a float copy
+    of the (m, 2) state, its row sums and the unset clamp times."""
+    if system not in SYSTEMS:
+        raise DomainError(f"unknown system {system!r}")
+    params = SimpleNamespace(**{name: np.asarray(vals, dtype=float)
+                                for name, vals in params_batch.items()})
+    y = np.array(y0, dtype=float)
+    return params, y, y.sum(axis=1), np.full(len(y), np.nan)
 
 
 def _rk4_run(system: str, params, y: np.ndarray, t: float, dt: float,
              nsteps: int, active: np.ndarray, clamp_time: np.ndarray,
              total: np.ndarray) -> tuple[np.ndarray, float]:
-    """Advance the active rows of an (m, k) state by ``nsteps`` RK4 steps.
+    """Advance the active rows of an (m, 2) state by ``nsteps`` RK4 steps.
 
-    A single row may also come as a (k,) state with 0-d ``active``,
-    ``clamp_time`` and ``total``. Frozen rows keep their state. In the SI
-    system a negative S is clamped at zero (I' >= -mu*I keeps I positive;
-    its clamp is only a guard) and each row's first S clamp time goes into
-    ``clamp_time``. At the end of the stretch the state must be finite
-    and, for the SIS system, each row's sum must stay within 1e-10 of its
-    start ``total``.
+    Frozen rows keep their state. In the SI system a negative S is
+    clamped at zero (I' >= -mu*I keeps I positive; its clamp is only a
+    guard) and each row's first S clamp time goes into ``clamp_time``.
+    At the end of the stretch the state must be finite and, for the SIS
+    system, each row's sum must stay within 1e-10 of its start ``total``.
     """
     for _ in range(nsteps):
         k1 = _rhs(system, params, y)
@@ -379,14 +376,14 @@ def _rk4_run(system: str, params, y: np.ndarray, t: float, dt: float,
         y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
         if system == "si":
-            fresh = active & (y_new[..., 0] < 0.0) & np.isnan(clamp_time)
+            fresh = active & (y_new[:, 0] < 0.0) & np.isnan(clamp_time)
             clamp_time[fresh] = t
             y_new = np.maximum(y_new, 0.0)
-        y = np.where(active[..., None], y_new, y)
+        y = np.where(active[:, None], y_new, y)
     if not np.isfinite(y).all():
         raise NumericsError("non-finite ODE state", t=t, state=y.copy())
     if system == "sis":
-        drift = np.abs(y.sum(axis=-1) - total)
+        drift = np.abs(y.sum(axis=1) - total)
         if (drift > 1e-10 * total).any():
             raise NumericsError("conserved sum drifted", drift=float(drift.max()),
                                 t=t)
@@ -397,32 +394,31 @@ def rk4_integrate(system: str, params, t_end: float, dt: float,
                   record_every: int = 1) -> OdeTrajectory:
     """Fixed-step RK4 trajectory, the oracle behind every classification.
 
-    The SI system may genuinely reach S = 0 in finite time when q < 1, so
-    S is clamped at zero there and its first clamping is recorded with
-    its time; the clamp time estimates the true hitting time. The SIS
-    invariant S + I = N is checked at every recorded state and a drift
-    beyond 1e-10 * N aborts.
+    It runs the kernel of ``settle_batch`` on a one-row batch, so a point
+    gets the same bits through either driver. The SI system may genuinely
+    reach S = 0 in finite time when q < 1, so S is clamped at zero there
+    and its first clamping is recorded with its time; the clamp time
+    estimates the true hitting time. The SIS invariant S + I = N is
+    checked at every recorded state and a drift beyond 1e-10 * N aborts.
     """
-    if system not in SYSTEMS:
-        raise DomainError(f"unknown system {system!r}")
+    batch, y, total, clamp_time = _batch(
+        system, {name: [value] for name, value in vars(params).items()},
+        [[params.S0, params.I0]])
     if dt <= 0 or t_end <= 0:
         raise DomainError("need positive dt and t_end")
 
-    y = np.array([params.S0, params.I0])
-    total = y.sum()
-    clamp_time = np.full((), np.nan)
     n_steps = int(round(t_end / dt))
     t = 0.0
     ts = [t]
-    ys = [y]
+    ys = [y[0]]
     for done in range(0, n_steps, record_every):
-        y, t = _rk4_run(system, params, y, t, dt, min(record_every, n_steps - done),
-                        np.ones((), dtype=bool), clamp_time, total)
+        y, t = _rk4_run(system, batch, y, t, dt, min(record_every, n_steps - done),
+                        np.ones(1, dtype=bool), clamp_time, total)
         ts.append(t)
-        ys.append(y)
+        ys.append(y[0])
 
     return OdeTrajectory(t=np.array(ts), y=np.array(ys),
-                         clamp_time=float(clamp_time))
+                         clamp_time=float(clamp_time[0]))
 
 
 @dataclass
@@ -446,19 +442,10 @@ def settle_batch(system: str, params_batch: dict[str, np.ndarray],
     Converged points are frozen while the rest continue, which keeps the
     oracle sweeps cheap.
     """
-    if system not in SYSTEMS:
-        raise DomainError(f"unknown system {system!r}")
-
-    p = SimpleNamespace(**{name: np.asarray(vals, dtype=float)
-                           for name, vals in params_batch.items()})
-
-    y = np.array(y0, dtype=float)
-    m = y.shape[0]
-    total = y.sum(axis=1)
-    active = np.ones(m, dtype=bool)
-    clamp_time = np.full(m, np.nan)
-    t_reached = np.zeros(m)
-    converged = np.zeros(m, dtype=bool)
+    p, y, total, clamp_time = _batch(system, params_batch, y0)
+    active = np.ones(len(y), dtype=bool)
+    t_reached = np.zeros(len(y))
+    converged = np.zeros(len(y), dtype=bool)
 
     t = 0.0
     anchor = y

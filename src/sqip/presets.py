@@ -112,11 +112,10 @@ PDE_PRESETS: dict[str, dict[str, str]] = {
     "r0-threshold": _R0_THRESHOLD,
 }
 
-# Zero-diffusion companion preset: susceptibles hit zero in finite time,
-# bounded above by the closed-form hitting-time estimate.
-ODE_PRESETS: dict[str, dict[str, object]] = {
+# Zero-diffusion companion preset of the SI system: susceptibles hit zero
+# in finite time, bounded above by the closed-form hitting-time estimate.
+ODE_PRESETS: dict[str, dict[str, float]] = {
     "si-finite-extinction": {
-        "system": "si",
         "q": 0.5, "p": 1.0, "mu": 1.0, "beta": 1.0,
         "S0": 1.0, "I0": 4.0,
         "dt": 1e-3, "t_end": 2.0,

@@ -230,20 +230,10 @@ def si_sweep_rows(count: int = 100, seed: int = 20240501) -> list[dict]:
         floor_pow = d["S0"] ** (1 - q) - rhs / (p * decay)
         return d if floor_pow > 0 and floor_pow ** (1 / (1 - q)) >= 0.05 else None
 
-    points = _draw_points(quotas, draw)
-    params = {key: np.array([pt[key] for pt in points])
-              for key in ("beta", "mu", "p", "q", "S0", "I0")}
-    y0 = np.column_stack([params["S0"], params["I0"]])
-    report = ode.settle_batch("si", params, y0, t_max=SWEEP_T_MAX)
-
-    rows = []
-    for i, pt in enumerate(points):
-        predicted = ode.si_classify(ode.SiOdeParams(
-            beta=pt["beta"], mu=pt["mu"], p=pt["p"], q=pt["q"],
-            S0=pt["S0"], I0=pt["I0"]))
-        term_S, term_I = report.y[i]
-        clamp = report.clamp_time[i]
-        if not report.converged[i]:
+    def verdict(params, y, converged, clamp):
+        predicted = ode.si_classify(params)
+        term_S, term_I = y
+        if not converged:
             observed = "Unconverged"
         elif not math.isnan(clamp) and term_I <= MATCH_TOL:
             observed = ode.S_HITS_ZERO
@@ -261,13 +251,9 @@ def si_sweep_rows(count: int = 100, seed: int = 20240501) -> list[dict]:
             agree = observed in (ode.BOTH_TO_ZERO, ode.S_HITS_ZERO)
         else:
             agree = observed == predicted.kind
-        rows.append({
-            "p": pt["p"], "q": pt["q"], "beta": pt["beta"],
-            "gamma_or_mu": pt["mu"], "N_or_I0": pt["I0"], "S0": pt["S0"],
-            "predicted": predicted.kind, "observed": observed,
-            "agree": bool(agree),
-        })
-    return rows
+        return predicted.kind, observed, agree
+
+    return _oracle_rows("si", _draw_points(quotas, draw), verdict)
 
 
 def sis_sweep_rows(count: int = 100, seed: int = 20240502) -> list[dict]:
@@ -322,27 +308,36 @@ def sis_sweep_rows(count: int = 100, seed: int = 20240502) -> list[dict]:
         d["S0"] = float(rng.uniform(0.05, 0.95)) * d["N"]
         return d
 
-    points = _draw_points(quotas, draw)
-    params = {key: np.array([pt[key] for pt in points])
-              for key in ("beta", "gamma", "p", "q", "N", "S0")}
-    y0 = np.column_stack([params["S0"], params["N"] - params["S0"]])
-    report = ode.settle_batch("sis", params, y0, t_max=SWEEP_T_MAX)
+    def verdict(params, y, converged, clamp):
+        predicted = ode.sis_classify(params)
+        term_S = float(y[0])
+        return (_fmt(predicted.limit_S),
+                _fmt(term_S) if converged else "Unconverged",
+                converged and abs(term_S - predicted.limit_S) <= MATCH_TOL)
 
+    return _oracle_rows("sis", _draw_points(quotas, draw), verdict)
+
+
+def _oracle_rows(system: str, points: list[dict], verdict) -> list[dict]:
+    """Settle the drawn points of ``system`` in one batch and tabulate them.
+
+    ``verdict(params, terminal state, converged, clamp time)`` gives a
+    point's (predicted, observed, agree) columns.
+    """
+    si = system == "si"
+    params = [(ode.SiOdeParams if si else ode.SisOdeParams)(**pt) for pt in points]
+    report = ode.settle_batch(
+        system, {name: [pt[name] for pt in points] for name in vars(params[0])},
+        [[prm.S0, prm.I0] for prm in params], t_max=SWEEP_T_MAX)
     rows = []
-    for i, pt in enumerate(points):
-        sis_params = ode.SisOdeParams(beta=pt["beta"], gamma=pt["gamma"],
-                                      p=pt["p"], q=pt["q"], N=pt["N"],
-                                      S0=pt["S0"])
-        predicted = ode.sis_classify(sis_params)
-        term_S = float(report.y[i, 0])
-        agree = (bool(report.converged[i])
-                 and abs(term_S - predicted.limit_S) <= MATCH_TOL)
+    for prm, y, converged, clamp in zip(params, report.y, report.converged,
+                                        report.clamp_time):
+        predicted, observed, agree = verdict(prm, y, bool(converged), clamp)
         rows.append({
-            "p": pt["p"], "q": pt["q"], "beta": pt["beta"],
-            "gamma_or_mu": pt["gamma"], "N_or_I0": pt["N"], "S0": pt["S0"],
-            "predicted": _fmt(predicted.limit_S),
-            "observed": _fmt(term_S) if report.converged[i] else "Unconverged",
-            "agree": bool(agree),
+            "p": prm.p, "q": prm.q, "beta": prm.beta,
+            "gamma_or_mu": prm.mu if si else prm.gamma,
+            "N_or_I0": prm.I0 if si else prm.N, "S0": prm.S0,
+            "predicted": predicted, "observed": observed, "agree": bool(agree),
         })
     return rows
 
