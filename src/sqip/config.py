@@ -113,7 +113,10 @@ class InitialData:
         if self.kind == "constant":
             field = np.full(domain.shape, self.value)
         elif self.kind == "tabulated":
-            arr = np.loadtxt(self.path, dtype=float)
+            try:
+                arr = np.loadtxt(self.path, dtype=float)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"initial data file {self.path}: {exc}") from None
             if arr.size != int(np.prod(domain.shape)):
                 raise ConfigError(
                     f"initial data file {self.path} has {arr.size} values, "
@@ -173,7 +176,7 @@ def _parse_initial(text: str) -> InitialData:
         *center, width, amplitude = nums
         if amplitude is None:
             raise ValueError("bump amplitude cannot be auto")
-        if width is not None and not width > 0:
+        if width is not None and not 0 < width < math.inf:
             raise ValueError(f"bump width must be positive or auto, got {width}")
         return InitialData("bump", center=tuple(center), width=width,
                            amplitude=amplitude, floor=floor)
@@ -295,7 +298,14 @@ class ScenarioConfig:
         return self.model.period
 
     def initial_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.initial_S.build(self.domain), self.initial_I.build(self.domain)
+        """The S and I fields; a refusal names the config key of its field."""
+        fields = []
+        for key, data in (("initial.S", self.initial_S), ("initial.I", self.initial_I)):
+            try:
+                fields.append(data.build(self.domain))
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}", key=key) from None
+        return tuple(fields)
 
     def total_mass(self) -> float:
         S0, I0 = self.initial_arrays()

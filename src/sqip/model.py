@@ -280,17 +280,20 @@ def read_coefficient_table(path, length: float) -> CoefficientField:
     time-constant table); each of the following n_x lines holds the n_t
     time samples of one grid row. ``#`` starts a comment on any line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in fh) if ln]
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in fh) if ln]
         header, *rows = lines or [""]
         omega, n_x, n_t = header.split()
         omega, shape = float(omega), (int(n_x), int(n_t))
+        if not 0 <= omega < math.inf or (omega > 0 and shape[1] == 1):
+            raise ValueError(f"header omega {omega} must be finite and >= 0, "
+                             "and 0 on a one-column table")
         # np.loadtxt warns on empty input; no rows fails the shape test
         table = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, 0))
         if table.shape != shape:
             raise ValueError(f"rows x columns {table.shape}, header {shape}")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"coefficient table {path}: {exc}; expected a header "
                           "'omega n_x n_t' and n_x rows of n_t numbers") from None
     return CoefficientField.tabulated(table, length, omega if omega > 0 else None)
@@ -430,10 +433,11 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
         return ok, f"min sampled {label} = {low:.3g}{suffix}"
 
     def bounds():
-        # lower >= 0 is enforced, so this also catches samples below zero
+        # lower >= 0 is enforced, so this also catches samples below zero;
+        # a NaN sample fails both comparisons
         bad = [name for name, c in coeffs.items()
-               if samples[name].max() > c.upper + 1e-12 * max(1.0, c.upper)
-               or samples[name].min() < c.lower - 1e-12 * max(1.0, c.upper)]
+               if not (samples[name].max() <= c.upper + 1e-12 * max(1.0, c.upper)
+                       and samples[name].min() >= c.lower - 1e-12 * max(1.0, c.upper))]
         return on_fail(not bad, f"bounds violated for {', '.join(bad)}")
 
     def periodicity():

@@ -49,8 +49,8 @@ class SiOdeParams:
 
     def __post_init__(self):
         for name in ("beta", "mu", "p", "q", "S0", "I0"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise DomainError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class SisOdeParams:
 
     def __post_init__(self):
         for name in ("beta", "gamma", "p", "q", "N"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise DomainError(f"{name} must be positive and finite")
         if not (0 < self.S0 < self.N):
             raise DomainError(f"need 0 < S0 < N, got S0={self.S0}, N={self.N}")
 
@@ -194,10 +194,9 @@ def _gain(params: SisOdeParams, S: float) -> float:
     return params.beta * S**params.q * (params.N - S) ** (params.p - 1.0)
 
 
-def _bisect_gain(params: SisOdeParams, target: float, lo: float, hi: float
-                 ) -> float:
-    """Bracketed bisection of g(S) = target on a monotone piece of g; the
-    end whose residual has the sign of ``f_lo`` moves to the midpoint."""
+def _bisect_gain(params: SisOdeParams, target: float, lo: float,
+                 hi: float) -> float:
+    """Bracketed bisection of g(S) = target on a monotone piece of g."""
     f_lo = _gain(params, lo) - target
     f_hi = _gain(params, hi) - target
     if f_lo == 0.0:
@@ -285,11 +284,10 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
 def sis_classify(params: SisOdeParams) -> SisOutcome:
     """Predicted limit point of the SIS flow from ``params.S0``.
 
-    The number of interior steady states decides. Two (p > 1 below the
-    fold): starts below the upper state fall to the lower one, starts
-    above it converge to the disease-free boundary. One: it attracts
-    everything (p <= 1), or, at the p > 1 fold, every start at or below
-    it. None: the boundary attracts.
+    The number of interior steady states decides. Two (p > 1, below the
+    fold): starts below the upper one fall to the lower one, starts above
+    it go to the disease-free boundary. One attracts every start (p <= 1),
+    or at the p > 1 fold every start at or below it. None: the boundary.
     """
     S0, N = params.S0, params.N
     interior = sis_steady_states(params).interior
@@ -333,16 +331,13 @@ class OdeTrajectory:
 def _rhs(system: str, params, y: np.ndarray) -> np.ndarray:
     """Stage-safe right-hand side; negative excursions inside Runge-Kutta
     stages are evaluated at the clipped state."""
-    S = np.maximum(y[:, 0], 0.0)
-    I = np.maximum(y[:, 1], 0.0)
+    clipped = np.maximum(y, 0.0)
+    S, I = clipped[:, 0], clipped[:, 1]
     incidence = params.beta * S**params.q * I**params.p
+    removal = (params.mu if system == "si" else params.gamma) * I
     out = np.empty_like(y)
-    if system == "si":
-        out[:, 0] = -incidence
-        out[:, 1] = incidence - params.mu * I
-    else:
-        out[:, 0] = -incidence + params.gamma * I
-        out[:, 1] = incidence - params.gamma * I
+    out[:, 0] = -incidence if system == "si" else removal - incidence
+    out[:, 1] = incidence - removal
     return out
 
 

@@ -327,7 +327,7 @@ def _oracle_rows(system: str, points: list[dict], verdict) -> list[dict]:
     si = system == "si"
     params = [(ode.SiOdeParams if si else ode.SisOdeParams)(**pt) for pt in points]
     report = ode.settle_batch(
-        system, {name: [pt[name] for pt in points] for name in vars(params[0])},
+        system, {name: [pt[name] for pt in points] for name in points[0]},
         [[prm.S0, prm.I0] for prm in params], t_max=SWEEP_T_MAX)
     rows = []
     for prm, y, converged, clamp in zip(params, report.y, report.converged,

@@ -130,9 +130,11 @@ def test_out_of_range_value_is_refused_where_it_is_built(key, value, message):
     ("[model]\nbeta = -1", "model.beta", 5),
     ("[model]\ns = -1", "model.s", 5),
     ("[model]\nr = nan", "model.r", 5),
-    ("[model]\nincidence = bogus", "model.incidence", 5)],
+    ("[model]\nincidence = bogus", "model.incidence", 5),
+    ("[model]\nbeta_table = no-such-table.txt", "model.beta_table", 5)],
     ids=["max-steps", "dt-min", "t-end", "window", "dS", "p", "binomial-k",
-         "amplitude", "no-period", "negative-beta", "s", "r-nan", "incidence"])
+         "amplitude", "no-period", "negative-beta", "s", "r-nan", "incidence",
+         "missing-table"])
 def test_a_refused_value_names_its_key_and_line(text, key, line):
     # the code that builds the value refuses it; the reader adds the line
     with pytest.raises(ConfigError) as err:
@@ -146,8 +148,10 @@ def test_a_refused_value_names_its_key_and_line(text, key, line):
     ("L = 2 1\nn = 8 8", "bump(0.3, auto, 1.0)", "bump(0.3, 0.5, 0.1, 1.0)"),
     ("L = 1\nn = 8", "bump(0.2, 0.7, 0.05, 1.0)", "2 centre coordinates for a 1D grid"),
     ("L = 1\nn = 8", "bump(0.2, 0, 1.0)", "width must be positive or auto, got 0.0"),
-    ("L = 1\nn = 8", "bump(0.2, -0.1, 1.0)", "width must be positive or auto, got -0.1")],
-    ids=["auto-x", "auto-y-and-width", "extra-centre", "zero-width", "negative-width"])
+    ("L = 1\nn = 8", "bump(0.2, -0.1, 1.0)", "width must be positive or auto, got -0.1"),
+    ("L = 1\nn = 8", "bump(0.5, inf, 1.0)", "width must be positive or auto, got inf")],
+    ids=["auto-x", "auto-y-and-width", "extra-centre", "zero-width", "negative-width",
+         "infinite-width"])
 def test_each_bump_argument_is_used_on_its_axis_or_refused(domain, bump,
                                                           same_or_refused):
     def build(value):
@@ -259,6 +263,26 @@ def test_cli_refuses_a_non_finite_model_input(tmp_path, capsys, monkeypatch,
     args = [command, str(cfg)] + (["--out", "out"] if command == "run" else [])
     assert cli_main(args) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("initial, cause", [
+    ("tabulated(missing.txt)", "initial data file missing.txt: missing.txt not found"),
+    ("tabulated(letters.txt)", "initial data file letters.txt: could not convert "
+                               "string 'x' to float64")],
+    ids=["missing", "not-a-number"])
+def test_a_missing_or_malformed_initial_data_file_is_refused(tmp_path, capsys,
+                                                             monkeypatch, initial,
+                                                             cause):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "letters.txt").write_text("x\n")
+    text = f"[domain]\nL = 1.0\nn = 16\n[initial]\nI = {initial}\n"
+    cfg = parse_config(text)
+    with pytest.raises(ConfigError, match=re.escape(f"initial.I: {cause}")) as err:
+        cfg.initial_arrays()
+    assert err.value.key == "initial.I"
+    (tmp_path / "bad.cfg").write_text(text)
+    assert cli_main(["run", "bad.cfg", "--out", "out"]) == 2
+    assert f"error: initial.I: {cause}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

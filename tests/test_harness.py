@@ -359,6 +359,21 @@ def test_cli_ode_classify(capsys):
     assert "predicted_limit=(1,0)" in out
 
 
+@pytest.mark.parametrize("system, args, message", [
+    ("si", ["--beta", "nan", "--I0", "4"], "beta must be positive and finite"),
+    ("sis", ["--gamma", "nan", "--N", "1"], "gamma must be positive and finite"),
+    ("sis", ["--gamma", "0.2", "--N", "inf"], "N must be positive and finite")],
+    ids=["si-beta-nan", "sis-gamma-nan", "sis-N-inf"])
+def test_cli_ode_classify_refuses_a_non_finite_parameter(capsys, system, args,
+                                                         message):
+    base = {"si": ["--p", "1", "--q", "0.5", "--beta", "1", "--S0", "1"],
+            "sis": ["--p", "2", "--q", "1", "--beta", "1", "--S0", "0.5"]}[system]
+    assert cli_main(["ode", "classify", system, *base, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_cli_ode_preset(capsys):
     code = cli_main(["preset", "si-finite-extinction"])
     assert code == 0

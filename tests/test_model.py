@@ -254,12 +254,20 @@ def test_sample_gives_one_row_for_a_time_constant_field(coeff_calls):
     ("0 2 1\n", "rows x columns (0, 0), header (2, 1)"),
     ("0 3 1\n1\n2\n", "rows x columns (2, 1), header (3, 1)"),
     ("0 2 2\n1 2\n3\n", "columns"),
-    ("0 2 1  # omega n_x n_t\n1  # first row\n", "rows x columns (1, 1), header (2, 1)")],
+    ("0 2 1  # omega n_x n_t\n1  # first row\n", "rows x columns (1, 1), header (2, 1)"),
+    ("nan 2 1\n1\n2\n", "header omega nan must be finite and >= 0"),
+    ("inf 2 2\n1 2\n3 4\n", "header omega inf must be finite and >= 0"),
+    ("-1 2 3\n1 2 3\n4 5 6\n", "header omega -1.0 must be finite and >= 0"),
+    ("2 2 1\n1\n2\n", "header omega 2.0 must be finite and >= 0, and 0 on a "
+                       "one-column table"),
+    (None, "No such file or directory")],
     ids=["empty", "two-field-header", "non-numeric-header", "no-rows",
-         "fewer-rows", "ragged-row", "inline-comment"])
+         "fewer-rows", "ragged-row", "inline-comment", "nan-omega", "inf-omega",
+         "negative-omega", "period-on-one-column", "missing-file"])
 def test_a_malformed_table_is_refused(tmp_path, text, cause):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     with pytest.raises(ConfigError, match=re.escape(cause)) as err:
         read_coefficient_table(path, length=1.0)
     assert str(err.value).startswith(f"coefficient table {path}: ")

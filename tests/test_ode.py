@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from sqip.errors import DomainError
@@ -89,6 +90,22 @@ def test_si_rk4_clamp_time_within_bound():
 def test_si_params_validated():
     with pytest.raises(DomainError):
         SiOdeParams(beta=1, mu=0, p=1, q=1, S0=1, I0=1)
+
+
+ODE_FIELDS = ([(SiOdeParams, f.name) for f in dataclasses.fields(SiOdeParams)]
+              + [(SisOdeParams, f.name) for f in dataclasses.fields(SisOdeParams)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("cls, name", ODE_FIELDS,
+                         ids=[f"{cls.__name__}-{name}" for cls, name in ODE_FIELDS])
+def test_a_non_finite_ode_parameter_is_refused(cls, name, value):
+    good = {"beta": 1.0, "mu": 1.0, "gamma": 1.0, "p": 1.0, "q": 0.5,
+            "N": 2.0, "S0": 1.0, "I0": 1.0}
+    fields = {f.name: good[f.name] for f in dataclasses.fields(cls)}
+    cls(**fields)
+    with pytest.raises(DomainError, match=f"(^{name} |S0={value})"):
+        cls(**dict(fields, **{name: value}))
 
 
 # ------------------------------------------------------------ SIS system
@@ -235,6 +252,25 @@ def test_rk4_rejects_unknown_system():
     params = SisOdeParams(beta=1, gamma=1, p=1, q=1, N=1, S0=0.5)
     with pytest.raises(DomainError):
         rk4_integrate("sir", params, 1.0, 0.1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(system=st.sampled_from(["si", "sis"]),
+       p=st.floats(0.3, 2.5), q=st.floats(0.3, 2.0),
+       beta=st.floats(0.3, 2.0), rate=st.floats(0.1, 2.0),
+       start=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)))
+def test_both_oracle_drivers_give_a_point_the_same_bits(system, p, q, beta,
+                                                         rate, start):
+    # at t_max = 5 the first settle checkpoint is the end of the run
+    if system == "si":
+        params = SiOdeParams(beta=beta, mu=rate, p=p, q=q, S0=start[0], I0=start[1])
+    else:
+        params = SisOdeParams(beta=beta, gamma=rate, p=p, q=q, N=sum(start),
+                              S0=start[0])
+    traj = rk4_integrate(system, params, t_end=5, dt=0.01)
+    report = settle_batch(system, {k: [v] for k, v in vars(params).items()},
+                          [[params.S0, params.I0]], dt=0.01, t_max=5)
+    assert np.array_equal(traj.terminal, report.y[0])
 
 
 def test_settle_batch_freezes_converged_points():

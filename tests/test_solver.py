@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.linalg.lapack import dpbtrs
 
 from sqip.errors import AssumptionError, NumericsError, StiffnessError
 from sqip.grid import Domain, _stiffness_banded, integrate
-from sqip.model import CoefficientField, Incidence, ModelSpec
+from sqip.model import A1, CoefficientField, Incidence, ModelSpec, validate_assumptions
 from sqip.presets import preset_config
 from sqip.solver import SolverSettings, Stepper, SystemState, run
 
@@ -321,6 +322,21 @@ def test_run_refuses_empty_infection():
         "initial.I": "constant(0.0)", "solver.t_end": "1.0"})
     with pytest.raises(AssumptionError):
         run(cfg)
+
+
+def test_a_nan_coefficient_built_in_code_fails_a1_and_stops_the_run_at_zero():
+    # a field built in code skips the config checks; its declared bounds
+    # hold, but half of its samples are NaN
+    cfg = preset_config("thm-2.11-persist", {"solver.t_end": "1.0"})
+    half_nan = CoefficientField(1.0, 2.0, None,
+                                lambda x, t: np.where(x < 0.5, np.nan, 2.0))
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, beta=half_nan))
+    S0, I0 = cfg.initial_arrays()
+    report = validate_assumptions(cfg.model, SystemState(S0, I0, 0.0), cfg.domain)
+    assert (report[A1].status, report[A1].detail) == ("fail", "bounds violated for beta")
+    with pytest.raises(NumericsError) as err:
+        run(cfg)
+    assert err.value.payload["t"] == 0.0
 
 
 def test_run_override_keeps_zero_infection_invariant():
