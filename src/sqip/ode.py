@@ -261,11 +261,12 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
         if gamma < params.beta * N**params.q:
             roots.append((gamma / params.beta) ** (1.0 / params.q))
     else:
-        # Gain blows up toward S = N, so a root always exists.
+        # Gain blows up toward S = N, so a root always exists; one closer
+        # to N than the float spacing stalls the halving and is refused.
         hi = N - tiny
         while _gain(params, hi) <= gamma:
-            hi = 0.5 * (hi + N)
-            if N - hi < 1e-300:
+            hi, last = 0.5 * (hi + N), hi
+            if not last < hi < N:
                 raise NumericsError("gain never exceeded gamma", gamma=gamma)
         roots.append(_bisect_gain(params, gamma, tiny, hi))
 
@@ -348,7 +349,7 @@ def _batch(system: str, params_batch: dict, y0):
         raise DomainError(f"unknown system {system!r}")
     params = SimpleNamespace(**{name: np.asarray(vals, dtype=float)
                                 for name, vals in params_batch.items()})
-    y = np.array(y0, dtype=float)
+    y = np.array(y0, dtype=float).reshape(-1, 2)
     return params, y, y.sum(axis=1), np.full(len(y), np.nan)
 
 

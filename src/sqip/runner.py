@@ -14,7 +14,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -325,9 +325,11 @@ def _oracle_rows(system: str, points: list[dict], verdict) -> list[dict]:
     point's (predicted, observed, agree) columns.
     """
     si = system == "si"
-    params = [(ode.SiOdeParams if si else ode.SisOdeParams)(**pt) for pt in points]
+    cls = ode.SiOdeParams if si else ode.SisOdeParams
+    params = [cls(**pt) for pt in points]
     report = ode.settle_batch(
-        system, {name: [pt[name] for pt in points] for name in points[0]},
+        system, {f.name: [getattr(prm, f.name) for prm in params]
+                 for f in fields(cls)},
         [[prm.S0, prm.I0] for prm in params], t_max=SWEEP_T_MAX)
     rows = []
     for prm, y, converged, clamp in zip(params, report.y, report.converged,

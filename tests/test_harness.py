@@ -199,6 +199,11 @@ def test_empty_sweep_header_only(tmp_path):
     assert lines[0].endswith("outcome,value,error")
 
 
+@pytest.mark.parametrize("rows", [si_sweep_rows, sis_sweep_rows])
+def test_a_zero_point_oracle_sweep_has_an_empty_table(rows):
+    assert rows(count=0) == []
+
+
 def test_pde_sweep_rows_and_resume(tmp_path):
     spec = SweepSpec(kind="pde", base="sis-bistable", axes=(
         ("solver.t_end", ("2.0", "3.0")),))

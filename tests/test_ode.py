@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from sqip.errors import DomainError
+from sqip.errors import DomainError, NumericsError
 from sqip.ode import (BOTH_TO_ZERO, S_HITS_ZERO, S_POSITIVE_LIMIT,
                       SiOdeParams, SisOdeParams, _reduced_flow,
                       extinction_time_bound, n_star, rk4_integrate,
@@ -203,6 +203,16 @@ def test_sis_sublinear_always_unique():
         assert len(states.interior) == 1
         st = states.interior[0]
         assert st.stability == ("attracting-from-below", "attracting-from-above")
+
+
+def test_a_sublinear_root_closer_to_n_than_a_float_is_refused():
+    # the gain at the last float below N stays under gamma; the search for
+    # a larger one must end instead of halving in place
+    params = SisOdeParams(beta=0.23556394851112603, gamma=2.898768620459333,
+                          p=0.9372286229348794, q=0.3093009083271088,
+                          N=2.293382516860277, S0=0.4260845551568494)
+    with pytest.raises(NumericsError, match="gain never exceeded gamma"):
+        sis_steady_states(params)
 
 
 def test_sis_classify_spot_checks():
