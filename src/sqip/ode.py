@@ -242,7 +242,7 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
     """All steady states of the reduced SIS flow on [0, N].
 
     Interior states solve beta*S^q*(N-S)^(p-1) = gamma. The gain profile
-    is strictly increasing for p <= 1 and single-humped with peak
+    rises strictly for p <= 1 and is single-humped with peak
     beta*N* for p > 1, so each monotone piece is searched by bisection.
     """
     N, gamma = params.N, params.gamma
@@ -391,7 +391,7 @@ def rk4_integrate(system: str, params, t_end: float, dt: float,
     """Fixed-step RK4 trajectory, the oracle behind every classification.
 
     It runs the kernel of ``settle_batch`` on a one-row batch, so a point
-    gets the same bits through either driver. The SI system may genuinely
+    gets the same bits from both functions. The SI system may genuinely
     reach S = 0 in finite time when q < 1, so S is clamped at zero there
     and its first clamping is recorded with its time; the clamp time
     estimates the true hitting time. The SIS invariant S + I = N is
