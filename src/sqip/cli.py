@@ -4,7 +4,8 @@ Subcommands:
     run <config>         run a scenario file
     preset <name>        run a named preset
     sweep <spec>         run a sweep file (pde sweeps resume; ode-si and
-                         ode-sis sweeps are the RK4 oracle's agreement check)
+                         ode-sis sweeps are the error-controlled ODE
+                         oracle's agreement check)
     r0 <config>          spectral threshold quantities only
     ode classify ...     closed-form outcome of a zero-diffusion system
 

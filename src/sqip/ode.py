@@ -1,7 +1,8 @@
 """Well-mixed (zero-diffusion) companions of the spatial model.
 
-Two systems live here, with closed-form thresholds and a fixed-step RK4
-oracle used to verify every classification empirically:
+Two systems live here, with closed-form thresholds and an error-controlled
+Runge-Kutta oracle (Dormand-Prince 5(4)) used to verify every
+classification empirically:
 
   SI with mortality:   S' = -beta*S^q*I^p,  I' = beta*S^q*I^p - mu*I
   SIS (no mortality):  S' = -beta*S^q*I^p + gamma*I,  I' = -S'
@@ -253,8 +254,10 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
         threshold = params.beta * n_star(params.p, params.q, N)
         s_peak = params.q * N / (params.p - 1.0 + params.q)
         if gamma < threshold:
+            # g(N) = 0 < gamma, so [s_peak, N] straddles the upper root
+            # however close to N it lies.
             roots.append(_bisect_gain(params, gamma, tiny, s_peak))
-            roots.append(_bisect_gain(params, gamma, s_peak, N - tiny))
+            roots.append(_bisect_gain(params, gamma, s_peak, N))
         elif gamma == threshold:
             roots.append(s_peak)
     elif params.p == 1:
@@ -312,10 +315,156 @@ def sis_classify(params: SisOdeParams) -> SisOutcome:
 
 
 # --------------------------------------------------------------------------
-# RK4 oracle
+# Error-controlled oracle
 # --------------------------------------------------------------------------
 
 SYSTEMS = ("si", "sis")
+
+# Dormand & Prince (1980) 5(4) pair, advancing the 5th-order solution. Row
+# i of _DP_A gives stage i + 1 from stages 0..i; the last row is the step
+# itself, so its stage at the new state is the next step's first (FSAL).
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+# 5th- minus 4th-order weights over all seven stages: the local error.
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+         -1 / 40)
+
+# A step is accepted when its error estimate is at most
+# STEP_TOL * (1 + max |y|) of its row, before and after the step, in each
+# component.
+STEP_TOL = 1e-10
+STEP_SAFETY = 0.9
+STEP_GROW_MAX = 5.0
+STEP_SHRINK_MIN = 0.2
+# In the SI system an error e in S moves the time at which S reaches zero
+# by about e / |S'|, and |S'| vanishes with S when q < 1; so a step's S
+# error is also held to CROSSING_TIME_TOL * |S'| at its start. A step
+# that takes S from positive to negative is accepted only when it is no
+# longer than CROSSING_STEP, so the clamp time is at most that late.
+CROSSING_TIME_TOL = 1e-5
+CROSSING_STEP = 0.01
+
+
+def _combo(coefs, ks):
+    """sum(c * k) over the nonzero coefficients, in stage order."""
+    terms = [c * k for c, k in zip(coefs, ks) if c]
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
+
+
+class _Batch:
+    """An oracle run over the rows of an (m, 2) state.
+
+    Each row has its own time, next trial step (``dt`` at the start),
+    row sum, first S-clamp time and accepted/rejected step counts, so a
+    row gets the same bits alone as inside any batch.
+    """
+
+    def __init__(self, system: str, params_batch: dict, y0, dt: float):
+        if system not in SYSTEMS:
+            raise DomainError(f"unknown system {system!r}")
+        self.system = system
+        self.params = SimpleNamespace(**{name: np.asarray(vals, dtype=float)
+                                         for name, vals in params_batch.items()})
+        self.y = np.array(y0, dtype=float).reshape(-1, 2)
+        m = len(self.y)
+        self.total = self.y.sum(axis=1)
+        self.t = np.zeros(m)
+        self.h = np.full(m, float(dt))
+        self.clamp_time = np.full(m, np.nan)
+        self.accepted = np.zeros(m, dtype=np.int64)
+        self.rejected = np.zeros(m, dtype=np.int64)
+        self.k1 = self._rhs(self.y)
+
+    def _rhs(self, y: np.ndarray) -> np.ndarray:
+        """Stage-safe right-hand side; negative excursions inside a step's
+        stages are evaluated at the clipped state."""
+        params = self.params
+        clipped = np.maximum(y, 0.0)
+        S, I = clipped[:, 0], clipped[:, 1]
+        incidence = params.beta * S**params.q * I**params.p
+        removal = (params.mu if self.system == "si" else params.gamma) * I
+        out = np.empty_like(y)
+        out[:, 0] = -incidence if self.system == "si" else removal - incidence
+        out[:, 1] = incidence - removal
+        return out
+
+    def advance(self, t_stop: float, active: np.ndarray) -> None:
+        """Step every active row from its own t to ``t_stop``, landing on it.
+
+        Each row's step size follows its own error estimate. In the SI
+        system a negative S is clamped at zero (I' >= -mu*I keeps I
+        positive; its clamp is only a guard), and each row's first clamp
+        time is recorded. A trial state must be finite, a step must move
+        its row's t, and for the SIS system each row's sum must stay
+        within 1e-10 of its start at the end.
+        """
+        si = self.system == "si"
+        y, t, h, k1 = self.y, self.t, self.h, self.k1
+        while True:
+            moving = active & (t < t_stop)
+            if not moving.any():
+                break
+            room = t_stop - t
+            lands = moving & (h >= room)
+            step = np.where(lands, room, np.where(moving, h, 0.0))
+            stuck = moving & (t + step == t)
+            if stuck.any():
+                row = int(np.flatnonzero(stuck)[0])
+                raise NumericsError(
+                    f"step size underflow in row {row} at t={t[row]!r}, "
+                    f"h={step[row]!r}", row=row, t=float(t[row]),
+                    h=float(step[row]))
+            hs = step[:, None]
+            ks = [k1]
+            for coefs in _DP_A[:-1]:
+                ks.append(self._rhs(y + hs * _combo(coefs, ks)))
+            y_new = y + hs * _combo(_DP_A[-1], ks)
+            if not np.isfinite(y_new).all():
+                raise NumericsError("non-finite ODE state", t=float(t_stop),
+                                    state=y_new)
+            ks.append(self._rhs(y_new))
+            local = np.abs(hs * _combo(_DP_E, ks))
+            size = np.maximum(np.abs(y), np.abs(y_new))
+            err = np.maximum(local[:, 0], local[:, 1]) / (
+                STEP_TOL * (1.0 + np.maximum(size[:, 0], size[:, 1])))
+            if si:
+                err = np.maximum(err, local[:, 0] / np.maximum(
+                    CROSSING_TIME_TOL * np.abs(k1[:, 0]), 1e-200))
+                crossed = (y[:, 0] > 0.0) & (y_new[:, 0] < 0.0)
+                err[crossed & (step > CROSSING_STEP)] = np.inf
+            ok = moving & (err <= 1.0)
+            # a zero error grows by the cap; nan (0/0) shrinks like inf
+            grow = STEP_SAFETY * np.maximum(err, 1e-10) ** -0.2
+            proposed = step * np.fmin(np.fmax(grow, STEP_SHRINK_MIN), STEP_GROW_MAX)
+            # a landing step may be short; it does not shrink the next one
+            h = np.where(moving, np.where(lands & ok, np.maximum(h, proposed),
+                                          proposed), h)
+            t_new = np.where(lands, t_stop, t + step)
+            if si:
+                fresh = ok & (y_new[:, 0] < 0.0) & np.isnan(self.clamp_time)
+                self.clamp_time[fresh] = t_new[fresh]
+                y_new = np.maximum(y_new, 0.0)
+            y = np.where(ok[:, None], y_new, y)
+            # _rhs clips, so the last stage is also the clamped state's slope
+            k1 = np.where(ok[:, None], ks[-1], k1)
+            t = np.where(ok, t_new, t)
+            self.accepted += ok
+            self.rejected += moving & ~ok
+        self.y, self.t, self.h, self.k1 = y, t, h, k1
+        if self.system == "sis":
+            drift = np.abs(y.sum(axis=1) - self.total)
+            if (drift > 1e-10 * self.total).any():
+                raise NumericsError("conserved sum drifted",
+                                    drift=float(drift.max()), t=float(t_stop))
 
 
 @dataclass
@@ -323,108 +472,61 @@ class OdeTrajectory:
     t: np.ndarray
     y: np.ndarray  # shape (len(t), n_components)
     clamp_time: float  # first S-clamp time, nan if none
+    steps_accepted: int
+    steps_rejected: int
 
     @property
     def terminal(self) -> np.ndarray:
         return self.y[-1]
 
 
-def _rhs(system: str, params, y: np.ndarray) -> np.ndarray:
-    """Stage-safe right-hand side; negative excursions inside Runge-Kutta
-    stages are evaluated at the clipped state."""
-    clipped = np.maximum(y, 0.0)
-    S, I = clipped[:, 0], clipped[:, 1]
-    incidence = params.beta * S**params.q * I**params.p
-    removal = (params.mu if system == "si" else params.gamma) * I
-    out = np.empty_like(y)
-    out[:, 0] = -incidence if system == "si" else removal - incidence
-    out[:, 1] = incidence - removal
-    return out
-
-
-def _batch(system: str, params_batch: dict, y0):
-    """Start of an RK4 batch: one float array per parameter, a float copy
-    of the (m, 2) state, its row sums and the unset clamp times."""
-    if system not in SYSTEMS:
-        raise DomainError(f"unknown system {system!r}")
-    params = SimpleNamespace(**{name: np.asarray(vals, dtype=float)
-                                for name, vals in params_batch.items()})
-    y = np.array(y0, dtype=float).reshape(-1, 2)
-    return params, y, y.sum(axis=1), np.full(len(y), np.nan)
-
-
-def _rk4_run(system: str, params, y: np.ndarray, t: float, dt: float,
-             nsteps: int, active: np.ndarray, clamp_time: np.ndarray,
-             total: np.ndarray) -> tuple[np.ndarray, float]:
-    """Advance the active rows of an (m, 2) state by ``nsteps`` RK4 steps.
-
-    Frozen rows keep their state. In the SI system a negative S is
-    clamped at zero (I' >= -mu*I keeps I positive; its clamp is only a
-    guard) and each row's first S clamp time goes into ``clamp_time``.
-    At the end of the stretch the state must be finite and, for the SIS
-    system, each row's sum must stay within 1e-10 of its start ``total``.
-    """
-    for _ in range(nsteps):
-        k1 = _rhs(system, params, y)
-        k2 = _rhs(system, params, y + 0.5 * dt * k1)
-        k3 = _rhs(system, params, y + 0.5 * dt * k2)
-        k4 = _rhs(system, params, y + dt * k3)
-        y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        if system == "si":
-            fresh = active & (y_new[:, 0] < 0.0) & np.isnan(clamp_time)
-            clamp_time[fresh] = t
-            y_new = np.maximum(y_new, 0.0)
-        y = np.where(active[:, None], y_new, y)
-    if not np.isfinite(y).all():
-        raise NumericsError("non-finite ODE state", t=t, state=y.copy())
-    if system == "sis":
-        drift = np.abs(y.sum(axis=1) - total)
-        if (drift > 1e-10 * total).any():
-            raise NumericsError("conserved sum drifted", drift=float(drift.max()),
-                                t=t)
-    return y, t
-
-
 def rk4_integrate(system: str, params, t_end: float, dt: float,
                   record_every: int = 1) -> OdeTrajectory:
-    """Fixed-step RK4 trajectory, the oracle behind every classification.
+    """Error-controlled Runge-Kutta trajectory, the oracle behind every
+    classification.
 
-    It runs the kernel of ``settle_batch`` on a one-row batch, so a point
-    gets the same bits from both functions. The SI system may genuinely
-    reach S = 0 in finite time when q < 1, so S is clamped at zero there
-    and its first clamping is recorded with its time; the clamp time
-    estimates the true hitting time. The SIS invariant S + I = N is
-    checked at every recorded state and a drift beyond 1e-10 * N aborts.
+    The state is recorded at ``k * dt * record_every`` up to
+    ``round(t_end / dt) * dt``; the step lands on each record time, and
+    ``dt`` is also the first trial step. It runs the kernel of
+    ``settle_batch`` on a one-row batch, so a point gets the same bits
+    from both functions. The SI system may genuinely reach S = 0 in
+    finite time when q < 1, so S is clamped at zero there and its first
+    clamping is recorded with its time; the clamp time is at most
+    ``CROSSING_STEP`` after the true hitting time. The SIS invariant
+    S + I = N is checked at every recorded state and a drift beyond
+    1e-10 * N aborts.
     """
-    batch, y, total, clamp_time = _batch(
-        system, {name: [value] for name, value in vars(params).items()},
-        [[params.S0, params.I0]])
+    batch = _Batch(system, {name: [value] for name, value in vars(params).items()},
+                   [[params.S0, params.I0]], dt)
     if dt <= 0 or t_end <= 0:
         raise DomainError("need positive dt and t_end")
 
     n_steps = int(round(t_end / dt))
-    t = 0.0
-    ts = [t]
-    ys = [y[0]]
-    for done in range(0, n_steps, record_every):
-        y, t = _rk4_run(system, batch, y, t, dt, min(record_every, n_steps - done),
-                        np.ones(1, dtype=bool), clamp_time, total)
-        ts.append(t)
-        ys.append(y[0])
+    active = np.ones(1, dtype=bool)
+    ts = [0.0]
+    ys = [batch.y[0]]
+    for done in range(record_every, n_steps + record_every, record_every):
+        t_stop = min(done, n_steps) * dt
+        batch.advance(t_stop, active)
+        ts.append(t_stop)
+        ys.append(batch.y[0])
 
     return OdeTrajectory(t=np.array(ts), y=np.array(ys),
-                         clamp_time=float(clamp_time[0]))
+                         clamp_time=float(batch.clamp_time[0]),
+                         steps_accepted=int(batch.accepted[0]),
+                         steps_rejected=int(batch.rejected[0]))
 
 
 @dataclass
 class TerminalReport:
     """Converged end state of a batch of parameter points."""
 
-    y: np.ndarray             # (m, 2) terminal states
-    t_reached: np.ndarray     # (m,)
-    converged: np.ndarray     # (m,) bool: movement criterion met
-    clamp_time: np.ndarray    # (m,) first S-clamp time, nan if none
+    y: np.ndarray               # (m, 2) terminal states
+    t_reached: np.ndarray       # (m,)
+    converged: np.ndarray       # (m,) bool: movement criterion met
+    clamp_time: np.ndarray      # (m,) first S-clamp time, nan if none
+    steps_accepted: np.ndarray  # (m,) int
+    steps_rejected: np.ndarray  # (m,) int
 
 
 def settle_batch(system: str, params_batch: dict[str, np.ndarray],
@@ -432,30 +534,29 @@ def settle_batch(system: str, params_batch: dict[str, np.ndarray],
                  ) -> TerminalReport:
     """Integrate many points at once until each stops moving.
 
-    A point is converged once its state changes by less than
-    ``SETTLE_MOVEMENT_TOL`` (sup norm) over the trailing tenth of its
-    elapsed time, checked every ``SETTLE_CHECK_WINDOW`` time units.
-    Converged points are frozen while the rest continue, which keeps the
-    oracle sweeps cheap.
+    Every point starts with the trial step ``dt``. A point is converged
+    once its state changes by less than ``SETTLE_MOVEMENT_TOL`` (sup norm)
+    over the trailing tenth of its elapsed time, checked every
+    ``SETTLE_CHECK_WINDOW`` time units. Converged points are frozen while
+    the rest continue, which keeps the oracle sweeps cheap.
     """
-    p, y, total, clamp_time = _batch(system, params_batch, y0)
-    active = np.ones(len(y), dtype=bool)
-    t_reached = np.zeros(len(y))
-    converged = np.zeros(len(y), dtype=bool)
+    batch = _Batch(system, params_batch, y0, dt)
+    active = np.ones(len(batch.y), dtype=bool)
+    converged = np.zeros(len(batch.y), dtype=bool)
 
     t = 0.0
-    anchor = y
+    anchor = batch.y
     while t < t_max - 1e-12 and active.any():
         # Each checkpoint spacing is the trailing tenth of elapsed time,
         # so the movement test always looks at the last decade of the run.
-        t_next = min(t_max, max(t + SETTLE_CHECK_WINDOW, 1.1 * t))
-        nsteps = max(1, int(math.ceil((t_next - t) / dt)))
-        y, t = _rk4_run(system, p, y, t, dt, nsteps, active, clamp_time, total)
-        t_reached[active] = t
-        moved = np.abs(y - anchor).max(axis=1)
+        t = min(t_max, max(t + SETTLE_CHECK_WINDOW, 1.1 * t))
+        batch.advance(t, active)
+        moved = np.abs(batch.y - anchor).max(axis=1)
         settled = active & (moved < SETTLE_MOVEMENT_TOL)
         converged |= settled
         active &= ~settled
-        anchor = y
-    return TerminalReport(y=y, t_reached=t_reached, converged=converged,
-                          clamp_time=clamp_time)
+        anchor = batch.y
+    return TerminalReport(y=batch.y, t_reached=batch.t, converged=converged,
+                          clamp_time=batch.clamp_time,
+                          steps_accepted=batch.accepted,
+                          steps_rejected=batch.rejected)

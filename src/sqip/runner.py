@@ -25,6 +25,8 @@ from .presets import preset_config, preset_pairs
 from .solver import Trajectory
 
 ODE_SWEEP_HEADER = "p,q,beta,gamma_or_mu,N_or_I0,S0,predicted,observed,agree"
+# Per-point integration effort of an ode sweep, written beside results.csv.
+ODE_STEPS_HEADER = "row,steps_accepted,steps_rejected,t_reached"
 
 # Observation threshold of the oracle sweeps (terminal matching scale).
 MATCH_TOL = 1e-3
@@ -332,14 +334,17 @@ def _oracle_rows(system: str, points: list[dict], verdict) -> list[dict]:
                  for f in fields(cls)},
         [[prm.S0, prm.I0] for prm in params], t_max=SWEEP_T_MAX)
     rows = []
-    for prm, y, converged, clamp in zip(params, report.y, report.converged,
-                                        report.clamp_time):
-        predicted, observed, agree = verdict(prm, y, bool(converged), clamp)
+    for i, prm in enumerate(params):
+        predicted, observed, agree = verdict(
+            prm, report.y[i], bool(report.converged[i]), report.clamp_time[i])
         rows.append({
             "p": prm.p, "q": prm.q, "beta": prm.beta,
             "gamma_or_mu": prm.mu if si else prm.gamma,
             "N_or_I0": prm.I0 if si else prm.N, "S0": prm.S0,
             "predicted": predicted, "observed": observed, "agree": bool(agree),
+            "steps_accepted": int(report.steps_accepted[i]),
+            "steps_rejected": int(report.steps_rejected[i]),
+            "t_reached": float(report.t_reached[i]),
         })
     return rows
 
@@ -353,6 +358,14 @@ def ode_sweep_csv(rows: list[dict]) -> str:
             str(row["predicted"]), str(row["observed"]),
             "true" if row["agree"] else "false",
         ]))
+    return "\n".join(lines) + "\n"
+
+
+def ode_steps_csv(rows: list[dict]) -> str:
+    lines = [ODE_STEPS_HEADER]
+    for i, row in enumerate(rows):
+        lines.append(f"{i},{row['steps_accepted']},{row['steps_rejected']},"
+                     f"{_fmt(row['t_reached'])}")
     return "\n".join(lines) + "\n"
 
 
@@ -509,8 +522,9 @@ def run_sweep(spec: SweepSpec, out_dir) -> str:
     points in one batch, so they keep no journal and are recomputed in
     full, with ``spec.points`` (unset: 100) and ``spec.seed`` (unset: the
     sampler's reference seed, 20240501 for ``ode-si`` and 20240502 for
-    ``ode-sis``). Either way results.csv is written in deterministic row
-    order via an atomic rename.
+    ``ode-sis``), and write each point's accepted and rejected steps and
+    the time it reached to steps.csv beside results.csv. Either way each
+    file is written in deterministic row order via an atomic rename.
     """
     os.makedirs(out_dir, exist_ok=True)
     if spec.kind == "pde":
@@ -531,15 +545,17 @@ def run_sweep(spec: SweepSpec, out_dir) -> str:
                 part.flush()
                 done[i] = line
         header = ",".join(axis_names + ["outcome", "value", "error"])
-        text = "\n".join([header] + [done[i] for i in range(len(combos))]) + "\n"
+        files = {"results.csv": "\n".join(
+            [header] + [done[i] for i in range(len(combos))]) + "\n"}
     else:
         maker = si_sweep_rows if spec.kind == "ode-si" else sis_sweep_rows
         given = {"count": spec.points, "seed": spec.seed}
-        text = ode_sweep_csv(maker(**{k: v for k, v in given.items() if v is not None}))
+        rows = maker(**{k: v for k, v in given.items() if v is not None})
+        files = {"results.csv": ode_sweep_csv(rows), "steps.csv": ode_steps_csv(rows)}
 
-    csv_path = os.path.join(out_dir, "results.csv")
-    tmp_path = csv_path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp_path, csv_path)
-    return csv_path
+    for name, text in files.items():
+        path = os.path.join(out_dir, name)
+        with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(path + ".tmp", path)
+    return os.path.join(out_dir, "results.csv")

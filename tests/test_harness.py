@@ -298,7 +298,7 @@ def test_ode_sweep_rerun_with_new_seed(tmp_path):
 @pytest.mark.parametrize("kind", ["ode-si", "ode-sis"])
 def test_ode_sweep_keeps_no_journal(tmp_path, kind):
     run_sweep(SweepSpec(kind=kind, points=8, seed=3), tmp_path)
-    assert sorted(os.listdir(tmp_path)) == ["results.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["results.csv", "steps.csv"]
 
 
 def test_ode_sweep_csv_schema(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from sqip.errors import DomainError, NumericsError
+from sqip.runner import si_sweep_rows, sis_sweep_rows
 from sqip.ode import (BOTH_TO_ZERO, S_HITS_ZERO, S_POSITIVE_LIMIT,
                       SiOdeParams, SisOdeParams, _reduced_flow,
                       extinction_time_bound, n_star, rk4_integrate,
@@ -215,6 +217,19 @@ def test_a_sublinear_root_closer_to_n_than_a_float_is_refused():
         sis_steady_states(params)
 
 
+def test_an_upper_root_within_a_float_spacing_of_n_is_found():
+    # p just above 1 puts the upper root about 1e-14 from N; the bracket
+    # [s_peak, N] still straddles gamma since g(N) = 0
+    params = SisOdeParams(p=1.0589316548419363, q=1.511500236015866,
+                          N=2.8456012647555977, beta=1.0496326339218107,
+                          gamma=0.6329506915522994, S0=1.0)
+    low, high = sis_steady_states(params).interior
+    assert low.S < high.S < params.N
+    assert params.N - high.S < 1e-12
+    out = sis_classify(params)
+    assert (out.limit_S, out.case) == (low.S, "bistable-lower-basin")
+
+
 def test_sis_classify_spot_checks():
     params = SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=0.75)
     out = sis_classify(params)
@@ -231,7 +246,7 @@ def test_sis_classify_sublinear():
     assert out.case == "endemic-sublinear"
 
 
-# ------------------------------------------------------------- RK4 oracle
+# ------------------------------------------------------------- oracle
 
 def test_rk4_sis_terminal_equilibrium():
     params = SisOdeParams(beta=2, gamma=1, p=1, q=1, N=1, S0=0.9)
@@ -271,16 +286,118 @@ def test_rk4_rejects_unknown_system():
        start=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)))
 def test_rk4_integrate_and_settle_batch_give_a_point_the_same_bits(
         system, p, q, beta, rate, start):
-    # at t_max = 5 the first settle checkpoint is the end of the run
+    # at t_max = 5 the first settle checkpoint is the end of the run, and
+    # record_every = 500 makes it the one record time of the trajectory
     if system == "si":
         params = SiOdeParams(beta=beta, mu=rate, p=p, q=q, S0=start[0], I0=start[1])
     else:
         params = SisOdeParams(beta=beta, gamma=rate, p=p, q=q, N=sum(start),
                               S0=start[0])
-    traj = rk4_integrate(system, params, t_end=5, dt=0.01)
+    traj = rk4_integrate(system, params, t_end=5, dt=0.01, record_every=500)
     report = settle_batch(system, {k: [v] for k, v in vars(params).items()},
                           [[params.S0, params.I0]], dt=0.01, t_max=5)
     assert np.array_equal(traj.terminal, report.y[0])
+    assert np.array_equal(traj.clamp_time, report.clamp_time[0], equal_nan=True)
+    assert (traj.steps_accepted, traj.steps_rejected) == (
+        report.steps_accepted[0], report.steps_rejected[0])
+
+
+_point = st.tuples(st.floats(0.3, 2.5), st.floats(0.3, 2.0), st.floats(0.3, 2.0),
+                   st.floats(0.1, 2.0), st.floats(0.05, 2.0), st.floats(0.05, 2.0))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(system=st.sampled_from(["si", "sis"]),
+       points=st.lists(_point, min_size=2, max_size=6), index=st.integers(0, 5))
+def test_a_point_gets_the_same_bits_alone_and_inside_a_batch(system, points, index):
+    # each row keeps its own t and step, so its neighbours change nothing
+    rate = "mu" if system == "si" else "gamma"
+    batch = {name: [pt[k] for pt in points]
+             for k, name in enumerate(["p", "q", "beta", rate])}
+    y0 = [[pt[4], pt[5]] for pt in points]
+    index %= len(points)
+    together = settle_batch(system, batch, y0, t_max=20.0)
+    alone = settle_batch(system, {k: v[index:index + 1] for k, v in batch.items()},
+                         y0[index:index + 1], t_max=20.0)
+    for field in ("y", "t_reached", "converged", "clamp_time", "steps_accepted",
+                  "steps_rejected"):
+        assert np.array_equal(getattr(alone, field)[0],
+                              getattr(together, field)[index], equal_nan=True), field
+
+
+REFERENCE_DT = 0.0025
+
+
+def _fixed_step_rk4(system, params_batch, y0, stops):
+    """The fixed-step RK4 loop the oracle used to run, kept as a reference.
+
+    Steps of at most REFERENCE_DT land on each stop time; returns the
+    state at each stop and each row's first S-clamp time (SI clamps a
+    negative S at zero, as the oracle does).
+    """
+    prm = SimpleNamespace(**{k: np.asarray(v, dtype=float)
+                             for k, v in params_batch.items()})
+
+    def rhs(y):
+        clipped = np.maximum(y, 0.0)
+        S, I = clipped[:, 0], clipped[:, 1]
+        incidence = prm.beta * S**prm.q * I**prm.p
+        removal = (prm.mu if system == "si" else prm.gamma) * I
+        out = np.empty_like(y)
+        out[:, 0] = -incidence if system == "si" else removal - incidence
+        out[:, 1] = incidence - removal
+        return out
+
+    y = np.array(y0, dtype=float)
+    clamp_time = np.full(len(y), np.nan)
+    t, states = 0.0, {}
+    for stop in stops:
+        n = math.ceil((stop - t) / REFERENCE_DT)
+        dt = (stop - t) / n
+        for i in range(1, n + 1):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if system == "si":
+                fresh = (y[:, 0] < 0.0) & np.isnan(clamp_time)
+                clamp_time[fresh] = t + i * dt
+                y = np.maximum(y, 0.0)
+        t = stop
+        states[stop] = y
+    return states, clamp_time
+
+
+@pytest.mark.parametrize("system, maker", [("si", si_sweep_rows),
+                                           ("sis", sis_sweep_rows)])
+def test_settle_batch_matches_the_fixed_step_reference(system, maker):
+    # SIS terminal S at the same checkpoint to 1e-8, SI clamp times to 0.01
+    rows = maker(count=30)
+    rate = "mu" if system == "si" else "gamma"
+    batch = {"p": [r["p"] for r in rows], "q": [r["q"] for r in rows],
+             "beta": [r["beta"] for r in rows], rate: [r["gamma_or_mu"] for r in rows]}
+    y0 = [[r["S0"], r["N_or_I0"] - (0 if system == "si" else r["S0"])]
+          for r in rows]
+    report = settle_batch(system, batch, y0, t_max=30.0)
+    states, clamp_time = _fixed_step_rk4(system, batch, y0, [5.0 * k for k in range(1, 7)])
+    if system == "sis":
+        reference = np.array([states[t][i, 0] for i, t in enumerate(report.t_reached)])
+        assert np.abs(report.y[:, 0] - reference).max() <= 1e-8
+    else:
+        assert np.array_equal(np.isnan(report.clamp_time), np.isnan(clamp_time))
+        assert (~np.isnan(clamp_time)).sum() >= 10
+        assert np.nanmax(np.abs(report.clamp_time - clamp_time)) <= 0.01
+
+
+def test_a_step_that_cannot_move_t_is_refused(monkeypatch):
+    # with a zero tolerance every step is rejected and shrinks to nothing
+    monkeypatch.setattr("sqip.ode.STEP_TOL", 0.0)
+    batch = {"beta": [2.0], "gamma": [1.0], "p": [1.0], "q": [1.0]}
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(NumericsError, match="step size underflow in row 0") as info:
+        settle_batch("sis", batch, [[0.9, 0.1]], dt=0.01, t_max=5.0)
+    assert info.value.payload == {"row": 0, "t": 0.0, "h": 0.0}
 
 
 def test_settle_batch_freezes_converged_points():

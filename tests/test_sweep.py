@@ -52,6 +52,22 @@ def test_ode_sweep_unset_seed_is_the_reference_seed(tmp_path, kind, maker, seed)
     assert Path(csv_path).read_text() == ode_sweep_csv(maker(count=6, seed=seed))
 
 
+@pytest.mark.parametrize("kind", ["ode-si", "ode-sis"])
+def test_ode_sweep_writes_each_points_steps_beside_its_results(tmp_path, kind):
+    spec = SweepSpec(kind=kind, points=6, seed=3)
+    csv_path = run_sweep(spec, tmp_path)
+    first = (tmp_path / "steps.csv").read_bytes()
+    run_sweep(spec, tmp_path)
+    assert (tmp_path / "steps.csv").read_bytes() == first
+    assert Path(csv_path).read_text().splitlines()[0] == runner.ODE_SWEEP_HEADER
+    header, *lines = first.decode().splitlines()
+    assert header == "row,steps_accepted,steps_rejected,t_reached"
+    rows = [line.split(",") for line in lines]
+    assert [int(row[0]) for row in rows] == list(range(6))
+    assert all(int(row[1]) > 0 and int(row[2]) >= 0 and float(row[3]) >= 5.0
+               for row in rows)
+
+
 @pytest.mark.parametrize("system, rate", [("si", "mu"), ("sis", "gamma")])
 def test_settle_batch_raises_on_a_nan_point(system, rate):
     batch = {"beta": np.array([2.0, np.nan]), rate: np.array([1.0, 1.0]),
