@@ -419,10 +419,10 @@ class _Batch:
             stuck = moving & (t + step == t)
             if stuck.any():
                 row = int(np.flatnonzero(stuck)[0])
+                t_row, h_row = float(t[row]), float(step[row])
                 raise NumericsError(
-                    f"step size underflow in row {row} at t={t[row]!r}, "
-                    f"h={step[row]!r}", row=row, t=float(t[row]),
-                    h=float(step[row]))
+                    f"step size underflow in row {row} at t={t_row!r}, h={h_row!r}",
+                    row=row, t=t_row, h=h_row)
             hs = step[:, None]
             ks = [k1]
             for coefs in _DP_A[:-1]:
