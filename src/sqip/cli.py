@@ -96,13 +96,9 @@ def _cmd_r0(args) -> int:
     return 0
 
 
-def _ode_params_from_args(args):
-    cls = ode.SiOdeParams if args.system == "si" else ode.SisOdeParams
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
-
-
 def _cmd_ode_classify(args) -> int:
-    params = _ode_params_from_args(args)
+    params = args.params(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(args.params)})
     if args.system == "si":
         outcome = ode.si_classify(params)
         sys.stdout.write(f"predicted={outcome.kind}\nrule={outcome.rule}\n")
@@ -155,16 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
     ode_sub = p_ode.add_subparsers(dest="ode_command", required=True)
 
     p_cls = ode_sub.add_parser("classify", help="closed-form outcome")
-    p_cls.add_argument("system", choices=["si", "sis"])
-    p_cls.add_argument("--p", type=float, required=True)
-    p_cls.add_argument("--q", type=float, required=True)
-    p_cls.add_argument("--beta", type=float, required=True)
-    p_cls.add_argument("--mu", type=float, default=1.0)
-    p_cls.add_argument("--gamma", type=float, default=1.0)
-    p_cls.add_argument("--N", type=float, default=1.0)
-    p_cls.add_argument("--S0", type=float, required=True)
-    p_cls.add_argument("--I0", type=float, default=1.0)
-    p_cls.set_defaults(func=_cmd_ode_classify)
+    cls_sub = p_cls.add_subparsers(dest="system", required=True)
+    defaults = {"mu": 1.0, "gamma": 1.0, "N": 1.0, "I0": 1.0}
+    for system, cls in zip(ode.SYSTEMS, (ode.SiOdeParams, ode.SisOdeParams)):
+        p_sys = cls_sub.add_parser(system)
+        for f in dataclasses.fields(cls):
+            default = defaults.get(f.name)
+            p_sys.add_argument(f"--{f.name}", type=float, default=default,
+                               required=default is None)
+        p_sys.set_defaults(func=_cmd_ode_classify, params=cls)
 
     return parser
 

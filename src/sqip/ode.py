@@ -37,6 +37,13 @@ SETTLE_MOVEMENT_TOL = 1e-6
 SETTLE_CHECK_WINDOW = 5.0
 
 
+def _require_positive(**values: float) -> None:
+    """Refuse any value that is not positive and finite (NaN included)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SiOdeParams:
     """Parameters and initial data of the SI system."""
@@ -49,9 +56,7 @@ class SiOdeParams:
     I0: float
 
     def __post_init__(self):
-        for name in ("beta", "mu", "p", "q", "S0", "I0"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise DomainError(f"{name} must be positive and finite")
+        _require_positive(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,8 @@ class SisOdeParams:
     S0: float
 
     def __post_init__(self):
-        for name in ("beta", "gamma", "p", "q", "N"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise DomainError(f"{name} must be positive and finite")
-        if not (0 < self.S0 < self.N):
+        _require_positive(**vars(self))
+        if not self.S0 < self.N:
             raise DomainError(f"need 0 < S0 < N, got S0={self.S0}, N={self.N}")
 
     @property
@@ -176,18 +179,9 @@ def n_star(p: float, q: float, N: float) -> float:
     """
     if p <= 1:
         raise DomainError(f"threshold scale needs p > 1, got p={p}")
-    if q <= 0 or N <= 0:
-        raise DomainError("need q > 0 and N > 0")
+    _require_positive(p=p, q=q, N=N)
     return (q**q * (p - 1.0) ** (p - 1.0)
             / (p - 1.0 + q) ** (p - 1.0 + q) * N ** (p - 1.0 + q))
-
-
-def _reduced_flow(params: SisOdeParams, S) -> np.ndarray:
-    """Scalar vector field of the conserved-sum reduction."""
-    S = np.asarray(S, dtype=float)
-    Sc = np.clip(S, 0.0, params.N)
-    I = params.N - Sc
-    return -params.beta * Sc**params.q * I**params.p + params.gamma * I
 
 
 def _gain(params: SisOdeParams, S: float) -> float:
@@ -219,36 +213,21 @@ def _bisect_gain(params: SisOdeParams, target: float, lo: float,
     return 0.5 * (lo + hi)
 
 
-def _stability_tags(params: SisOdeParams, S: float) -> tuple[str, ...]:
-    """Flow-direction tags on either side of an interior steady state.
-
-    Derived from the sign of the reduced vector field rather than a
-    linearization, so degenerate (tangency) states are handled without
-    special cases.
-    """
-    delta = 1e-7 * params.N
-    below = float(_reduced_flow(params, max(S - delta, 1e-12)))
-    above = float(_reduced_flow(params, min(S + delta, params.N - 1e-12)))
-    attracts_below = below > 0
-    attracts_above = above < 0
-    if attracts_below and attracts_above:
-        return ("attracting-from-below", "attracting-from-above")
-    if attracts_below != attracts_above:
-        side = "attracting-from-below" if attracts_below else "attracting-from-above"
-        return ("semi-stable", side)
-    return ("repelling",)
-
-
 def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
     """All steady states of the reduced SIS flow on [0, N].
 
-    Interior states solve beta*S^q*(N-S)^(p-1) = gamma. The gain profile
-    rises strictly for p <= 1 and is single-humped with peak
-    beta*N* for p > 1, so each monotone piece is searched by bisection.
+    Interior states solve g(S) = beta*S^q*(N-S)^(p-1) = gamma. The gain
+    rises strictly for p <= 1 and is single-humped with peak beta*N* for
+    p > 1, so each monotone piece is searched by bisection. The flow is
+    S' = (N-S)*(gamma - g(S)): positive near S = 0, where g vanishes, and
+    changing sign exactly at each simple root. So below the fold the lower
+    root attracts and the upper one repels, the tangent root at the fold
+    attracts from below only, and a p <= 1 root attracts from both sides.
     """
     N, gamma = params.N, params.gamma
     tiny = 1e-13 * N
-    roots: list[float] = []
+    stable = ("attracting-from-below", "attracting-from-above")
+    found: list[tuple[float, tuple[str, ...]]] = []
 
     if params.p > 1:
         threshold = params.beta * n_star(params.p, params.q, N)
@@ -256,13 +235,13 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
         if gamma < threshold:
             # g(N) = 0 < gamma, so [s_peak, N] straddles the upper root
             # however close to N it lies.
-            roots.append(_bisect_gain(params, gamma, tiny, s_peak))
-            roots.append(_bisect_gain(params, gamma, s_peak, N))
+            found.append((_bisect_gain(params, gamma, tiny, s_peak), stable))
+            found.append((_bisect_gain(params, gamma, s_peak, N), ("repelling",)))
         elif gamma == threshold:
-            roots.append(s_peak)
+            found.append((s_peak, ("semi-stable", "attracting-from-below")))
     elif params.p == 1:
         if gamma < params.beta * N**params.q:
-            roots.append((gamma / params.beta) ** (1.0 / params.q))
+            found.append(((gamma / params.beta) ** (1.0 / params.q), stable))
     else:
         # Gain blows up toward S = N, so a root always exists; one closer
         # to N than the float spacing stalls the halving and is refused.
@@ -271,16 +250,15 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
             hi, last = 0.5 * (hi + N), hi
             if not last < hi < N:
                 raise NumericsError("gain never exceeded gamma", gamma=gamma)
-        roots.append(_bisect_gain(params, gamma, tiny, hi))
+        found.append((_bisect_gain(params, gamma, tiny, hi), stable))
 
-    interior = tuple(
-        SteadyState(S=s, I=N - s, stability=_stability_tags(params, s))
-        for s in sorted(roots))
-
-    # (N, 0): attracting from below exactly when the flow is positive
-    # just inside the boundary.
-    near = float(_reduced_flow(params, N - 1e-7 * N))
-    tags = ("boundary", "attracting-from-below") if near > 0 else ("boundary",)
+    interior = tuple(SteadyState(S=s, I=N - s, stability=tags) for s, tags in found)
+    # (N, 0) attracts from below exactly when g < gamma just inside it: g
+    # vanishes at N for p > 1, and for p <= 1 g stays below gamma on (0, N)
+    # when no root exists.
+    tags = ("boundary", "attracting-from-below")
+    if params.p <= 1 and interior:
+        tags = ("boundary",)
     boundary = SteadyState(S=N, I=0.0, stability=tags)
     return SteadyStateSet(interior=interior, boundary=boundary)
 
@@ -371,6 +349,7 @@ class _Batch:
     def __init__(self, system: str, params_batch: dict, y0, dt: float):
         if system not in SYSTEMS:
             raise DomainError(f"unknown system {system!r}")
+        _require_positive(dt=dt)
         self.system = system
         self.params = SimpleNamespace(**{name: np.asarray(vals, dtype=float)
                                          for name, vals in params_batch.items()})
@@ -487,21 +466,22 @@ def rk4_integrate(system: str, params, t_end: float, dt: float,
 
     The state is recorded at ``k * dt * record_every`` up to
     ``round(t_end / dt) * dt``; the step lands on each record time, and
-    ``dt`` is also the first trial step. It runs the kernel of
-    ``settle_batch`` on a one-row batch, so a point gets the same bits
-    from both functions. The SI system may genuinely reach S = 0 in
-    finite time when q < 1, so S is clamped at zero there and its first
-    clamping is recorded with its time; the clamp time is at most
-    ``CROSSING_STEP`` after the true hitting time. The SIS invariant
-    S + I = N is checked at every recorded state and a drift beyond
-    1e-10 * N aborts.
+    ``dt`` is also the first trial step. Both must be positive and finite,
+    with ``round(t_end / dt) >= 1``. It runs the kernel of ``settle_batch``
+    on a one-row batch, so a point gets the same bits from both functions.
+    The SI system may genuinely reach S = 0 in finite time when q < 1, so
+    S is clamped at zero there and its first clamping is recorded with its
+    time; the clamp time is at most ``CROSSING_STEP`` after the true
+    hitting time. The SIS invariant S + I = N is checked at every recorded
+    state and a drift beyond 1e-10 * N aborts.
     """
     batch = _Batch(system, {name: [value] for name, value in vars(params).items()},
                    [[params.S0, params.I0]], dt)
-    if dt <= 0 or t_end <= 0:
-        raise DomainError("need positive dt and t_end")
-
+    _require_positive(t_end=t_end)
     n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise DomainError(f"need round(t_end / dt) >= 1, got t_end={t_end!r}, "
+                          f"dt={dt!r}")
     active = np.ones(1, dtype=bool)
     ts = [0.0]
     ys = [batch.y[0]]
@@ -534,12 +514,14 @@ def settle_batch(system: str, params_batch: dict[str, np.ndarray],
                  ) -> TerminalReport:
     """Integrate many points at once until each stops moving.
 
-    Every point starts with the trial step ``dt``. A point is converged
-    once its state changes by less than ``SETTLE_MOVEMENT_TOL`` (sup norm)
-    over the trailing tenth of its elapsed time, checked every
-    ``SETTLE_CHECK_WINDOW`` time units. Converged points are frozen while
+    Every point starts with the trial step ``dt``; it and ``t_max`` must
+    be positive and finite. A point is converged once its state changes
+    by less than ``SETTLE_MOVEMENT_TOL`` (sup norm) over the trailing
+    tenth of its elapsed time, checked every ``SETTLE_CHECK_WINDOW`` time
+    units. Converged points are frozen while
     the rest continue, which keeps the oracle sweeps cheap.
     """
+    _require_positive(t_max=t_max)
     batch = _Batch(system, params_batch, y0, dt)
     active = np.ones(len(batch.y), dtype=bool)
     converged = np.zeros(len(batch.y), dtype=bool)

@@ -379,6 +379,22 @@ def test_cli_ode_classify_refuses_a_non_finite_parameter(capsys, system, args,
     assert f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("system, args, unread", [
+    ("sis", ["--gamma", "0.21", "--N", "1", "--mu", "7", "--I0", "9"],
+     "--mu 7 --I0 9"),
+    ("si", ["--mu", "1", "--I0", "4", "--N", "3"], "--N 3")],
+    ids=["sis-mu-I0", "si-N"])
+def test_cli_ode_classify_refuses_an_option_its_system_does_not_read(
+        capsys, system, args, unread):
+    base = ["--p", "2", "--q", "1", "--beta", "1", "--S0", "0.5"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["ode", "classify", system, *base, *args])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {unread}" in captured.err
+
+
 def test_cli_ode_preset(capsys):
     code = cli_main(["preset", "si-finite-extinction"])
     assert code == 0

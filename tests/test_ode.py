@@ -4,13 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from sqip.errors import DomainError, NumericsError
 from sqip.runner import si_sweep_rows, sis_sweep_rows
 from sqip.ode import (BOTH_TO_ZERO, S_HITS_ZERO, S_POSITIVE_LIMIT,
-                      SiOdeParams, SisOdeParams, _reduced_flow,
+                      SiOdeParams, SisOdeParams,
                       extinction_time_bound, n_star, rk4_integrate,
                       settle_batch, si_classify, sis_classify,
                       sis_steady_states)
@@ -98,7 +98,10 @@ ODE_FIELDS = ([(SiOdeParams, f.name) for f in dataclasses.fields(SiOdeParams)]
               + [(SisOdeParams, f.name) for f in dataclasses.fields(SisOdeParams)])
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+BAD_VALUES = [math.nan, math.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
 @pytest.mark.parametrize("cls, name", ODE_FIELDS,
                          ids=[f"{cls.__name__}-{name}" for cls, name in ODE_FIELDS])
 def test_a_non_finite_ode_parameter_is_refused(cls, name, value):
@@ -131,6 +134,14 @@ def test_n_star_monotone_in_total_mass():
 def test_n_star_needs_superlinear_p():
     with pytest.raises(DomainError):
         n_star(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("name", ["p", "q", "N"])
+def test_n_star_refuses_a_bad_argument(name, value):
+    args = dict({"p": 2.0, "q": 1.0, "N": 1.0}, **{name: value})
+    with pytest.raises(DomainError, match=f"(^| ){name}[ =]"):
+        n_star(**args)
 
 
 def test_sis_steady_states_bistable_pair():
@@ -230,6 +241,71 @@ def test_an_upper_root_within_a_float_spacing_of_n_is_found():
     assert (out.limit_S, out.case) == (low.S, "bistable-lower-basin")
 
 
+def _flow_tags(below: float, above: float) -> tuple[str, ...]:
+    """Tags of a state from the flow's sign just below and just above it."""
+    if below > 0 and above < 0:
+        return ("attracting-from-below", "attracting-from-above")
+    if (below > 0) != (above < 0):
+        return ("semi-stable",
+                "attracting-from-below" if below > 0 else "attracting-from-above")
+    return ("repelling",)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.one_of(st.floats(0.3, 2.5), st.just(1.0)), q=st.floats(0.3, 2.5),
+       N=st.floats(0.3, 3.0), beta=st.floats(0.2, 2.5),
+       gap=st.floats(-13.0, -0.05),
+       excess=st.one_of(st.just(1.0), st.floats(1.0, 2.0)))
+def test_each_tag_matches_the_flow_between_the_states(p, q, N, beta, gap, excess):
+    # S' = (N-S)*(gamma - g(S)), so the sign of gamma - g at the midpoint
+    # of each interval between consecutive states is the flow's direction
+    # there. gamma = g(root) puts a root 10**gap * N below N (for p > 1,
+    # the upper root), so near-N roots are common but stay farther from N
+    # than the 1e-14 * N root tolerance; a root closer to N than any float
+    # has no midpoint between it and N. excess > 1 moves the roots of
+    # p >= 1 or removes them.
+    def g(S):
+        return beta * S**q * (N - S) ** (p - 1.0)
+
+    root = N * (1.0 - 10.0**gap)
+    assume(p <= 1 or root > q * N / (p - 1.0 + q))
+    gamma = g(root) * (excess if p >= 1 else 1.0)
+    params = SisOdeParams(beta=beta, gamma=gamma, p=p, q=q, N=N, S0=0.5 * N)
+    try:
+        states = sis_steady_states(params)
+    except NumericsError:
+        return  # a refused point has no tags
+    points = [0.0] + [state.S for state in states.interior] + [N]
+    signs = [gamma - g(0.5 * (a + b)) for a, b in zip(points, points[1:])]
+    for k, state in enumerate(states.interior):
+        assert state.stability == _flow_tags(signs[k], signs[k + 1])
+    attracts = "attracting-from-below" in states.boundary.stability
+    assert attracts == (signs[-1] > 0)
+
+
+@pytest.mark.parametrize("point, interior_tags, boundary_tags", [
+    # the upper root lies 1.2e-14 below N, inside the old probes' reach
+    (dict(p=1.0589316548419363, q=1.511500236015866, N=2.8456012647555977,
+          beta=1.0496326339218107, gamma=0.6329506915522994),
+     [("attracting-from-below", "attracting-from-above"), ("repelling",)],
+     ("boundary", "attracting-from-below")),
+    (dict(p=1.057786269335985, q=0.5757466096149991, N=2.685230580810617,
+          beta=2.4098931351074935, gamma=1.6749381152614309),
+     [("attracting-from-below", "attracting-from-above"), ("repelling",)],
+     ("boundary", "attracting-from-below")),
+    (dict(p=0.9330232236299589, q=2.086063867128976, N=0.4138914753480738,
+          beta=0.2584689023798952, gamma=0.2226112958170529),
+     [("attracting-from-below", "attracting-from-above")],
+     ("boundary",))],
+    ids=["upper-root-repels", "boundary-attracts", "boundary-does-not-attract"])
+def test_a_root_near_n_gets_the_tags_of_the_root_structure(point, interior_tags,
+                                                           boundary_tags):
+    states = sis_steady_states(SisOdeParams(**point, S0=0.1 * point["N"]))
+    assert states.interior[-1].S > point["N"] * (1 - 1e-7)
+    assert [state.stability for state in states.interior] == interior_tags
+    assert states.boundary.stability == boundary_tags
+
+
 def test_sis_classify_spot_checks():
     params = SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=0.75)
     out = sis_classify(params)
@@ -267,8 +343,12 @@ def test_rk4_reduced_matches_full():
     # conserved-sum flow S' = -beta*S^q*(N-S)^p + gamma*(N-S)
     params = SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=0.45)
     full = rk4_integrate("sis", params, t_end=30.0, dt=1e-3, record_every=500)
-    reduced = solve_ivp(lambda t, S: _reduced_flow(params, S),
-                        (0.0, full.t[-1]), [params.S0], method="DOP853",
+
+    def flow(t, S):
+        I = params.N - S
+        return -params.beta * S**params.q * I**params.p + params.gamma * I
+
+    reduced = solve_ivp(flow, (0.0, full.t[-1]), [params.S0], method="DOP853",
                         t_eval=full.t, rtol=1e-12, atol=1e-14)
     assert np.abs(full.y[:, 0] - reduced.y[0]).max() < 1e-9
 
@@ -277,6 +357,27 @@ def test_rk4_rejects_unknown_system():
     params = SisOdeParams(beta=1, gamma=1, p=1, q=1, N=1, S0=0.5)
     with pytest.raises(DomainError):
         rk4_integrate("sir", params, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("call, name", [
+    ("rk4_integrate", "dt"), ("rk4_integrate", "t_end"),
+    ("settle_batch", "dt"), ("settle_batch", "t_max")])
+def test_a_bad_oracle_time_input_is_refused(call, name, value):
+    params = SisOdeParams(beta=1, gamma=0.5, p=1, q=1, N=1, S0=0.5)
+    with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
+        if call == "rk4_integrate":
+            rk4_integrate("sis", params, **dict({"t_end": 1.0, "dt": 0.1},
+                                                **{name: value}))
+        else:
+            settle_batch("sis", {k: [v] for k, v in vars(params).items()},
+                         [[params.S0, params.I0]], **{name: value})
+
+
+def test_a_run_shorter_than_half_a_step_is_refused():
+    params = SisOdeParams(beta=1, gamma=0.5, p=1, q=1, N=1, S0=0.5)
+    with pytest.raises(DomainError, match=r"round\(t_end / dt\) >= 1.*t_end=0.4"):
+        rk4_integrate("sis", params, t_end=0.4, dt=1.0)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
