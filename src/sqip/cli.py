@@ -7,7 +7,7 @@ Subcommands:
                          ode-sis sweeps are the error-controlled ODE
                          oracle's agreement check)
     r0 <config>          spectral threshold quantities only
-    ode classify ...     closed-form outcome of a zero-diffusion system
+    ode classify si|sis  closed-form outcome of a zero-diffusion system
 
 Exit code is 0 exactly when no operation reported an error.
 """
@@ -97,8 +97,8 @@ def _cmd_r0(args) -> int:
 
 
 def _cmd_ode_classify(args) -> int:
-    params = args.params(**{f.name: getattr(args, f.name)
-                            for f in dataclasses.fields(args.params)})
+    params = args.param_cls(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(args.param_cls)})
     if args.system == "si":
         outcome = ode.si_classify(params)
         sys.stdout.write(f"predicted={outcome.kind}\nrule={outcome.rule}\n")
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
             default = defaults.get(f.name)
             p_sys.add_argument(f"--{f.name}", type=float, default=default,
                                required=default is None)
-        p_sys.set_defaults(func=_cmd_ode_classify, params=cls)
+        p_sys.set_defaults(func=_cmd_ode_classify, param_cls=cls)
 
     return parser
 
