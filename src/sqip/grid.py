@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
 
 from .errors import ConfigError, DomainError, NumericsError
 
@@ -93,6 +91,24 @@ def _stiffness_banded(n: int, h: float) -> np.ndarray:
     return ab
 
 
+# LAPACK's banded Cholesky solve, bound by the first DiffusionSolver. The
+# solves look it up as a module global: as an instance attribute it made
+# the spectral benchmark about 1.5% slower.
+dpbtrs = None
+
+
+def cholesky_banded(ab: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of a banded SPD matrix in upper banded form.
+
+    This is scipy's ``cholesky_banded`` (LAPACK ``dpbtrf``). scipy.linalg
+    takes about a third of a second to import and only the diffusion
+    solves use it, so it loads here and in :class:`DiffusionSolver`, not
+    with the package: the ODE oracle never pays for it.
+    """
+    from scipy.linalg import cholesky_banded as factor
+    return factor(ab)
+
+
 class DiffusionSolver:
     """Backward-Euler diffusion solve on a grid.
 
@@ -101,10 +117,14 @@ class DiffusionSolver:
     solves. 2D uses the factored alternating-direction form
     (I + c*Ax)(I + c*Ay), which is first-order consistent with the
     unsplit step and conserves the discrete integral exactly, factor by
-    factor.
+    factor. LAPACK (scipy.linalg) is loaded when the first solver is
+    built.
     """
 
     def __init__(self, domain: Domain):
+        global dpbtrs
+        if dpbtrs is None:
+            from scipy.linalg.lapack import dpbtrs
         self._stiffness = [_stiffness_banded(n, h)
                            for n, h in zip(domain.cells, domain.spacing)]
         self._factors: dict[float, list[tuple[np.ndarray, bool]]] = {}

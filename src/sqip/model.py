@@ -102,6 +102,11 @@ def classify_exponents(e: Exponents) -> RegimeReport:
 # Incidence kernels
 # --------------------------------------------------------------------------
 
+def power(x, e: float):
+    """x**e, skipping the pass over x when e is 1 (x**1.0 == x bit for bit)."""
+    return x if e == 1.0 else x**e
+
+
 # Variant -> the kernel parameters it reads; the rest keep valid defaults.
 INCIDENCE_PARAMS = {"power": ("q", "p"), "binomial": ("k",),
                     "saturated": ("q", "p", "ell"), "media": ("q", "p", "ell")}
@@ -143,11 +148,11 @@ class Incidence:
         right), which numpy's power already provides for positive
         exponents.
         """
-        if self.variant == "power":
-            return S**self.q * I**self.p
         if self.variant == "binomial":
             return S * np.log1p(self.k * I)
-        core = S**self.q * I**self.p
+        core = power(S, self.q) * power(I, self.p)
+        if self.variant == "power":
+            return core
         damp = 1.0 + I**self.ell
         if self.variant == "media":
             return core * np.exp(-I) / damp

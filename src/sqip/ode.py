@@ -213,6 +213,20 @@ def _bisect_gain(params: SisOdeParams, target: float, lo: float,
     return 0.5 * (lo + hi)
 
 
+def _rising_root(params: SisOdeParams, hi: float) -> float:
+    """Root of g(S) = gamma where g rises on (0, hi], with g(hi) > gamma.
+
+    It is bisected on [1e-13*N, hi]. Below 1e-13*N, (N-S)^(p-1) is
+    N^(p-1) to 1e-13 relative, so the root has the closed form of p = 1,
+    which keeps digits that a bisection to 1e-14*N would lose.
+    """
+    tiny = 1e-13 * params.N
+    if _gain(params, tiny) <= params.gamma:
+        return _bisect_gain(params, params.gamma, tiny, hi)
+    scale = params.beta * params.N ** (params.p - 1.0)
+    return (params.gamma / scale) ** (1.0 / params.q)
+
+
 def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
     """All steady states of the reduced SIS flow on [0, N].
 
@@ -235,7 +249,7 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
         if gamma < threshold:
             # g(N) = 0 < gamma, so [s_peak, N] straddles the upper root
             # however close to N it lies.
-            found.append((_bisect_gain(params, gamma, tiny, s_peak), stable))
+            found.append((_rising_root(params, s_peak), stable))
             found.append((_bisect_gain(params, gamma, s_peak, N), ("repelling",)))
         elif gamma == threshold:
             found.append((s_peak, ("semi-stable", "attracting-from-below")))
@@ -250,7 +264,7 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
             hi, last = 0.5 * (hi + N), hi
             if not last < hi < N:
                 raise NumericsError("gain never exceeded gamma", gamma=gamma)
-        found.append((_bisect_gain(params, gamma, tiny, hi), stable))
+        found.append((_rising_root(params, hi), stable))
 
     interior = tuple(SteadyState(S=s, I=N - s, stability=tags) for s, tags in found)
     # (N, 0) attracts from below exactly when g < gamma just inside it: g
@@ -467,8 +481,9 @@ def rk4_integrate(system: str, params, t_end: float, dt: float,
     The state is recorded at ``k * dt * record_every`` up to
     ``round(t_end / dt) * dt``; the step lands on each record time, and
     ``dt`` is also the first trial step. Both must be positive and finite,
-    with ``round(t_end / dt) >= 1``. It runs the kernel of ``settle_batch``
-    on a one-row batch, so a point gets the same bits from both functions.
+    with ``round(t_end / dt) >= 1``, and ``record_every`` a positive
+    integer. It runs the kernel of ``settle_batch`` on a one-row batch, so
+    a point gets the same bits from both functions.
     The SI system may genuinely reach S = 0 in finite time when q < 1, so
     S is clamped at zero there and its first clamping is recorded with its
     time; the clamp time is at most ``CROSSING_STEP`` after the true
@@ -482,6 +497,9 @@ def rk4_integrate(system: str, params, t_end: float, dt: float,
     if n_steps < 1:
         raise DomainError(f"need round(t_end / dt) >= 1, got t_end={t_end!r}, "
                           f"dt={dt!r}")
+    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
+        raise DomainError(f"record_every must be a positive integer, "
+                          f"got {record_every!r}")
     active = np.ones(1, dtype=bool)
     ts = [0.0]
     ys = [batch.y[0]]

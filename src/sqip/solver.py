@@ -19,7 +19,7 @@ import numpy as np
 from . import diagnostics
 from .errors import AssumptionError, ConfigError, NumericsError, StiffnessError
 from .grid import DiffusionSolver, Domain
-from .model import ModelSpec, validate_assumptions
+from .model import ModelSpec, power, validate_assumptions
 
 # Hard default ceiling of the auto-chosen initial step.
 DT_INIT_CAP = 1e-2
@@ -178,7 +178,7 @@ class Stepper:
             removal = I
         else:
             s, r = self._removal
-            removal = S**s * I**r
+            removal = power(S, s) * power(I, r)
         return gamma * removal - bk, bk - gamma_mu * removal
 
     def reaction_dt_cap(self, sup: float) -> float:

@@ -538,14 +538,33 @@ def test_two_dim_preset_flag():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize adds about a third of a second to ``import sqip``,
-    # which every CLI call pays; the R0 root-find is written out instead
+    # scipy.optimize and scipy.linalg each add about a third of a second
+    # to ``import sqip``, which every CLI call pays. The R0 root-find is
+    # written out, and scipy.linalg loads with the first diffusion solver,
+    # so the ODE oracle (sweeps and ``sqip ode``) never imports either.
+    code = ("import sys, tempfile\n"
+            "def loaded():\n"
+            "    print('loaded', sorted(m for m in ('scipy.linalg',\n"
+            "                                       'scipy.optimize')\n"
+            "                           if m in sys.modules))\n"
+            "import sqip\n"
+            "loaded()\n"
+            "from sqip.runner import SweepSpec, run_sweep\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    run_sweep(SweepSpec(kind='ode-si', points=5, seed=3), out)\n"
+            "loaded()\n"
+            "from sqip.cli import main\n"
+            "assert main(['ode', 'classify', 'si', '--beta', '2', '--p', '1',\n"
+            "             '--q', '0.5', '--S0', '1']) == 0\n"
+            "loaded()\n"
+            "from sqip.grid import DiffusionSolver, Domain\n"
+            "DiffusionSolver(Domain((1.0,), (8,)))\n"
+            "loaded()\n")
     env = dict(os.environ, PYTHONPATH=str(Path(sqip.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sqip; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True, env=env)
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded")]
+    assert loaded == ["loaded []"] * 3 + ["loaded ['scipy.linalg']"]
 
 
 def test_star_import_resolves_every_export_and_mapped_module():

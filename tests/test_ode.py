@@ -241,6 +241,19 @@ def test_an_upper_root_within_a_float_spacing_of_n_is_found():
     assert (out.limit_S, out.case) == (low.S, "bistable-lower-basin")
 
 
+def test_a_lower_root_below_the_search_floor_is_found():
+    # gamma = 3e-20 puts the lower root near 1e-65, below the 1e-13*N
+    # where the bisection starts; it must keep its digits there
+    params = SisOdeParams(beta=1, gamma=3.1637527173477554e-20, p=2.5, q=0.3,
+                          N=1, S0=0.5)
+    low, high = sis_steady_states(params).interior
+    assert 0 < low.S < 1e-60 and high.S < params.N
+    assert low.S**0.3 * (1 - low.S) ** 1.5 == pytest.approx(params.gamma,
+                                                            rel=1e-12)
+    out = sis_classify(params)
+    assert (out.limit_S, out.case) == (low.S, "bistable-lower-basin")
+
+
 def _flow_tags(below: float, above: float) -> tuple[str, ...]:
     """Tags of a state from the flow's sign just below and just above it."""
     if below > 0 and above < 0:
@@ -378,6 +391,14 @@ def test_a_run_shorter_than_half_a_step_is_refused():
     params = SisOdeParams(beta=1, gamma=0.5, p=1, q=1, N=1, S0=0.5)
     with pytest.raises(DomainError, match=r"round\(t_end / dt\) >= 1.*t_end=0.4"):
         rk4_integrate("sis", params, t_end=0.4, dt=1.0)
+
+
+@pytest.mark.parametrize("record_every", [0, -1, 1.5])
+def test_a_record_spacing_that_is_not_a_positive_integer_is_refused(record_every):
+    # 0 used to fail inside range(), -1 to return only the t = 0 record
+    params = SisOdeParams(beta=1, gamma=0.5, p=1, q=1, N=1, S0=0.5)
+    with pytest.raises(DomainError, match="^record_every must be a positive integer"):
+        rk4_integrate("sis", params, t_end=1.0, dt=0.1, record_every=record_every)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -105,6 +105,29 @@ def _reference_step(model, dom, state, dt):
             _reference_solve(dom, dt * model.d_I, state.I + dt * g))
 
 
+class _NoPower(np.ndarray):
+    """An array that refuses ``**``: shows that a power pass is skipped."""
+
+    def __pow__(self, other):
+        raise AssertionError(f"x**{other} taken")
+
+
+def test_unit_exponents_take_no_power():
+    # x**1.0 == x bit for bit, so neither the kernel nor the removal takes
+    # a unit power: arrays that refuse ``**`` pass through both
+    dom = Domain((1.0,), (32,))
+    model = make_model(p=1.0, q=1.0, s=1.0, r=1.0, beta=1.3, gamma=0.7, mu=0.2)
+    rng = np.random.default_rng(5)
+    S, I = rng.uniform(0.1, 2.0, 32), rng.uniform(0.0, 1.0, 32)
+    f, g = Stepper(model, dom).reaction(S.view(_NoPower), I.view(_NoPower), 0.0)
+    plain = S**1.0 * I**1.0
+    assert np.array_equal(f, 0.7 * plain - 1.3 * plain)
+    assert np.array_equal(g, 1.3 * plain - (0.7 + 0.2) * plain)
+    # q = 1 with p = 2: only I is raised
+    kernel = Incidence("power", q=1.0, p=2.0).kernel(S.view(_NoPower), I)
+    assert np.array_equal(kernel, S**1.0 * I**2.0)
+
+
 def _coefficient(base, periodic, length):
     if periodic:
         return CoefficientField.cosine_modulated(
