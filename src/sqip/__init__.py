@@ -16,7 +16,7 @@ from .diagnostics import (OutcomeReport, Tolerances, classify_longtime,
                           detect_periodic, lk_norm)
 from .errors import (AssumptionError, ConfigError, DomainError, NumericsError,
                      SqipError, StiffnessError)
-from .grid import Domain, integrate, poincare_constant
+from .grid import Domain, integrate
 from .model import (AssumptionReport, CoefficientField, Exponents, Incidence,
                     ModelSpec, classify_exponents, read_coefficient_table,
                     validate_assumptions)
@@ -39,7 +39,7 @@ __all__ = [
     "Trajectory", "classify_exponents", "classify_longtime",
     "detect_periodic", "extinction_time_bound",
     "integrate", "lk_norm", "load_config", "monodromy_radius", "n_star",
-    "parse_config", "poincare_constant", "preset_config",
+    "parse_config", "preset_config",
     "principal_eigenvalue", "r0", "read_coefficient_table", "rk4_integrate",
     "run", "run_scenario", "run_sweep", "si_classify", "sis_classify",
     "sis_steady_states", "validate_assumptions",

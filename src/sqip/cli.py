@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = ode_sub.add_parser("classify", help="closed-form outcome")
     cls_sub = p_cls.add_subparsers(dest="system", required=True)
     defaults = {"mu": 1.0, "gamma": 1.0, "N": 1.0, "I0": 1.0}
-    for system, cls in zip(ode.SYSTEMS, (ode.SiOdeParams, ode.SisOdeParams)):
+    for system, cls in ode.SYSTEMS.items():
         p_sys = cls_sub.add_parser(system)
         for f in dataclasses.fields(cls):
             default = defaults.get(f.name)

@@ -113,12 +113,12 @@ class DiffusionSolver:
     """Backward-Euler diffusion solve on a grid.
 
     Each axis solve is one LAPACK ``dpbtrs`` call on a Cholesky factor of
-    (I + c*A) for that axis, cached per ``c``. 1D solves are exact banded
-    solves. 2D uses the factored alternating-direction form
-    (I + c*Ax)(I + c*Ay), which is first-order consistent with the
-    unsplit step and conserves the discrete integral exactly, factor by
-    factor. LAPACK (scipy.linalg) is loaded when the first solver is
-    built.
+    (I + c*A) for that axis, kept for the last two values of ``c``
+    factored. 1D solves are exact banded solves. 2D uses the factored
+    alternating-direction form (I + c*Ax)(I + c*Ay), which is first-order
+    consistent with the unsplit step and conserves the discrete integral
+    exactly, factor by factor. LAPACK (scipy.linalg) is loaded when the
+    first solver is built.
     """
 
     def __init__(self, domain: Domain):
@@ -132,6 +132,10 @@ class DiffusionSolver:
     def _axis_factors(self, c: float) -> list[tuple[np.ndarray, bool]]:
         """Per axis: the factor of (I + c*A) and whether the solve along
         it goes through the transpose (axis 1 of a 2D field)."""
+        # Two sets serve the S and I solves of a step; when the reaction
+        # cap sets dt, c changes almost every step. The oldest set goes.
+        if len(self._factors) >= 2:
+            del self._factors[next(iter(self._factors))]
         factors = []
         for axis, stiffness in enumerate(self._stiffness):
             ab = c * stiffness
@@ -156,29 +160,3 @@ class DiffusionSolver:
             if swap:
                 out = out.T
         return out
-
-
-def _axis_poincare(n: int, length: float) -> float:
-    """Smallest positive eigenvalue of A on one axis of n cells.
-
-    The cell-centred Neumann stencil has the eigenvalues
-    (4/h^2) sin^2(k pi h / (2L)), k = 0..n-1, with cos(k pi x / L)
-    sampled at the cell centres as eigenvectors; k = 1 is the one here.
-    """
-    h = length / n
-    return 4.0 / (h * h) * math.sin(math.pi * h / (2.0 * length)) ** 2
-
-
-def poincare_constant(domain: Domain) -> float:
-    """Smallest positive eigenvalue of -Laplacian with zero-flux boundaries.
-
-    This is the constant in the mean-zero Poincare inequality on the grid.
-    On a rectangle the spectrum is the sum of the per-axis spectra, so the
-    smallest positive value is the minimum of the axis values. The
-    value is the exact eigenvalue of the discrete operator, which tends to
-    the continuum value (pi/L)^2 at second order in h.
-    """
-    if min(domain.cells) < 8:
-        raise ConfigError("Poincare constant needs at least 8 cells per axis")
-    return min(_axis_poincare(n, length)
-               for n, length in zip(domain.cells, domain.lengths))

@@ -247,8 +247,11 @@ def sis_steady_states(params: SisOdeParams) -> SteadyStateSet:
         threshold = params.beta * n_star(params.p, params.q, N)
         s_peak = params.q * N / (params.p - 1.0 + params.q)
         if gamma < threshold:
-            # g(N) = 0 < gamma, so [s_peak, N] straddles the upper root
-            # however close to N it lies.
+            # g(N) = 0 < gamma, so [s_peak, N] straddles the upper root; a
+            # root past the last float below N has none and is refused.
+            if _gain(params, math.nextafter(N, 0.0)) > gamma:
+                raise NumericsError("upper steady state within a float "
+                                    "spacing of N", gamma=gamma)
             found.append((_rising_root(params, s_peak), stable))
             found.append((_bisect_gain(params, gamma, s_peak, N), ("repelling",)))
         elif gamma == threshold:
@@ -310,7 +313,7 @@ def sis_classify(params: SisOdeParams) -> SisOutcome:
 # Error-controlled oracle
 # --------------------------------------------------------------------------
 
-SYSTEMS = ("si", "sis")
+SYSTEMS = {"si": SiOdeParams, "sis": SisOdeParams}
 
 # Dormand & Prince (1980) 5(4) pair, advancing the 5th-order solution. Row
 # i of _DP_A gives stage i + 1 from stages 0..i; the last row is the step

@@ -327,7 +327,7 @@ def _oracle_rows(system: str, points: list[dict], verdict) -> list[dict]:
     point's (predicted, observed, agree) columns.
     """
     si = system == "si"
-    cls = ode.SiOdeParams if si else ode.SisOdeParams
+    cls = ode.SYSTEMS[system]
     params = [cls(**pt) for pt in points]
     report = ode.settle_batch(
         system, {f.name: [getattr(prm, f.name) for prm in params]

@@ -133,13 +133,10 @@ def _require_finite(extrema: tuple, state: SystemState, dt: float) -> None:
 
 
 class Stepper:
-    """One-step IMEX integrator bound to a model, grid, and settings."""
+    """One-step IMEX integrator bound to a model and a grid."""
 
-    def __init__(self, model: ModelSpec, domain: Domain,
-                 settings: SolverSettings | None = None):
+    def __init__(self, model: ModelSpec, domain: Domain):
         self.model = model
-        self.domain = domain
-        self.settings = settings or SolverSettings()
         self.diffusion = DiffusionSolver(domain)
         self._x = domain.x_coordinate()
         # Time-constant coefficients are sampled once. Samples keep the
@@ -220,16 +217,6 @@ class Stepper:
             return None
         return SystemState._from_step(S, I, state.t + dt, extrema)
 
-    def initial_dt(self, state: SystemState) -> float:
-        s = self.settings
-        if s.dt_init is not None:
-            return s.dt_init
-        h = min(self.domain.spacing)
-        dt = DT_INIT_GAIN * h * h / max(self.model.d_S, self.model.d_I)
-        _, hi_S, _, hi_I = state.extrema
-        dt = min(dt, DT_INIT_CAP, s.dt_max, self.reaction_dt_cap(max(hi_S, hi_I)))
-        return max(dt, s.dt_min)
-
 
 def _marginal_positivity_flags(model: ModelSpec, S0: np.ndarray,
                                I0: np.ndarray) -> list[str]:
@@ -281,7 +268,7 @@ def run(config) -> Trajectory:
             raise AssumptionError(failures)
         flags.append("degenerate-initial-override")
 
-    stepper = Stepper(model, domain, settings)
+    stepper = Stepper(model, domain)
     t_end = float(config.t_end)
     cadence = float(config.cadence)
     # One sorted list of (time, is_snapshot); t_end is always the last.
@@ -302,7 +289,12 @@ def run(config) -> Trajectory:
     floor_S = lo_S
     floor_I = lo_I
 
-    dt = stepper.initial_dt(state)
+    dt = settings.dt_init
+    if dt is None:
+        h = min(domain.spacing)
+        dt = min(DT_INIT_GAIN * h * h / max(model.d_S, model.d_I), DT_INIT_CAP,
+                 settings.dt_max, stepper.reaction_dt_cap(sup_monitor))
+        dt = max(dt, settings.dt_min)
     accepted = 0
     rejected = 0
     streak = 0

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from sqip.errors import ConfigError, DomainError
-from sqip.grid import (DiffusionSolver, Domain, _stiffness_banded,
-                       integrate, poincare_constant)
+from sqip.grid import DiffusionSolver, Domain, _stiffness_banded, integrate
+
+from conftest import solved_eigenvalue
 
 # Property tests draw a fixed sequence of examples, so reruns match.
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -41,13 +42,13 @@ def test_constant_field_in_kernel():
 
 def test_cosine_is_discrete_eigenfunction():
     # cos(pi x / L) at cell centers is an exact eigenvector of the mirrored
-    # stencil, with the eigenvalue -poincare_constant; that approaches
-    # -(pi/L)^2 at second order.
+    # stencil, with the eigenvalue -lam read off the diffusion solve; that
+    # approaches -(pi/L)^2 at second order.
     dom = Domain((1.0,), (200,))
     lap = laplacian_dense(dom)
     (x,), (length,), (h,) = dom.cell_centers(), dom.lengths, dom.spacing
     f = np.cos(math.pi * x / length)
-    assert np.abs(lap @ f + poincare_constant(dom) * f).max() < 1e-8
+    assert np.abs(lap @ f + solved_eigenvalue(dom) * f).max() < 1e-8
     residual = np.abs(lap @ f + (math.pi / length) ** 2 * f).max()
     # O(h^2) constant is pi^4/12 ~ 8.1
     assert residual < 10.0 * h**2
@@ -174,37 +175,62 @@ def test_domain_geometry_per_axis():
 
 def test_poincare_interval_pi():
     # analytic smallest positive eigenvalue (pi/L)^2 = 1 on [0, pi]
-    lam = poincare_constant(Domain((math.pi,), (400,)))
+    lam = solved_eigenvalue(Domain((math.pi,), (400,)))
     assert abs(lam - 1.0) < 1e-4
 
 
 def test_poincare_unit_interval():
-    lam = poincare_constant(Domain((1.0,), (400,)))
+    lam = solved_eigenvalue(Domain((1.0,), (400,)))
     assert abs(lam - math.pi**2) < 1e-2
 
 
 def test_poincare_square():
-    lam = poincare_constant(Domain((math.pi, math.pi), (200, 200)))
+    lam = solved_eigenvalue(Domain((math.pi, math.pi), (200, 200)))
     assert abs(lam - 1.0) < 1e-3
 
 
 def test_poincare_refinement_order():
-    errs = [abs(poincare_constant(Domain((1.0,), (n,))) - math.pi**2)
+    errs = [abs(solved_eigenvalue(Domain((1.0,), (n,))) - math.pi**2)
             for n in (100, 200, 400)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(o >= 1.9 for o in orders)
     assert errs[2] < errs[1] < errs[0]
 
 
-def test_poincare_needs_enough_cells():
-    with pytest.raises(ConfigError):
-        poincare_constant(Domain((1.0,), (6,)))
-
-
 def test_poincare_resolution_override():
-    coarse = poincare_constant(Domain((1.0,), (16,)))
-    fine = poincare_constant(Domain((1.0,), (256,)))
+    coarse = solved_eigenvalue(Domain((1.0,), (16,)))
+    fine = solved_eigenvalue(Domain((1.0,), (256,)))
     assert abs(fine - math.pi**2) < abs(coarse - math.pi**2)
+
+
+def test_the_factor_cache_keeps_the_last_two_values_factored(monkeypatch):
+    # A run whose dt the reaction cap sets changes c almost every step:
+    # the cache must not grow with the steps, while the S and I solves of
+    # a step, two alternating values of c, factor each value once.
+    factored = []
+    original = DiffusionSolver._axis_factors
+
+    def counted(self, c):
+        factored.append(c)
+        return original(self, c)
+
+    monkeypatch.setattr(DiffusionSolver, "_axis_factors", counted)
+    dom = Domain((1.0,), (16,))
+    solver = DiffusionSolver(dom)
+    f = np.random.default_rng(5).uniform(0.1, 2.0, dom.shape)
+    for k in range(1, 201):
+        solver.solve(k * 1e-3, f)
+    assert len(solver._factors) <= 2
+    factored.clear()
+    for c in [0.5, 0.7] * 50:
+        out = solver.solve(c, f)
+    assert factored == [0.5, 0.7]
+    assert np.array_equal(out, DiffusionSolver(dom).solve(0.7, f))
+    # oldest out: 0.5, factored before 0.7, goes to make room for 0.9
+    factored.clear()
+    for c in (0.5, 0.9, 0.7, 0.9):
+        solver.solve(c, f)
+    assert factored == [0.9]
 
 
 def test_backward_euler_solve_conserves_integral():

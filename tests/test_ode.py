@@ -228,15 +228,32 @@ def test_a_sublinear_root_closer_to_n_than_a_float_is_refused():
         sis_steady_states(params)
 
 
-def test_an_upper_root_within_a_float_spacing_of_n_is_found():
-    # p just above 1 puts the upper root about 1e-14 from N; the bracket
-    # [s_peak, N] still straddles gamma since g(N) = 0
-    params = SisOdeParams(p=1.0589316548419363, q=1.511500236015866,
-                          N=2.8456012647555977, beta=1.0496326339218107,
-                          gamma=0.6329506915522994, S0=1.0)
+def test_an_upper_root_within_a_float_spacing_of_n_is_refused():
+    # p just above 1 puts the upper root closer to N than the float below
+    # N; no float stands for it, so a start between it and N would be
+    # placed in the wrong basin
+    points = [
+        # true root 4.2e-16 below N = 2.8456, where the float spacing is
+        # 4.4e-16
+        dict(p=1.0589316548419363, q=1.511500236015866, N=2.8456012647555977,
+             beta=1.0496326339218107, gamma=0.6329506915522994),
+        # true root 1 - 5.4e-20: g - gamma is 0.19 at the float below 1
+        dict(beta=2, gamma=1, p=1.015625, q=1, N=1)]
+    for point in points:
+        params = SisOdeParams(**point, S0=0.5 * point["N"])
+        for call in (sis_steady_states, sis_classify):
+            with pytest.raises(NumericsError, match="within a float spacing"):
+                call(params)
+
+
+def test_an_upper_root_a_few_float_spacings_below_n_is_found():
+    # true upper root 3.9e-16 below N = 1, three and a half spacings of
+    # the floats below 1; the bracket [s_peak, N] straddles gamma since
+    # g(N) = 0
+    params = SisOdeParams(beta=1, gamma=0.33, p=1.03125, q=1, N=1, S0=0.5)
     low, high = sis_steady_states(params).interior
     assert low.S < high.S < params.N
-    assert params.N - high.S < 1e-12
+    assert params.N - high.S < 1e-13
     out = sis_classify(params)
     assert (out.limit_S, out.case) == (low.S, "bistable-lower-basin")
 
@@ -297,9 +314,9 @@ def test_each_tag_matches_the_flow_between_the_states(p, q, N, beta, gap, excess
 
 
 @pytest.mark.parametrize("point, interior_tags, boundary_tags", [
-    # the upper root lies 1.2e-14 below N, inside the old probes' reach
+    # the upper root lies 2.8e-13 below N, about 640 float spacings
     (dict(p=1.0589316548419363, q=1.511500236015866, N=2.8456012647555977,
-          beta=1.0496326339218107, gamma=0.6329506915522994),
+          beta=1.0496326339218107, gamma=0.9293607012181807),
      [("attracting-from-below", "attracting-from-above"), ("repelling",)],
      ("boundary", "attracting-from-below")),
     (dict(p=1.057786269335985, q=0.5757466096149991, N=2.685230580810617,

@@ -1,0 +1,113 @@
+"""Compare the artifacts of two revisions by SHA-256, file by file.
+
+    python3 tools/artifact_digests.py --base HEAD~1 --head HEAD
+
+Each side is a committed revision, exported by ``git archive`` into a
+fresh directory under a temporary folder (as ``tools/bench_pair.py``
+does). Each tree then runs, with its own ``src`` on the import path:
+
+- ``sqip preset NAME`` for the six PDE presets in 1D;
+- the same six with ``--two-dim``: full length for the four presets of
+  the benchmark's 2D workload, ``solver.t_end=6`` for ``thm-2.10-i`` and
+  ``thm-2.10-ii``;
+- ``sqip preset si-finite-extinction``;
+- ``sqip sweep`` on the reference ``ode-si`` and ``ode-sis`` specs (no
+  ``points`` or ``seed``, so each sampler's defaults).
+
+Every run writes into its own ``--out`` directory. An artifact is each
+file there, the run's stdout with that directory's path masked, and its
+exit code. The script prints one line per artifact, ``same`` with the
+digest or ``DIFF`` with both, then a count, and exits 1 when any artifact
+differs or exists on one side only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pair import export_tree
+
+PDE_PRESETS = ("r0-threshold", "sis-bistable", "thm-2.10-i", "thm-2.10-ii",
+               "thm-2.11-periodic", "thm-2.11-persist")
+# 2D presets left out of the benchmark's 2D workload for their run time.
+SHORT_2D = ("thm-2.10-i", "thm-2.10-ii")
+OUT_MASK = "<out>"
+
+
+def commands(spec_dir: Path) -> dict[str, list[str]]:
+    """Label -> sqip arguments (without ``--out``) of every compared run."""
+    runs = {}
+    for name in PDE_PRESETS:
+        runs[f"{name}-1d"] = ["preset", name]
+        runs[f"{name}-2d"] = ["preset", name, "--two-dim"] + (
+            ["--override", "solver.t_end=6"] if name in SHORT_2D else [])
+    runs["si-finite-extinction"] = ["preset", "si-finite-extinction"]
+    for kind in ("ode-si", "ode-sis"):
+        spec = spec_dir / f"{kind}.cfg"
+        spec.write_text(f"[sweep]\nkind = {kind}\n", encoding="utf-8")
+        runs[f"sweep-{kind}"] = ["sweep", str(spec)]
+    return runs
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(tree: Path, runs: dict[str, list[str]], out_root: Path) -> dict:
+    """Artifact name -> SHA-256 (or exit code) of every run in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    found = {}
+    for label, args in runs.items():
+        out = out_root / label
+        proc = subprocess.run([sys.executable, "-m", "sqip", *args,
+                               "--out", str(out)],
+                              cwd=tree, env=env, capture_output=True)
+        found[f"{label}/exit"] = str(proc.returncode)
+        found[f"{label}/stdout"] = _sha(
+            proc.stdout.replace(str(out).encode(), OUT_MASK.encode()))
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            found[f"{label}/{path.relative_to(out).as_posix()}"] = _sha(
+                path.read_bytes())
+        print(f"{tree.name}: {label} exit {proc.returncode}", file=sys.stderr,
+              flush=True)
+    return found
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base", default="HEAD~1", help="base revision")
+    ap.add_argument("--head", default="HEAD", help="changed revision")
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
+        tmp = Path(tmp)
+        runs = commands(tmp)
+        sides = {}
+        for side, rev in (("base", args.base), ("head", args.head)):
+            commit = export_tree(rev, tmp / side)
+            print(f"{side}: {rev} = {commit}")
+            sides[side] = digests(tmp / side, runs, tmp / f"out-{side}")
+
+    base, head = sides["base"], sides["head"]
+    bad = 0
+    for name in sorted(base.keys() | head.keys()):
+        b, h = base.get(name, "missing"), head.get(name, "missing")
+        if b == h:
+            print(f"same {b} {name}")
+        else:
+            bad += 1
+            print(f"DIFF {b} {h} {name}")
+    files = sum(not name.endswith("/exit") for name in base.keys() | head.keys())
+    print(f"{files} artifacts and {len(runs)} exit codes compared, "
+          f"{bad} differ or are missing")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
