@@ -22,7 +22,7 @@ from .model import (AssumptionReport, CoefficientField, Exponents, Incidence,
                     validate_assumptions)
 from .ode import (SiOdeParams, SisOdeParams, extinction_time_bound, n_star,
                   rk4_integrate, si_classify, sis_classify, sis_steady_states)
-from .solver import SolverSettings, Stepper, SystemState, Trajectory, run
+from .solver import Stepper, SystemState, Trajectory, run
 from .spectral import (LinearizedProblem, SpectralResult, monodromy_radius,
                        principal_eigenvalue, r0)
 from .config import ScenarioConfig, load_config, parse_config
@@ -34,7 +34,7 @@ __all__ = [
     "Domain", "DomainError", "Exponents",
     "Incidence", "LinearizedProblem", "ModelSpec", "NumericsError",
     "OutcomeReport", "PRESET_NAMES", "RunResult", "ScenarioConfig",
-    "SiOdeParams", "SisOdeParams", "SolverSettings", "SpectralResult",
+    "SiOdeParams", "SisOdeParams", "SpectralResult",
     "SqipError", "Stepper", "StiffnessError", "SystemState", "Tolerances",
     "Trajectory", "classify_exponents", "classify_longtime",
     "detect_periodic", "extinction_time_bound",

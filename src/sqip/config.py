@@ -30,7 +30,7 @@ from .diagnostics import Tolerances
 from .errors import ConfigError
 from .grid import Domain, integrate
 from .model import CoefficientField, Incidence, ModelSpec, read_coefficient_table
-from .solver import EVENT_SNAP, SolverSettings
+from .solver import EVENT_SNAP
 
 # Schema: section -> key -> (type tag, default string or None = mandatory).
 SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
@@ -271,12 +271,23 @@ class ScenarioConfig:
     t_end: float
     cadence: float
     snapshot_times: tuple[float, ...]
-    solver: SolverSettings
+    dt_init: float | None  # None: chosen from the grid and the reaction
+    dt_min: float
+    dt_max: float
+    max_steps: int
     detect: Tolerances
     allow_degenerate_initial: bool
     resolved: tuple[tuple[str, str], ...]  # every key, defaults included
 
     def __post_init__(self):
+        if not (0 < self.dt_min <= self.dt_max):
+            raise ConfigError("need 0 < dt_min <= dt_max", key="solver.dt_min")
+        if self.dt_init is not None and not (self.dt_min <= self.dt_init <= self.dt_max):
+            raise ConfigError("dt_init must lie in [dt_min, dt_max]",
+                              key="solver.dt_init")
+        if self.max_steps < 1:
+            raise ConfigError("solver.max_steps must be at least 1",
+                              key="solver.max_steps")
         if not self.t_end > 0:
             raise ConfigError("solver.t_end must be positive", key="solver.t_end")
         if not self.cadence > 0:
@@ -421,12 +432,10 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
             t_end=t_end,
             cadence=cadence,
             snapshot_times=tuple(sorted(set(snapshot_times))),
-            solver=SolverSettings(
-                dt_init=values["solver.dt_init"],
-                dt_min=values["solver.dt_min"],
-                dt_max=values["solver.dt_max"],
-                max_steps=values["solver.max_steps"],
-            ),
+            dt_init=values["solver.dt_init"],
+            dt_min=values["solver.dt_min"],
+            dt_max=values["solver.dt_max"],
+            max_steps=values["solver.max_steps"],
             detect=Tolerances(
                 extinct=values["detect.tol_extinct"],
                 flat=values["detect.tol_flat"],

@@ -20,8 +20,6 @@ ROW_DTYPE = np.dtype([(name, np.float64) for name in ROW_FIELDS])
 
 CSV_HEADER = ",".join(ROW_FIELDS)
 
-# Default share of the run's time span that forms the tail window.
-TAIL_FRACTION = 0.2
 # Snapshot pairs one period apart that a periodicity verdict needs.
 MIN_PERIOD_PAIRS = 3
 
@@ -63,15 +61,16 @@ def compute_row(domain: Domain, state) -> tuple:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Detection thresholds, an order of magnitude above solver error
-    at default resolution."""
+    """Detection thresholds of a scenario's ``[detect]`` section. Their
+    defaults, stated in ``config.SCHEMA``, sit an order of magnitude above
+    solver error at default resolution."""
 
-    extinct: float = 1e-4
-    flat: float = 1e-4
-    persist: float = 1e-3
-    periodic: float = 1e-4
-    window_fraction: float = TAIL_FRACTION
-    min_window: int = 5
+    extinct: float
+    flat: float
+    persist: float
+    periodic: float
+    window_fraction: float
+    min_window: int
 
     def __post_init__(self):
         if not 0 < self.window_fraction <= 1:
@@ -147,15 +146,13 @@ def periodic_residuals(traj, omega: float) -> list[tuple[float, float]]:
     return out
 
 
-def detect_periodic(traj, omega: float, tol: Tolerances | None = None
-                    ) -> float:
+def detect_periodic(traj, omega: float, tol: Tolerances) -> float:
     """Largest one-period mismatch over snapshot pairs in the tail window.
 
     Pairs whose span starts before the tail (as set by the tolerance's
     window fraction) are transient-dominated and excluded; fewer than
     ``MIN_PERIOD_PAIRS`` remaining pairs is a configuration error.
     """
-    tol = tol or Tolerances()
     pairs = periodic_residuals(traj, omega)
     rows = traj.rows
     if len(rows):
@@ -169,7 +166,7 @@ def detect_periodic(traj, omega: float, tol: Tolerances | None = None
     return max(r for _, r in pairs)
 
 
-def classify_longtime(traj, tol: Tolerances | None = None,
+def classify_longtime(traj, tol: Tolerances,
                       omega: float | None = None) -> OutcomeReport:
     """Decision tree over tail statistics of a finished trajectory.
 
@@ -177,7 +174,6 @@ def classify_longtime(traj, tol: Tolerances | None = None,
     extinction, persistence, then the periodic upgrade of a persistent
     tail when snapshots one period apart are available.
     """
-    tol = tol or Tolerances()
     tail = _tail_rows(traj, tol.window_fraction)
     base = dict(window_samples=len(tail))
     if len(tail) < tol.min_window:

@@ -30,7 +30,6 @@ UNCLASSIFIED = "Unclassified"
 # Relative slack used to recognize the knife-edge equality case.
 EQUALITY_RTOL = 1e-12
 
-ROOT_TOL = 1e-14
 ROOT_MAX_ITER = 200
 
 SETTLE_MOVEMENT_TOL = 1e-6
@@ -191,7 +190,8 @@ def _gain(params: SisOdeParams, S: float) -> float:
 
 def _bisect_gain(params: SisOdeParams, target: float, lo: float,
                  hi: float) -> float:
-    """Bracketed bisection of g(S) = target on a monotone piece of g."""
+    """Bracketed bisection of g(S) = target on a monotone piece of g, to
+    float resolution: it stops once the midpoint is an end of the bracket."""
     f_lo = _gain(params, lo) - target
     f_hi = _gain(params, hi) - target
     if f_lo == 0.0:
@@ -204,7 +204,7 @@ def _bisect_gain(params: SisOdeParams, target: float, lo: float,
     for _ in range(ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = _gain(params, mid) - target
-        if f_mid == 0.0 or hi - lo <= ROOT_TOL * params.N:
+        if f_mid == 0.0 or mid in (lo, hi):
             return mid
         if (f_mid < 0) == (f_lo < 0):
             lo = mid
@@ -217,8 +217,8 @@ def _rising_root(params: SisOdeParams, hi: float) -> float:
     """Root of g(S) = gamma where g rises on (0, hi], with g(hi) > gamma.
 
     It is bisected on [1e-13*N, hi]. Below 1e-13*N, (N-S)^(p-1) is
-    N^(p-1) to 1e-13 relative, so the root has the closed form of p = 1,
-    which keeps digits that a bisection to 1e-14*N would lose.
+    N^(p-1) to 1e-13 relative, so the root has the closed form of p = 1;
+    a root far below would take more than ``ROOT_MAX_ITER`` halvings.
     """
     tiny = 1e-13 * params.N
     if _gain(params, tiny) <= params.gamma:

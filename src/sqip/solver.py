@@ -27,7 +27,7 @@ DT_INIT_CAP = 1e-2
 # steps far above the explicit stability limit usable.
 DT_INIT_GAIN = 10.0
 
-# Step growth after a streak of accepted steps (see SolverSettings).
+# Step growth after a streak of accepted steps (see ``run``).
 GROWTH_FACTOR = 1.2
 GROWTH_INTERVAL = 10
 
@@ -71,31 +71,6 @@ def _extrema(S: np.ndarray, I: np.ndarray) -> tuple[float, float, float, float]:
     lo, hi = np.minimum.reduce, np.maximum.reduce
     return (float(lo(S, axis=None)), float(hi(S, axis=None)),
             float(lo(I, axis=None)), float(hi(I, axis=None)))
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Adaptive stepping controls.
-
-    A step that makes a value negative is rejected and retried at half
-    the size; the step grows by ``GROWTH_FACTOR`` after every
-    ``GROWTH_INTERVAL`` consecutive accepted steps, up to ``dt_max``.
-    """
-
-    dt_init: float | None = None
-    dt_min: float = 1e-10
-    dt_max: float = 2e-2
-    max_steps: int = 2_000_000
-
-    def __post_init__(self):
-        if not (0 < self.dt_min <= self.dt_max):
-            raise ConfigError("need 0 < dt_min <= dt_max", key="solver.dt_min")
-        if self.dt_init is not None and not (self.dt_min <= self.dt_init <= self.dt_max):
-            raise ConfigError("dt_init must lie in [dt_min, dt_max]",
-                              key="solver.dt_init")
-        if self.max_steps < 1:
-            raise ConfigError("solver.max_steps must be at least 1",
-                              key="solver.max_steps")
 
 
 @dataclass
@@ -241,9 +216,9 @@ def run(config) -> Trajectory:
 
     The loop clips steps so every requested snapshot time and the end
     time are hit exactly, halves the step on positivity rejection, and
-    grows it after every streak of accepted steps (see
-    :class:`SolverSettings`). Two runs of the same config produce
-    bit-identical output.
+    grows it by ``GROWTH_FACTOR`` after every ``GROWTH_INTERVAL``
+    consecutive accepted steps, up to ``config.dt_max``. Two runs of the
+    same config produce bit-identical output.
 
     Args:
         config: A fully resolved scenario (see :mod:`sqip.config`).
@@ -256,7 +231,6 @@ def run(config) -> Trajectory:
     """
     domain = config.domain
     model = config.model
-    settings = config.solver
     S0, I0 = config.initial_arrays()
     state = SystemState(S0, I0, 0.0)
 
@@ -289,19 +263,19 @@ def run(config) -> Trajectory:
     floor_S = lo_S
     floor_I = lo_I
 
-    dt = settings.dt_init
+    dt = config.dt_init
     if dt is None:
         h = min(domain.spacing)
         dt = min(DT_INIT_GAIN * h * h / max(model.d_S, model.d_I), DT_INIT_CAP,
-                 settings.dt_max, stepper.reaction_dt_cap(sup_monitor))
-        dt = max(dt, settings.dt_min)
+                 config.dt_max, stepper.reaction_dt_cap(sup_monitor))
+        dt = max(dt, config.dt_min)
     accepted = 0
     rejected = 0
     streak = 0
     next_mark = cadence
 
     while state.t < t_end - EVENT_SNAP:
-        if accepted + rejected >= settings.max_steps:
+        if accepted + rejected >= config.max_steps:
             raise NumericsError(
                 "max_steps exhausted before t_end", t=state.t,
                 steps=accepted + rejected)
@@ -317,7 +291,7 @@ def run(config) -> Trajectory:
             rejected += 1
             streak = 0
             dt = dt_try / 2.0
-            if dt < settings.dt_min:
+            if dt < config.dt_min:
                 worst = np.unravel_index(
                     int(np.argmin(np.minimum(state.S, state.I))), state.S.shape)
                 raise StiffnessError(state.t, dt, worst)
@@ -331,7 +305,7 @@ def run(config) -> Trajectory:
         accepted += 1
         streak += 1
         if streak >= GROWTH_INTERVAL:
-            dt = min(dt * GROWTH_FACTOR, settings.dt_max)
+            dt = min(dt * GROWTH_FACTOR, config.dt_max)
             streak = 0
 
         sup_monitor = max(sup_monitor, hi_S, hi_I)
@@ -372,27 +346,27 @@ class LinearPropagator:
     integrated with quadrature error only, which is what makes the
     closed-form spectral checks meet their tight tolerances.
 
-    The factors are tabulated by the caller, once per time grid (see
-    ``LinearizedProblem.growth_factors``): ``growth`` has one row per
-    step, shape (nsteps, *domain.shape), or a single row that serves
-    every step of a time-constant potential.
+    One propagator serves every potential on its grid: its diffusion
+    solver keeps the factor of (I + c*A) across calls, and the factors of
+    the potential come with each call (see ``advance``).
     """
 
-    def __init__(self, domain: Domain, diffusivity: float, growth: np.ndarray):
+    def __init__(self, domain: Domain, diffusivity: float):
         if diffusivity <= 0:
             raise ConfigError("diffusivity must be positive")
         self.diffusivity = diffusivity
-        self.growth = growth
         self.diffusion = DiffusionSolver(domain)
 
-    def advance(self, phi: np.ndarray, duration: float,
+    def advance(self, phi: np.ndarray, growth: np.ndarray, duration: float,
                 nsteps: int) -> np.ndarray:
         """Propagate ``phi`` over ``duration`` in ``nsteps`` steps.
 
-        The table fixes the time grid: its row k is the factor of step k,
-        sampled by the caller for this ``duration`` and ``nsteps``.
+        ``growth`` is tabulated by the caller for this ``duration`` and
+        ``nsteps`` (see ``LinearizedProblem.growth_factors``): row k is
+        the factor of step k, shape (nsteps, *domain.shape), or a single
+        row serves every step of a time-constant potential.
         """
-        rows = len(self.growth)
+        rows = len(growth)
         if rows not in (1, nsteps):
             raise ConfigError(
                 f"growth table has {rows} rows for {nsteps} steps")
@@ -400,6 +374,6 @@ class LinearPropagator:
         out = np.asarray(phi, dtype=float)
         c = dt * self.diffusivity
         for k in range(nsteps):
-            out = out * self.growth[k % rows]
+            out = out * growth[k % rows]
             out = self.diffusion.solve(c, out)
         return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,12 @@ class LinearizedProblem:
                 f"mean density must be positive, got {self.mean_density}")
         if not 0 < self.d_I < math.inf:
             raise ConfigError(f"d_I must be finite and positive, got {self.d_I}")
+
+    @cached_property
+    def propagator(self) -> LinearPropagator:
+        """The problem's propagator, built on first use: every period map
+        of every scale reuses its factor of (I + c*A)."""
+        return LinearPropagator(self.domain, self.d_I)
 
     @classmethod
     def from_model(cls, model: ModelSpec, domain: Domain,
@@ -161,11 +168,11 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
     Returns:
         (sqrt(lo * hi), eigenfield, iterations, ln(hi/lo)).
     """
-    prop = LinearPropagator(problem.domain, problem.d_I,
-                            problem.growth_factors(scale, steps_per_period))
+    growth = problem.growth_factors(scale, steps_per_period)
     phi = np.ones(problem.domain.shape) if start is None else start
     for iteration in range(1, MAX_POWER_ITER + 1):
-        mapped = prop.advance(phi, problem.omega, steps_per_period)
+        mapped = problem.propagator.advance(phi, growth, problem.omega,
+                                            steps_per_period)
         ratios = mapped / phi
         lo, hi = float(ratios.min()), float(ratios.max())
         if not 0.0 < lo <= hi < math.inf:

@@ -10,13 +10,11 @@ import pytest
 
 from sqip.cli import _parse_overrides, main as cli_main
 from sqip.config import SCHEMA, _coerce, parse_config, read_lines
-from sqip.diagnostics import Tolerances
 from sqip.errors import ConfigError
 from sqip.grid import Domain
 from sqip.model import Incidence, ModelSpec
 from sqip.presets import PDE_PRESETS, preset_config
 from sqip.runner import parse_sweep
-from sqip.solver import SolverSettings
 
 from conftest import write_coefficient_table
 
@@ -108,6 +106,7 @@ def test_read_or_default_incidence_parameter_is_accepted(pairs):
     ("detect.window", "nan", "detect.window must lie in (0, 1]"),
     ("detect.min_window", "0", "detect.min_window must be at least 1"),
     ("solver.max_steps", "0", "solver.max_steps must be at least 1"),
+    ("solver.dt_init", "1", "dt_init must lie in [dt_min, dt_max]"),
     ("solver.t_end", "0", "solver.t_end must be positive"),
     ("solver.cadence", "0", "cadence must be positive"),
     ("solver.snapshots", "99", "snapshot time 99.0 outside [0, t_end]"),
@@ -182,12 +181,6 @@ def test_a_duplicate_key_is_refused_with_both_lines(read, text):
 # Dataclass defaults that SCHEMA states again as default strings.
 TWICE_STATED = [(Incidence, name, f"model.{name}") for name in ("q", "p", "k", "ell")]
 TWICE_STATED += [(ModelSpec, name, f"model.{name}") for name in ("s", "r")]
-TWICE_STATED += [(SolverSettings, name, f"solver.{name}")
-                 for name in ("dt_init", "dt_min", "dt_max", "max_steps")]
-TWICE_STATED += [(Tolerances, name, f"detect.{key}") for name, key in (
-    ("extinct", "tol_extinct"), ("flat", "tol_flat"), ("persist", "tol_persist"),
-    ("periodic", "tol_periodic"), ("window_fraction", "window"),
-    ("min_window", "min_window"))]
 
 
 @pytest.mark.parametrize("cls, name, full", TWICE_STATED,

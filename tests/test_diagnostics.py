@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sqip.diagnostics import (CSV_HEADER, ROW_DTYPE, Tolerances,
-                              classify_longtime, compute_row, detect_periodic,
-                              format_csv, lk_norm, periodic_residuals)
+from sqip.config import parse_config
+from sqip.diagnostics import (CSV_HEADER, ROW_DTYPE, classify_longtime,
+                              compute_row, detect_periodic, format_csv,
+                              lk_norm, periodic_residuals)
 from sqip.errors import ConfigError, DomainError
 from sqip.grid import Domain, integrate
 from sqip.presets import preset_config
@@ -36,6 +37,10 @@ def test_lk_norm_order_validated():
         lk_norm(Domain((1.0,), (10,)), np.ones(10), 0.5)
 
 
+# The [detect] defaults of config.SCHEMA.
+TOL = parse_config("[domain]\nL = 1\nn = 4\n").detect
+
+
 def _traj_from_rows(rows, snapshots=None, measure=1.0):
     arr = np.array(rows, dtype=ROW_DTYPE)
     state = SystemState(np.ones(4), np.ones(4), float(arr["t"][-1]))
@@ -52,7 +57,7 @@ def _row(t, mass_S, mass_I, sup_S, sup_I, min_S, min_I, flat_S=0.0, flat_I=0.0):
 
 def test_classify_disease_free():
     rows = [_row(t, 1.2, 1e-6, 1.2, 1e-6, 1.2, 0.0) for t in np.linspace(0, 100, 60)]
-    out = classify_longtime(_traj_from_rows(rows))
+    out = classify_longtime(_traj_from_rows(rows), TOL)
     assert out.label == "DiseaseFreeLimit"
     assert out.s_star == pytest.approx(1.2)
 
@@ -60,20 +65,20 @@ def test_classify_disease_free():
 def test_classify_extinction_both():
     rows = [_row(t, 1e-6, 1e-6, 5e-5, 5e-5, 0.0, 0.0)
             for t in np.linspace(0, 100, 60)]
-    out = classify_longtime(_traj_from_rows(rows))
+    out = classify_longtime(_traj_from_rows(rows), TOL)
     assert out.label == "ExtinctionBoth"
 
 
 def test_classify_persistent():
     rows = [_row(t, 0.5, 0.5, 0.6, 0.6, 0.4, 0.4) for t in np.linspace(0, 100, 60)]
-    out = classify_longtime(_traj_from_rows(rows))
+    out = classify_longtime(_traj_from_rows(rows), TOL)
     assert out.label == "Persistent"
     assert out.persistence_floor == pytest.approx(0.4)
 
 
 def test_classify_undetermined_short_window():
     rows = [_row(t, 0.5, 0.5, 0.6, 0.6, 0.4, 0.4) for t in np.linspace(0, 1, 3)]
-    out = classify_longtime(_traj_from_rows(rows))
+    out = classify_longtime(_traj_from_rows(rows), TOL)
     assert out.label == "Undetermined"
     assert "window" in out.reason
 
@@ -82,7 +87,7 @@ def test_classify_undetermined_mixed_tail():
     # infected alive but susceptible floor below persistence tolerance
     rows = [_row(t, 0.5, 0.5, 0.6, 0.6, 1e-5, 0.4)
             for t in np.linspace(0, 100, 60)]
-    out = classify_longtime(_traj_from_rows(rows))
+    out = classify_longtime(_traj_from_rows(rows), TOL)
     assert out.label == "Undetermined"
 
 
@@ -96,7 +101,7 @@ def test_detect_periodic_exact_synthetic():
         snaps[t] = SystemState(np.full(4, val), np.full(4, val), t)
     rows = [_row(t, 1, 1, 1.2, 1.2, 0.9, 0.9) for t in np.linspace(0, 13.5, 60)]
     traj = _traj_from_rows(rows, snapshots=snaps)
-    assert detect_periodic(traj, omega) <= 1e-10
+    assert detect_periodic(traj, omega, TOL) <= 1e-10
 
 
 def test_detect_periodic_needs_pairs():
@@ -104,7 +109,7 @@ def test_detect_periodic_needs_pairs():
     snaps = {9.0: SystemState(np.ones(4), np.ones(4), 9.0),
              10.0: SystemState(np.ones(4), np.ones(4), 10.0)}
     with pytest.raises(ConfigError):
-        detect_periodic(_traj_from_rows(rows, snapshots=snaps), 1.0)
+        detect_periodic(_traj_from_rows(rows, snapshots=snaps), 1.0, TOL)
 
 
 def test_steady_state_is_periodic():
@@ -113,8 +118,8 @@ def test_steady_state_is_periodic():
              for t in (6.0, 7.0, 8.0, 9.0, 10.0)}
     rows = [_row(t, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5) for t in np.linspace(0, 10, 60)]
     traj = _traj_from_rows(rows, snapshots=snaps)
-    assert detect_periodic(traj, 1.0) == 0.0
-    out = classify_longtime(traj, omega=1.0)
+    assert detect_periodic(traj, 1.0, TOL) == 0.0
+    out = classify_longtime(traj, TOL, omega=1.0)
     assert out.label == "PeriodicCandidate"
 
 

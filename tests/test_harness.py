@@ -37,7 +37,7 @@ def test_parse_minimal_with_defaults():
     assert cfg.t_end == 50.0            # documented default
     assert cfg.model.d_S == 1.0
     assert cfg.detect.extinct == 1e-4
-    assert cfg.solver.dt_max == 0.02
+    assert cfg.dt_max == 0.02
     # defaults table is complete and self-describing
     table = dict(kv.split("=", 1) for kv in cfg.defaults_table())
     assert table["solver.t_end"] == "50.0"

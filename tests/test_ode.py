@@ -258,6 +258,18 @@ def test_an_upper_root_a_few_float_spacings_below_n_is_found():
     assert (out.limit_S, out.case) == (low.S, "bistable-lower-basin")
 
 
+def test_a_start_between_the_upper_root_and_n_goes_by_the_flow_sign():
+    # the upper root of this point lies 3.9e-16 below N = 1; at S0 = 1 -
+    # 2e-15, below it, gamma - g(S0) = -0.017 < 0, so S falls into the
+    # lower basin. Only a root placed to float resolution puts S0 below it.
+    S0 = 1 - 2e-15
+    params = SisOdeParams(beta=1, gamma=0.33, p=1.03125, q=1, N=1, S0=S0)
+    assert params.gamma - S0 * (1 - S0) ** 0.03125 < 0
+    low, high = sis_steady_states(params).interior
+    assert S0 < high.S
+    assert sis_classify(params).case == "bistable-lower-basin"
+
+
 def test_a_lower_root_below_the_search_floor_is_found():
     # gamma = 3e-20 puts the lower root near 1e-65, below the 1e-13*N
     # where the bisection starts; it must keep its digits there

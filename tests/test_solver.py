@@ -11,7 +11,7 @@ from sqip.errors import AssumptionError, NumericsError, StiffnessError
 from sqip.grid import Domain, _stiffness_banded, integrate
 from sqip.model import A1, CoefficientField, Incidence, ModelSpec, validate_assumptions
 from sqip.presets import preset_config
-from sqip.solver import SolverSettings, Stepper, SystemState, run
+from sqip.solver import Stepper, SystemState, run
 
 
 def make_model(p=1.0, q=1.0, s=0.0, r=1.0, beta=1.0, gamma=1.0, mu=0.0,
@@ -261,7 +261,7 @@ def _stiffness_failure(monkeypatch, initial_s):
     worst = np.unravel_index(int(np.argmin(np.minimum(last.S, last.I))),
                              last.S.shape)
     assert err.value.t == last.t
-    assert last_dt >= cfg.solver.dt_min > err.value.dt == last_dt / 2.0
+    assert last_dt >= cfg.dt_min > err.value.dt == last_dt / 2.0
     assert err.value.location == worst
     return err.value, cfg, last
 
@@ -273,7 +273,7 @@ def test_stiffness_error_carries_location(monkeypatch):
     assert last.t == 0.0 and err.t == 0.0
     assert err.location == (0,)
     # dt_init = 0.02 halves through 0.01 and 0.005 = dt_min to 0.0025
-    assert err.dt == cfg.solver.dt_min / 2.0 == 0.0025
+    assert err.dt == cfg.dt_min / 2.0 == 0.0025
 
 
 def test_stiffness_error_carries_location_after_accepted_steps(monkeypatch):
@@ -500,9 +500,3 @@ def test_2d_run_conserves_mass():
     assert np.abs(mass - mass[0]).max() <= 1e-10 * mass[0]
     assert traj.floor_S >= 0 and traj.floor_I >= 0
 
-
-def test_settings_validation():
-    with pytest.raises(Exception):
-        SolverSettings(dt_min=1.0, dt_max=0.1)
-    with pytest.raises(Exception):
-        SolverSettings(positivity_policy="clamp")

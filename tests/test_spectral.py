@@ -385,10 +385,32 @@ def test_propagator_rejects_a_table_for_another_step_count():
 
     beta = CoefficientField.cosine_modulated(2.0, time_amp=0.5, period=1.0)
     prob = make_problem(beta, CoefficientField.constant(1.0), n=8)
-    prop = LinearPropagator(prob.domain, prob.d_I, prob.growth_factors(1.0, 4))
-    prop.advance(np.ones(8), 1.0, 4)
+    prop = LinearPropagator(prob.domain, prob.d_I)
+    growth = prob.growth_factors(1.0, 4)
+    prop.advance(np.ones(8), growth, 1.0, 4)
     with pytest.raises(ConfigError, match="4 rows for 3 steps"):
-        prop.advance(np.ones(8), 1.0, 3)
+        prop.advance(np.ones(8), growth, 1.0, 3)
+
+
+@pytest.mark.parametrize("cells, two_dim", [("64", False), ("16 16", True)],
+                         ids=["1d", "2d"])
+def test_one_spectral_solve_factors_each_axis_once(monkeypatch, cells, two_dim):
+    # Every period map of every scale in the R0 root-find shares one
+    # c = d_I * omega / steps, so the problem's one propagator factors
+    # (I + c*A) once, in one call that factors every axis.
+    calls = []
+    original = DiffusionSolver._axis_factors
+
+    def counted(self, c):
+        calls.append(c)
+        return original(self, c)
+
+    monkeypatch.setattr(DiffusionSolver, "_axis_factors", counted)
+    res = compute_spectral(preset_config("thm-2.11-periodic", {
+        "model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": cells},
+        two_dim))
+    assert res.r0_evals > 10
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("field,value", [

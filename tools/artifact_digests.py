@@ -10,6 +10,10 @@ does). Each tree then runs, with its own ``src`` on the import path:
 - the same six with ``--two-dim``: full length for the four presets of
   the benchmark's 2D workload, ``solver.t_end=6`` for ``thm-2.10-i`` and
   ``thm-2.10-ii``;
+- ``sqip preset thm-2.11-periodic`` made heterogeneous in space as in
+  the benchmark's spectral workload (``model.beta_x_amp=0.9``,
+  ``model.dI=1.0``, ``domain.n=64``): the one compared run whose ``R0``
+  comes from the root-find, not from the flat closed form;
 - ``sqip preset si-finite-extinction``;
 - ``sqip sweep`` on the reference ``ode-si`` and ``ode-sis`` specs (no
   ``points`` or ``seed``, so each sampler's defaults).
@@ -37,6 +41,8 @@ PDE_PRESETS = ("r0-threshold", "sis-bistable", "thm-2.10-i", "thm-2.10-ii",
                "thm-2.11-periodic", "thm-2.11-persist")
 # 2D presets left out of the benchmark's 2D workload for their run time.
 SHORT_2D = ("thm-2.10-i", "thm-2.10-ii")
+# The heterogeneous spectral problem of the benchmark, as a preset run.
+HET_PERIODIC = ("model.beta_x_amp=0.9", "model.dI=1.0", "domain.n=64")
 OUT_MASK = "<out>"
 
 
@@ -47,6 +53,8 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
         runs[f"{name}-1d"] = ["preset", name]
         runs[f"{name}-2d"] = ["preset", name, "--two-dim"] + (
             ["--override", "solver.t_end=6"] if name in SHORT_2D else [])
+    runs["het-periodic-1d"] = ["preset", "thm-2.11-periodic"] + [
+        arg for item in HET_PERIODIC for arg in ("--override", item)]
     runs["si-finite-extinction"] = ["preset", "si-finite-extinction"]
     for kind in ("ode-si", "ode-sis"):
         spec = spec_dir / f"{kind}.cfg"
