@@ -265,7 +265,7 @@ def test_a_start_between_the_upper_root_and_n_goes_by_the_flow_sign():
     S0 = 1 - 2e-15
     params = SisOdeParams(beta=1, gamma=0.33, p=1.03125, q=1, N=1, S0=S0)
     assert params.gamma - S0 * (1 - S0) ** 0.03125 < 0
-    low, high = sis_steady_states(params).interior
+    _, high = sis_steady_states(params).interior
     assert S0 < high.S
     assert sis_classify(params).case == "bistable-lower-basin"
 

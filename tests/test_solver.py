@@ -499,4 +499,3 @@ def test_2d_run_conserves_mass():
     mass = traj.mass
     assert np.abs(mass - mass[0]).max() <= 1e-10 * mass[0]
     assert traj.floor_S >= 0 and traj.floor_I >= 0
-
