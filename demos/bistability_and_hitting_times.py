@@ -35,8 +35,7 @@ def basins():
     for S0 in (0.5, 0.65, 0.75, 0.9):
         params = SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=S0)
         predicted = sis_classify(params)
-        traj = rk4_integrate("sis", params, t_end=300.0, dt=0.005,
-                             record_every=2000)
+        traj = rk4_integrate(params, t_end=300.0, dt=0.005, record_every=2000)
         print(f"S0 = {S0:.2f}: predicted -> ({predicted.limit_S:.3f}, "
               f"{predicted.limit_I:.3f}); integrated -> "
               f"({traj.terminal[0]:.3f}, {traj.terminal[1]:.3f})")
@@ -48,7 +47,7 @@ def hitting_time():
     params = SiOdeParams(beta=1, mu=1, p=1, q=0.5, S0=1, I0=4)
     outcome = si_classify(params)
     bound = extinction_time_bound(params)
-    traj = rk4_integrate("si", params, t_end=2.0, dt=1e-3)
+    traj = rk4_integrate(params, t_end=2.0, dt=1e-3)
     t_clamp = traj.clamp_time
     print(f"prediction: {outcome.kind}")
     print(f"closed-form upper bound on the hitting time: {bound:.6f}")

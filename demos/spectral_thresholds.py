@@ -7,20 +7,15 @@ variant shows that a zero-mean modulation of the transmission rate does
 not move the threshold.
 """
 
-from sqip import CoefficientField, Domain
+from sqip import CoefficientField, Domain, Incidence, ModelSpec
 from sqip.spectral import LinearizedProblem, r0
 
 
 def problem(beta_field, gamma=1.0):
-    return LinearizedProblem(
-        d_I=1.0,
-        beta=beta_field,
-        gamma=CoefficientField.constant(gamma),
-        q=1.0,
-        mean_density=1.0,
-        omega=1.0,
-        domain=Domain((1.0,), (96,)),
-    )
+    model = ModelSpec(beta=beta_field, gamma=CoefficientField.constant(gamma),
+                      mu=CoefficientField.constant(0.0), d_S=1.0, d_I=1.0,
+                      incidence=Incidence("power"))
+    return LinearizedProblem(model, Domain((1.0,), (96,)), mean_density=1.0)
 
 
 def main():

@@ -51,7 +51,7 @@ def _run_ode_preset(name: str, out_dir) -> int:
     dt, t_end = spec.pop("dt"), spec.pop("t_end")
     params = ode.SiOdeParams(**spec)
     outcome = ode.si_classify(params)
-    traj = ode.rk4_integrate("si", params, t_end=t_end, dt=dt)
+    traj = ode.rk4_integrate(params, t_end=t_end, dt=dt)
     lines = [f"name={name}", "system=si", f"predicted={outcome.kind}"]
     if outcome.t_upper is not None:
         lines.append(f"t_upper={outcome.t_upper:.10g}")

@@ -91,30 +91,30 @@ def _stiffness_banded(n: int, h: float) -> np.ndarray:
     return ab
 
 
-# LAPACK's banded Cholesky solve, bound by the first DiffusionSolver. The
-# solves look it up as a module global: as an instance attribute it made
-# the spectral benchmark about 1.5% slower.
-dpbtrs = None
+# LAPACK's banded Cholesky factorization and solve, bound by the first
+# DiffusionSolver. As module globals, not attributes, they keep the
+# spectral benchmark about 1.5% faster.
+dpbtrf = dpbtrs = None
 
 
 def cholesky_banded(ab: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of a banded SPD matrix in upper banded form.
-
-    This is scipy's ``cholesky_banded`` (LAPACK ``dpbtrf``). scipy.linalg
-    takes about a third of a second to import and only the diffusion
-    solves use it, so it loads here and in :class:`DiffusionSolver`, not
-    with the package: the ODE oracle never pays for it.
-    """
-    from scipy.linalg import cholesky_banded as factor
-    return factor(ab)
+    """Upper Cholesky factor of a banded SPD matrix in upper banded form:
+    one LAPACK ``dpbtrf`` call, which does not check for finite values.
+    scipy.linalg takes about a third of a second to import, so it loads
+    with the first :class:`DiffusionSolver`, not with the package: the ODE
+    oracle never pays for it."""
+    factor, info = dpbtrf(ab)
+    if info != 0:
+        raise NumericsError(f"dpbtrf failed with info {info}", info=info)
+    return factor
 
 
 class DiffusionSolver:
     """Backward-Euler diffusion solve on a grid.
 
-    Each axis solve is one LAPACK ``dpbtrs`` call on a Cholesky factor of
-    (I + c*A) for that axis, kept for the last two values of ``c``
-    factored. 1D solves are exact banded solves. 2D uses the factored
+    Each axis solve is one LAPACK ``dpbtrs`` call on a ``dpbtrf`` Cholesky
+    factor of (I + c*A) for that axis, kept for the last two values of
+    ``c`` factored. 1D solves are exact banded solves. 2D uses the factored
     alternating-direction form (I + c*Ax)(I + c*Ay), which is first-order
     consistent with the unsplit step and conserves the discrete integral
     exactly, factor by factor. LAPACK (scipy.linalg) is loaded when the
@@ -122,9 +122,9 @@ class DiffusionSolver:
     """
 
     def __init__(self, domain: Domain):
-        global dpbtrs
+        global dpbtrf, dpbtrs
         if dpbtrs is None:
-            from scipy.linalg.lapack import dpbtrs
+            from scipy.linalg.lapack import dpbtrf, dpbtrs
         self._stiffness = [_stiffness_banded(n, h)
                            for n, h in zip(domain.cells, domain.spacing)]
         self._factors: dict[float, list[tuple[np.ndarray, bool]]] = {}
@@ -132,6 +132,8 @@ class DiffusionSolver:
     def _axis_factors(self, c: float) -> list[tuple[np.ndarray, bool]]:
         """Per axis: the factor of (I + c*A) and whether the solve along
         it goes through the transpose (axis 1 of a 2D field)."""
+        if not 0 <= c < math.inf:  # (I + c*A) is SPD for every such c
+            raise DomainError(f"diffusion solve needs a finite c >= 0, got {c}")
         # Two sets serve the S and I solves of a step; when the reaction
         # cap sets dt, c changes almost every step. The oldest set goes.
         if len(self._factors) >= 2:

@@ -14,7 +14,7 @@ flow S' = -beta*S^q*(N-S)^p + gamma*(N-S) on (0, N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -356,21 +356,24 @@ def _combo(coefs, ks):
 
 
 class _Batch:
-    """An oracle run over the rows of an (m, 2) state.
+    """An oracle run over the rows of an (m, 2) state, one row per point.
 
     Each row has its own time, next trial step (``dt`` at the start),
     row sum, first S-clamp time and accepted/rejected step counts, so a
     row gets the same bits alone as inside any batch.
     """
 
-    def __init__(self, system: str, params_batch: dict, y0, dt: float):
-        if system not in SYSTEMS:
-            raise DomainError(f"unknown system {system!r}")
+    def __init__(self, points, dt: float):
+        kinds = {type(point) for point in points}
+        if len(kinds) != 1 or not kinds <= set(SYSTEMS.values()):
+            raise DomainError("a batch needs points of one system, got "
+                              f"{sorted(kind.__name__ for kind in kinds)}")
         _require_positive(dt=dt)
-        self.system = system
-        self.params = SimpleNamespace(**{name: np.asarray(vals, dtype=float)
-                                         for name, vals in params_batch.items()})
-        self.y = np.array(y0, dtype=float).reshape(-1, 2)
+        self.si = isinstance(points[0], SiOdeParams)
+        self.params = SimpleNamespace(**{
+            f.name: np.array([getattr(pt, f.name) for pt in points], dtype=float)
+            for f in fields(points[0])})
+        self.y = np.array([[pt.S0, pt.I0] for pt in points], dtype=float)
         m = len(self.y)
         self.total = self.y.sum(axis=1)
         self.t = np.zeros(m)
@@ -387,9 +390,9 @@ class _Batch:
         clipped = np.maximum(y, 0.0)
         S, I = clipped[:, 0], clipped[:, 1]
         incidence = params.beta * S**params.q * I**params.p
-        removal = (params.mu if self.system == "si" else params.gamma) * I
+        removal = (params.mu if self.si else params.gamma) * I
         out = np.empty_like(y)
-        out[:, 0] = -incidence if self.system == "si" else removal - incidence
+        out[:, 0] = -incidence if self.si else removal - incidence
         out[:, 1] = incidence - removal
         return out
 
@@ -403,7 +406,7 @@ class _Batch:
         its row's t, and for the SIS system each row's sum must stay
         within 1e-10 of its start at the end.
         """
-        si = self.system == "si"
+        si = self.si
         y, t, h, k1 = self.y, self.t, self.h, self.k1
         while True:
             moving = active & (t < t_stop)
@@ -456,7 +459,7 @@ class _Batch:
             self.accepted += ok
             self.rejected += moving & ~ok
         self.y, self.t, self.h, self.k1 = y, t, h, k1
-        if self.system == "sis":
+        if not si:
             drift = np.abs(y.sum(axis=1) - self.total)
             if (drift > 1e-10 * self.total).any():
                 raise NumericsError("conserved sum drifted",
@@ -476,7 +479,7 @@ class OdeTrajectory:
         return self.y[-1]
 
 
-def rk4_integrate(system: str, params, t_end: float, dt: float,
+def rk4_integrate(params: SiOdeParams | SisOdeParams, t_end: float, dt: float,
                   record_every: int = 1) -> OdeTrajectory:
     """Error-controlled Runge-Kutta trajectory, the oracle behind every
     classification.
@@ -493,8 +496,7 @@ def rk4_integrate(system: str, params, t_end: float, dt: float,
     hitting time. The SIS invariant S + I = N is checked at every recorded
     state and a drift beyond 1e-10 * N aborts.
     """
-    batch = _Batch(system, {name: [value] for name, value in vars(params).items()},
-                   [[params.S0, params.I0]], dt)
+    batch = _Batch([params], dt)
     _require_positive(t_end=t_end)
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
@@ -530,20 +532,19 @@ class TerminalReport:
     steps_rejected: np.ndarray  # (m,) int
 
 
-def settle_batch(system: str, params_batch: dict[str, np.ndarray],
-                 y0: np.ndarray, dt: float = 0.01, t_max: float = 800.0
-                 ) -> TerminalReport:
-    """Integrate many points at once until each stops moving.
+def settle_batch(points: list[SiOdeParams] | list[SisOdeParams],
+                 dt: float = 0.01, t_max: float = 800.0) -> TerminalReport:
+    """Integrate many points of one system at once until each stops moving.
 
-    Every point starts with the trial step ``dt``; it and ``t_max`` must
-    be positive and finite. A point is converged once its state changes
-    by less than ``SETTLE_MOVEMENT_TOL`` (sup norm) over the trailing
-    tenth of its elapsed time, checked every ``SETTLE_CHECK_WINDOW`` time
-    units. Converged points are frozen while
+    Every point starts from its (S0, I0) with the trial step ``dt``; it
+    and ``t_max`` must be positive and finite. A point is converged once
+    its state changes by less than ``SETTLE_MOVEMENT_TOL`` (sup norm) over
+    the trailing tenth of its elapsed time, checked every
+    ``SETTLE_CHECK_WINDOW`` time units. Converged points are frozen while
     the rest continue, which keeps the oracle sweeps cheap.
     """
     _require_positive(t_max=t_max)
-    batch = _Batch(system, params_batch, y0, dt)
+    batch = _Batch(points, dt)
     active = np.ones(len(batch.y), dtype=bool)
     converged = np.zeros(len(batch.y), dtype=bool)
 

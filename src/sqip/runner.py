@@ -14,7 +14,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,8 @@ def compute_spectral(config: ScenarioConfig) -> spectral.SpectralResult:
     if gaps:
         raise ConfigError(
             f"R0 needs mu = 0 and p = 1; this model has {', '.join(gaps)}")
-    problem = spectral.LinearizedProblem.from_model(
-        config.model, config.domain, config.total_mass())
-    return spectral.r0(problem)
+    return spectral.r0(spectral.LinearizedProblem(
+        config.model, config.domain, config.total_mass() / config.domain.measure))
 
 
 def summarize(config: ScenarioConfig, traj: Trajectory,
@@ -327,12 +326,10 @@ def _oracle_rows(system: str, points: list[dict], verdict) -> list[dict]:
     point's (predicted, observed, agree) columns.
     """
     si = system == "si"
-    cls = ode.SYSTEMS[system]
-    params = [cls(**pt) for pt in points]
-    report = ode.settle_batch(
-        system, {f.name: [getattr(prm, f.name) for prm in params]
-                 for f in fields(cls)},
-        [[prm.S0, prm.I0] for prm in params], t_max=SWEEP_T_MAX)
+    params = [ode.SYSTEMS[system](**pt) for pt in points]
+    if not params:
+        return []
+    report = ode.settle_batch(params, t_max=SWEEP_T_MAX)
     rows = []
     for i, prm in enumerate(params):
         predicted, observed, agree = verdict(

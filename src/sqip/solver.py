@@ -352,8 +352,8 @@ class LinearPropagator:
     """
 
     def __init__(self, domain: Domain, diffusivity: float):
-        if diffusivity <= 0:
-            raise ConfigError("diffusivity must be positive")
+        if not 0 < diffusivity < math.inf:
+            raise ConfigError(f"need a finite, positive diffusivity, got {diffusivity}")
         self.diffusivity = diffusivity
         self.diffusion = DiffusionSolver(domain)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .grid import Domain
-from .model import CoefficientField, ModelSpec
+from .model import ModelSpec
 from .solver import LinearPropagator
 
 CW_REL_TOL = 1e-11
@@ -37,49 +37,30 @@ R0_CROSS_CHECK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class LinearizedProblem:
-    """Ingredients of the periodic-parabolic eigenproblem."""
+    """A model linearized at the flat disease-free state of the given mean
+    density, over the model's period (1 for an autonomous model)."""
 
-    d_I: float
-    beta: CoefficientField
-    gamma: CoefficientField
-    q: float
-    mean_density: float
-    omega: float
+    model: ModelSpec
     domain: Domain
+    mean_density: float
     # Coefficient samples per steps_per_period, filled on first use.
     _samples: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
     def __post_init__(self):
-        # Written so that NaN fails each test.
-        if not self.omega > 0:
-            raise ConfigError(f"period must be positive, got {self.omega}")
-        if not self.mean_density > 0:
+        if not self.mean_density > 0:  # NaN fails it too
             raise ConfigError(
                 f"mean density must be positive, got {self.mean_density}")
-        if not 0 < self.d_I < math.inf:
-            raise ConfigError(f"d_I must be finite and positive, got {self.d_I}")
+
+    @property
+    def omega(self) -> float:
+        return self.model.period or 1.0
 
     @cached_property
     def propagator(self) -> LinearPropagator:
         """The problem's propagator, built on first use: every period map
         of every scale reuses its factor of (I + c*A)."""
-        return LinearPropagator(self.domain, self.d_I)
-
-    @classmethod
-    def from_model(cls, model: ModelSpec, domain: Domain,
-                   total_mass: float) -> "LinearizedProblem":
-        """Linearize a model at the flat disease-free state of given mass,
-        over the model's period (1 for an autonomous model)."""
-        return cls(
-            d_I=model.d_I,
-            beta=model.beta,
-            gamma=model.gamma,
-            q=model.exponents.q,
-            mean_density=total_mass / domain.measure,
-            omega=model.period or 1.0,
-            domain=domain,
-        )
+        return LinearPropagator(self.domain, self.model.d_I)
 
     def coefficient_samples(self, steps_per_period: int
                             ) -> tuple[np.ndarray, np.ndarray]:
@@ -94,8 +75,8 @@ class LinearizedProblem:
             times = (np.arange(steps_per_period) + 0.5) * (
                 self.omega / steps_per_period)
             samples = self._samples[steps_per_period] = (
-                self.beta.sample(self.domain, times),
-                self.gamma.sample(self.domain, times))
+                self.model.beta.sample(self.domain, times),
+                self.model.gamma.sample(self.domain, times))
         return samples
 
     def growth_factors(self, scale: float, steps_per_period: int) -> np.ndarray:
@@ -107,7 +88,7 @@ class LinearizedProblem:
         """
         beta, gamma = self.coefficient_samples(steps_per_period)
         dt = self.omega / steps_per_period
-        factor = self.mean_density**self.q / scale
+        factor = self.mean_density**self.model.exponents.q / scale
         growth = np.empty((max(len(beta), len(gamma)), *self.domain.shape))
         np.multiply(beta, factor, out=growth)
         np.subtract(growth, gamma, out=growth)
@@ -251,7 +232,8 @@ def _flat_r0(problem: LinearizedProblem) -> float | None:
     beta, gamma = problem.coefficient_samples(DEFAULT_STEPS_PER_PERIOD)
     if (beta != beta[:, :1]).any() or (gamma != gamma[:, :1]).any():
         return None
-    return float(beta[:, :1].mean() * problem.mean_density**problem.q
+    return float(beta[:, :1].mean()
+                 * problem.mean_density**problem.model.exponents.q
                  / gamma[:, :1].mean())
 
 
@@ -265,7 +247,7 @@ def r0(problem: LinearizedProblem) -> SpectralResult:
     The counters sum over every eigenvalue evaluation, scale 1 included.
     """
     base = principal_eigenvalue(problem, 1.0)
-    if problem.gamma.upper <= 0:
+    if problem.model.gamma.upper <= 0:
         return base
     root, evaluations = _find_r0(problem, base)
     counts = dict(period_maps=sum(e.period_maps for e in evaluations),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from sqip.errors import ConfigError, DomainError
+from sqip import grid
+from sqip.errors import ConfigError, DomainError, NumericsError
 from sqip.grid import DiffusionSolver, Domain, _stiffness_banded, integrate
 
 from conftest import solved_eigenvalue
@@ -251,6 +252,28 @@ def test_backward_euler_2d_conserves_integral():
     f = rng.uniform(0.0, 1.0, dom.shape)
     out = solver.solve(0.05, f)
     assert abs(integrate(dom, out) - integrate(dom, f)) < 1e-12
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -1e-3])
+def test_a_diffusion_solve_refuses_a_bad_coefficient(c):
+    # dpbtrf factors a NaN or infinite matrix without complaint
+    solver = DiffusionSolver(Domain((1.0,), (16,)))
+    with pytest.raises(DomainError, match="finite c >= 0"):
+        solver.solve(c, np.ones(16))
+
+
+@pytest.mark.parametrize("n", (48, 96, 128))
+def test_the_banded_factor_is_scipys(n):
+    DiffusionSolver(Domain((1.0,), (n,)))  # binds LAPACK
+    ab = 0.37 * _stiffness_banded(n, 1.0 / n)
+    ab[1, :] += 1.0
+    assert np.array_equal(grid.cholesky_banded(ab), cholesky_banded(ab))
+
+
+def test_an_indefinite_matrix_is_not_factored():
+    DiffusionSolver(Domain((1.0,), (4,)))  # binds LAPACK
+    with pytest.raises(NumericsError, match="dpbtrf failed with info 1"):
+        grid.cholesky_banded(np.array([[0.0, 0.0], [-1.0, 1.0]]))
 
 
 def _reference_axis_solve(n, h, c, rhs, axis):

@@ -84,7 +84,7 @@ def test_extinction_time_bound_needs_fractional_q():
 
 def test_si_rk4_clamp_time_within_bound():
     params = SiOdeParams(beta=1, mu=1, p=1, q=0.5, S0=1, I0=4)
-    traj = rk4_integrate("si", params, t_end=2.0, dt=1e-3)
+    traj = rk4_integrate(params, t_end=2.0, dt=1e-3)
     assert traj.clamp_time <= math.log(2.0) + 0.01, "S never reached zero"
     assert traj.terminal[0] == 0.0
 
@@ -368,14 +368,14 @@ def test_sis_classify_sublinear():
 
 def test_rk4_sis_terminal_equilibrium():
     params = SisOdeParams(beta=2, gamma=1, p=1, q=1, N=1, S0=0.9)
-    traj = rk4_integrate("sis", params, t_end=50.0, dt=1e-3, record_every=100)
+    traj = rk4_integrate(params, t_end=50.0, dt=1e-3, record_every=100)
     assert traj.terminal[0] == pytest.approx(0.5, abs=1e-6)
     assert traj.terminal[1] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_rk4_sis_conserves_total():
     params = SisOdeParams(beta=1.3, gamma=0.4, p=1.7, q=0.8, N=1.5, S0=1.0)
-    traj = rk4_integrate("sis", params, t_end=10.0, dt=1e-3)
+    traj = rk4_integrate(params, t_end=10.0, dt=1e-3)
     sums = traj.y.sum(axis=1)
     assert np.abs(sums - params.N).max() <= 1e-10 * params.N
 
@@ -384,7 +384,7 @@ def test_rk4_reduced_matches_full():
     # the full pair's RK4 run against a tight DOP853 solve of the scalar
     # conserved-sum flow S' = -beta*S^q*(N-S)^p + gamma*(N-S)
     params = SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=0.45)
-    full = rk4_integrate("sis", params, t_end=30.0, dt=1e-3, record_every=500)
+    full = rk4_integrate(params, t_end=30.0, dt=1e-3, record_every=500)
 
     def flow(t, S):
         I = params.N - S
@@ -396,9 +396,20 @@ def test_rk4_reduced_matches_full():
 
 
 def test_rk4_rejects_unknown_system():
+    # only an SiOdeParams or an SisOdeParams names its system
     params = SisOdeParams(beta=1, gamma=1, p=1, q=1, N=1, S0=0.5)
-    with pytest.raises(DomainError):
-        rk4_integrate("sir", params, 1.0, 0.1)
+    for unknown in (vars(params), SimpleNamespace(**vars(params), I0=0.5)):
+        with pytest.raises(DomainError, match="points of one system"):
+            rk4_integrate(unknown, 1.0, 0.1)
+
+
+def test_a_batch_of_two_systems_is_refused():
+    # each row would otherwise run under the first point's equations
+    si = SiOdeParams(beta=1, mu=1, p=1, q=1, S0=0.9, I0=0.1)
+    sis = SisOdeParams(beta=1, gamma=1, p=1, q=1, N=1, S0=0.9)
+    for points in ([si, sis], [sis, si], []):
+        with pytest.raises(DomainError, match="points of one system"):
+            settle_batch(points)
 
 
 @pytest.mark.parametrize("value", BAD_VALUES)
@@ -409,17 +420,15 @@ def test_a_bad_oracle_time_input_is_refused(call, name, value):
     params = SisOdeParams(beta=1, gamma=0.5, p=1, q=1, N=1, S0=0.5)
     with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
         if call == "rk4_integrate":
-            rk4_integrate("sis", params, **dict({"t_end": 1.0, "dt": 0.1},
-                                                **{name: value}))
+            rk4_integrate(params, **dict({"t_end": 1.0, "dt": 0.1}, **{name: value}))
         else:
-            settle_batch("sis", {k: [v] for k, v in vars(params).items()},
-                         [[params.S0, params.I0]], **{name: value})
+            settle_batch([params], **{name: value})
 
 
 def test_a_run_shorter_than_half_a_step_is_refused():
     params = SisOdeParams(beta=1, gamma=0.5, p=1, q=1, N=1, S0=0.5)
     with pytest.raises(DomainError, match=r"round\(t_end / dt\) >= 1.*t_end=0.4"):
-        rk4_integrate("sis", params, t_end=0.4, dt=1.0)
+        rk4_integrate(params, t_end=0.4, dt=1.0)
 
 
 @pytest.mark.parametrize("record_every", [0, -1, 1.5])
@@ -427,7 +436,14 @@ def test_a_record_spacing_that_is_not_a_positive_integer_is_refused(record_every
     # 0 used to fail inside range(), -1 to return only the t = 0 record
     params = SisOdeParams(beta=1, gamma=0.5, p=1, q=1, N=1, S0=0.5)
     with pytest.raises(DomainError, match="^record_every must be a positive integer"):
-        rk4_integrate("sis", params, t_end=1.0, dt=0.1, record_every=record_every)
+        rk4_integrate(params, t_end=1.0, dt=0.1, record_every=record_every)
+
+
+def _point_params(system, p, q, beta, rate, S0, I0):
+    """An SI point, or an SIS point with N = S0 + I0."""
+    if system == "si":
+        return SiOdeParams(beta=beta, mu=rate, p=p, q=q, S0=S0, I0=I0)
+    return SisOdeParams(beta=beta, gamma=rate, p=p, q=q, N=S0 + I0, S0=S0)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -439,14 +455,9 @@ def test_rk4_integrate_and_settle_batch_give_a_point_the_same_bits(
         system, p, q, beta, rate, start):
     # at t_max = 5 the first settle checkpoint is the end of the run, and
     # record_every = 500 makes it the one record time of the trajectory
-    if system == "si":
-        params = SiOdeParams(beta=beta, mu=rate, p=p, q=q, S0=start[0], I0=start[1])
-    else:
-        params = SisOdeParams(beta=beta, gamma=rate, p=p, q=q, N=sum(start),
-                              S0=start[0])
-    traj = rk4_integrate(system, params, t_end=5, dt=0.01, record_every=500)
-    report = settle_batch(system, {k: [v] for k, v in vars(params).items()},
-                          [[params.S0, params.I0]], dt=0.01, t_max=5)
+    params = _point_params(system, p, q, beta, rate, *start)
+    traj = rk4_integrate(params, t_end=5, dt=0.01, record_every=500)
+    report = settle_batch([params], dt=0.01, t_max=5)
     assert np.array_equal(traj.terminal, report.y[0])
     assert np.array_equal(traj.clamp_time, report.clamp_time[0], equal_nan=True)
     assert (traj.steps_accepted, traj.steps_rejected) == (
@@ -462,14 +473,10 @@ _point = st.tuples(st.floats(0.3, 2.5), st.floats(0.3, 2.0), st.floats(0.3, 2.0)
        points=st.lists(_point, min_size=2, max_size=6), index=st.integers(0, 5))
 def test_a_point_gets_the_same_bits_alone_and_inside_a_batch(system, points, index):
     # each row keeps its own t and step, so its neighbours change nothing
-    rate = "mu" if system == "si" else "gamma"
-    batch = {name: [pt[k] for pt in points]
-             for k, name in enumerate(["p", "q", "beta", rate])}
-    y0 = [[pt[4], pt[5]] for pt in points]
+    params = [_point_params(system, *pt) for pt in points]
     index %= len(points)
-    together = settle_batch(system, batch, y0, t_max=20.0)
-    alone = settle_batch(system, {k: v[index:index + 1] for k, v in batch.items()},
-                         y0[index:index + 1], t_max=20.0)
+    together = settle_batch(params, t_max=20.0)
+    alone = settle_batch(params[index:index + 1], t_max=20.0)
     for field in ("y", "t_reached", "converged", "clamp_time", "steps_accepted",
                   "steps_rejected"):
         assert np.array_equal(getattr(alone, field)[0],
@@ -525,12 +532,16 @@ def _fixed_step_rk4(system, params_batch, y0, stops):
 def test_settle_batch_matches_the_fixed_step_reference(system, maker):
     # SIS terminal S at the same checkpoint to 1e-8, SI clamp times to 0.01
     rows = maker(count=30)
-    rate = "mu" if system == "si" else "gamma"
-    batch = {"p": [r["p"] for r in rows], "q": [r["q"] for r in rows],
-             "beta": [r["beta"] for r in rows], rate: [r["gamma_or_mu"] for r in rows]}
-    y0 = [[r["S0"], r["N_or_I0"] - (0 if system == "si" else r["S0"])]
-          for r in rows]
-    report = settle_batch(system, batch, y0, t_max=30.0)
+    if system == "si":
+        params = [SiOdeParams(beta=r["beta"], mu=r["gamma_or_mu"], p=r["p"], q=r["q"],
+                              S0=r["S0"], I0=r["N_or_I0"]) for r in rows]
+    else:
+        params = [SisOdeParams(beta=r["beta"], gamma=r["gamma_or_mu"], p=r["p"],
+                               q=r["q"], N=r["N_or_I0"], S0=r["S0"]) for r in rows]
+    batch = {name: [getattr(prm, name) for prm in params]
+             for name in ("p", "q", "beta", "mu" if system == "si" else "gamma")}
+    y0 = [[prm.S0, prm.I0] for prm in params]
+    report = settle_batch(params, t_max=30.0)
     states, clamp_time = _fixed_step_rk4(system, batch, y0, [5.0 * k for k in range(1, 7)])
     if system == "sis":
         reference = np.array([states[t][i, 0] for i, t in enumerate(report.t_reached)])
@@ -544,22 +555,17 @@ def test_settle_batch_matches_the_fixed_step_reference(system, maker):
 def test_a_step_that_cannot_move_t_is_refused(monkeypatch):
     # with a zero tolerance every step is rejected and shrinks to nothing
     monkeypatch.setattr("sqip.ode.STEP_TOL", 0.0)
-    batch = {"beta": [2.0], "gamma": [1.0], "p": [1.0], "q": [1.0]}
+    params = SisOdeParams(beta=2.0, gamma=1.0, p=1.0, q=1.0, N=1.0, S0=0.9)
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(NumericsError, match="step size underflow in row 0") as info:
-        settle_batch("sis", batch, [[0.9, 0.1]], dt=0.01, t_max=5.0)
+        settle_batch([params], dt=0.01, t_max=5.0)
     assert info.value.payload == {"row": 0, "t": 0.0, "h": 0.0}
 
 
 def test_settle_batch_freezes_converged_points():
-    batch = {
-        "beta": np.array([2.0, 1.0]),
-        "gamma": np.array([1.0, 0.21]),
-        "p": np.array([1.0, 2.0]),
-        "q": np.array([1.0, 1.0]),
-    }
-    y0 = np.array([[0.9, 0.1], [0.75, 0.25]])
-    report = settle_batch("sis", batch, y0, dt=0.01, t_max=300.0)
+    points = [SisOdeParams(beta=2.0, gamma=1.0, p=1.0, q=1.0, N=1.0, S0=0.9),
+              SisOdeParams(beta=1.0, gamma=0.21, p=2.0, q=1.0, N=1.0, S0=0.75)]
+    report = settle_batch(points, dt=0.01, t_max=300.0)
     assert report.converged.all()
     assert report.y[0, 0] == pytest.approx(0.5, abs=1e-4)
     assert report.y[1, 0] == pytest.approx(1.0, abs=1e-4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqip.grid import DiffusionSolver, Domain
-from sqip.model import CoefficientField
+from sqip.model import CoefficientField, Incidence, ModelSpec
 from sqip.presets import preset_config
 from sqip.runner import compute_spectral
 from sqip.spectral import (CW_REL_TOL, DEFAULT_STEPS_PER_PERIOD,
@@ -14,18 +14,23 @@ from sqip.spectral import (CW_REL_TOL, DEFAULT_STEPS_PER_PERIOD,
 
 def potential(problem, scale=1.0):
     """Callable a(x,t) = beta*(mean density)^q/scale - gamma."""
-    factor = problem.mean_density**problem.q / scale
+    model = problem.model
+    factor = problem.mean_density**model.exponents.q / scale
 
     def a(x, t):
-        return problem.beta(x, t) * factor - problem.gamma(x, t)
+        return model.beta(x, t) * factor - model.gamma(x, t)
 
     return a
 
 
-def make_problem(beta, gamma, q=1.0, density=1.0, omega=1.0, n=64, d_I=1.0):
-    return LinearizedProblem(
-        d_I=d_I, beta=beta, gamma=gamma, q=q, mean_density=density,
-        omega=omega, domain=Domain((1.0,), (n,)))
+def make_model(beta, gamma, q=1.0, d_I=1.0):
+    return ModelSpec(beta=beta, gamma=gamma, mu=CoefficientField.constant(0.0),
+                     d_S=1.0, d_I=d_I, incidence=Incidence("power", q=q))
+
+
+def make_problem(beta, gamma, q=1.0, density=1.0, n=64, d_I=1.0):
+    return LinearizedProblem(make_model(beta, gamma, q, d_I), Domain((1.0,), (n,)),
+                             mean_density=density)
 
 
 def test_monodromy_constant_potential():
@@ -179,7 +184,8 @@ def test_potential_bound_holds():
     a = potential(prob)
     x = np.linspace(0, 1, 33)
     vals = np.abs(np.asarray(a(x, 0.0)))
-    bound = prob.beta.upper * prob.mean_density**prob.q + prob.gamma.upper
+    bound = (prob.model.beta.upper * prob.mean_density**prob.model.exponents.q
+             + prob.model.gamma.upper)
     assert vals.max() <= bound + 1e-12
 
 
@@ -263,7 +269,7 @@ def reference_monodromy(problem, scale=1.0,
     def period_map(phi):
         dt = duration / nsteps
         out = phi.copy()
-        c = dt * problem.d_I
+        c = dt * problem.model.d_I
         for k in range(nsteps):
             tm = t0 + (k + 0.5) * dt
             a_k = np.broadcast_to(a(x, tm), problem.domain.shape)
@@ -283,25 +289,29 @@ def reference_monodromy(problem, scale=1.0,
     raise AssertionError("reference power iteration did not converge")
 
 
+def _preset_problem(name, overrides=None):
+    cfg = preset_config(name, overrides)
+    return LinearizedProblem(cfg.model, cfg.domain,
+                             cfg.total_mass() / cfg.domain.measure)
+
+
 @pytest.mark.parametrize("omega, period", [("1.0", 1.0), ("0.5", 0.5)])
 def test_from_model_takes_the_model_period(omega, period):
-    cfg = preset_config("thm-2.11-periodic", {"model.omega": omega})
-    problem = LinearizedProblem.from_model(cfg.model, cfg.domain, cfg.total_mass())
+    problem = _preset_problem("thm-2.11-periodic", {"model.omega": omega})
     assert problem.omega == period
 
 
 def _heterogeneous_1d():
-    cfg = preset_config("thm-2.11-periodic", {
+    return _preset_problem("thm-2.11-periodic", {
         "model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": "64"})
-    return LinearizedProblem.from_model(cfg.model, cfg.domain, cfg.total_mass())
 
 
 def _periodic_2d():
     beta = CoefficientField.cosine_modulated(
         2.0, time_amp=0.5, period=1.0, space_amp=0.6, length=1.0)
     return LinearizedProblem(
-        d_I=0.5, beta=beta, gamma=CoefficientField.constant(1.5), q=1.0,
-        mean_density=1.0, omega=1.0, domain=Domain((1.0, 1.0), (16, 16)))
+        make_model(beta, CoefficientField.constant(1.5), d_I=0.5),
+        Domain((1.0, 1.0), (16, 16)), mean_density=1.0)
 
 
 def _tabulated_beta():
@@ -385,11 +395,20 @@ def test_propagator_rejects_a_table_for_another_step_count():
 
     beta = CoefficientField.cosine_modulated(2.0, time_amp=0.5, period=1.0)
     prob = make_problem(beta, CoefficientField.constant(1.0), n=8)
-    prop = LinearPropagator(prob.domain, prob.d_I)
+    prop = LinearPropagator(prob.domain, prob.model.d_I)
     growth = prob.growth_factors(1.0, 4)
     prop.advance(np.ones(8), growth, 1.0, 4)
     with pytest.raises(ConfigError, match="4 rows for 3 steps"):
         prop.advance(np.ones(8), growth, 1.0, 3)
+
+
+@pytest.mark.parametrize("diffusivity", [math.nan, math.inf, 0.0, -1.0])
+def test_propagator_refuses_a_bad_diffusivity(diffusivity):
+    from sqip.errors import ConfigError
+    from sqip.solver import LinearPropagator
+
+    with pytest.raises(ConfigError, match="need a finite, positive diffusivity"):
+        LinearPropagator(Domain((1.0,), (8,)), diffusivity)
 
 
 @pytest.mark.parametrize("cells, two_dim", [("64", False), ("16 16", True)],
@@ -414,7 +433,7 @@ def test_one_spectral_solve_factors_each_axis_once(monkeypatch, cells, two_dim):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("omega", math.nan), ("density", math.nan),
+    ("density", math.nan),
     ("d_I", math.nan), ("d_I", math.inf), ("d_I", 0.0)])
 def test_linearized_problem_refuses_a_bad_input(field, value):
     # NaN passes a "<= 0" test, and scipy would later die untyped on it.
@@ -432,7 +451,7 @@ def dense_period_map(problem, scale, steps=DEFAULT_STEPS_PER_PERIOD):
     through the steps of ``LinearPropagator.advance`` at once."""
     growth = problem.growth_factors(scale, steps)
     diffusion = DiffusionSolver(problem.domain)
-    c = problem.omega / steps * problem.d_I
+    c = problem.omega / steps * problem.model.d_I
     m = np.eye(problem.domain.cells[0])
     for k in range(steps):
         m = diffusion.solve(c, growth[k % len(growth)][:, None] * m)
@@ -466,6 +485,19 @@ def test_r0_matches_dense_period_map(build, expected):
     lam = -math.log(perron_root(dense_period_map(prob, 1.0))) / prob.omega
     assert res.lambda0_lo - 1e-13 <= lam <= res.lambda0_hi + 1e-13
     assert res.lambda0_hi - res.lambda0_lo <= CW_REL_TOL / prob.omega
+
+
+def test_a_period_2_model_maps_over_its_own_period():
+    # the period comes from the coefficients: a map over [0, 1.5] instead
+    # of [0, 2] gave R0 = 0.897 on this problem, not 1.109
+    beta = CoefficientField.cosine_modulated(
+        1.0, time_amp=0.9, period=2.0, space_amp=0.5, length=1.0)
+    prob = make_problem(beta, CoefficientField.constant(1.0), n=32, d_I=0.1)
+    assert prob.omega == 2.0
+    res = r0(prob)
+    assert res.r0 == pytest.approx(1.109, abs=5e-4)
+    assert abs(res.r0 - dense_r0(prob, 0.5, 2.0)) <= 1e-9
+    assert res.lambda0 < 0
 
 
 def test_period_map_is_entrywise_positive():

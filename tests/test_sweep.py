@@ -11,7 +11,7 @@ from sqip import runner
 from sqip.cli import build_parser
 from sqip.cli import main as cli_main
 from sqip.errors import ConfigError, NumericsError
-from sqip.ode import settle_batch
+from sqip.ode import SiOdeParams, SisOdeParams, settle_batch
 from sqip.runner import (SweepSpec, ode_sweep_csv, parse_sweep, run_sweep,
                          si_sweep_rows, sis_sweep_rows)
 
@@ -68,13 +68,20 @@ def test_ode_sweep_writes_each_points_steps_beside_its_results(tmp_path, kind):
                for row in rows)
 
 
-@pytest.mark.parametrize("system, rate", [("si", "mu"), ("sis", "gamma")])
-def test_settle_batch_raises_on_a_nan_point(system, rate):
-    batch = {"beta": np.array([2.0, np.nan]), rate: np.array([1.0, 1.0]),
-             "p": np.array([1.0, 1.0]), "q": np.array([1.0, 1.0])}
-    y0 = np.array([[0.9, 0.1], [0.9, 0.1]])
-    with pytest.raises(NumericsError, match="non-finite") as info:
-        settle_batch(system, batch, y0, dt=0.01, t_max=50.0)
+@pytest.mark.parametrize("system", ["si", "sis"])
+def test_settle_batch_raises_on_a_nan_point(system):
+    # a NaN parameter cannot be built into a point, but finite ones whose
+    # stages overflow turn row 1 into NaN
+    if system == "si":
+        points = [SiOdeParams(beta=2.0, mu=1.0, p=1.0, q=1.0, S0=0.9, I0=0.1),
+                  SiOdeParams(beta=1e300, mu=1.0, p=2.0, q=1.0, S0=0.9, I0=1e5)]
+    else:
+        points = [SisOdeParams(beta=2.0, gamma=1.0, p=1.0, q=1.0, N=1.0, S0=0.9),
+                  SisOdeParams(beta=1e300, gamma=1.0, p=2.0, q=1.0, N=1e5 + 0.9,
+                               S0=0.9)]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericsError, match="non-finite") as info:
+        settle_batch(points, dt=0.01, t_max=50.0)
     state = info.value.payload["state"]
     assert np.isfinite(state[0]).all() and np.isnan(state[1]).all()
 

@@ -14,6 +14,9 @@ does). Each tree then runs, with its own ``src`` on the import path:
   the benchmark's spectral workload (``model.beta_x_amp=0.9``,
   ``model.dI=1.0``, ``domain.n=64``): the one compared run whose ``R0``
   comes from the root-find, not from the flat closed form;
+- ``sqip preset thm-2.11-periodic`` with ``model.omega=0.5``: the one
+  compared run whose period, and so the span of its spectral period
+  map, is not 1;
 - ``sqip preset si-finite-extinction``;
 - ``sqip sweep`` on the reference ``ode-si`` and ``ode-sis`` specs (no
   ``points`` or ``seed``, so each sampler's defaults).
@@ -55,6 +58,8 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
             ["--override", "solver.t_end=6"] if name in SHORT_2D else [])
     runs["het-periodic-1d"] = ["preset", "thm-2.11-periodic"] + [
         arg for item in HET_PERIODIC for arg in ("--override", item)]
+    runs["half-period-1d"] = ["preset", "thm-2.11-periodic",
+                              "--override", "model.omega=0.5"]
     runs["si-finite-extinction"] = ["preset", "si-finite-extinction"]
     for kind in ("ode-si", "ode-sis"):
         spec = spec_dir / f"{kind}.cfg"
