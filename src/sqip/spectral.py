@@ -52,7 +52,7 @@ class LinearizedProblem:
             raise ConfigError(
                 f"mean density must be positive, got {self.mean_density}")
 
-    @property
+    @cached_property
     def omega(self) -> float:
         return self.model.period or 1.0
 

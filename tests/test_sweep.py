@@ -11,7 +11,7 @@ from sqip import runner
 from sqip.cli import build_parser
 from sqip.cli import main as cli_main
 from sqip.errors import ConfigError, NumericsError
-from sqip.ode import SiOdeParams, SisOdeParams, settle_batch
+from sqip.ode import SYSTEMS, settle_batch
 from sqip.runner import (SweepSpec, ode_sweep_csv, parse_sweep, run_sweep,
                          si_sweep_rows, sis_sweep_rows)
 
@@ -68,17 +68,15 @@ def test_ode_sweep_writes_each_points_steps_beside_its_results(tmp_path, kind):
                for row in rows)
 
 
-@pytest.mark.parametrize("system", ["si", "sis"])
-def test_settle_batch_raises_on_a_nan_point(system):
+@pytest.mark.parametrize("system, rate", [("si", "mu"), ("sis", "gamma")])
+def test_settle_batch_raises_on_a_nan_point(system, rate):
     # a NaN parameter cannot be built into a point, but finite ones whose
     # stages overflow turn row 1 into NaN
-    if system == "si":
-        points = [SiOdeParams(beta=2.0, mu=1.0, p=1.0, q=1.0, S0=0.9, I0=0.1),
-                  SiOdeParams(beta=1e300, mu=1.0, p=2.0, q=1.0, S0=0.9, I0=1e5)]
-    else:
-        points = [SisOdeParams(beta=2.0, gamma=1.0, p=1.0, q=1.0, N=1.0, S0=0.9),
-                  SisOdeParams(beta=1e300, gamma=1.0, p=2.0, q=1.0, N=1e5 + 0.9,
-                               S0=0.9)]
+    def point(beta, p, I0):
+        start = {"I0": I0} if system == "si" else {"N": 0.9 + I0}
+        return SYSTEMS[system](beta=beta, p=p, q=1.0, S0=0.9, **{rate: 1.0}, **start)
+
+    points = [point(2.0, 1.0, 0.1), point(1e300, 2.0, 1e5)]
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericsError, match="non-finite") as info:
         settle_batch(points, dt=0.01, t_max=50.0)
