@@ -92,7 +92,7 @@ def _stiffness_banded(n: int, h: float) -> np.ndarray:
 
 
 # LAPACK's banded Cholesky factorization and solve, bound by the first
-# DiffusionSolver. As module globals, not attributes, they keep the
+# factorization. As module globals, not attributes, they keep the
 # spectral benchmark about 1.5% faster.
 dpbtrf = dpbtrs = None
 
@@ -100,9 +100,12 @@ dpbtrf = dpbtrs = None
 def cholesky_banded(ab: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor of a banded SPD matrix in upper banded form:
     one LAPACK ``dpbtrf`` call, which does not check for finite values.
-    scipy.linalg takes about a third of a second to import, so it loads
-    with the first :class:`DiffusionSolver`, not with the package: the ODE
-    oracle never pays for it."""
+    scipy.linalg takes about a third of a second to import, so the first
+    call loads it, and ``dpbtrs`` with it, not the package: the ODE oracle
+    never pays for it. Every solve factors before it solves."""
+    global dpbtrf, dpbtrs
+    if dpbtrf is None:
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
     factor, info = dpbtrf(ab)
     if info != 0:
         raise NumericsError(f"dpbtrf failed with info {info}", info=info)
@@ -117,14 +120,11 @@ class DiffusionSolver:
     ``c`` factored. 1D solves are exact banded solves. 2D uses the factored
     alternating-direction form (I + c*Ax)(I + c*Ay), which is first-order
     consistent with the unsplit step and conserves the discrete integral
-    exactly, factor by factor. LAPACK (scipy.linalg) is loaded when the
-    first solver is built.
+    exactly, factor by factor. LAPACK (scipy.linalg) is loaded by the
+    first factorization.
     """
 
     def __init__(self, domain: Domain):
-        global dpbtrf, dpbtrs
-        if dpbtrs is None:
-            from scipy.linalg.lapack import dpbtrf, dpbtrs
         self._stiffness = [_stiffness_banded(n, h)
                            for n, h in zip(domain.cells, domain.spacing)]
         self._factors: dict[float, list[tuple[np.ndarray, bool]]] = {}

@@ -264,14 +264,12 @@ def test_a_diffusion_solve_refuses_a_bad_coefficient(c):
 
 @pytest.mark.parametrize("n", (48, 96, 128))
 def test_the_banded_factor_is_scipys(n):
-    DiffusionSolver(Domain((1.0,), (n,)))  # binds LAPACK
     ab = 0.37 * _stiffness_banded(n, 1.0 / n)
     ab[1, :] += 1.0
     assert np.array_equal(grid.cholesky_banded(ab), cholesky_banded(ab))
 
 
 def test_an_indefinite_matrix_is_not_factored():
-    DiffusionSolver(Domain((1.0,), (4,)))  # binds LAPACK
     with pytest.raises(NumericsError, match="dpbtrf failed with info 1"):
         grid.cholesky_banded(np.array([[0.0, 0.0], [-1.0, 1.0]]))
 

@@ -540,9 +540,10 @@ def test_two_dim_preset_flag():
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize and scipy.linalg each add about a third of a second
     # to ``import sqip``, which every CLI call pays. The R0 root-find is
-    # written out, and scipy.linalg loads with the first diffusion solver,
+    # written out, and scipy.linalg loads with the first diffusion solve,
     # so the ODE oracle (sweeps and ``sqip ode``) never imports either.
     code = ("import sys, tempfile\n"
+            "import numpy as np\n"
             "def loaded():\n"
             "    print('loaded', sorted(m for m in ('scipy.linalg',\n"
             "                                       'scipy.optimize')\n"
@@ -558,13 +559,15 @@ def test_import_leaves_scipy_optimize_unloaded():
             "             '--q', '0.5', '--S0', '1']) == 0\n"
             "loaded()\n"
             "from sqip.grid import DiffusionSolver, Domain\n"
-            "DiffusionSolver(Domain((1.0,), (8,)))\n"
+            "solver = DiffusionSolver(Domain((1.0,), (8,)))\n"
+            "loaded()\n"
+            "solver.solve(0.1, np.ones(8))\n"
             "loaded()\n")
     env = dict(os.environ, PYTHONPATH=str(Path(sqip.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, check=True, env=env)
     loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded")]
-    assert loaded == ["loaded []"] * 3 + ["loaded ['scipy.linalg']"]
+    assert loaded == ["loaded []"] * 4 + ["loaded ['scipy.linalg']"]
 
 
 def test_star_import_resolves_every_export_and_mapped_module():
