@@ -333,9 +333,13 @@ class ScenarioConfig:
 
 def _build_coefficient(values: dict, which: str, length: float,
                        omega: float | None) -> CoefficientField:
-    """Coefficient ``which``; a refusal is keyed by the config key at fault."""
+    """Coefficient ``which``; a refusal is keyed by the config key at fault.
+    A table leaves the amplitudes unread, so a nonzero one is refused."""
     key = f"model.{which}"
     table_path = values[f"{key}_table"]
+    for amp in (f"{key}_t_amp", f"{key}_x_amp"):
+        if table_path and values[amp]:
+            raise ConfigError(f"{amp} is not read beside {key}_table", key=amp)
     try:
         if table_path:
             return read_coefficient_table(table_path, length)

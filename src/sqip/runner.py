@@ -42,21 +42,8 @@ class RunResult:
     summary: str
 
 
-def _spectral_gaps(config: ScenarioConfig) -> list[str]:
-    """Conditions of the linearized threshold theory (mu = 0: conserved
-    mass; p = 1: incidence linear in I) that the model fails."""
-    model = config.model
-    p = model.exponents.p
-    return [gap for gap, fails in (("mu > 0", model.has_mortality),
-                                   (f"p = {p:g} != 1", p != 1.0)) if fails]
-
-
 def compute_spectral(config: ScenarioConfig) -> spectral.SpectralResult:
-    """lambda0 and R0; a ConfigError names each failed theory condition."""
-    gaps = _spectral_gaps(config)
-    if gaps:
-        raise ConfigError(
-            f"R0 needs mu = 0 and p = 1; this model has {', '.join(gaps)}")
+    """lambda0 and R0; ``LinearizedProblem`` refuses a model outside the theory."""
     return spectral.r0(spectral.LinearizedProblem(
         config.model, config.domain, config.total_mass() / config.domain.measure))
 
@@ -92,9 +79,8 @@ def summarize(config: ScenarioConfig, traj: Trajectory,
         lines.extend(spec_result.summary_lines())
         lines.append("[stats]")
         lines.extend(spec_result.stats_lines())
-    if traj.assumptions is not None:
-        lines.append("[assumptions]")
-        lines.extend(traj.assumptions.lines())
+    lines.append("[assumptions]")
+    lines.extend(traj.assumptions.lines())
     lines.append("[defaults]")
     lines.extend(config.defaults_table())
     return "\n".join(lines) + "\n"
@@ -120,13 +106,14 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunResult:
     """Run one scenario end to end and emit its artifacts.
 
     Returns the classified outcome along with the trajectory; when the
-    conserved-mass linear-incidence theory applies, the spectral
-    threshold quantities are computed and reported too.
+    threshold theory applies (``spectral.theory_gaps`` is empty), the
+    spectral threshold quantities are computed and reported too.
     """
     traj = solver.run(config)
     outcome = diagnostics.classify_longtime(traj, config.detect,
                                             omega=config.omega)
-    spec_result = None if _spectral_gaps(config) else compute_spectral(config)
+    spec_result = (None if spectral.theory_gaps(config.model)
+                   else compute_spectral(config))
     summary = summarize(config, traj, outcome, spec_result)
 
     if out_dir is not None:

@@ -19,7 +19,7 @@ import numpy as np
 from . import diagnostics
 from .errors import AssumptionError, ConfigError, NumericsError, StiffnessError
 from .grid import DiffusionSolver, Domain
-from .model import ModelSpec, power, validate_assumptions
+from .model import AssumptionReport, ModelSpec, power, validate_assumptions
 
 # Hard default ceiling of the auto-chosen initial step.
 DT_INIT_CAP = 1e-2
@@ -87,7 +87,7 @@ class Trajectory:
     steps_accepted: int
     steps_rejected: int
     flags: tuple[str, ...]
-    assumptions: object | None = None
+    assumptions: AssumptionReport
 
     @property
     def mass(self) -> np.ndarray:

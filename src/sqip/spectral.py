@@ -1,8 +1,9 @@
 """Principal eigenvalue of the time-periodic linearization and the
 basic reproduction number.
 
-The linearization of the infected equation at the disease-free state with
-mean density N/|domain| is
+Under the threshold theory (power incidence S^q I^p, mu = 0, p = 1; a
+model failing ``theory_gaps`` is refused) the linearization of the
+infected equation at the disease-free state with mean density N/|domain| is
 
     phi_t = d_I * Lap(phi) + [beta(x,t) * (N/|domain|)^q - gamma(x,t)] * phi.
 
@@ -35,6 +36,14 @@ R0_REL_TOL = 1e-12
 R0_CROSS_CHECK_TOL = 1e-8
 
 
+def theory_gaps(model: ModelSpec) -> list[str]:
+    """Conditions of the threshold theory that ``model`` fails."""
+    p, kind = model.exponents.p, model.incidence.variant
+    return [gap for gap, fails in (("mu > 0", model.has_mortality),
+                                   (f"p = {p:g} != 1", p != 1.0),
+                                   (f"incidence = {kind}", kind != "power")) if fails]
+
+
 @dataclass(frozen=True)
 class LinearizedProblem:
     """A model linearized at the flat disease-free state of the given mean
@@ -48,6 +57,9 @@ class LinearizedProblem:
                            compare=False)
 
     def __post_init__(self):
+        if gaps := theory_gaps(self.model):
+            raise ConfigError("R0 needs mu = 0, p = 1 and the power incidence; "
+                              f"this model has {', '.join(gaps)}")
         if not self.mean_density > 0:  # NaN fails it too
             raise ConfigError(
                 f"mean density must be positive, got {self.mean_density}")

@@ -110,7 +110,12 @@ def test_read_or_default_incidence_parameter_is_accepted(pairs):
     ("solver.t_end", "0", "solver.t_end must be positive"),
     ("solver.cadence", "0", "cadence must be positive"),
     ("solver.snapshots", "99", "snapshot time 99.0 outside [0, t_end]"),
-    ("solver.snapshots", "-1", "snapshot time -1.0 outside [0, t_end]")])
+    ("solver.snapshots", "-1", "snapshot time -1.0 outside [0, t_end]"),
+    ("solver.allow_degenerate_initial", "maybe", "not a boolean: 'maybe'"),
+    ("initial.I", "1 2", "cannot parse initial data '1 2'"),
+    ("initial.I", "constant(1, 2)", "constant(...) takes exactly one value"),
+    ("initial.S", "tabulated(a.txt, b.txt)", "tabulated(...) takes exactly one path"),
+    ("initial.I", "wave(1)", "unknown initial data form 'wave'")])
 def test_out_of_range_value_is_refused_where_it_is_built(key, value, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         preset_config("thm-2.11-persist", {key: value})
@@ -130,10 +135,13 @@ def test_out_of_range_value_is_refused_where_it_is_built(key, value, message):
     ("[model]\ns = -1", "model.s", 5),
     ("[model]\nr = nan", "model.r", 5),
     ("[model]\nincidence = bogus", "model.incidence", 5),
-    ("[model]\nbeta_table = no-such-table.txt", "model.beta_table", 5)],
+    ("[model]\nbeta_table = no-such-table.txt", "model.beta_table", 5),
+    ("[model]\nbeta_table = t.txt\nbeta_x_amp = 0.9", "model.beta_x_amp", 6),
+    ("[model]\nmu_t_amp = 0.5\nmu_table = t.txt", "model.mu_t_amp", 5),
+    ("[solver]\nperiodic_snapshots = 2", "solver.periodic_snapshots", 5)],
     ids=["max-steps", "dt-min", "t-end", "window", "dS", "p", "binomial-k",
          "amplitude", "no-period", "negative-beta", "s", "r-nan", "incidence",
-         "missing-table"])
+         "missing-table", "table-x-amp", "table-t-amp", "periodic-snapshots"])
 def test_a_refused_value_names_its_key_and_line(text, key, line):
     # the code that builds the value refuses it; the reader adds the line
     with pytest.raises(ConfigError) as err:
@@ -148,9 +156,12 @@ def test_a_refused_value_names_its_key_and_line(text, key, line):
     ("L = 1\nn = 8", "bump(0.2, 0.7, 0.05, 1.0)", "2 centre coordinates for a 1D grid"),
     ("L = 1\nn = 8", "bump(0.2, 0, 1.0)", "width must be positive or auto, got 0.0"),
     ("L = 1\nn = 8", "bump(0.2, -0.1, 1.0)", "width must be positive or auto, got -0.1"),
-    ("L = 1\nn = 8", "bump(0.5, inf, 1.0)", "width must be positive or auto, got inf")],
+    ("L = 1\nn = 8", "bump(0.5, inf, 1.0)", "width must be positive or auto, got inf"),
+    ("L = 1\nn = 8", "bump(0.5, 0.1)", "needs center..., width, amplitude"),
+    ("L = 1\nn = 8", "bump(0.5, 0.1, 1.0, top=2)", "unknown bump option ['top']"),
+    ("L = 1\nn = 8", "bump(0.5, 0.1, auto)", "amplitude cannot be auto")],
     ids=["auto-x", "auto-y-and-width", "extra-centre", "zero-width", "negative-width",
-         "infinite-width"])
+         "infinite-width", "too-few-arguments", "unknown-option", "auto-amplitude"])
 def test_each_bump_argument_is_used_on_its_axis_or_refused(domain, bump,
                                                           same_or_refused):
     def build(value):

@@ -9,6 +9,7 @@ from sqip.diagnostics import (CSV_HEADER, ROW_DTYPE, classify_longtime,
                               lk_norm, periodic_residuals)
 from sqip.errors import ConfigError, DomainError
 from sqip.grid import Domain, integrate
+from sqip.model import AssumptionReport
 from sqip.presets import preset_config
 from sqip.runner import run_scenario
 from sqip.solver import SystemState, Trajectory, run
@@ -47,7 +48,8 @@ def _traj_from_rows(rows, snapshots=None, measure=1.0):
     return Trajectory(rows=arr, snapshots=snapshots or {}, final_state=state,
                       measure=measure, sup_monitor=float(arr["sup_S"].max()),
                       floor_S=0.0, floor_I=0.0, steps_accepted=len(rows),
-                      steps_rejected=0, flags=())
+                      steps_rejected=0, flags=(),
+                      assumptions=AssumptionReport(()))
 
 
 def _row(t, mass_S, mass_I, sup_S, sup_I, min_S, min_I, flat_S=0.0, flat_I=0.0):
@@ -135,6 +137,18 @@ def test_transient_residuals_decrease_on_periodic_preset():
     # monotone decay across successive windows
     assert all(residuals[i + 1] < residuals[i] for i in range(len(residuals) - 1))
     assert residuals[-1] < residuals[0] * 1e-3
+
+
+def test_too_few_tail_pairs_leave_a_persistent_tail_unchecked():
+    # three pairs one period apart, all before the tail window
+    cfg = preset_config("thm-2.11-periodic", {
+        "solver.periodic_snapshots": "0", "solver.snapshots": "1 2 3 4",
+        "solver.t_end": "20"})
+    traj = run(cfg)
+    assert len(periodic_residuals(traj, 1.0)) == 3
+    out = classify_longtime(traj, cfg.detect, omega=cfg.omega)
+    assert out.label == "Persistent"
+    assert out.period_residual is None
 
 
 def test_disease_free_flatness_decreases():

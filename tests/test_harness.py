@@ -161,6 +161,7 @@ def test_incidence_kernel_runs_conserving_and_reproducible(tmp_path, kernel):
     assert np.abs(mass - mass[0]).max() <= 1e-11 * mass[0]
     regime = classify_exponents(cfg.model.exponents).label
     assert f"regime={regime}" in result.summary.splitlines()
+    assert result.spectral is None and "r0=" not in result.summary
     names = sorted(os.listdir(tmp_path / "a"))
     assert names == sorted(os.listdir(tmp_path / "b"))
     for name in names:
@@ -346,6 +347,19 @@ def test_cli_r0_refuses_a_model_outside_the_theory(tmp_path, capsys, preset,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert condition in captured.err
+
+
+@pytest.mark.parametrize("variant, extra", [
+    ("binomial", "k = 0.25"), ("saturated", "ell = 1"), ("media", "")])
+def test_cli_r0_refuses_a_kernel_outside_the_theory(tmp_path, capsys, variant,
+                                                    extra):
+    cfg_file = tmp_path / "scenario.cfg"
+    cfg_file.write_text(f"preset = thm-2.11-persist\n[model]\n"
+                        f"incidence = {variant}\n{extra}\n")
+    assert cli_main(["r0", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"has incidence = {variant}\n" in captured.err
 
 
 def test_cli_ode_classify(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -442,6 +443,26 @@ def test_linearized_problem_refuses_a_bad_input(field, value):
     with pytest.raises(ConfigError):
         make_problem(CoefficientField.constant(2.0),
                      CoefficientField.constant(1.0), **{field: value})
+
+
+@pytest.mark.parametrize("mu, incidence, gaps", [
+    (5.0, Incidence("power"), "mu > 0"),
+    (0.0, Incidence("power", p=2.0), "p = 2 != 1"),
+    (0.0, Incidence("binomial", k=0.25), "incidence = binomial"),
+    (0.0, Incidence("saturated", ell=1.0), "incidence = saturated"),
+    (0.0, Incidence("media", p=0.5), "p = 0.5 != 1, incidence = media"),
+    (5.0, Incidence("saturated", p=2.0), "mu > 0, p = 2 != 1, incidence = saturated")],
+    ids=["mu", "p", "binomial", "saturated", "media", "all-three"])
+def test_linearized_problem_refuses_a_model_outside_the_theory(mu, incidence, gaps):
+    # an R0 from such a model would ignore the term the theory cannot hold
+    from sqip.errors import ConfigError
+
+    model = ModelSpec(beta=CoefficientField.constant(2.0),
+                      gamma=CoefficientField.constant(1.0),
+                      mu=CoefficientField.constant(mu), d_S=1.0, d_I=1.0,
+                      incidence=incidence)
+    with pytest.raises(ConfigError, match=re.escape(f"this model has {gaps}") + "$"):
+        LinearizedProblem(model, Domain((1.0,), (16,)), mean_density=1.0)
 
 
 # ------------------------------------------ dense period-map reference

@@ -114,6 +114,11 @@ def test_parse_sweep_rejects_bad_numbers(line, message):
         parse_sweep(f"[sweep]\nkind = ode-si\n{line}\n")
 
 
+def test_parse_sweep_needs_a_kind():
+    with pytest.raises(ConfigError, match="sweep file must set kind"):
+        parse_sweep("[sweep]\npoints = 5\n")
+
+
 @pytest.mark.parametrize("kind, line, message", [
     ("ode-si", "base = sis-bistable", "line 3: ode-si sweeps do not read base"),
     ("ode-sis", "vary.model.p = 1 2", "line 3: ode-sis sweeps do not read vary"),

@@ -17,6 +17,9 @@ does). Each tree then runs, with its own ``src`` on the import path:
 - ``sqip preset thm-2.11-periodic`` with ``model.omega=0.5``: the one
   compared run whose period, and so the span of its spectral period
   map, is not 1;
+- ``sqip preset thm-2.11-persist`` with ``model.incidence=binomial``
+  and ``model.k=0.25``: the one compared run off the power kernel, so
+  outside the threshold theory, with no spectral lines in its summary;
 - ``sqip preset si-finite-extinction``;
 - ``sqip sweep`` on the reference ``ode-si`` and ``ode-sis`` specs (no
   ``points`` or ``seed``, so each sampler's defaults).
@@ -60,6 +63,9 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
         arg for item in HET_PERIODIC for arg in ("--override", item)]
     runs["half-period-1d"] = ["preset", "thm-2.11-periodic",
                               "--override", "model.omega=0.5"]
+    runs["binomial-1d"] = ["preset", "thm-2.11-persist",
+                           "--override", "model.incidence=binomial",
+                           "--override", "model.k=0.25"]
     runs["si-finite-extinction"] = ["preset", "si-finite-extinction"]
     for kind in ("ode-si", "ode-sis"):
         spec = spec_dir / f"{kind}.cfg"
