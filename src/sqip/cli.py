@@ -19,25 +19,39 @@ import dataclasses
 import math
 import os
 import sys
+from functools import partial
 
 from . import ode, runner
 from .config import ScenarioConfig, load_config, read_lines
-from .errors import SqipError
+from .errors import ConfigError, SqipError
 from .presets import ODE_PRESETS, PRESET_NAMES, preset_config, preset_kind
 
 
-def _parse_overrides(items: list[str] | None) -> dict[str, str]:
+def _parse_overrides(items: list[str] | None
+                     ) -> tuple[dict[str, str], dict[str, int]]:
     """``--override section.key=value`` items, read as lines of config
-    text (so ``#`` starts a comment); a bad item names its position."""
-    return {key: value for _, key, value, _ in
-            read_lines("\n".join(items or ()), sections=())}
+    text (so ``#`` starts a comment): the pairs and each key's position,
+    which a refusal names as its line."""
+    pairs, lines = {}, {}
+    for _, key, value, line in read_lines("\n".join(items or ()), sections=()):
+        pairs[key], lines[key] = value, line
+    return pairs, lines
+
+
+def _overridden(build, items: list[str] | None) -> ScenarioConfig:
+    """``build(overrides)`` of the --override ``items``; a refusal keyed
+    by an overridden key names that item's position."""
+    overrides, lines = _parse_overrides(items)
+    try:
+        return build(overrides)
+    except ConfigError as exc:
+        raise exc.located(lines) from None
 
 
 def _load_config(args) -> ScenarioConfig:
     """The config file of ``run`` and ``r0`` with any --override layered on."""
     config = load_config(args.config)
-    overrides = _parse_overrides(args.override)
-    return config.with_overrides(overrides) if overrides else config
+    return _overridden(config.with_overrides, args.override) if args.override else config
 
 
 def _cmd_run(args) -> int:
@@ -71,8 +85,8 @@ def _run_ode_preset(name: str, out_dir) -> int:
 def _cmd_preset(args) -> int:
     if preset_kind(args.name) == "ode":
         return _run_ode_preset(args.name, args.out)
-    config = preset_config(args.name, _parse_overrides(args.override),
-                           two_dim=args.two_dim)
+    config = _overridden(partial(preset_config, args.name, two_dim=args.two_dim),
+                         args.override)
     result = runner.run_scenario(config, out_dir=args.out)
     sys.stdout.write(result.summary)
     return 0

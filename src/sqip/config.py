@@ -367,7 +367,7 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
     for full in pairs:
         section, _, key = full.partition(".")
         if key not in SCHEMA.get(section, ()):
-            raise ConfigError(f"unknown key {full!r}", lines.get(full))
+            raise ConfigError(f"unknown key {full!r}", lines.get(full), full)
     values: dict[str, object] = {}
     resolved = []
     for section, keys in SCHEMA.items():

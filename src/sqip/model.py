@@ -219,6 +219,12 @@ class CoefficientField:
         Relative amplitudes must stay in [0, 1] so the field remains
         nonnegative; the spatial profile has zero normal derivative at
         both ends of [0, L], matching the boundary condition.
+
+        The spatial profile base * (1 + space_amp*cos(pi x/L)) is kept
+        for the last coordinate array evaluated, matched by identity, so
+        a call on the same array costs one scalar cosine and one multiply
+        (an array changed in place keeps its old profile). Every call
+        returns a new array, with the bits of the full product.
         """
         for key, amp in (("time_amp", time_amp), ("space_amp", space_amp)):
             if not abs(amp) <= 1:
@@ -231,13 +237,19 @@ class CoefficientField:
         if time_amp == 0.0 and space_amp == 0.0:
             return cls.constant(base)
 
+        last = (None, None)  # the last x, held by reference, and its profile
+
         def evaluator(x: np.ndarray, t: float) -> np.ndarray:
-            out = np.full_like(x, base)
-            if space_amp != 0.0:
-                out = out * (1.0 + space_amp * np.cos(np.pi * x / length))
+            nonlocal last
+            seen, profile = last
+            if seen is not x:
+                profile = np.full_like(x, base)
+                if space_amp != 0.0:
+                    profile = profile * (1.0 + space_amp * np.cos(np.pi * x / length))
+                last = x, profile
             if time_amp != 0.0:
-                out = out * (1.0 + time_amp * math.cos(2.0 * math.pi * t / period))
-            return out
+                return profile * (1.0 + time_amp * math.cos(2.0 * math.pi * t / period))
+            return profile.copy()
 
         lower = base * (1.0 - abs(space_amp)) * (1.0 - abs(time_amp))
         upper = base * (1.0 + abs(space_amp)) * (1.0 + abs(time_amp))
