@@ -220,11 +220,10 @@ class CoefficientField:
         nonnegative; the spatial profile has zero normal derivative at
         both ends of [0, L], matching the boundary condition.
 
-        The spatial profile base * (1 + space_amp*cos(pi x/L)) is kept
-        for the last coordinate array evaluated, matched by identity, so
-        a call on the same array costs one scalar cosine and one multiply
-        (an array changed in place keeps its old profile). Every call
-        returns a new array, with the bits of the full product.
+        The spatial profile is kept for the last x, matched by identity
+        (an array changed in place keeps its old profile), so a call on
+        the same x costs one scalar cosine and one multiply. Each call
+        returns a new array with the bits of the full product.
         """
         for key, amp in (("time_amp", time_amp), ("space_amp", space_amp)):
             if not abs(amp) <= 1:

@@ -73,6 +73,24 @@ def test_override_items_are_read_as_config_lines(capsys):
         (None, "a", "1", 1), (None, "b", "2", 3)]
 
 
+@pytest.mark.parametrize("items, line, message", [
+    (["model.beta_table=t.txt", "model.beta_x_amp=0.9"], 2,
+     "model.beta_x_amp is not read beside model.beta_table"),
+    (["solver.t_end=x"], 1, "bad value for solver.t_end"),
+    (["# a comment", "solver.dt_max=0.01", "model.nosuch=1"], 3,
+     "unknown key 'model.nosuch'")],
+    ids=["amplitude-beside-table", "bad-float", "unknown-key"])
+@pytest.mark.parametrize("command", ["preset", "run", "r0"])
+def test_a_refused_override_names_its_item(tmp_path, capsys, command, items,
+                                           line, message):
+    cfg = tmp_path / "persist.cfg"
+    cfg.write_text("preset = thm-2.11-persist\n")
+    args = ["preset", "thm-2.11-persist"] if command == "preset" else [command, str(cfg)]
+    code = cli_main(args + [arg for item in items for arg in ("--override", item)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: {message}")
+
+
 @pytest.mark.parametrize("key, value, variant", [
     ("model.k", "5", "power"), ("model.k", "5", "saturated"),
     ("model.ell", "3", "power"), ("model.ell", "3", "binomial"),

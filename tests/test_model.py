@@ -10,7 +10,9 @@ from sqip.grid import Domain
 from sqip.model import (MANDATORY_ITEMS, AssumptionItem, CoefficientField,
                         Exponents, Incidence, ModelSpec, classify_exponents,
                         read_coefficient_table, validate_assumptions)
+from sqip.presets import preset_config
 from sqip.solver import SystemState
+from sqip.spectral import LinearizedProblem
 
 from conftest import write_coefficient_table
 
@@ -244,6 +246,92 @@ def test_sample_gives_one_row_for_a_time_constant_field(coeff_calls):
     for row, t in zip(rows, times):
         assert np.array_equal(row, periodic(x, t))
     assert periodic.sample(dom2, times).shape == (5, 8, 1)
+
+
+# Amplitudes of a cosine-modulated field of base 2.0 on [0, 1.3], period 0.7.
+MODULATIONS = {"none": (0.0, 0.0), "space": (0.9, 0.0), "time": (0.0, 0.5),
+               "space-time": (-0.4, 0.5)}
+
+
+def _modulated(space_amp, time_amp):
+    return CoefficientField.cosine_modulated(
+        2.0, time_amp=time_amp, period=0.7 if time_amp else None,
+        space_amp=space_amp, length=1.3)
+
+
+def _product(x, t, space_amp, time_amp):
+    """The field's values as the full product, in the docstring's order."""
+    out = np.full_like(x, 2.0)
+    if space_amp:
+        out = out * (1.0 + space_amp * np.cos(np.pi * x / 1.3))
+    if time_amp:
+        out = out * (1.0 + time_amp * math.cos(2.0 * math.pi * t / 0.7))
+    return out
+
+
+@pytest.mark.parametrize("cells", [(16,), (8, 5)], ids=["1d", "2d"])
+@pytest.mark.parametrize("amps", MODULATIONS.values(), ids=MODULATIONS)
+def test_repeated_calls_on_one_grid_give_the_bits_of_a_fresh_array(cells, amps):
+    # the profile is kept for the last x; the values keep the full
+    # product's bits
+    field = _modulated(*amps)
+    x = Domain((1.3, 1.0)[:len(cells)], cells).x_coordinate()
+    times = np.linspace(0.0, 2.0, 9)
+    repeated = [field(x, t) for t in times]
+    for got, t in zip(repeated, times):
+        assert got.shape == x.shape
+        assert np.array_equal(got, _product(x, t, *amps))
+        assert np.array_equal(got, field(x.copy(), t))
+
+
+def test_the_spatial_cosine_is_taken_once_per_grid(monkeypatch):
+    taken = []
+    cos = np.cos
+    monkeypatch.setattr(np, "cos", lambda x: taken.append(x.shape) or cos(x))
+    field = _modulated(0.9, 0.5)
+    x = Domain((1.3,), (16,)).x_coordinate()
+    for t in np.linspace(0.0, 1.0, 50):
+        field(x, t)
+    assert taken == [(16,)]
+    field(x.copy(), 0.0)  # equal values, another array
+    assert taken == [(16,), (16,)]
+
+
+def test_alternating_grids_each_get_their_own_values():
+    field = _modulated(0.9, 0.5)
+    grids = (Domain((1.3,), (16,)).x_coordinate(),
+             Domain((1.3, 1.0), (7, 4)).x_coordinate(),
+             Domain((2.6,), (16,)).x_coordinate())
+    for t in np.linspace(0.0, 1.0, 5):
+        for x in grids + grids[::-1]:
+            assert np.array_equal(field(x, t), _product(x, t, 0.9, 0.5))
+
+
+@pytest.mark.parametrize("amps", [(0.9, 0.0), (0.9, 0.5)],
+                         ids=["time-constant", "periodic"])
+def test_a_returned_array_is_the_callers_own(amps):
+    field = _modulated(*amps)
+    x = Domain((1.3,), (16,)).x_coordinate()
+    first = field(x, 0.2)
+    assert first is not field(x, 0.2)
+    first[:] = -1.0
+    assert np.array_equal(field(x, 0.2), _product(x, 0.2, *amps))
+
+
+def test_spectral_samples_equal_evaluations_one_time_at_a_time():
+    # the benchmark's heterogeneous spectral problem: 512 midpoint rows of
+    # beta on one grid, each the bits of an evaluation on a fresh x
+    cfg = preset_config("thm-2.11-periodic", {
+        "model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": "64"})
+    problem = LinearizedProblem(cfg.model, cfg.domain,
+                                cfg.total_mass() / cfg.domain.measure)
+    beta, gamma = problem.coefficient_samples(512)
+    times = (np.arange(512) + 0.5) * (problem.omega / 512)
+    x = cfg.domain.x_coordinate()
+    assert beta.shape == (512, 64) and gamma.shape == (1, 64)
+    for row, t in zip(beta, times):
+        assert np.array_equal(row, cfg.model.beta(x.copy(), t))
+    assert np.array_equal(gamma[0], cfg.model.gamma(x.copy(), times[0]))
 
 
 @pytest.mark.filterwarnings("error")  # np.loadtxt warns on empty input

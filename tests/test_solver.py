@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
 from sqip.errors import AssumptionError, NumericsError, StiffnessError
 from sqip.grid import Domain, _stiffness_banded, integrate
-from sqip.model import A1, CoefficientField, Incidence, ModelSpec, validate_assumptions
+from sqip.model import (A1, CoefficientField, Exponents, Incidence, ModelSpec,
+                        classify_exponents, validate_assumptions)
 from sqip.presets import preset_config
 from sqip.solver import Stepper, SystemState, run
 
@@ -167,6 +168,86 @@ def test_step_matches_the_plain_algebra_bit_for_bit(cells, pq, sr, periodic,
     assert np.array_equal(new.S, S) and np.array_equal(new.I, I)
     assert new.t == t + dt
     assert new.extrema == (S.min(), S.max(), I.min(), I.max())
+
+
+@st.composite
+def _regime_exponents(draw):
+    """(p, q, s, r) inside a family drawn from H1-i ... H2-ii, each built
+    from its inequalities and checked against the classifier."""
+    label = draw(st.sampled_from(("H1-i", "H1-ii", "H1-iii", "H1-iv",
+                                  "H2-i", "H2-ii")))
+    a, b = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
+    u, v, w = (draw(st.floats(0.05, 0.95)) for _ in range(3))
+    if label == "H1-i":  # p > r, s p - r q <= p - r
+        r, q, p = a, b, a + v
+        s = u * (p - r + r * q) / p
+    elif label == "H1-ii":  # p = r, s < q
+        p = r = a
+        q, s = b, u * b
+    elif label == "H1-iii":  # s > q, s p - r q <= s - q
+        q, r, s = a, b, a + v
+        p = u * (s - q + r * q) / s
+    elif label == "H1-iv":  # s = q, p < r
+        s = q = a
+        r, p = b, u * b
+    elif label == "H2-i":  # p < 1, s < q, p s - q r >= s - q
+        p, q, s = u, a, v * a
+        r = w * (q - s * (1.0 - p)) / q
+    else:  # H2-ii: s < 1, p < r, p s - q r >= p - r
+        s, r, p = u, a, v * a
+        q = w * (r - p * (1.0 - s)) / r
+    e = Exponents(p, q, s, r)
+    assume(classify_exponents(e).label == label)
+    return e
+
+
+_DECADES = st.floats(-3.0, 1.0).map(lambda k: 10.0**k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(e=_regime_exponents(),
+       cells=st.sampled_from(((8,), (33,), (128,), (6, 5), (16, 12))),
+       length=st.floats(0.1, 4.0), levels=st.tuples(*[st.floats(0.0, 3.0)] * 3),
+       amps=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       d=st.tuples(_DECADES, _DECADES),
+       dt=st.floats(-4.0, 0.0).map(lambda k: 10.0**k), t=st.floats(0.0, 3.0),
+       low=st.tuples(st.floats(0.05, 0.5), st.sampled_from((1e-12, 1e-6, 1e-3, 0.0))),
+       seed=st.integers(0, 2**16))
+def test_a_step_is_rejected_or_nonnegative_and_keeps_the_mass_identity(
+        e, cells, length, levels, amps, d, dt, t, low, seed):
+    # a fraction low[0] of the nodes sits at low[1], where a sublinear
+    # power overshoots; about a third of the draws are rejected
+    dom = Domain((length, 1.0)[:len(cells)], cells)
+    beta, gamma, mu = (CoefficientField.cosine_modulated(
+        level, time_amp=amps[1], period=0.7, space_amp=amps[0], length=length)
+        for level in levels)
+    model = ModelSpec(beta=beta, gamma=gamma, mu=mu, d_S=d[0], d_I=d[1],
+                      incidence=Incidence("power", q=e.q, p=e.p), s=e.s, r=e.r)
+    rng = np.random.default_rng(seed)
+    S0, I0 = (np.where(rng.uniform(size=dom.shape) < low[0], low[1],
+                       rng.uniform(0.0, 2.0, dom.shape)) for _ in range(2))
+    new = Stepper(model, dom).step(SystemState(S0, I0, t), dt)
+    S, I = _reference_step(model, dom, SystemState(S0, I0, t), dt)
+    if new is None:
+        assert min(S.min(), I.min()) < 0.0
+        return
+    assert min(new.S.min(), new.I.min()) >= 0.0
+    # mass(S + I) moves by -dt * integral(mu S^s I^r). The solves keep the
+    # integral only to about eps * c/h^2, and c/h^2 reaches 4e5 in these
+    # draws, so the bound is eps * (1 + c/h^2) times the integral of every
+    # term of the explicit stages.
+    x = dom.x_coordinate()
+    b, g, m = (np.broadcast_to(c(x, t), dom.shape) for c in (beta, gamma, mu))
+    kernel, removal = model.incidence.kernel(S0, I0), S0**e.s * I0**e.r
+    change = (integrate(dom, new.S) + integrate(dom, new.I)
+              - integrate(dom, S0) - integrate(dom, I0))
+    terms = integrate(dom, S0 + I0 + dt * (2 * b * kernel + (2 * g + m) * removal))
+    stiffness = dt * max(d) / min(dom.spacing) ** 2
+    eps = np.finfo(float).eps
+    assert abs(change + dt * integrate(dom, m * removal)) <= (
+        8 * eps * (1 + stiffness) * terms)
+    # never clamped: the accepted state is the plain algebra's
+    assert np.array_equal(new.S, S) and np.array_equal(new.I, I)
 
 
 def test_time_constant_coefficients_are_evaluated_once_per_run(coeff_calls):

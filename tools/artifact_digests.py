@@ -20,6 +20,10 @@ does). Each tree then runs, with its own ``src`` on the import path:
 - ``sqip preset thm-2.11-persist`` with ``model.incidence=binomial``
   and ``model.k=0.25``: the one compared run off the power kernel, so
   outside the threshold theory, with no spectral lines in its summary;
+- ``sqip preset thm-2.11-periodic`` with ``model.beta_table`` set to a
+  5 x 5 table of period 1 written beside the sweep specs (and
+  ``model.beta_t_amp=0``): the one compared run whose coefficient is
+  interpolated from a table, not a cosine-modulated field;
 - ``sqip preset si-finite-extinction``;
 - ``sqip sweep`` on the reference ``ode-si`` and ``ode-sis`` specs (no
   ``points`` or ``seed``, so each sampler's defaults).
@@ -50,6 +54,15 @@ SHORT_2D = ("thm-2.10-i", "thm-2.10-ii")
 # The heterogeneous spectral problem of the benchmark, as a preset run.
 HET_PERIODIC = ("model.beta_x_amp=0.9", "model.dI=1.0", "domain.n=64")
 OUT_MASK = "<out>"
+# A beta table of period 1 (header ``omega n_x n_t``): rows sample [0, L],
+# columns one period, the last column equal to the first.
+BETA_TABLE = """1 5 5
+3.0 2.0 1.0 2.0 3.0
+2.4 1.6 0.8 1.6 2.4
+1.8 1.2 0.6 1.2 1.8
+2.4 1.6 0.8 1.6 2.4
+3.0 2.0 1.0 2.0 3.0
+"""
 
 
 def commands(spec_dir: Path) -> dict[str, list[str]]:
@@ -66,6 +79,11 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
     runs["binomial-1d"] = ["preset", "thm-2.11-persist",
                            "--override", "model.incidence=binomial",
                            "--override", "model.k=0.25"]
+    table = spec_dir / "beta-table.txt"
+    table.write_text(BETA_TABLE, encoding="utf-8")
+    runs["table-periodic-1d"] = ["preset", "thm-2.11-periodic",
+                                 "--override", f"model.beta_table={table}",
+                                 "--override", "model.beta_t_amp=0"]
     runs["si-finite-extinction"] = ["preset", "si-finite-extinction"]
     for kind in ("ode-si", "ode-sis"):
         spec = spec_dir / f"{kind}.cfg"
