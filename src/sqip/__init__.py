@@ -12,8 +12,7 @@ systems needed to verify its long-time behavior claims.
 
 __version__ = "0.1.0"  # before the submodules: the sweep journal hashes it
 
-from .diagnostics import (OutcomeReport, Tolerances, classify_longtime,
-                          detect_periodic, lk_norm)
+from .diagnostics import classify_longtime, detect_periodic, lk_norm
 from .errors import (AssumptionError, ConfigError, DomainError, NumericsError,
                      SqipError, StiffnessError)
 from .grid import Domain, integrate
@@ -23,19 +22,17 @@ from .model import (AssumptionReport, CoefficientField, Exponents, Incidence,
 from .ode import (SiOdeParams, SisOdeParams, extinction_time_bound, n_star,
                   rk4_integrate, si_classify, sis_classify, sis_steady_states)
 from .solver import Stepper, SystemState, Trajectory, run
-from .spectral import (LinearizedProblem, SpectralResult, monodromy_radius,
-                       principal_eigenvalue, r0)
-from .config import ScenarioConfig, load_config, parse_config
+from .spectral import LinearizedProblem, monodromy_radius, principal_eigenvalue, r0
+from .config import load_config, parse_config
 from .presets import PRESET_NAMES, preset_config
-from .runner import RunResult, run_scenario, run_sweep
+from .runner import run_scenario, run_sweep
 
 __all__ = [
     "AssumptionError", "AssumptionReport", "CoefficientField", "ConfigError",
     "Domain", "DomainError", "Exponents",
     "Incidence", "LinearizedProblem", "ModelSpec", "NumericsError",
-    "OutcomeReport", "PRESET_NAMES", "RunResult", "ScenarioConfig",
-    "SiOdeParams", "SisOdeParams", "SpectralResult",
-    "SqipError", "Stepper", "StiffnessError", "SystemState", "Tolerances",
+    "PRESET_NAMES", "SiOdeParams", "SisOdeParams",
+    "SqipError", "Stepper", "StiffnessError", "SystemState",
     "Trajectory", "classify_exponents", "classify_longtime",
     "detect_periodic", "extinction_time_bound",
     "integrate", "lk_norm", "load_config", "monodromy_radius", "n_star",

@@ -385,8 +385,13 @@ def resolve_config(pairs: dict[str, str], name: str = "<config>",
     try:
         domain = Domain(values["domain.L"], values["domain.n"])
     except ConfigError as exc:
-        raise ConfigError(f"domain.L and domain.n: {exc}", lines.get(
-            "domain.L", lines.get("domain.n"))) from None
+        # A refused length or cell count is keyed by its own key; a pair
+        # that does not fit by domain.L, unless only domain.n has a line.
+        key = {"lengths": "domain.L", "cells": "domain.n"}.get(exc.key) or (
+            "domain.n" if "domain.L" not in lines and "domain.n" in lines
+            else "domain.L")
+        raise ConfigError(f"domain.L and domain.n: {exc}",
+                          key=key).located(lines) from None
     length = domain.lengths[0]  # coefficients vary along x only
 
     try:

@@ -41,9 +41,11 @@ class Domain:
         for length, n in zip(self.lengths, self.cells):
             if not 0 < length < math.inf:
                 raise ConfigError(
-                    f"domain length must be finite and positive, got {length}")
+                    f"domain length must be finite and positive, got {length}",
+                    key="lengths")
             if n < MIN_CELLS:
-                raise ConfigError(f"need at least {MIN_CELLS} cells per axis, got {n}")
+                raise ConfigError(f"need at least {MIN_CELLS} cells per axis, got {n}",
+                                  key="cells")
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -161,4 +163,20 @@ class DiffusionSolver:
                 raise NumericsError(f"dpbtrs rejected argument {-info}", info=info)
             if swap:
                 out = out.T
+        return out
+
+    def propagate(self, c: float, phi: np.ndarray, rows) -> np.ndarray:
+        """On a 1D grid: for each multiplier g of ``rows`` in turn,
+        phi <- (I + c*A)^-1 (phi * g); the bits of :meth:`solve` after each
+        multiply. The factor and ``dpbtrs`` are bound once per call, so a
+        step is one multiply and one LAPACK call. ``phi`` is left
+        unchanged.
+        """
+        [(factor, _)] = self._factors.get(c) or self._axis_factors(c)
+        solve = dpbtrs
+        out = phi
+        for g in rows:
+            out, info = solve(factor, out * g)
+            if info != 0:
+                raise NumericsError(f"dpbtrs rejected argument {-info}", info=info)
         return out

@@ -10,6 +10,7 @@ silently break the discrete mass identity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -337,7 +338,8 @@ def run(config) -> Trajectory:
 
 
 class LinearPropagator:
-    """Time integrator of the linear problem phi_t = d*Lap(phi) + a(x,t)*phi.
+    """Time integrator of the linear problem phi_t = d*Lap(phi) + a(x,t)*phi
+    on a 1D grid.
 
     This is the solver's stepping with the nonlinearity disabled: implicit
     diffusion and an explicit potential factor. The factor of step k is
@@ -348,10 +350,15 @@ class LinearPropagator:
 
     One propagator serves every potential on its grid: its diffusion
     solver keeps the factor of (I + c*A) across calls, and the factors of
-    the potential come with each call (see ``advance``).
+    the potential come with each call (see ``advance``). A 2D problem is
+    propagated on its x axis (see ``LinearizedProblem``), so a domain of
+    any other dimension is refused.
     """
 
     def __init__(self, domain: Domain, diffusivity: float):
+        if len(domain.cells) != 1:
+            raise ConfigError(f"the linear propagator needs a 1D domain, "
+                              f"got {len(domain.cells)} axes", key="domain")
         if not 0 < diffusivity < math.inf:
             raise ConfigError(f"need a finite, positive diffusivity, got {diffusivity}")
         self.diffusivity = diffusivity
@@ -363,17 +370,15 @@ class LinearPropagator:
 
         ``growth`` is tabulated by the caller for this ``duration`` and
         ``nsteps`` (see ``LinearizedProblem.growth_factors``): row k is
-        the factor of step k, shape (nsteps, *domain.shape), or a single
-        row serves every step of a time-constant potential.
+        the factor of step k, shape (nsteps, n), or a single row serves
+        every step of a time-constant potential. Each step multiplies by
+        its row, then solves the diffusion step.
         """
         rows = len(growth)
         if rows not in (1, nsteps):
             raise ConfigError(
                 f"growth table has {rows} rows for {nsteps} steps")
-        dt = duration / nsteps
-        out = np.asarray(phi, dtype=float)
-        c = dt * self.diffusivity
-        for k in range(nsteps):
-            out = out * growth[k % rows]
-            out = self.diffusion.solve(c, out)
-        return out
+        c = duration / nsteps * self.diffusivity
+        return self.diffusion.propagate(
+            c, np.asarray(phi, dtype=float),
+            growth if rows == nsteps else itertools.repeat(growth[0], nsteps))

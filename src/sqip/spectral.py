@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, DomainError, NumericsError
 from .grid import Domain
 from .model import ModelSpec
 from .solver import LinearPropagator
@@ -47,7 +47,16 @@ def theory_gaps(model: ModelSpec) -> list[str]:
 @dataclass(frozen=True)
 class LinearizedProblem:
     """A model linearized at the flat disease-free state of the given mean
-    density, over the model's period (1 for an autonomous model)."""
+    density, over the model's period (1 for an autonomous model).
+
+    The period map acts on the x axis of ``domain`` (``x_domain``), where
+    the propagator, the coefficient samples and the growth tables live.
+    Every coefficient varies along x only, so on a rectangle the Perron
+    eigenfield is constant in y, the y-solves act on it as the identity,
+    and the 2D map has the Perron root of the x-axis map. A coefficient
+    that varied in y would have to skip this reduction. ``mean_density``
+    comes from the whole domain.
+    """
 
     model: ModelSpec
     domain: Domain
@@ -69,10 +78,15 @@ class LinearizedProblem:
         return self.model.period or 1.0
 
     @cached_property
+    def x_domain(self) -> Domain:
+        """The x axis of ``domain``: the interval itself in 1D."""
+        return Domain(self.domain.lengths[:1], self.domain.cells[:1])
+
+    @cached_property
     def propagator(self) -> LinearPropagator:
         """The problem's propagator, built on first use: every period map
         of every scale reuses its factor of (I + c*A)."""
-        return LinearPropagator(self.domain, self.model.d_I)
+        return LinearPropagator(self.x_domain, self.model.d_I)
 
     def coefficient_samples(self, steps_per_period: int
                             ) -> tuple[np.ndarray, np.ndarray]:
@@ -87,21 +101,21 @@ class LinearizedProblem:
             times = (np.arange(steps_per_period) + 0.5) * (
                 self.omega / steps_per_period)
             samples = self._samples[steps_per_period] = (
-                self.model.beta.sample(self.domain, times),
-                self.model.gamma.sample(self.domain, times))
+                self.model.beta.sample(self.x_domain, times),
+                self.model.gamma.sample(self.x_domain, times))
         return samples
 
     def growth_factors(self, scale: float, steps_per_period: int) -> np.ndarray:
         """exp(dt * a(x, t_k)) of every step of one period, with the
         potential a = beta*(mean density)^q/scale - gamma.
 
-        Shape (steps_per_period, *domain.shape), or one row when the
-        problem is autonomous; built in place from the coefficient samples.
+        Shape (steps_per_period, nx), or one row when the problem is
+        autonomous; built in place from the coefficient samples.
         """
         beta, gamma = self.coefficient_samples(steps_per_period)
         dt = self.omega / steps_per_period
         factor = self.mean_density**self.model.exponents.q / scale
-        growth = np.empty((max(len(beta), len(gamma)), *self.domain.shape))
+        growth = np.empty((max(len(beta), len(gamma)), *self.x_domain.shape))
         np.multiply(beta, factor, out=growth)
         np.subtract(growth, gamma, out=growth)
         np.multiply(dt, growth, out=growth)
@@ -124,7 +138,9 @@ class SpectralResult:
     period_maps: int
     r0_evals: int
     r0_cross_check: float | None = None
-    # Positive eigenfield (sup norm 1): the next solve's warm start.
+    # Positive eigenfield (sup norm 1) on the x axis, shape (nx,); in 2D
+    # the eigenfield is this profile along every y. The next solve's warm
+    # start.
     eigenfield: np.ndarray | None = field(default=None, repr=False,
                                           compare=False)
 
@@ -152,17 +168,27 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
     """Spectral radius of the one-period flow map by power iteration.
 
     Iteration starts from ``start`` (default: the constant field; any
-    positive field will do) and renormalizes in the sup norm. A period
-    map phi -> M phi encloses rho in [lo, hi] = [min, max] of M phi / phi;
-    iteration stops once ln(hi/lo) <= ``CW_REL_TOL`` or, with
-    ``sign_only``, once [lo, hi] excludes 1, and fails after
-    ``MAX_POWER_ITER`` period maps.
+    positive field on ``problem.x_domain`` will do) and renormalizes in
+    the sup norm. A period map phi -> M phi encloses rho in [lo, hi] =
+    [min, max] of M phi / phi; iteration stops once ln(hi/lo) <=
+    ``CW_REL_TOL`` or, with ``sign_only``, once [lo, hi] excludes 1, and
+    fails after ``MAX_POWER_ITER`` period maps.
 
     Returns:
         (sqrt(lo * hi), eigenfield, iterations, ln(hi/lo)).
+
+    Raises:
+        DomainError: ``steps_per_period`` is not a positive integer, or
+            ``scale`` is not finite and positive.
     """
+    if not (isinstance(steps_per_period, (int, np.integer))
+            and steps_per_period >= 1):
+        raise DomainError(f"steps_per_period must be a positive integer, "
+                          f"got {steps_per_period!r}")
+    if not 0 < scale < math.inf:
+        raise DomainError(f"scale must be finite and positive, got {scale!r}")
     growth = problem.growth_factors(scale, steps_per_period)
-    phi = np.ones(problem.domain.shape) if start is None else start
+    phi = np.ones(problem.x_domain.shape) if start is None else start
     for iteration in range(1, MAX_POWER_ITER + 1):
         mapped = problem.propagator.advance(phi, growth, problem.omega,
                                             steps_per_period)

@@ -91,6 +91,23 @@ def test_a_refused_override_names_its_item(tmp_path, capsys, command, items,
     assert capsys.readouterr().err.startswith(f"error: line {line}: {message}")
 
 
+@pytest.mark.parametrize("items, line, message", [
+    (["domain.n=2"], 1, "need at least 4 cells per axis, got 2"),
+    (["solver.t_end=9", "domain.L=nan"], 2,
+     "domain length must be finite and positive, got nan")],
+    ids=["too-few-cells", "nan-length"])
+@pytest.mark.parametrize("command", ["preset", "run"])
+def test_an_overridden_domain_that_does_not_fit_names_its_item(
+        tmp_path, capsys, command, items, line, message):
+    cfg = tmp_path / "persist.cfg"
+    cfg.write_text("preset = thm-2.11-persist\n")
+    args = ["preset", "thm-2.11-persist"] if command == "preset" else [command, str(cfg)]
+    code = cli_main(args + [arg for item in items for arg in ("--override", item)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: line {line}: domain.L and domain.n: {message}\n")
+
+
 @pytest.mark.parametrize("key, value, variant", [
     ("model.k", "5", "power"), ("model.k", "5", "saturated"),
     ("model.ell", "3", "power"), ("model.ell", "3", "binomial"),

@@ -248,6 +248,29 @@ def test_sample_gives_one_row_for_a_time_constant_field(coeff_calls):
     assert periodic.sample(dom2, times).shape == (5, 8, 1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CoefficientField.constant(1.5),
+    lambda: CoefficientField.cosine_modulated(2.0, space_amp=0.9, length=1.0),
+    lambda: CoefficientField.cosine_modulated(2.0, time_amp=0.5, period=0.7),
+    lambda: CoefficientField.cosine_modulated(
+        2.0, time_amp=0.5, period=0.7, space_amp=-0.4, length=1.0),
+    lambda: CoefficientField.tabulated(
+        np.array([[1.0], [2.0], [4.0]]), length=1.0, period=None),
+    lambda: CoefficientField.tabulated(
+        np.array([[1.0, 3.0, 1.0], [2.0, 0.5, 2.0]]), length=1.0, period=0.7)],
+    ids=["constant", "space", "time", "space-time", "table", "periodic-table"])
+def test_every_coefficient_kind_varies_along_x_only(make):
+    # The premise of solving a 2D spectral problem on its x axis: on a
+    # rectangle every sample is constant along axis 1 and equals the
+    # sample on the x axis alone.
+    field, times = make(), np.array([0.0, 0.2, 0.45])
+    sample = field.sample(Domain((1.0, 2.0), (12, 5)), times)
+    rect = np.broadcast_to(sample, (len(sample), 12, 5))
+    assert (rect == rect[:, :, :1]).all()
+    assert np.array_equal(rect[:, :, 0],
+                          field.sample(Domain((1.0,), (12,)), times))
+
+
 # Amplitudes of a cosine-modulated field of base 2.0 on [0, 1.3], period 0.7.
 MODULATIONS = {"none": (0.0, 0.0), "space": (0.9, 0.0), "time": (0.0, 0.5),
                "space-time": (-0.4, 0.5)}

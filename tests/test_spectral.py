@@ -3,7 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sqip.errors import DomainError
 from sqip.grid import DiffusionSolver, Domain
 from sqip.model import CoefficientField, Incidence, ModelSpec
 from sqip.presets import preset_config
@@ -242,13 +244,15 @@ def test_preset_spectral_values():
 
 @pytest.mark.parametrize("two_dim,overrides,expected", [
     (False, {}, 2.0794296452330667),
-    (True, {"domain.n": "16 16"}, 2.079668506613069),
+    (True, {"domain.n": "16 16"}, 2.079668506612983),
 ], ids=["1d", "2d"])
 def test_time_constant_heterogeneous_problem_is_sampled_once(
         coeff_calls, two_dim, overrides, expected):
     # beta varies in space but not in time: one sample of beta and one of
     # gamma serve all 512 steps of every period map (513 evaluations when
-    # beta was tabulated per step), and R0 keeps its bits
+    # beta was tabulated per step), and R0 keeps its bits. The 2D value is
+    # that of its x axis, the 1D n = 16 problem; the period map of the
+    # whole 16 x 16 grid gave 2.079668506613069, 4e-14 relative away.
     cfg = preset_config("thm-2.11-persist",
                         {"model.beta_x_amp": "0.9", **overrides},
                         two_dim=two_dim)
@@ -257,14 +261,33 @@ def test_time_constant_heterogeneous_problem_is_sampled_once(
     assert res.r0 == expected
 
 
+@pytest.mark.parametrize("preset,overrides", [
+    ("thm-2.11-persist", {}), ("thm-2.11-periodic", {}), ("r0-threshold", {}),
+    ("thm-2.11-persist", {"model.beta_x_amp": "0.9"}),
+    ("thm-2.11-periodic", {"model.beta_x_amp": "0.9", "model.dI": "1.0"})],
+    ids=["thm-2.11-persist", "thm-2.11-periodic", "r0-threshold",
+         "het-persist", "het-periodic"])
+def test_a_2d_spectral_solve_is_its_x_axis_problem(preset, overrides):
+    # every coefficient varies along x only, so the rectangle's period map
+    # has the Perron root of the x axis's: the 2D result is the 1D one
+    flat = compute_spectral(preset_config(
+        preset, {**overrides, "domain.n": "16 16"}, two_dim=True))
+    line = compute_spectral(preset_config(preset, {**overrides, "domain.n": "16"}))
+    assert flat == line
+    assert flat.eigenfield.shape == (16,)
+    assert np.array_equal(flat.eigenfield, line.eigenfield)
+
+
 def reference_monodromy(problem, scale=1.0,
-                        steps_per_period=DEFAULT_STEPS_PER_PERIOD):
+                        steps_per_period=DEFAULT_STEPS_PER_PERIOD, domain=None):
     """Power iteration with the potential sampled at every step of every
     period map (the loop that the coefficient tables replace), stopped on
-    the width of its Collatz-Wielandt enclosure."""
+    the width of its Collatz-Wielandt enclosure. It runs on ``domain``,
+    by default the problem's x axis, where ``monodromy_radius`` runs."""
+    domain = domain or problem.x_domain
     a = potential(problem, scale)
-    x = problem.domain.x_coordinate()
-    diffusion = DiffusionSolver(problem.domain)
+    x = domain.x_coordinate()
+    diffusion = DiffusionSolver(domain)
     t0, duration, nsteps = 0.0, problem.omega, steps_per_period
 
     def period_map(phi):
@@ -273,12 +296,12 @@ def reference_monodromy(problem, scale=1.0,
         c = dt * problem.model.d_I
         for k in range(nsteps):
             tm = t0 + (k + 0.5) * dt
-            a_k = np.broadcast_to(a(x, tm), problem.domain.shape)
+            a_k = np.broadcast_to(a(x, tm), domain.shape)
             out = out * np.exp(dt * a_k)
             out = diffusion.solve(c, out)
         return out
 
-    phi = np.ones(problem.domain.shape)
+    phi = np.ones(domain.shape)
     for iteration in range(1, MAX_POWER_ITER + 1):
         mapped = period_map(phi)
         ratios = mapped / phi
@@ -336,6 +359,13 @@ def test_tabulated_period_map_matches_per_step_loop(build, scale):
     assert iterations == ref_iterations
     assert residual == ref_residual
     assert np.array_equal(phi, ref_phi)
+    if len(prob.domain.cells) == 2:
+        # the per-step loop on the whole rectangle: the same Perron root,
+        # and an eigenfield that is the x profile along every y
+        full_rho, full_phi, _, _ = reference_monodromy(prob, scale,
+                                                       domain=prob.domain)
+        assert full_rho == pytest.approx(rho, rel=1e-12)
+        assert np.allclose(full_phi, phi[:, None], rtol=1e-9)
 
 
 def test_step_counts_keep_separate_tables():
@@ -401,6 +431,60 @@ def test_propagator_rejects_a_table_for_another_step_count():
     prop.advance(np.ones(8), growth, 1.0, 4)
     with pytest.raises(ConfigError, match="4 rows for 3 steps"):
         prop.advance(np.ones(8), growth, 1.0, 3)
+
+
+def test_propagator_refuses_a_2d_domain():
+    # a rectangle is propagated on its x axis (LinearizedProblem.x_domain)
+    from sqip.errors import ConfigError
+    from sqip.solver import LinearPropagator
+
+    with pytest.raises(ConfigError, match="needs a 1D domain, got 2 axes"):
+        LinearPropagator(Domain((1.0, 1.0), (8, 8)), 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(4, 96), nsteps=st.integers(1, 40),
+       duration=st.floats(1e-3, 10.0), diffusivity=st.floats(1e-4, 1e3),
+       one_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_advance_is_the_solve_loop_bit_for_bit(n, nsteps, duration, diffusivity,
+                                               one_row, seed):
+    from sqip.solver import LinearPropagator
+
+    domain = Domain((1.0,), (n,))
+    rng = np.random.default_rng(seed)
+    growth = rng.uniform(0.1, 3.0, (1 if one_row else nsteps, n))
+    phi = rng.uniform(0.1, 1.0, n)
+    got = LinearPropagator(domain, diffusivity).advance(phi, growth, duration,
+                                                        nsteps)
+    c = duration / nsteps * diffusivity
+    diffusion = DiffusionSolver(domain)
+    want = phi
+    for k in range(nsteps):
+        want = diffusion.solve(c, want * growth[k % len(growth)])
+    assert np.array_equal(got, want)
+    assert got is not phi
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"steps_per_period": 0}, "steps_per_period must be a positive integer, got 0"),
+    ({"steps_per_period": -3}, "steps_per_period must be a positive integer, got -3"),
+    ({"steps_per_period": 512.0},
+     "steps_per_period must be a positive integer, got 512.0"),
+    ({"scale": 0.0}, "scale must be finite and positive, got 0.0"),
+    ({"scale": -1.0}, "scale must be finite and positive, got -1.0"),
+    ({"scale": math.nan}, "scale must be finite and positive, got nan"),
+    ({"scale": math.inf}, "scale must be finite and positive, got inf")],
+    ids=["zero-steps", "negative-steps", "float-steps", "zero-scale",
+         "negative-scale", "nan-scale", "inf-scale"])
+@pytest.mark.parametrize("entry", [monodromy_radius, principal_eigenvalue],
+                         ids=["monodromy_radius", "principal_eigenvalue"])
+def test_a_bad_step_count_or_scale_is_refused(entry, kwargs, message):
+    # they raised ZeroDivisionError or a broadcast ValueError, or (a
+    # negative scale) returned lambda0 of a meaningless potential
+    prob = make_problem(CoefficientField.constant(2.0),
+                        CoefficientField.constant(1.0), n=8)
+    with pytest.raises(DomainError, match=re.escape(message) + "$"):
+        entry(prob, **kwargs)
 
 
 @pytest.mark.parametrize("diffusivity", [math.nan, math.inf, 0.0, -1.0])

@@ -14,6 +14,9 @@ does). Each tree then runs, with its own ``src`` on the import path:
   the benchmark's spectral workload (``model.beta_x_amp=0.9``,
   ``model.dI=1.0``, ``domain.n=64``): the one compared run whose ``R0``
   comes from the root-find, not from the flat closed form;
+- the same heterogeneous run with ``--two-dim`` (``domain.n`` left at the
+  2D preset's 48 x 48): its spectral problem is solved on the x axis, so
+  this run puts 2D spectral lines beside the 1D artifacts;
 - ``sqip preset thm-2.11-periodic`` with ``model.omega=0.5``: the one
   compared run whose period, and so the span of its spectral period
   map, is not 1;
@@ -51,8 +54,10 @@ PDE_PRESETS = ("r0-threshold", "sis-bistable", "thm-2.10-i", "thm-2.10-ii",
                "thm-2.11-periodic", "thm-2.11-persist")
 # 2D presets left out of the benchmark's 2D workload for their run time.
 SHORT_2D = ("thm-2.10-i", "thm-2.10-ii")
-# The heterogeneous spectral problem of the benchmark, as a preset run.
-HET_PERIODIC = ("model.beta_x_amp=0.9", "model.dI=1.0", "domain.n=64")
+# The heterogeneous spectral problem of the benchmark, as a preset run;
+# the 2D run keeps the 2D preset's grid.
+HET_PERIODIC = ("model.beta_x_amp=0.9", "model.dI=1.0")
+HET_PERIODIC_1D = HET_PERIODIC + ("domain.n=64",)
 OUT_MASK = "<out>"
 # A beta table of period 1 (header ``omega n_x n_t``): rows sample [0, L],
 # columns one period, the last column equal to the first.
@@ -72,8 +77,10 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
         runs[f"{name}-1d"] = ["preset", name]
         runs[f"{name}-2d"] = ["preset", name, "--two-dim"] + (
             ["--override", "solver.t_end=6"] if name in SHORT_2D else [])
-    runs["het-periodic-1d"] = ["preset", "thm-2.11-periodic"] + [
-        arg for item in HET_PERIODIC for arg in ("--override", item)]
+    for label, flags, items in (("het-periodic-1d", [], HET_PERIODIC_1D),
+                                ("het-periodic-2d", ["--two-dim"], HET_PERIODIC)):
+        runs[label] = ["preset", "thm-2.11-periodic", *flags] + [
+            arg for item in items for arg in ("--override", item)]
     runs["half-period-1d"] = ["preset", "thm-2.11-periodic",
                               "--override", "model.omega=0.5"]
     runs["binomial-1d"] = ["preset", "thm-2.11-persist",
