@@ -178,8 +178,9 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
         (sqrt(lo * hi), eigenfield, iterations, ln(hi/lo)).
 
     Raises:
-        DomainError: ``steps_per_period`` is not a positive integer, or
-            ``scale`` is not finite and positive.
+        DomainError: ``steps_per_period`` is not a positive integer,
+            ``scale`` is not finite and positive, or ``start`` does not
+            have the shape of ``problem.x_domain``.
     """
     if not (isinstance(steps_per_period, (int, np.integer))
             and steps_per_period >= 1):
@@ -187,8 +188,11 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
                           f"got {steps_per_period!r}")
     if not 0 < scale < math.inf:
         raise DomainError(f"scale must be finite and positive, got {scale!r}")
+    shape = problem.x_domain.shape
+    if start is not None and np.shape(start) != shape:
+        raise DomainError(f"start has shape {np.shape(start)}, the x axis {shape}")
     growth = problem.growth_factors(scale, steps_per_period)
-    phi = np.ones(problem.x_domain.shape) if start is None else start
+    phi = np.ones(shape) if start is None else start
     for iteration in range(1, MAX_POWER_ITER + 1):
         mapped = problem.propagator.advance(phi, growth, problem.omega,
                                             steps_per_period)

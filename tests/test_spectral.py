@@ -473,14 +473,17 @@ def test_advance_is_the_solve_loop_bit_for_bit(n, nsteps, duration, diffusivity,
     ({"scale": 0.0}, "scale must be finite and positive, got 0.0"),
     ({"scale": -1.0}, "scale must be finite and positive, got -1.0"),
     ({"scale": math.nan}, "scale must be finite and positive, got nan"),
-    ({"scale": math.inf}, "scale must be finite and positive, got inf")],
+    ({"scale": math.inf}, "scale must be finite and positive, got inf"),
+    ({"start": np.ones((8, 8))}, "start has shape (8, 8), the x axis (8,)")],
     ids=["zero-steps", "negative-steps", "float-steps", "zero-scale",
-         "negative-scale", "nan-scale", "inf-scale"])
+         "negative-scale", "nan-scale", "inf-scale", "2d-start"])
 @pytest.mark.parametrize("entry", [monodromy_radius, principal_eigenvalue],
                          ids=["monodromy_radius", "principal_eigenvalue"])
 def test_a_bad_step_count_or_scale_is_refused(entry, kwargs, message):
     # they raised ZeroDivisionError or a broadcast ValueError, or (a
-    # negative scale) returned lambda0 of a meaningless potential
+    # negative scale) returned lambda0 of a meaningless potential; an
+    # (8, 8) start was broadcast against the growth rows and solved as 8
+    # right-hand sides
     prob = make_problem(CoefficientField.constant(2.0),
                         CoefficientField.constant(1.0), n=8)
     with pytest.raises(DomainError, match=re.escape(message) + "$"):
