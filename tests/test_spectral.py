@@ -479,7 +479,7 @@ def test_advance_is_the_solve_loop_bit_for_bit(n, nsteps, duration, diffusivity,
          "negative-scale", "nan-scale", "inf-scale", "2d-start"])
 @pytest.mark.parametrize("entry", [monodromy_radius, principal_eigenvalue],
                          ids=["monodromy_radius", "principal_eigenvalue"])
-def test_a_bad_step_count_or_scale_is_refused(entry, kwargs, message):
+def test_a_bad_step_count_scale_or_start_is_refused(entry, kwargs, message):
     # they raised ZeroDivisionError or a broadcast ValueError, or (a
     # negative scale) returned lambda0 of a meaningless potential; an
     # (8, 8) start was broadcast against the growth rows and solved as 8
