@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
-import os
 import sys
 from functools import partial
 
 from . import ode, runner
 from .config import ScenarioConfig, load_config, read_lines
 from .errors import ConfigError, SqipError
-from .presets import ODE_PRESETS, PRESET_NAMES, preset_config, preset_kind
+from .presets import ODE_PRESETS, PRESET_NAMES, preset_config
 
 
 def _parse_overrides(items: list[str] | None
@@ -60,42 +58,23 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _run_ode_preset(name: str, out_dir) -> int:
-    spec = dict(ODE_PRESETS[name])
-    dt, t_end = spec.pop("dt"), spec.pop("t_end")
-    params = ode.SiOdeParams(**spec)
-    outcome = ode.si_classify(params)
-    traj = ode.rk4_integrate(params, t_end=t_end, dt=dt)
-    lines = [f"name={name}", "system=si", f"predicted={outcome.kind}"]
-    if outcome.t_upper is not None:
-        lines.append(f"t_upper={outcome.t_upper:.10g}")
-    if not math.isnan(traj.clamp_time):
-        lines.append(f"first_clamp_time={traj.clamp_time:.10g}")
-    lines.append(f"terminal=({traj.terminal[0]:.10g},{traj.terminal[1]:.10g})")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "summary.txt"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return 0
-
-
 def _cmd_preset(args) -> int:
-    if preset_kind(args.name) == "ode":
-        return _run_ode_preset(args.name, args.out)
-    config = _overridden(partial(preset_config, args.name, two_dim=args.two_dim),
-                         args.override)
-    result = runner.run_scenario(config, out_dir=args.out)
-    sys.stdout.write(result.summary)
+    if args.name in ODE_PRESETS:
+        # the zero-diffusion preset reads no config, so a flag would be lost
+        for flag, given in (("--override", args.override), ("--two-dim", args.two_dim)):
+            if given:
+                raise ConfigError(f"{flag} is not read by the ODE preset {args.name}")
+        summary = runner.run_ode_preset(args.name, args.out)
+    else:
+        config = _overridden(partial(preset_config, args.name, two_dim=args.two_dim),
+                             args.override)
+        summary = runner.run_scenario(config, out_dir=args.out).summary
+    sys.stdout.write(summary)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = runner.parse_sweep(fh.read())
-    csv_path = runner.run_sweep(spec, args.out or "sweep-out")
+    csv_path = runner.run_sweep(runner.load_sweep(args.spec), args.out or "sweep-out")
     sys.stdout.write(f"results={csv_path}\n")
     failed = runner.failed_rows(csv_path)
     if failed:

@@ -7,6 +7,7 @@ and is falsifiable by running longer.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,11 +85,14 @@ class Tolerances:
 class OutcomeReport:
     """Classified long-time behavior plus the evidence used to call it.
 
-    ``persistence_floor`` is the measured tail floor, an empirical stand-in
-    for a true persistence constant, never a proved bound.
+    ``tail_sup`` is the largest sup norm of S or I over the tail window,
+    whatever its length. ``persistence_floor`` is the measured tail floor,
+    an empirical stand-in for a true persistence constant, never a proved
+    bound.
     """
 
     label: str
+    tail_sup: float
     s_star: float | None = None
     persistence_floor: float | None = None
     period_residual: float | None = None
@@ -112,15 +116,6 @@ class OutcomeReport:
             f"evidence_window=[{self.window_start:.6g},{self.window_end:.6g}]"
             f" samples={self.window_samples}")
         return lines
-
-
-def _tail_rows(traj, fraction: float) -> np.ndarray:
-    rows = traj.rows
-    if len(rows) == 0:
-        return rows
-    t0, t1 = rows["t"][0], rows["t"][-1]
-    cutoff = t1 - fraction * (t1 - t0)
-    return rows[rows["t"] >= cutoff - 1e-12]
 
 
 def periodic_residuals(traj, omega: float) -> list[tuple[float, float]]:
@@ -174,8 +169,12 @@ def classify_longtime(traj, tol: Tolerances,
     extinction, persistence, then the periodic upgrade of a persistent
     tail when snapshots one period apart are available.
     """
-    tail = _tail_rows(traj, tol.window_fraction)
-    base = dict(window_samples=len(tail))
+    rows = traj.rows  # never empty: a run records its initial state
+    t0, t1 = rows["t"][0], rows["t"][-1]
+    tail = rows[rows["t"] >= t1 - tol.window_fraction * (t1 - t0) - 1e-12]
+    sup_S = float(tail["sup_S"].max())
+    sup_I = float(tail["sup_I"].max())
+    base = dict(tail_sup=max(sup_S, sup_I), window_samples=len(tail))
     if len(tail) < tol.min_window:
         return OutcomeReport(
             UNDETERMINED,
@@ -183,8 +182,6 @@ def classify_longtime(traj, tol: Tolerances,
             **base)
     base.update(window_start=float(tail["t"][0]), window_end=float(tail["t"][-1]))
 
-    sup_S = float(tail["sup_S"].max())
-    sup_I = float(tail["sup_I"].max())
     flat_S = float(tail["flat_S"].max())
     min_S = float(tail["min_S"].min())
     min_I = float(tail["min_I"].min())
@@ -225,6 +222,15 @@ def format_csv(rows: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``<path>.tmp``, then rename it onto
+    ``path``: a write that fails leaves any earlier ``path`` whole. Every
+    artifact file of a run or sweep is written here."""
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_csv(path, rows: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_csv(rows))
+    write_text(path, format_csv(rows))

@@ -125,15 +125,6 @@ ODE_PRESETS: dict[str, dict[str, float]] = {
 PRESET_NAMES = tuple(sorted(PDE_PRESETS)) + tuple(sorted(ODE_PRESETS))
 
 
-def preset_kind(name: str) -> str:
-    if name in PDE_PRESETS:
-        return "pde"
-    if name in ODE_PRESETS:
-        return "ode"
-    raise ConfigError(
-        f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-
-
 def preset_pairs(name: str) -> dict[str, str]:
     """Raw config pairs of a PDE preset (a copy, safe to layer over)."""
     if name not in PDE_PRESETS:

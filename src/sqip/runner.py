@@ -1,9 +1,10 @@
-"""Scenario and sweep execution with flat-file artifacts.
+"""Scenario, preset and sweep execution with flat-file artifacts.
 
-Every run writes the diagnostics CSV, any requested state snapshots, and
-a self-describing key=value summary that includes the full resolved
-configuration. Output is deterministic: rerunning a preset reproduces
-its CSV byte for byte.
+A PDE run writes the diagnostics CSV, any requested state snapshots and a
+self-describing key=value summary with the full resolved configuration;
+the ODE preset writes its summary only. ``diagnostics.write_text`` writes
+each file under a temporary name and renames it into place. Output is
+deterministic: a rerun reproduces every file byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__, diagnostics, ode, solver, spectral
 from .config import ScenarioConfig, read_lines
 from .errors import ConfigError, NumericsError, SqipError
-from .presets import preset_config, preset_pairs
+from .presets import ODE_PRESETS, preset_config, preset_pairs
 from .solver import Trajectory
 
 ODE_SWEEP_HEADER = "p,q,beta,gamma_or_mu,N_or_I0,S0,predicted,observed,agree"
@@ -64,8 +65,7 @@ def summarize(config: ScenarioConfig, traj: Trajectory,
     lines.extend(outcome.summary_lines())
     lines.extend([
         f"M_inf_monitor={traj.sup_monitor:.10g}",
-        f"N_inf_tail_monitor="
-        f"{traj.tail_sup_monitor(config.detect.window_fraction):.10g}",
+        f"N_inf_tail_monitor={outcome.tail_sup:.10g}",
         f"mass_initial={mass0:.12g}",
         f"mass_final={mass_end:.12g}",
         f"mass_drift_rel={(mass_end - mass0) / mass0 if mass0 else 0.0:.3e}",
@@ -90,12 +90,12 @@ def write_snapshot(path, domain, state) -> None:
     """Plain-text state dump: header with t, one row per grid node in C
     order, the node's coordinates first."""
     labels = [[f"{c:.12g} " for c in axis] for axis in domain.cell_centers()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# t = {state.t:.12g}\n")
-        fh.write(f"# columns: {' '.join('xy'[:len(labels)])} S I\n")
-        for coords, s, i in zip(map("".join, itertools.product(*labels)),
-                                state.S.ravel().tolist(), state.I.ravel().tolist()):
-            fh.write(f"{coords}{s:.17g} {i:.17g}\n")
+    lines = [f"# t = {state.t:.12g}\n",
+             f"# columns: {' '.join('xy'[:len(labels)])} S I\n"]
+    lines.extend(f"{coords}{s:.17g} {i:.17g}\n" for coords, s, i in zip(
+        map("".join, itertools.product(*labels)),
+        state.S.ravel().tolist(), state.I.ravel().tolist()))
+    diagnostics.write_text(path, "".join(lines))
 
 
 def _snapshot_filename(t: float) -> str:
@@ -122,10 +122,30 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunResult:
         for t, state in sorted(traj.snapshots.items()):
             write_snapshot(os.path.join(out_dir, _snapshot_filename(t)),
                            config.domain, state)
-        with open(os.path.join(out_dir, "summary.txt"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(summary)
+        diagnostics.write_text(os.path.join(out_dir, "summary.txt"), summary)
     return RunResult(traj, outcome, spec_result, summary)
+
+
+def run_ode_preset(name: str, out_dir) -> str:
+    """Run the zero-diffusion preset ``name``: its closed-form prediction
+    beside the oracle's trajectory. Returns the summary text, also written
+    to ``out_dir``/summary.txt unless ``out_dir`` is None."""
+    spec = dict(ODE_PRESETS[name])
+    dt, t_end = spec.pop("dt"), spec.pop("t_end")
+    params = ode.SiOdeParams(**spec)
+    outcome = ode.si_classify(params)
+    traj = ode.rk4_integrate(params, t_end=t_end, dt=dt)
+    lines = [f"name={name}", "system=si", f"predicted={outcome.kind}"]
+    if outcome.t_upper is not None:
+        lines.append(f"t_upper={outcome.t_upper:.10g}")
+    if not math.isnan(traj.clamp_time):
+        lines.append(f"first_clamp_time={traj.clamp_time:.10g}")
+    lines.append(f"terminal=({traj.terminal[0]:.10g},{traj.terminal[1]:.10g})")
+    summary = "\n".join(lines) + "\n"
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        diagnostics.write_text(os.path.join(out_dir, "summary.txt"), summary)
+    return summary
 
 
 # --------------------------------------------------------------------------
@@ -412,6 +432,11 @@ def parse_sweep(text: str) -> SweepSpec:
         raise exc.located(lines) from None
 
 
+def load_sweep(path) -> SweepSpec:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_sweep(fh.read())
+
+
 def _pde_sweep_points(spec: SweepSpec) -> list[dict[str, str]]:
     combos: list[dict[str, str]] = [{}]
     for key, values in spec.axes:
@@ -508,7 +533,7 @@ def run_sweep(spec: SweepSpec, out_dir) -> str:
     sampler's reference seed, 20240501 for ``ode-si`` and 20240502 for
     ``ode-sis``), and write each point's accepted and rejected steps and
     the time it reached to steps.csv beside results.csv. Either way each
-    file is written in deterministic row order via an atomic rename.
+    file is written in deterministic row order by ``diagnostics.write_text``.
     """
     os.makedirs(out_dir, exist_ok=True)
     if spec.kind == "pde":
@@ -538,8 +563,5 @@ def run_sweep(spec: SweepSpec, out_dir) -> str:
         files = {"results.csv": ode_sweep_csv(rows), "steps.csv": ode_steps_csv(rows)}
 
     for name, text in files.items():
-        path = os.path.join(out_dir, name)
-        with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(path + ".tmp", path)
+        diagnostics.write_text(os.path.join(out_dir, name), text)
     return os.path.join(out_dir, "results.csv")

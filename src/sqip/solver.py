@@ -94,12 +94,6 @@ class Trajectory:
     def mass(self) -> np.ndarray:
         return self.rows["mass_S"] + self.rows["mass_I"]
 
-    def tail_sup_monitor(self, fraction: float) -> float:
-        """Largest sup-norm over the tail window of the samples, the rows
-        that ``classify_longtime`` reads for the same window fraction."""
-        tail = diagnostics._tail_rows(self, fraction)
-        return float(np.maximum(tail["sup_S"], tail["sup_I"]).max())
-
 
 def _require_finite(extrema: tuple, state: SystemState, dt: float) -> None:
     """Raise the step's NumericsError unless the ``extrema`` are all finite."""

@@ -180,7 +180,8 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
     Raises:
         DomainError: ``steps_per_period`` is not a positive integer,
             ``scale`` is not finite and positive, or ``start`` does not
-            have the shape of ``problem.x_domain``.
+            have the shape of ``problem.x_domain`` or has an entry that
+            is not finite and positive.
     """
     if not (isinstance(steps_per_period, (int, np.integer))
             and steps_per_period >= 1):
@@ -189,8 +190,13 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
     if not 0 < scale < math.inf:
         raise DomainError(f"scale must be finite and positive, got {scale!r}")
     shape = problem.x_domain.shape
-    if start is not None and np.shape(start) != shape:
-        raise DomainError(f"start has shape {np.shape(start)}, the x axis {shape}")
+    if start is not None:
+        if np.shape(start) != shape:
+            raise DomainError(f"start has shape {np.shape(start)}, the x axis {shape}")
+        bad = np.flatnonzero(~(np.greater(start, 0.0) & np.isfinite(start)))
+        if bad.size:
+            raise DomainError(f"start must be finite and positive, got "
+                              f"{float(start[bad[0]])!r} at index {bad[0]}")
     growth = problem.growth_factors(scale, steps_per_period)
     phi = np.ones(shape) if start is None else start
     for iteration in range(1, MAX_POWER_ITER + 1):

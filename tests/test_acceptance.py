@@ -155,8 +155,8 @@ def test_criterion_08_dissipativity():
 
     assert abs(traj_a.mass[0] - traj_b.mass[0]) <= 1e-9 * traj_a.mass[0]
     assert sup_b0 / sup_a0 >= 5.0
-    tail_a = traj_a.tail_sup_monitor(base.detect.window_fraction)
-    tail_b = traj_b.tail_sup_monitor(cfg_b.detect.window_fraction)
+    tail_a = diagnostics.classify_longtime(traj_a, base.detect).tail_sup
+    tail_b = diagnostics.classify_longtime(traj_b, cfg_b.detect).tail_sup
     rel = abs(tail_a - tail_b) / max(tail_a, tail_b)
     assert rel <= 0.10
     _report(8, "tail bound depends on mass, not amplitude",

@@ -79,10 +79,11 @@ def test_classify_persistent():
 
 
 def test_classify_undetermined_short_window():
-    rows = [_row(t, 0.5, 0.5, 0.6, 0.6, 0.4, 0.4) for t in np.linspace(0, 1, 3)]
+    rows = [_row(t, 0.5, 0.5, 0.6, 0.6 + t, 0.4, 0.4) for t in np.linspace(0, 1, 3)]
     out = classify_longtime(_traj_from_rows(rows), TOL)
     assert out.label == "Undetermined"
     assert "window" in out.reason
+    assert out.tail_sup == 1.6  # the one tail row, t = 1
 
 
 def test_classify_undetermined_mixed_tail():
@@ -197,6 +198,6 @@ def test_tail_monitor_reads_the_classifier_window():
     stats = result.outcome.tail_stats
     summary = dict(line.split("=", 1) for line in result.summary.splitlines()
                    if "=" in line)
-    assert summary["N_inf_tail_monitor"] == \
-        f"{max(stats['sup_S'], stats['sup_I']):.10g}"
+    assert result.outcome.tail_sup == max(stats["sup_S"], stats["sup_I"])
+    assert summary["N_inf_tail_monitor"] == f"{result.outcome.tail_sup:.10g}"
     assert summary["evidence_window"].startswith("[0.505493,5]")

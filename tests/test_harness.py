@@ -12,8 +12,7 @@ from sqip.cli import main as cli_main
 from sqip.config import load_config, parse_config
 from sqip.errors import ConfigError
 from sqip.grid import Domain, integrate
-from sqip.presets import (ODE_PRESETS, PDE_PRESETS, PRESET_NAMES,
-                          preset_config, preset_kind)
+from sqip.presets import ODE_PRESETS, PDE_PRESETS, PRESET_NAMES, preset_config
 from sqip.model import classify_exponents, validate_assumptions
 from sqip.runner import (ODE_SWEEP_HEADER, SweepSpec, ode_sweep_csv,
                          parse_sweep, run_scenario, run_sweep, si_sweep_rows,
@@ -101,9 +100,8 @@ def test_preset_catalog_names():
                 "thm-2.11-periodic", "sis-bistable", "si-finite-extinction",
                 "r0-threshold"}
     assert expected == set(PRESET_NAMES)
-    assert preset_kind("si-finite-extinction") == "ode"
-    assert preset_kind("thm-2.10-i") == "pde"
-    assert "si-finite-extinction" in ODE_PRESETS
+    assert set(ODE_PRESETS) == {"si-finite-extinction"}
+    assert set(PDE_PRESETS) | set(ODE_PRESETS) == expected
 
 
 def test_override_unknown_key_rejected():
@@ -415,6 +413,42 @@ def test_cli_ode_preset(capsys):
     out = capsys.readouterr().out
     assert "predicted=SHitsZeroFiniteTime" in out
     assert "first_clamp_time=" in out
+
+
+@pytest.mark.parametrize("flags", [["--two-dim"], ["--override", "solver.t_end=1"]],
+                         ids=["two-dim", "override"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_cli_preset_runs_or_refuses_each_flag(tmp_path, capsys, name, flags):
+    # a PDE preset reads both flags; the ODE preset reads neither, so it
+    # refuses each by name and writes nothing (it once ran and dropped them)
+    out = tmp_path / "out"
+    if name in PDE_PRESETS and "--override" not in flags:
+        flags = flags + ["--override", "solver.t_end=1"]  # a short 2D run
+    code = cli_main(["preset", name, *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    if name in ODE_PRESETS:
+        assert code == 2
+        assert captured.err == f"error: {flags[0]} is not read by the ODE preset {name}\n"
+        assert captured.out == "" and not out.exists()
+    else:
+        assert code == 0
+        summary = (out / "summary.txt").read_text()
+        assert summary == captured.out
+        assert "solver.t_end=1\n" in summary
+        assert ("domain.n=48 48\n" in summary) == ("--two-dim" in flags)
+        assert not list(out.glob("*.tmp"))
+
+
+def test_a_failed_artifact_write_leaves_the_old_file(tmp_path, monkeypatch):
+    (tmp_path / "summary.txt").write_bytes(b"old summary\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        cli_main(["preset", "si-finite-extinction", "--out", str(tmp_path)])
+    assert (tmp_path / "summary.txt").read_bytes() == b"old summary\n"
 
 
 def test_cli_run_config_file(tmp_path, capsys):

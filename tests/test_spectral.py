@@ -474,16 +474,26 @@ def test_advance_is_the_solve_loop_bit_for_bit(n, nsteps, duration, diffusivity,
     ({"scale": -1.0}, "scale must be finite and positive, got -1.0"),
     ({"scale": math.nan}, "scale must be finite and positive, got nan"),
     ({"scale": math.inf}, "scale must be finite and positive, got inf"),
-    ({"start": np.ones((8, 8))}, "start has shape (8, 8), the x axis (8,)")],
+    ({"start": np.ones((8, 8))}, "start has shape (8, 8), the x axis (8,)"),
+    ({"start": np.r_[np.ones(7), 0.0]},
+     "start must be finite and positive, got 0.0 at index 7"),
+    ({"start": np.r_[1.0, -1.0, np.ones(6)]},
+     "start must be finite and positive, got -1.0 at index 1"),
+    ({"start": np.r_[np.ones(3), math.nan, np.ones(4)]},
+     "start must be finite and positive, got nan at index 3"),
+    ({"start": np.r_[math.inf, np.ones(7)]},
+     "start must be finite and positive, got inf at index 0")],
     ids=["zero-steps", "negative-steps", "float-steps", "zero-scale",
-         "negative-scale", "nan-scale", "inf-scale", "2d-start"])
+         "negative-scale", "nan-scale", "inf-scale", "2d-start", "zero-start",
+         "negative-start", "nan-start", "inf-start"])
 @pytest.mark.parametrize("entry", [monodromy_radius, principal_eigenvalue],
                          ids=["monodromy_radius", "principal_eigenvalue"])
 def test_a_bad_step_count_scale_or_start_is_refused(entry, kwargs, message):
     # they raised ZeroDivisionError or a broadcast ValueError, or (a
     # negative scale) returned lambda0 of a meaningless potential; an
     # (8, 8) start was broadcast against the growth rows and solved as 8
-    # right-hand sides
+    # right-hand sides; a start entry that is zero, negative or NaN
+    # failed as "period map lost positivity", blaming the map
     prob = make_problem(CoefficientField.constant(2.0),
                         CoefficientField.constant(1.0), n=8)
     with pytest.raises(DomainError, match=re.escape(message) + "$"):

@@ -34,6 +34,9 @@ def test_cli_ode_sweep_exits_0_when_every_point_agrees(tmp_path):
     spec_file = tmp_path / "oracle.cfg"
     spec_file.write_text("[sweep]\nkind = ode-sis\npoints = 6\nseed = 3\n")
     assert cli_main(["sweep", str(spec_file), "--out", str(tmp_path)]) == 0
+    # each file is renamed into place, so no temporary file is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "oracle.cfg", "results.csv", "steps.csv"]
 
 
 def test_ode_sweep_uses_seed_zero_as_given(tmp_path):
@@ -172,6 +175,7 @@ def test_pde_sweep_refuses_the_journal_of_a_changed_spec(tmp_path, capsys):
     spec_file.write_text(old + "vary.initial.S = constant(0.4)\n"
                                "vary.initial.I = constant(0.6)\n")
     assert cli_main(["sweep", str(spec_file), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["results.csv", "rows.part"]
     first = (out / "results.csv").read_text()
     assert "constant(0.4),constant(0.6)" in first
     found = json.loads((out / "rows.part").read_text().splitlines()[0])

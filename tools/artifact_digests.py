@@ -27,9 +27,15 @@ does). Each tree then runs, with its own ``src`` on the import path:
   5 x 5 table of period 1 written beside the sweep specs (and
   ``model.beta_t_amp=0``): the one compared run whose coefficient is
   interpolated from a table, not a cosine-modulated field;
-- ``sqip preset si-finite-extinction``;
+- ``sqip preset si-finite-extinction``, and the same with ``--two-dim``,
+  a flag that preset does not read;
+- ``sqip run`` of a config file that holds ``preset = thm-2.11-periodic``,
+  with ``--override solver.t_end=20``: the one compared run of a config
+  file, not a preset name;
 - ``sqip sweep`` on the reference ``ode-si`` and ``ode-sis`` specs (no
-  ``points`` or ``seed``, so each sampler's defaults).
+  ``points`` or ``seed``, so each sampler's defaults);
+- ``sqip sweep`` on a two-point ``pde`` spec over ``sis-bistable``, whose
+  artifacts include the ``rows.part`` journal beside ``results.csv``.
 
 Every run writes into its own ``--out`` directory. An artifact is each
 file there, the run's stdout with that directory's path masked, and its
@@ -68,6 +74,12 @@ BETA_TABLE = """1 5 5
 2.4 1.6 0.8 1.6 2.4
 3.0 2.0 1.0 2.0 3.0
 """
+# A two-point sweep over a PDE preset (one journal line per point).
+PDE_SWEEP = """[sweep]
+kind = pde
+base = sis-bistable
+vary.initial.S = constant(0.4) constant(0.6)
+"""
 
 
 def commands(spec_dir: Path) -> dict[str, list[str]]:
@@ -92,10 +104,19 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
                                  "--override", f"model.beta_table={table}",
                                  "--override", "model.beta_t_amp=0"]
     runs["si-finite-extinction"] = ["preset", "si-finite-extinction"]
+    runs["si-finite-extinction-2d"] = ["preset", "si-finite-extinction",
+                                       "--two-dim"]
+    config = spec_dir / "periodic.cfg"
+    config.write_text("preset = thm-2.11-periodic\n", encoding="utf-8")
+    runs["config-periodic-1d"] = ["run", str(config),
+                                  "--override", "solver.t_end=20"]
     for kind in ("ode-si", "ode-sis"):
         spec = spec_dir / f"{kind}.cfg"
         spec.write_text(f"[sweep]\nkind = {kind}\n", encoding="utf-8")
         runs[f"sweep-{kind}"] = ["sweep", str(spec)]
+    spec = spec_dir / "pde.cfg"
+    spec.write_text(PDE_SWEEP, encoding="utf-8")
+    runs["sweep-pde"] = ["sweep", str(spec)]
     return runs
 
 
