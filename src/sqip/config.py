@@ -475,6 +475,15 @@ def parse_config(text: str, name: str = "<config>") -> ScenarioConfig:
     return resolve_config(pairs, name=name, preset=preset, lines=lines)
 
 
+def read_input(path) -> str:
+    """The text of a config or sweep-spec file; one that cannot be read
+    is bad input, refused with a ``ConfigError`` naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), name=str(path))
+    return parse_config(read_input(path), name=str(path))

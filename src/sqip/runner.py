@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, diagnostics, ode, solver, spectral
-from .config import ScenarioConfig, read_lines
+from .config import ScenarioConfig, read_input, read_lines
 from .errors import ConfigError, NumericsError, SqipError
 from .presets import ODE_PRESETS, preset_config, preset_pairs
 from .solver import Trajectory
@@ -102,13 +102,26 @@ def _snapshot_filename(t: float) -> str:
     return "snapshot_t" + re.sub(r"[^0-9A-Za-z.+-]", "_", f"{t:.6g}") + ".txt"
 
 
+def _make_out_dir(out_dir) -> None:
+    """Create the output directory ``out_dir``, parents included; a path
+    that a file blocks is bad input, refused with a ``ConfigError``."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: "
+                          f"{exc.strerror}") from None
+
+
 def run_scenario(config: ScenarioConfig, out_dir=None) -> RunResult:
     """Run one scenario end to end and emit its artifacts.
 
     Returns the classified outcome along with the trajectory; when the
     threshold theory applies (``spectral.theory_gaps`` is empty), the
-    spectral threshold quantities are computed and reported too.
+    spectral threshold quantities are computed and reported too. The
+    output directory is made before the run, so a bad one costs no run.
     """
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     traj = solver.run(config)
     outcome = diagnostics.classify_longtime(traj, config.detect,
                                             omega=config.omega)
@@ -117,7 +130,6 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunResult:
     summary = summarize(config, traj, outcome, spec_result)
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         diagnostics.write_csv(os.path.join(out_dir, "diagnostics.csv"), traj.rows)
         for t, state in sorted(traj.snapshots.items()):
             write_snapshot(os.path.join(out_dir, _snapshot_filename(t)),
@@ -130,6 +142,8 @@ def run_ode_preset(name: str, out_dir) -> str:
     """Run the zero-diffusion preset ``name``: its closed-form prediction
     beside the oracle's trajectory. Returns the summary text, also written
     to ``out_dir``/summary.txt unless ``out_dir`` is None."""
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     spec = dict(ODE_PRESETS[name])
     dt, t_end = spec.pop("dt"), spec.pop("t_end")
     params = ode.SiOdeParams(**spec)
@@ -143,7 +157,6 @@ def run_ode_preset(name: str, out_dir) -> str:
     lines.append(f"terminal=({traj.terminal[0]:.10g},{traj.terminal[1]:.10g})")
     summary = "\n".join(lines) + "\n"
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         diagnostics.write_text(os.path.join(out_dir, "summary.txt"), summary)
     return summary
 
@@ -433,8 +446,7 @@ def parse_sweep(text: str) -> SweepSpec:
 
 
 def load_sweep(path) -> SweepSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sweep(fh.read())
+    return parse_sweep(read_input(path))
 
 
 def _pde_sweep_points(spec: SweepSpec) -> list[dict[str, str]]:
@@ -535,7 +547,7 @@ def run_sweep(spec: SweepSpec, out_dir) -> str:
     the time it reached to steps.csv beside results.csv. Either way each
     file is written in deterministic row order by ``diagnostics.write_text``.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     if spec.kind == "pde":
         fingerprint = _sweep_fingerprint(spec)
         done = _read_journal(out_dir, fingerprint)

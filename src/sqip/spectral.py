@@ -11,9 +11,11 @@ Power iteration on its entrywise positive one-period flow map M encloses
 the spectral radius rho by the Collatz-Wielandt bounds min(M phi/phi) <=
 rho <= max(M phi/phi); lambda0 = -ln(rho)/omega has the sign of 1 - R0.
 R0 is the scaling mu_hat that makes lambda0 of the potential
-beta*(N/|domain|)^q/mu_hat - gamma vanish, found by a warm-started
-Illinois root-find; for spatially flat coefficients the discrete map's
-closed form is returned, with the root-find as a cross-check.
+beta*(N/|domain|)^q/mu_hat - gamma vanish, found by an Illinois
+root-find in u = 1/mu_hat, in which the potential is linear, each
+evaluation warm-started from the eigenfields of the last two extrapolated
+in u; for spatially flat coefficients the discrete map's closed form is
+returned, with the root-find as a cross-check.
 """
 
 from __future__ import annotations
@@ -30,7 +32,11 @@ from .model import ModelSpec
 from .solver import LinearPropagator
 
 CW_REL_TOL = 1e-11
-MAX_POWER_ITER = 200
+# Power iteration gains the ratio of the map's two leading eigenvalues
+# per map, about exp(-pi^2 d_I omega / L^2) when the potential is nearly
+# flat: at d_I*omega/L^2 = 0.01 that is exp(-0.099), and reaching
+# CW_REL_TOL from the constant field takes up to about 220 maps.
+MAX_POWER_ITER = 400
 DEFAULT_STEPS_PER_PERIOD = 512
 R0_REL_TOL = 1e-12
 R0_CROSS_CHECK_TOL = 1e-8
@@ -236,17 +242,27 @@ def _find_r0(problem: LinearizedProblem, base: SpectralResult
 
     Starting from ``base``, the evaluation at scale 1, the root is
     bracketed by doubling or halving the scale, then closed by the
-    Illinois variant of regula falsi. Each evaluation starts from the
-    previous eigenfield and stops once the sign of lambda0 is certain; a
-    scale whose converged enclosure of lambda0 holds 0 is a root. Returns
-    the root and every evaluation, ``base`` first.
+    Illinois variant of regula falsi taken in u = 1/scale, in which the
+    potential is linear and ln(rho) convex. Each evaluation stops once
+    the sign of lambda0 is certain. It starts from the previous
+    eigenfield or, from the third evaluation on, from the last two
+    eigenfields extrapolated linearly in u to its own u, when their u
+    differ and that field is positive. A scale whose converged enclosure of lambda0 holds 0 is
+    a root. Returns the root and every evaluation, ``base`` first.
     """
-    evaluations = [base]
+    evaluations, us = [base], [1.0]
 
     def lam(s):
-        e = principal_eigenvalue(problem, s, start=evaluations[-1].eigenfield,
-                                 sign_only=True)
+        start, u = evaluations[-1].eigenfield, 1.0 / s
+        if len(us) > 1 and us[-1] != us[-2]:
+            guess = start + (u - us[-1]) / (us[-1] - us[-2]) * (
+                start - evaluations[-2].eigenfield)
+            peak = guess.max()
+            if 0.0 < peak < math.inf and (guess := guess / peak).min() > 0.0:
+                start = guess
+        e = principal_eigenvalue(problem, s, start=start, sign_only=True)
         evaluations.append(e)
+        us.append(u)
         return e.lambda0, e.lambda0_lo <= 0.0 <= e.lambda0_hi
 
     a = b = 1.0
@@ -262,7 +278,8 @@ def _find_r0(problem: LinearizedProblem, base: SpectralResult
     # fa and fb have opposite signs; b is the latest point, and the
     # Illinois step halves fa whenever a survives a step.
     while not root and abs(b - a) > R0_REL_TOL * max(a, b):
-        c = (a * fb - b * fa) / (fb - fa)
+        ua, ub = 1.0 / a, 1.0 / b
+        c = 1.0 / ((ua * fb - ub * fa) / (fb - fa))
         fc, root = lam(c)
         if (fc > 0) != (fb > 0):
             a, fa = b, fb

@@ -451,6 +451,38 @@ def test_a_failed_artifact_write_leaves_the_old_file(tmp_path, monkeypatch):
     assert (tmp_path / "summary.txt").read_bytes() == b"old summary\n"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "r0"])
+def test_cli_refuses_an_input_file_it_cannot_read(tmp_path, capsys, command):
+    # a missing file once ended in a FileNotFoundError traceback, exit 1
+    missing = tmp_path / "nosuch.cfg"
+    assert cli_main([command, str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read {missing}: No such file or directory\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["preset", "thm-2.11-persist", "--override", "solver.t_end=1"],
+    ["preset", "si-finite-extinction"],
+    ["sweep", "spec.cfg"],
+], ids=["pde-preset", "ode-preset", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_cli_refuses_an_out_path_that_a_file_blocks(tmp_path, monkeypatch,
+                                                    capsys, argv, below):
+    # os.makedirs once raised FileExistsError (or NotADirectoryError) here
+    monkeypatch.chdir(tmp_path)
+    Path("spec.cfg").write_text("[sweep]\nkind = pde\nbase = sis-bistable\n"
+                                "vary.solver.t_end = 2.0\n")
+    Path("taken").write_text("a file\n")
+    out = "taken/sub" if below else "taken"
+    assert cli_main([*argv, "--out", out]) == 2
+    reason = "Not a directory" if below else "File exists"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot make output directory {out}: {reason}\n"
+    assert captured.out == ""
+    assert Path("taken").read_text() == "a file\n"
+
+
 def test_cli_run_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "mini.cfg"
     cfg_file.write_text(MINIMAL + "\n[solver]\nt_end = 1.0\n")

@@ -243,8 +243,8 @@ def test_preset_spectral_values():
 
 
 @pytest.mark.parametrize("two_dim,overrides,expected", [
-    (False, {}, 2.0794296452330667),
-    (True, {"domain.n": "16 16"}, 2.079668506612983),
+    (False, {}, 2.0794296452329575),
+    (True, {"domain.n": "16 16"}, 2.079668506612905),
 ], ids=["1d", "2d"])
 def test_time_constant_heterogeneous_problem_is_sampled_once(
         coeff_calls, two_dim, overrides, expected):
@@ -253,6 +253,8 @@ def test_time_constant_heterogeneous_problem_is_sampled_once(
     # beta was tabulated per step), and R0 keeps its bits. The 2D value is
     # that of its x axis, the 1D n = 16 problem; the period map of the
     # whole 16 x 16 grid gave 2.079668506613069, 4e-14 relative away.
+    # tridiagonal_r0 gives 2.0794296452310013 (1D, 9.4e-13 relative away)
+    # and 2.0796685066128378 (2D, 3.2e-14 away).
     cfg = preset_config("thm-2.11-persist",
                         {"model.beta_x_amp": "0.9", **overrides},
                         two_dim=two_dim)
@@ -393,16 +395,17 @@ def test_coefficients_sampled_once_per_problem(monkeypatch):
     beta = CoefficientField.cosine_modulated(
         2.0, time_amp=0.5, period=1.0, space_amp=0.3, length=1.0)
     res = r0(make_problem(beta, CoefficientField.constant(1.0), n=16))
-    assert res.r0_evals > 10
+    # sampling once per evaluation would make at least 3 * 512 calls
+    assert res.r0_evals >= 3
     assert calls <= 2 * DEFAULT_STEPS_PER_PERIOD + 8
 
 
 @pytest.mark.parametrize("preset,overrides,counts", [
-    ("thm-2.11-persist", {}, (6, 6)),
+    ("thm-2.11-persist", {}, (4, 4)),
     ("r0-threshold", {}, (3, 3)),
     ("thm-2.11-periodic",
      {"model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": "64"},
-     (26, 16)),
+     (16, 12)),
 ], ids=["thm-2.11-persist", "r0-threshold", "het-periodic"])
 def test_spectral_counters(preset, overrides, counts):
     res = compute_spectral(preset_config(preset, overrides or None))
@@ -586,6 +589,98 @@ def dense_r0(problem, lo, hi):
 
     return brentq(lambda s: math.log(perron_root(dense_period_map(problem, s))),
                   lo, hi, xtol=1e-14)
+
+
+def tridiagonal_r0(problem):
+    """R0 of a time-constant potential on the x axis, without power
+    iteration.
+
+    A step is B = (I + c*A)^-1 G with G = diag(exp(dt*a)), so the map
+    B^512 has rho = lambda_min(G^-1/2 (I + c*A) G^-1/2)^-512, the
+    smallest eigenvalue of a symmetric tridiagonal matrix, which LAPACK
+    bisects to full precision; Brent then finds the scale at which
+    ln(rho) = 0.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.optimize import brentq
+
+    steps = DEFAULT_STEPS_PER_PERIOD
+    dt = problem.omega / steps
+    beta, gamma = (table[0] for table in problem.coefficient_samples(steps))
+    (n,), (h,) = problem.x_domain.cells, problem.x_domain.spacing
+    coupling = dt * problem.model.d_I / h**2
+    stiffness = np.full(n, 2.0)
+    stiffness[[0, -1]] = 1.0
+    beta = beta * problem.mean_density**problem.model.exponents.q
+
+    def log_rho(scale):
+        inv_sqrt_g = np.exp(-0.5 * dt * (beta / scale - gamma))
+        diagonal = (1.0 + coupling * stiffness) * inv_sqrt_g**2
+        off = -coupling * inv_sqrt_g[:-1] * inv_sqrt_g[1:]
+        [smallest] = eigvalsh_tridiagonal(diagonal, off, select="i",
+                                          select_range=(0, 0),
+                                          tol=np.finfo(float).tiny)
+        return -steps * math.log(smallest)
+
+    ratio = beta / gamma  # R0 lies between the extremes of beta/gamma
+    return brentq(log_rho, 0.5 * ratio.min(), 2.0 * ratio.max(),
+                  xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+def spectral_problem(cfg):
+    """The linearized problem that ``compute_spectral(cfg)`` solves."""
+    return LinearizedProblem(cfg.model, cfg.domain,
+                             cfg.total_mass() / cfg.domain.measure)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(amp=st.floats(0.0, 0.95), d_I=st.floats(0.01, 10.0),
+       n=st.integers(8, 48))
+def test_r0_matches_the_tridiagonal_reference(amp, d_I, n):
+    cfg = preset_config("thm-2.11-persist", {"model.beta_x_amp": repr(amp),
+                                             "model.dI": repr(d_I),
+                                             "domain.n": str(n)})
+    reference = tridiagonal_r0(spectral_problem(cfg))
+    assert compute_spectral(cfg).r0 == pytest.approx(reference, rel=1e-10)
+
+
+def test_a_non_positive_extrapolated_start_falls_back_to_the_last_eigenfield(
+        monkeypatch):
+    # R0 near 0.1 is bracketed by halving the scale, so u = 1/scale
+    # doubles and each warm start is extrapolated twice the last step in
+    # u: a localized eigenfield's tail then goes below 0 at least once
+    from sqip import spectral
+
+    starts, fields = [], []
+    original = spectral.principal_eigenvalue
+
+    def recording(problem, scale=1.0, *args, **kwargs):
+        starts.append(kwargs.get("start"))
+        result = original(problem, scale, *args, **kwargs)
+        fields.append(result.eigenfield)
+        return result
+
+    monkeypatch.setattr(spectral, "principal_eigenvalue", recording)
+    cfg = preset_config("thm-2.11-persist", {
+        "model.beta": "0.05", "model.beta_x_amp": "0.95", "model.dI": "0.1",
+        "domain.n": "8"})
+    res = compute_spectral(cfg)
+    # from the third evaluation on, some start is the last eigenfield
+    # and some the extrapolated field
+    last = [start is fields[k] for k, start in enumerate(starts[2:], 1)]
+    assert any(last) and not all(last)
+    assert all(start.min() > 0 for start in starts[1:])
+    assert res.r0 == pytest.approx(tridiagonal_r0(spectral_problem(cfg)),
+                                   rel=1e-10)
+
+
+def test_slow_diffusion_r0_matches_the_tridiagonal_reference():
+    # dI = 0.001 on 128 cells: the root-find's costliest problem here
+    cfg = preset_config("thm-2.11-persist", {"model.beta_x_amp": "0.9",
+                                             "model.dI": "0.001"})
+    reference = tridiagonal_r0(spectral_problem(cfg))
+    assert reference == pytest.approx(3.622911718880676, rel=1e-12)
+    assert compute_spectral(cfg).r0 == pytest.approx(reference, rel=1e-11)
 
 
 @pytest.mark.parametrize("build,expected", [

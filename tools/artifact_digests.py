@@ -32,14 +32,18 @@ does). Each tree then runs, with its own ``src`` on the import path:
 - ``sqip run`` of a config file that holds ``preset = thm-2.11-periodic``,
   with ``--override solver.t_end=20``: the one compared run of a config
   file, not a preset name;
+- ``sqip r0`` of a config file that holds ``thm-2.11-persist`` with
+  ``beta_x_amp = 0.9`` and ``dI = 0.001``: the root-find's costliest
+  problem, whose printed ``r0=`` line is compared (``r0`` takes no
+  ``--out``, so its stdout and exit code are its only artifacts);
 - ``sqip sweep`` on the reference ``ode-si`` and ``ode-sis`` specs (no
   ``points`` or ``seed``, so each sampler's defaults);
 - ``sqip sweep`` on a two-point ``pde`` spec over ``sis-bistable``, whose
   artifacts include the ``rows.part`` journal beside ``results.csv``.
 
-Every run writes into its own ``--out`` directory. An artifact is each
-file there, the run's stdout with that directory's path masked, and its
-exit code. The script prints one line per artifact, ``same`` with the
+Every run but ``r0`` writes into its own ``--out`` directory. An
+artifact is each file there, the run's stdout with that directory's path
+masked, and its exit code. The script prints one line per artifact, ``same`` with the
 digest or ``DIFF`` with both, then a count, and exits 1 when any artifact
 differs or exists on one side only.
 """
@@ -73,6 +77,13 @@ BETA_TABLE = """1 5 5
 1.8 1.2 0.6 1.2 1.8
 2.4 1.6 0.8 1.6 2.4
 3.0 2.0 1.0 2.0 3.0
+"""
+# The heterogeneous persistence problem at dI = 0.001: the R0 root-find
+# takes the most period maps of any compared run there.
+SLOW_DIFFUSION = """preset = thm-2.11-persist
+[model]
+beta_x_amp = 0.9
+dI = 0.001
 """
 # A two-point sweep over a PDE preset (one journal line per point).
 PDE_SWEEP = """[sweep]
@@ -110,6 +121,9 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
     config.write_text("preset = thm-2.11-periodic\n", encoding="utf-8")
     runs["config-periodic-1d"] = ["run", str(config),
                                   "--override", "solver.t_end=20"]
+    config = spec_dir / "slow-diffusion.cfg"
+    config.write_text(SLOW_DIFFUSION, encoding="utf-8")
+    runs["r0-slow-diffusion-1d"] = ["r0", str(config)]
     for kind in ("ode-si", "ode-sis"):
         spec = spec_dir / f"{kind}.cfg"
         spec.write_text(f"[sweep]\nkind = {kind}\n", encoding="utf-8")
@@ -130,8 +144,8 @@ def digests(tree: Path, runs: dict[str, list[str]], out_root: Path) -> dict:
     found = {}
     for label, args in runs.items():
         out = out_root / label
-        proc = subprocess.run([sys.executable, "-m", "sqip", *args,
-                               "--out", str(out)],
+        out_args = [] if args[0] == "r0" else ["--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "sqip", *args, *out_args],
                               cwd=tree, env=env, capture_output=True)
         found[f"{label}/exit"] = str(proc.returncode)
         found[f"{label}/stdout"] = _sha(
