@@ -247,8 +247,9 @@ def _find_r0(problem: LinearizedProblem, base: SpectralResult
     the sign of lambda0 is certain. It starts from the previous
     eigenfield or, from the third evaluation on, from the last two
     eigenfields extrapolated linearly in u to its own u, when their u
-    differ and that field is positive. A scale whose converged enclosure of lambda0 holds 0 is
-    a root. Returns the root and every evaluation, ``base`` first.
+    differ and that field is positive. A scale whose converged enclosure
+    of lambda0 holds 0 is a root. Returns the root and every evaluation,
+    ``base`` first.
     """
     evaluations, us = [base], [1.0]
 
@@ -278,8 +279,8 @@ def _find_r0(problem: LinearizedProblem, base: SpectralResult
     # fa and fb have opposite signs; b is the latest point, and the
     # Illinois step halves fa whenever a survives a step.
     while not root and abs(b - a) > R0_REL_TOL * max(a, b):
-        ua, ub = 1.0 / a, 1.0 / b
-        c = 1.0 / ((ua * fb - ub * fa) / (fb - fa))
+        # the secant point in u: 1/c = (fb/a - fa/b) / (fb - fa)
+        c = (fb - fa) / (fb / a - fa / b)
         fc, root = lam(c)
         if (fc > 0) != (fb > 0):
             a, fa = b, fb

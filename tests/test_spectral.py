@@ -243,7 +243,7 @@ def test_preset_spectral_values():
 
 
 @pytest.mark.parametrize("two_dim,overrides,expected", [
-    (False, {}, 2.0794296452329575),
+    (False, {}, 2.079429645232957),
     (True, {"domain.n": "16 16"}, 2.079668506612905),
 ], ids=["1d", "2d"])
 def test_time_constant_heterogeneous_problem_is_sampled_once(

@@ -43,9 +43,9 @@ does). Each tree then runs, with its own ``src`` on the import path:
 
 Every run but ``r0`` writes into its own ``--out`` directory. An
 artifact is each file there, the run's stdout with that directory's path
-masked, and its exit code. The script prints one line per artifact, ``same`` with the
-digest or ``DIFF`` with both, then a count, and exits 1 when any artifact
-differs or exists on one side only.
+masked, and its exit code. The script prints one line per artifact,
+``same`` with the digest or ``DIFF`` with both, then a count, and exits 1
+when any artifact differs or exists on one side only.
 """
 
 from __future__ import annotations
