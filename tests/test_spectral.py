@@ -598,8 +598,8 @@ def tridiagonal_r0(problem):
     A step is B = (I + c*A)^-1 G with G = diag(exp(dt*a)), so the map
     B^512 has rho = lambda_min(G^-1/2 (I + c*A) G^-1/2)^-512, the
     smallest eigenvalue of a symmetric tridiagonal matrix, which LAPACK
-    bisects to full precision; Brent then finds the scale at which
-    ln(rho) = 0.
+    bisects until its interval stops shrinking (to about eps times the
+    matrix norm); Brent then finds the scale at which ln(rho) = 0.
     """
     from scipy.linalg import eigvalsh_tridiagonal
     from scipy.optimize import brentq
