@@ -118,22 +118,24 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunResult:
     Returns the classified outcome along with the trajectory; when the
     threshold theory applies (``spectral.theory_gaps`` is empty), the
     spectral threshold quantities are computed and reported too. The
-    output directory is made before the run, so a bad one costs no run.
+    output directory is made before the run, so a bad one costs no run;
+    ``diagnostics.csv`` and the snapshots are written before the spectral
+    solve, so a failing one still keeps the run.
     """
     if out_dir is not None:
         _make_out_dir(out_dir)
     traj = solver.run(config)
-    outcome = diagnostics.classify_longtime(traj, config.detect,
-                                            omega=config.omega)
-    spec_result = (None if spectral.theory_gaps(config.model)
-                   else compute_spectral(config))
-    summary = summarize(config, traj, outcome, spec_result)
-
     if out_dir is not None:
         diagnostics.write_csv(os.path.join(out_dir, "diagnostics.csv"), traj.rows)
         for t, state in sorted(traj.snapshots.items()):
             write_snapshot(os.path.join(out_dir, _snapshot_filename(t)),
                            config.domain, state)
+    outcome = diagnostics.classify_longtime(traj, config.detect,
+                                            omega=config.omega)
+    spec_result = (None if spectral.theory_gaps(config.model)
+                   else compute_spectral(config))
+    summary = summarize(config, traj, outcome, spec_result)
+    if out_dir is not None:
         diagnostics.write_text(os.path.join(out_dir, "summary.txt"), summary)
     return RunResult(traj, outcome, spec_result, summary)
 

@@ -11,11 +11,13 @@ Power iteration on its entrywise positive one-period flow map M encloses
 the spectral radius rho by the Collatz-Wielandt bounds min(M phi/phi) <=
 rho <= max(M phi/phi); lambda0 = -ln(rho)/omega has the sign of 1 - R0.
 R0 is the scaling mu_hat that makes lambda0 of the potential
-beta*(N/|domain|)^q/mu_hat - gamma vanish, found by an Illinois
-root-find in u = 1/mu_hat, in which the potential is linear, each
-evaluation warm-started from the eigenfields of the last two extrapolated
-in u; for spatially flat coefficients the discrete map's closed form is
-returned, with the root-find as a cross-check.
+beta*(N/|domain|)^q/mu_hat - gamma vanish, found in u = 1/mu_hat, in
+which the potential is linear: a Newton step whose slope comes from the
+scale-1 eigenfield, secant steps to a bracket, and Anderson-Bjorck
+regula falsi to close it, each evaluation warm-started from the
+eigenfields of the last two extrapolated in u; for spatially flat
+coefficients the discrete map's closed form is returned, with the
+root-find as a cross-check.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ MAX_POWER_ITER = 400
 DEFAULT_STEPS_PER_PERIOD = 512
 R0_REL_TOL = 1e-12
 R0_CROSS_CHECK_TOL = 1e-8
+# While the R0 root-find seeks a bracket, each secant step in u goes
+# this fraction of itself past the secant root. ln(rho) is convex in u,
+# so from the side where lambda0 < 0 an exact secant root falls short of
+# R0, and stepping only onto it would close in from one side.
+_PUSH_PAST = 0.01
 
 
 def theory_gaps(model: ModelSpec) -> list[str]:
@@ -216,8 +223,10 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
         width = math.log(hi / lo)
         if width <= CW_REL_TOL or (sign_only and (lo > 1.0 or hi < 1.0)):
             return math.sqrt(lo * hi), phi, iteration, width
-    raise NumericsError("power iteration did not converge",
-                        bracket=(lo, hi), residual=width)
+    raise NumericsError(
+        f"power iteration did not converge at scale {scale:.10g}: after "
+        f"{MAX_POWER_ITER} period maps the enclosure of ln(rho) is {width:.3g} "
+        f"wide, not CW_REL_TOL = {CW_REL_TOL:g}", bracket=(lo, hi), residual=width)
 
 
 def principal_eigenvalue(problem: LinearizedProblem, scale: float = 1.0,
@@ -238,56 +247,87 @@ def principal_eigenvalue(problem: LinearizedProblem, scale: float = 1.0,
 
 def _find_r0(problem: LinearizedProblem, base: SpectralResult
              ) -> tuple[float, list[SpectralResult]]:
-    """Root of scale -> lambda0(scale); the eigenvalue grows with scale.
+    """Root of u -> lambda0 at scale 1/u, taken in u, in which the
+    potential is linear and ln(rho) convex; lambda0 falls as u grows.
 
-    Starting from ``base``, the evaluation at scale 1, the root is
-    bracketed by doubling or halving the scale, then closed by the
-    Illinois variant of regula falsi taken in u = 1/scale, in which the
-    potential is linear and ln(rho) convex. Each evaluation stops once
-    the sign of lambda0 is certain. It starts from the previous
-    eigenfield or, from the third evaluation on, from the last two
-    eigenfields extrapolated linearly in u to its own u, when their u
-    differ and that field is positive. A scale whose converged enclosure
-    of lambda0 holds 0 is a root. Returns the root and every evaluation,
-    ``base`` first.
+    ``base``, the evaluation at u = 1, gives the slope -d lambda0/du =
+    <w, b>/<w, 1> at u = 1, with b = beta*(mean density)^q and its
+    eigenfield phi. For a time-constant potential w = g*phi^2, g the
+    growth row, and the slope is exact: I + c*A is symmetric, so the step
+    map (I + c*A)^-1 G has the left Perron vector G*phi. For a periodic
+    one w = phi^2 and b is the mean of beta's rows, a first-order
+    estimate. The first point is the Newton point 1 + lambda0(1)/slope.
+    While the points keep the sign of lambda0(1), the next is the secant
+    root in u of the last two, ``_PUSH_PAST`` of its step further on, but
+    at most halfway to the doubling or halving of u: a sign-only lambda0
+    may be off by nearly its own size, and a secant through it by as
+    much. u is doubled or halved instead when the slope is not finite and
+    positive, the Newton point is not on the root's side of 1, or the
+    last two points do not fall toward 0. The bracket is closed by the
+    Anderson-Bjorck variant of regula falsi in u.
+
+    Each evaluation stops once the sign of lambda0 is certain. It starts
+    from the previous eigenfield or, from the third evaluation on, from
+    the last two eigenfields extrapolated linearly in u to its own u,
+    when their u differ and that field is positive. A u whose converged
+    enclosure of lambda0 holds 0 is a root. Returns the root as a scale
+    and every evaluation, ``base`` first.
     """
     evaluations, us = [base], [1.0]
 
-    def lam(s):
-        start, u = evaluations[-1].eigenfield, 1.0 / s
+    def lam(u):
+        start = evaluations[-1].eigenfield
         if len(us) > 1 and us[-1] != us[-2]:
             guess = start + (u - us[-1]) / (us[-1] - us[-2]) * (
                 start - evaluations[-2].eigenfield)
             peak = guess.max()
             if 0.0 < peak < math.inf and (guess := guess / peak).min() > 0.0:
                 start = guess
-        e = principal_eigenvalue(problem, s, start=start, sign_only=True)
+        e = principal_eigenvalue(problem, 1.0 / u, start=start, sign_only=True)
         evaluations.append(e)
         us.append(u)
         return e.lambda0, e.lambda0_lo <= 0.0 <= e.lambda0_hi
 
+    beta, gamma = problem.coefficient_samples(DEFAULT_STEPS_PER_PERIOD)
+    weight = base.eigenfield**2
+    if len(beta) == len(gamma) == 1:
+        weight *= problem.growth_factors(1.0, DEFAULT_STEPS_PER_PERIOD)[0]
+    slope = (problem.mean_density**problem.model.exponents.q
+             * float(weight @ beta.mean(axis=0)) / float(weight.sum()))
+
     a = b = 1.0
     fa = fb = base.lambda0
     root = base.lambda0_lo <= 0.0 <= base.lambda0_hi
-    step = 2.0 if fb < 0 else 0.5
-    while not root and fb * base.lambda0 > 0:
-        a, fa, b = b, fb, b * step
+    grow = fb > 0  # the root lies at a larger u
+    step = 2.0 if grow else 0.5
+    guess = 1.0 + fb / slope if 0 < slope < math.inf else math.nan
+    while not root and (fb > 0) == grow:
+        if a != b:  # past the Newton point
+            guess = step * b
+            if abs(fb) < abs(fa):  # then the secant root lies beyond b
+                secant = b - (1.0 + _PUSH_PAST) * fb * (b - a) / (fb - fa)
+                halfway = 0.5 * (1.0 + step) * b
+                guess = min(secant, halfway) if grow else max(secant, halfway)
+        if not (b < guess < 2.0**60 if grow else 2.0**-60 < guess < b):
+            guess = step * b
+        a, fa, b = b, fb, guess
         if not 2.0**-60 <= b <= 2.0**60:
             raise NumericsError("reproduction-number bracket not found",
-                                bracket=(a, b))
+                                bracket=(1.0 / a, 1.0 / b))
         fb, root = lam(b)
-    # fa and fb have opposite signs; b is the latest point, and the
-    # Illinois step halves fa whenever a survives a step.
+    # fa and fb have opposite signs; b is the latest point. When a
+    # survives a step, fa is scaled by 1 - fc/fb, or halved where that is
+    # not positive.
     while not root and abs(b - a) > R0_REL_TOL * max(a, b):
-        # the secant point in u: 1/c = (fb/a - fa/b) / (fb - fa)
-        c = (fb - fa) / (fb / a - fa / b)
+        c = (a * fb - b * fa) / (fb - fa)
         fc, root = lam(c)
         if (fc > 0) != (fb > 0):
             a, fa = b, fb
         else:
-            fa *= 0.5
+            m = 1.0 - fc / fb
+            fa *= m if m > 0 else 0.5
         b, fb = c, fc
-    return (b if root else 0.5 * (a + b)), evaluations
+    return (1.0 / b if root else 0.5 * (1.0 / a + 1.0 / b)), evaluations
 
 
 def _flat_r0(problem: LinearizedProblem) -> float | None:

@@ -669,3 +669,30 @@ def test_star_import_resolves_every_export_and_mapped_module():
     out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
+
+
+def test_a_failing_spectral_solve_keeps_the_finished_run(tmp_path, monkeypatch,
+                                                        capsys):
+    # diagnostics.csv and the snapshots are written before the spectral
+    # solve, byte for byte as a run whose solve succeeds writes them
+    from sqip import runner
+    from sqip.errors import NumericsError
+
+    cfg_file = tmp_path / "scenario.cfg"
+    cfg_file.write_text("preset = thm-2.11-persist\n[solver]\n"
+                        "t_end = 2.0\nsnapshots = 1.0 2.0\n")
+    assert cli_main(["run", str(cfg_file), "--out", str(tmp_path / "whole")]) == 0
+    capsys.readouterr()
+
+    def failing(config):
+        raise NumericsError("power iteration did not converge")
+
+    monkeypatch.setattr(runner, "compute_spectral", failing)
+    kept = tmp_path / "kept"
+    assert cli_main(["run", str(cfg_file), "--out", str(kept)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: power iteration did not converge\n"
+    names = sorted(os.listdir(kept))
+    assert names == ["diagnostics.csv", "snapshot_t1.txt", "snapshot_t2.txt"]
+    for name in names:
+        assert (kept / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,8 +244,8 @@ def test_preset_spectral_values():
 
 
 @pytest.mark.parametrize("two_dim,overrides,expected", [
-    (False, {}, 2.079429645232957),
-    (True, {"domain.n": "16 16"}, 2.079668506612905),
+    (False, {}, 2.079429645232951),
+    (True, {"domain.n": "16 16"}, 2.0796685066128915),
 ], ids=["1d", "2d"])
 def test_time_constant_heterogeneous_problem_is_sampled_once(
         coeff_calls, two_dim, overrides, expected):
@@ -252,9 +253,9 @@ def test_time_constant_heterogeneous_problem_is_sampled_once(
     # gamma serve all 512 steps of every period map (513 evaluations when
     # beta was tabulated per step), and R0 keeps its bits. The 2D value is
     # that of its x axis, the 1D n = 16 problem; the period map of the
-    # whole 16 x 16 grid gave 2.079668506613069, 4e-14 relative away.
-    # tridiagonal_r0 gives 2.0794296452310013 (1D, 9.4e-13 relative away)
-    # and 2.0796685066128378 (2D, 3.2e-14 away).
+    # whole 16 x 16 grid gave 2.079668506613069 under an earlier root-find.
+    # tridiagonal_r0 gives 2.079429645231001 (1D, 9.4e-13 relative away)
+    # and 2.0796685066128733 (2D, 8.8e-15 away).
     cfg = preset_config("thm-2.11-persist",
                         {"model.beta_x_amp": "0.9", **overrides},
                         two_dim=two_dim)
@@ -401,11 +402,11 @@ def test_coefficients_sampled_once_per_problem(monkeypatch):
 
 
 @pytest.mark.parametrize("preset,overrides,counts", [
-    ("thm-2.11-persist", {}, (4, 4)),
-    ("r0-threshold", {}, (3, 3)),
+    ("thm-2.11-persist", {}, (2, 2)),
+    ("r0-threshold", {}, (2, 2)),
     ("thm-2.11-periodic",
      {"model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": "64"},
-     (16, 12)),
+     (13, 9)),
 ], ids=["thm-2.11-persist", "r0-threshold", "het-periodic"])
 def test_spectral_counters(preset, overrides, counts):
     res = compute_spectral(preset_config(preset, overrides or None))
@@ -529,7 +530,7 @@ def test_one_spectral_solve_factors_each_axis_once(monkeypatch, cells, two_dim):
     res = compute_spectral(preset_config("thm-2.11-periodic", {
         "model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": cells},
         two_dim))
-    assert res.r0_evals > 10
+    assert res.r0_evals >= 3
     assert len(calls) == 1
 
 
@@ -646,29 +647,33 @@ def test_r0_matches_the_tridiagonal_reference(amp, d_I, n):
 
 def test_a_non_positive_extrapolated_start_falls_back_to_the_last_eigenfield(
         monkeypatch):
-    # R0 near 0.1 is bracketed by halving the scale, so u = 1/scale
-    # doubles and each warm start is extrapolated twice the last step in
-    # u: a localized eigenfield's tail then goes below 0 at least once
+    # The Newton point of a time-constant R0 > 1 problem falls short of
+    # the root, so the third evaluation lies past the second in u and its
+    # start is extrapolated beyond the second eigenfield. Shrinking one
+    # entry of that field 10^6-fold drives the extrapolated entry below 0,
+    # so the third evaluation starts from the second field itself.
     from sqip import spectral
 
     starts, fields = [], []
     original = spectral.principal_eigenvalue
 
-    def recording(problem, scale=1.0, *args, **kwargs):
+    def tampering(problem, scale=1.0, *args, **kwargs):
         starts.append(kwargs.get("start"))
         result = original(problem, scale, *args, **kwargs)
+        if len(starts) == 2:
+            field = result.eigenfield.copy()
+            field[0] *= 1e-6
+            result = replace(result, eigenfield=field)
         fields.append(result.eigenfield)
         return result
 
-    monkeypatch.setattr(spectral, "principal_eigenvalue", recording)
+    monkeypatch.setattr(spectral, "principal_eigenvalue", tampering)
     cfg = preset_config("thm-2.11-persist", {
-        "model.beta": "0.05", "model.beta_x_amp": "0.95", "model.dI": "0.1",
-        "domain.n": "8"})
+        "model.beta_x_amp": "0.9", "model.dI": "0.1", "domain.n": "16"})
     res = compute_spectral(cfg)
-    # from the third evaluation on, some start is the last eigenfield
-    # and some the extrapolated field
-    last = [start is fields[k] for k, start in enumerate(starts[2:], 1)]
-    assert any(last) and not all(last)
+    assert starts[2] is fields[1]
+    # every later start is extrapolated, and every start is positive
+    assert not any(start is fields[k] for k, start in enumerate(starts[3:], 2))
     assert all(start.min() > 0 for start in starts[1:])
     assert res.r0 == pytest.approx(tridiagonal_r0(spectral_problem(cfg)),
                                    rel=1e-10)
@@ -773,3 +778,75 @@ def test_root_find_warm_starts_every_evaluation(monkeypatch):
     r0(_heterogeneous_1d())
     assert starts[0] is None
     assert all(s is not None and s.min() > 0 for s in starts[1:])
+
+
+def test_the_newton_point_has_the_slope_of_lambda0_in_u(monkeypatch):
+    # For a time-constant potential the slope -d lambda0/du at u = 1 comes
+    # exactly from the scale-1 eigenfield, so the Newton point 1 +
+    # lambda0(1)/slope gives back the slope of converged lambda0.
+    from sqip import spectral
+
+    scales = []
+    original = spectral.principal_eigenvalue
+
+    def recording(problem, scale=1.0, *args, **kwargs):
+        scales.append(scale)
+        return original(problem, scale, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "principal_eigenvalue", recording)
+    problem = spectral_problem(preset_config(
+        "thm-2.11-persist", {"model.beta_x_amp": "0.9", "model.dI": "1.0"}))
+    res = r0(problem)
+    slope = res.lambda0 / (1.0 / scales[1] - 1.0)
+    h = 1e-4
+    ahead, behind = (original(problem, 1.0 / (1.0 + h)).lambda0,
+                     original(problem, 1.0 / (1.0 - h)).lambda0)
+    assert slope == pytest.approx((behind - ahead) / (2 * h), rel=1e-6)
+
+
+@pytest.mark.parametrize("preset", ["thm-2.11-persist", "r0-threshold"])
+def test_a_flat_root_find_ends_at_its_newton_point(preset):
+    # lambda0 is linear in u with the eigenfield constant, so the Newton
+    # point is the computed map's own root: its converged enclosure holds 0
+    res = compute_spectral(preset_config(preset))
+    assert res.r0_evals == 2
+    assert abs(res.r0_cross_check - res.r0) <= 1e-8 * res.r0
+
+
+def test_an_unusable_slope_falls_back_to_doubling(monkeypatch):
+    # beta = 0: the slope is 0, so there is no Newton point and u doubles;
+    # lambda0 = gamma at every u, so no step finds a bracket, each goes at
+    # most a factor of 2 further, and the search gives up past u = 2^60
+    from sqip import spectral
+    from sqip.errors import NumericsError
+
+    scales = []
+    original = spectral.principal_eigenvalue
+
+    def recording(problem, scale=1.0, *args, **kwargs):
+        scales.append(scale)
+        return original(problem, scale, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "principal_eigenvalue", recording)
+    prob = make_problem(CoefficientField.constant(0.0),
+                        CoefficientField.constant(1.0), n=8)
+    with pytest.raises(NumericsError, match="bracket not found"):
+        r0(prob)
+    assert scales[:2] == [1.0, 0.5]
+    assert all(1.0 < a / b <= 2.0 for a, b in zip(scales, scales[1:]))
+
+
+def test_a_power_iteration_that_cannot_converge_names_its_scale(monkeypatch):
+    from sqip import spectral
+    from sqip.errors import NumericsError
+
+    monkeypatch.setattr(spectral, "MAX_POWER_ITER", 3)
+    beta = CoefficientField.cosine_modulated(2.0, space_amp=0.5, length=1.0)
+    prob = make_problem(beta, CoefficientField.constant(1.0), n=32, d_I=0.1)
+    with pytest.raises(NumericsError) as caught:
+        monodromy_radius(prob, scale=0.5)
+    width = caught.value.payload["residual"]
+    assert width > CW_REL_TOL
+    assert str(caught.value) == (
+        f"power iteration did not converge at scale 0.5: after 3 period maps "
+        f"the enclosure of ln(rho) is {width:.3g} wide, not CW_REL_TOL = 1e-11")
