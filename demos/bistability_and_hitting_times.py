@@ -11,7 +11,7 @@ Two stories told by the well-mixed models:
 """
 
 from sqip.ode import (SiOdeParams, SisOdeParams, extinction_time_bound,
-                      n_star, rk4_integrate, si_classify, sis_classify,
+                      n_star, settle_batch, si_classify, sis_classify,
                       sis_steady_states)
 
 
@@ -32,13 +32,14 @@ def fold_structure():
 
 def basins():
     print("\n=== basins at gamma = 0.21: the separatrix sits at S = 0.7 ===")
-    for S0 in (0.5, 0.65, 0.75, 0.9):
-        params = SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=S0)
+    starts = (0.5, 0.65, 0.75, 0.9)
+    points = [SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=S0)
+              for S0 in starts]
+    report = settle_batch(points, dt=0.005, t_max=300.0)
+    for S0, params, (S, I) in zip(starts, points, report.y):
         predicted = sis_classify(params)
-        traj = rk4_integrate(params, t_end=300.0, dt=0.005, record_every=2000)
         print(f"S0 = {S0:.2f}: predicted -> ({predicted.limit_S:.3f}, "
-              f"{predicted.limit_I:.3f}); integrated -> "
-              f"({traj.terminal[0]:.3f}, {traj.terminal[1]:.3f})")
+              f"{predicted.limit_I:.3f}); integrated -> ({S:.3f}, {I:.3f})")
 
 
 def hitting_time():
@@ -47,13 +48,13 @@ def hitting_time():
     params = SiOdeParams(beta=1, mu=1, p=1, q=0.5, S0=1, I0=4)
     outcome = si_classify(params)
     bound = extinction_time_bound(params)
-    traj = rk4_integrate(params, t_end=2.0, dt=1e-3)
-    t_clamp = traj.clamp_time
+    # t_max = 2 is within the first settle checkpoint, so the run ends there
+    report = settle_batch([params], dt=1e-3, t_max=2.0)
+    (S, I), t_clamp = report.y[0], report.clamp_time[0]
     print(f"prediction: {outcome.kind}")
     print(f"closed-form upper bound on the hitting time: {bound:.6f}")
     print(f"measured hitting time of the integrator:     {t_clamp:.6f}")
-    print(f"terminal state: S = {traj.terminal[0]:.3g}, "
-          f"I = {traj.terminal[1]:.3g} (infected still decaying)")
+    print(f"terminal state: S = {S:.3g}, I = {I:.3g} (infected still decaying)")
 
 
 def main():

@@ -20,7 +20,7 @@ from .model import (AssumptionReport, CoefficientField, Exponents, Incidence,
                     ModelSpec, classify_exponents, read_coefficient_table,
                     validate_assumptions)
 from .ode import (SiOdeParams, SisOdeParams, extinction_time_bound, n_star,
-                  rk4_integrate, si_classify, sis_classify, sis_steady_states)
+                  si_classify, sis_classify, sis_steady_states)
 from .solver import Stepper, SystemState, Trajectory, run
 from .spectral import LinearizedProblem, monodromy_radius, principal_eigenvalue, r0
 from .config import load_config, parse_config
@@ -37,7 +37,7 @@ __all__ = [
     "detect_periodic", "extinction_time_bound",
     "integrate", "lk_norm", "load_config", "monodromy_radius", "n_star",
     "parse_config", "preset_config",
-    "principal_eigenvalue", "r0", "read_coefficient_table", "rk4_integrate",
-    "run", "run_scenario", "run_sweep", "si_classify", "sis_classify",
+    "principal_eigenvalue", "r0", "read_coefficient_table", "run",
+    "run_scenario", "run_sweep", "si_classify", "sis_classify",
     "sis_steady_states", "validate_assumptions",
 ]

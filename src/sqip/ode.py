@@ -467,60 +467,6 @@ class _Batch:
 
 
 @dataclass
-class OdeTrajectory:
-    t: np.ndarray
-    y: np.ndarray  # shape (len(t), n_components)
-    clamp_time: float  # first S-clamp time, nan if none
-    steps_accepted: int
-    steps_rejected: int
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.y[-1]
-
-
-def rk4_integrate(params: SiOdeParams | SisOdeParams, t_end: float, dt: float,
-                  record_every: int = 1) -> OdeTrajectory:
-    """Error-controlled Runge-Kutta trajectory, the oracle behind every
-    classification.
-
-    The state is recorded at ``k * dt * record_every`` up to
-    ``round(t_end / dt) * dt``; the step lands on each record time, and
-    ``dt`` is also the first trial step. Both must be positive and finite,
-    with ``round(t_end / dt) >= 1``, and ``record_every`` a positive
-    integer. It runs the kernel of ``settle_batch`` on a one-row batch, so
-    a point gets the same bits from both functions.
-    The SI system may genuinely reach S = 0 in finite time when q < 1, so
-    S is clamped at zero there and its first clamping is recorded with its
-    time; the clamp time is at most ``CROSSING_STEP`` after the true
-    hitting time. The SIS invariant S + I = N is checked at every recorded
-    state and a drift beyond 1e-10 * N aborts.
-    """
-    batch = _Batch([params], dt)
-    _require_positive(t_end=t_end)
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        raise DomainError(f"need round(t_end / dt) >= 1, got t_end={t_end!r}, "
-                          f"dt={dt!r}")
-    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
-        raise DomainError(f"record_every must be a positive integer, "
-                          f"got {record_every!r}")
-    active = np.ones(1, dtype=bool)
-    ts = [0.0]
-    ys = [batch.y[0]]
-    for done in range(record_every, n_steps + record_every, record_every):
-        t_stop = min(done, n_steps) * dt
-        batch.advance(t_stop, active)
-        ts.append(t_stop)
-        ys.append(batch.y[0])
-
-    return OdeTrajectory(t=np.array(ts), y=np.array(ys),
-                         clamp_time=float(batch.clamp_time[0]),
-                         steps_accepted=int(batch.accepted[0]),
-                         steps_rejected=int(batch.rejected[0]))
-
-
-@dataclass
 class TerminalReport:
     """Converged end state of a batch of parameter points."""
 
@@ -534,14 +480,17 @@ class TerminalReport:
 
 def settle_batch(points: list[SiOdeParams] | list[SisOdeParams],
                  dt: float = 0.01, t_max: float = 800.0) -> TerminalReport:
-    """Integrate many points of one system at once until each stops moving.
+    """Integrate many points of one system at once until each stops moving;
+    the oracle behind every classification.
 
     Every point starts from its (S0, I0) with the trial step ``dt``; it
     and ``t_max`` must be positive and finite. A point is converged once
     its state changes by less than ``SETTLE_MOVEMENT_TOL`` (sup norm) over
     the trailing tenth of its elapsed time, checked every
     ``SETTLE_CHECK_WINDOW`` time units. Converged points are frozen while
-    the rest continue, which keeps the oracle sweeps cheap.
+    the rest continue, which keeps the oracle sweeps cheap. The first
+    checkpoint is ``min(t_max, SETTLE_CHECK_WINDOW)``, so a ``t_max`` up
+    to the window lands every point on ``t_max``.
     """
     _require_positive(t_max=t_max)
     batch = _Batch(points, dt)
@@ -550,7 +499,7 @@ def settle_batch(points: list[SiOdeParams] | list[SisOdeParams],
 
     t = 0.0
     anchor = batch.y
-    while t < t_max - 1e-12 and active.any():
+    while t < t_max and active.any():
         # Each checkpoint spacing is the trailing tenth of elapsed time,
         # so the movement test always looks at the last decade of the run.
         t = min(t_max, max(t + SETTLE_CHECK_WINDOW, 1.1 * t))

@@ -142,21 +142,23 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunResult:
 
 def run_ode_preset(name: str, out_dir) -> str:
     """Run the zero-diffusion preset ``name``: its closed-form prediction
-    beside the oracle's trajectory. Returns the summary text, also written
-    to ``out_dir``/summary.txt unless ``out_dir`` is None."""
+    beside the oracle's state at ``t_end``. Returns the summary text, also
+    written to ``out_dir``/summary.txt unless ``out_dir`` is None."""
     if out_dir is not None:
         _make_out_dir(out_dir)
     spec = dict(ODE_PRESETS[name])
     dt, t_end = spec.pop("dt"), spec.pop("t_end")
     params = ode.SiOdeParams(**spec)
     outcome = ode.si_classify(params)
-    traj = ode.rk4_integrate(params, t_end=t_end, dt=dt)
+    # t_end <= SETTLE_CHECK_WINDOW: one checkpoint, which lands on t_end
+    report = ode.settle_batch([params], dt=dt, t_max=t_end)
+    clamp_time, (S, I) = report.clamp_time[0], report.y[0]
     lines = [f"name={name}", "system=si", f"predicted={outcome.kind}"]
     if outcome.t_upper is not None:
         lines.append(f"t_upper={outcome.t_upper:.10g}")
-    if not math.isnan(traj.clamp_time):
-        lines.append(f"first_clamp_time={traj.clamp_time:.10g}")
-    lines.append(f"terminal=({traj.terminal[0]:.10g},{traj.terminal[1]:.10g})")
+    if not math.isnan(clamp_time):
+        lines.append(f"first_clamp_time={clamp_time:.10g}")
+    lines.append(f"terminal=({S:.10g},{I:.10g})")
     summary = "\n".join(lines) + "\n"
     if out_dir is not None:
         diagnostics.write_text(os.path.join(out_dir, "summary.txt"), summary)
@@ -415,6 +417,11 @@ class SweepSpec:
                               key="points")
         if self.kind == "pde" and self.base is None:
             raise ConfigError("pde sweeps need base = <preset>", key="base")
+        # results.csv lets only its last column, the error, hold commas
+        for key, values in self.axes:
+            if any("," in value for value in values):
+                raise ConfigError(f"vary.{key} values cannot hold a comma",
+                                  key=f"vary.{key}")
 
 
 def parse_sweep(text: str) -> SweepSpec:
@@ -426,7 +433,7 @@ def parse_sweep(text: str) -> SweepSpec:
     for section, key, value, lineno in read_lines(text, ("sweep",)):
         if section is None:
             raise ConfigError("sweep files start with [sweep]", lineno)
-        lines[key.split(".")[0]] = lineno
+        lines[key] = lines[key.split(".")[0]] = lineno
         if key.startswith("vary."):
             axes.append((key[5:], tuple(value.split())))
         elif key not in ("kind", "base", "points", "seed"):

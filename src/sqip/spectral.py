@@ -348,13 +348,17 @@ def r0(problem: LinearizedProblem) -> SpectralResult:
 
     Undefined (returned as None) when the recovery rate vanishes
     identically, since the generation operator then has no decay to sum
-    against. For spatially flat coefficients the closed form is returned
-    and the root-find value is kept alongside as an independent check.
+    against; 0 when the transmission rate does, since no scale then moves
+    lambda0 and no root exists. For spatially flat coefficients the closed
+    form is returned and the root-find value is kept alongside as an
+    independent check.
     The counters sum over every eigenvalue evaluation, scale 1 included.
     """
     base = principal_eigenvalue(problem, 1.0)
     if problem.model.gamma.upper <= 0:
         return base
+    if problem.model.beta.upper <= 0:
+        return replace(base, r0=0.0)
     root, evaluations = _find_r0(problem, base)
     counts = dict(period_maps=sum(e.period_maps for e in evaluations),
                   r0_evals=len(evaluations))

@@ -16,7 +16,7 @@ from sqip.config import InitialData
 from sqip.grid import Domain, integrate
 from sqip.presets import PDE_PRESETS, preset_config
 from sqip.runner import compute_spectral, si_sweep_rows, sis_sweep_rows
-from sqip.ode import SiOdeParams, SisOdeParams, rk4_integrate, sis_classify
+from sqip.ode import SiOdeParams, SisOdeParams, settle_batch, sis_classify
 
 from conftest import solved_eigenvalue
 
@@ -173,19 +173,19 @@ def test_criterion_09_ode_oracle_agreement():
 
     # bistability spot checks at 1e-3
     params = SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=0.75)
-    high = rk4_integrate(params, t_end=200.0, dt=5e-3, record_every=1000)
-    assert abs(high.terminal[0] - 1.0) <= 1e-3
-    assert abs(high.terminal[1] - 0.0) <= 1e-3
+    high, low = settle_batch(
+        [params, SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=0.5)],
+        dt=5e-3, t_max=200.0).y
+    assert abs(high[0] - 1.0) <= 1e-3
+    assert abs(high[1] - 0.0) <= 1e-3
     assert sis_classify(params).limit_S == 1.0
-    low = rk4_integrate(SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=0.5),
-                        t_end=200.0, dt=5e-3, record_every=1000)
-    assert abs(low.terminal[0] - 0.3) <= 1e-3
-    assert abs(low.terminal[1] - 0.7) <= 1e-3
+    assert abs(low[0] - 0.3) <= 1e-3
+    assert abs(low[1] - 0.7) <= 1e-3
 
     # finite-time loss of susceptibles, measured against the closed bound
     si = SiOdeParams(beta=1, mu=1, p=1, q=0.5, S0=1, I0=4)
-    traj = rk4_integrate(si, t_end=2.0, dt=1e-3)
-    assert traj.clamp_time <= math.log(2.0) + 0.01
+    report = settle_batch([si], dt=1e-3, t_max=2.0)
+    assert report.clamp_time[0] <= math.log(2.0) + 0.01
 
     wall = time.perf_counter() - start
     assert wall <= 60.0

@@ -334,6 +334,19 @@ def test_cli_preset_and_r0(tmp_path, capsys):
         "lambda0", "rho", "r0", "iterations", "residual"]
 
 
+def test_cli_r0_of_a_model_without_transmission_is_zero(tmp_path, capsys):
+    # no scale moves lambda0 when beta = 0, so R0 = 0 with no root-find
+    cfg_file = tmp_path / "scenario.cfg"
+    cfg_file.write_text("preset = thm-2.11-persist\n[model]\nbeta = 0\n")
+    assert cli_main(["r0", str(cfg_file)]) == 0
+    assert "\nr0=0\n" in capsys.readouterr().out
+    out = tmp_path / "run"
+    assert cli_main(["run", str(cfg_file), "--override", "solver.t_end=2.0",
+                     "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "\nr0=0\n" in summary and "\nperiod_maps=1\nr0_evals=1\n" in summary
+
+
 @pytest.mark.parametrize("preset, condition", [
     ("thm-2.10-i", "has mu > 0\n"), ("thm-2.10-ii", "has mu > 0, p = 0.5 != 1\n"),
     ("sis-bistable", "has p = 2 != 1\n")])

@@ -10,10 +10,9 @@ from scipy.integrate import solve_ivp
 from sqip.errors import DomainError, NumericsError
 from sqip.runner import si_sweep_rows, sis_sweep_rows
 from sqip.ode import (BOTH_TO_ZERO, S_HITS_ZERO, S_POSITIVE_LIMIT,
-                      SiOdeParams, SisOdeParams,
-                      extinction_time_bound, n_star, rk4_integrate,
-                      settle_batch, si_classify, sis_classify,
-                      sis_steady_states)
+                      SETTLE_CHECK_WINDOW, SiOdeParams, SisOdeParams,
+                      extinction_time_bound, n_star, settle_batch,
+                      si_classify, sis_classify, sis_steady_states)
 
 
 # ------------------------------------------------------------- SI system
@@ -84,9 +83,9 @@ def test_extinction_time_bound_needs_fractional_q():
 
 def test_si_rk4_clamp_time_within_bound():
     params = SiOdeParams(beta=1, mu=1, p=1, q=0.5, S0=1, I0=4)
-    traj = rk4_integrate(params, t_end=2.0, dt=1e-3)
-    assert traj.clamp_time <= math.log(2.0) + 0.01, "S never reached zero"
-    assert traj.terminal[0] == 0.0
+    report = settle_batch([params], dt=1e-3, t_max=2.0)
+    assert report.clamp_time[0] <= math.log(2.0) + 0.01, "S never reached zero"
+    assert report.y[0, 0] == 0.0
 
 
 def test_si_params_validated():
@@ -368,31 +367,34 @@ def test_sis_classify_sublinear():
 
 def test_rk4_sis_terminal_equilibrium():
     params = SisOdeParams(beta=2, gamma=1, p=1, q=1, N=1, S0=0.9)
-    traj = rk4_integrate(params, t_end=50.0, dt=1e-3, record_every=100)
-    assert traj.terminal[0] == pytest.approx(0.5, abs=1e-6)
-    assert traj.terminal[1] == pytest.approx(0.5, abs=1e-6)
+    report = settle_batch([params], dt=1e-3, t_max=50.0)
+    assert report.y[0, 0] == pytest.approx(0.5, abs=1e-6)
+    assert report.y[0, 1] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_rk4_sis_conserves_total():
     params = SisOdeParams(beta=1.3, gamma=0.4, p=1.7, q=0.8, N=1.5, S0=1.0)
-    traj = rk4_integrate(params, t_end=10.0, dt=1e-3)
-    sums = traj.y.sum(axis=1)
-    assert np.abs(sums - params.N).max() <= 1e-10 * params.N
+    sums = [settle_batch([params], dt=1e-3, t_max=t_max).y[0].sum()
+            for t_max in np.linspace(1.0, 10.0, 10)]
+    assert np.abs(np.array(sums) - params.N).max() <= 1e-10 * params.N
 
 
 def test_rk4_reduced_matches_full():
-    # the full pair's RK4 run against a tight DOP853 solve of the scalar
-    # conserved-sum flow S' = -beta*S^q*(N-S)^p + gamma*(N-S)
+    # the full pair's oracle runs against a tight DOP853 solve of the
+    # scalar conserved-sum flow S' = -beta*S^q*(N-S)^p + gamma*(N-S)
     params = SisOdeParams(beta=1, gamma=0.21, p=2, q=1, N=1, S0=0.45)
-    full = rk4_integrate(params, t_end=30.0, dt=1e-3, record_every=500)
+    reports = [settle_batch([params], dt=1e-3, t_max=t_max)
+               for t_max in np.linspace(3.0, 30.0, 10)]
+    t_reached = np.array([report.t_reached[0] for report in reports])
+    S = np.array([report.y[0, 0] for report in reports])
 
     def flow(t, S):
         I = params.N - S
         return -params.beta * S**params.q * I**params.p + params.gamma * I
 
-    reduced = solve_ivp(flow, (0.0, full.t[-1]), [params.S0], method="DOP853",
-                        t_eval=full.t, rtol=1e-12, atol=1e-14)
-    assert np.abs(full.y[:, 0] - reduced.y[0]).max() < 1e-9
+    reduced = solve_ivp(flow, (0.0, t_reached[-1]), [params.S0], method="DOP853",
+                        t_eval=t_reached, rtol=1e-12, atol=1e-14)
+    assert np.abs(S - reduced.y[0]).max() < 1e-9
 
 
 def test_rk4_rejects_unknown_system():
@@ -400,7 +402,7 @@ def test_rk4_rejects_unknown_system():
     params = SisOdeParams(beta=1, gamma=1, p=1, q=1, N=1, S0=0.5)
     for unknown in (vars(params), SimpleNamespace(**vars(params), I0=0.5)):
         with pytest.raises(DomainError, match="points of one system"):
-            rk4_integrate(unknown, 1.0, 0.1)
+            settle_batch([unknown], dt=0.1, t_max=1.0)
 
 
 def test_a_batch_of_two_systems_is_refused():
@@ -413,30 +415,12 @@ def test_a_batch_of_two_systems_is_refused():
 
 
 @pytest.mark.parametrize("value", BAD_VALUES)
-@pytest.mark.parametrize("call, name", [
-    ("rk4_integrate", "dt"), ("rk4_integrate", "t_end"),
-    ("settle_batch", "dt"), ("settle_batch", "t_max")])
-def test_a_bad_oracle_time_input_is_refused(call, name, value):
+@pytest.mark.parametrize("name", ["dt", "t_max"],
+                         ids=lambda name: f"settle_batch-{name}")
+def test_a_bad_oracle_time_input_is_refused(name, value):
     params = SisOdeParams(beta=1, gamma=0.5, p=1, q=1, N=1, S0=0.5)
     with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
-        if call == "rk4_integrate":
-            rk4_integrate(params, **dict({"t_end": 1.0, "dt": 0.1}, **{name: value}))
-        else:
-            settle_batch([params], **{name: value})
-
-
-def test_a_run_shorter_than_half_a_step_is_refused():
-    params = SisOdeParams(beta=1, gamma=0.5, p=1, q=1, N=1, S0=0.5)
-    with pytest.raises(DomainError, match=r"round\(t_end / dt\) >= 1.*t_end=0.4"):
-        rk4_integrate(params, t_end=0.4, dt=1.0)
-
-
-@pytest.mark.parametrize("record_every", [0, -1, 1.5])
-def test_a_record_spacing_that_is_not_a_positive_integer_is_refused(record_every):
-    # 0 used to fail inside range(), -1 to return only the t = 0 record
-    params = SisOdeParams(beta=1, gamma=0.5, p=1, q=1, N=1, S0=0.5)
-    with pytest.raises(DomainError, match="^record_every must be a positive integer"):
-        rk4_integrate(params, t_end=1.0, dt=0.1, record_every=record_every)
+        settle_batch([params], **{name: value})
 
 
 def _point_params(system, p, q, beta, rate, S0, I0):
@@ -444,24 +428,6 @@ def _point_params(system, p, q, beta, rate, S0, I0):
     if system == "si":
         return SiOdeParams(beta=beta, mu=rate, p=p, q=q, S0=S0, I0=I0)
     return SisOdeParams(beta=beta, gamma=rate, p=p, q=q, N=S0 + I0, S0=S0)
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(system=st.sampled_from(["si", "sis"]),
-       p=st.floats(0.3, 2.5), q=st.floats(0.3, 2.0),
-       beta=st.floats(0.3, 2.0), rate=st.floats(0.1, 2.0),
-       start=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)))
-def test_rk4_integrate_and_settle_batch_give_a_point_the_same_bits(
-        system, p, q, beta, rate, start):
-    # at t_max = 5 the first settle checkpoint is the end of the run, and
-    # record_every = 500 makes it the one record time of the trajectory
-    params = _point_params(system, p, q, beta, rate, *start)
-    traj = rk4_integrate(params, t_end=5, dt=0.01, record_every=500)
-    report = settle_batch([params], dt=0.01, t_max=5)
-    assert np.array_equal(traj.terminal, report.y[0])
-    assert np.array_equal(traj.clamp_time, report.clamp_time[0], equal_nan=True)
-    assert (traj.steps_accepted, traj.steps_rejected) == (
-        report.steps_accepted[0], report.steps_rejected[0])
 
 
 _point = st.tuples(st.floats(0.3, 2.5), st.floats(0.3, 2.0), st.floats(0.3, 2.0),
@@ -481,6 +447,17 @@ def test_a_point_gets_the_same_bits_alone_and_inside_a_batch(system, points, ind
                   "steps_rejected"):
         assert np.array_equal(getattr(alone, field)[0],
                               getattr(together, field)[index], equal_nan=True), field
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(system=st.sampled_from(["si", "sis"]),
+       points=st.lists(_point, min_size=1, max_size=6),
+       t_max=st.floats(0.0, SETTLE_CHECK_WINDOW, exclude_min=True))
+def test_a_run_within_the_first_checkpoint_lands_every_row_on_t_max(system, points,
+                                                                   t_max):
+    # run_ode_preset reads the oracle's state at t_end off such a run
+    report = settle_batch([_point_params(system, *pt) for pt in points], t_max=t_max)
+    assert (report.t_reached == t_max).all()
 
 
 REFERENCE_DT = 0.0025

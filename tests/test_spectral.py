@@ -816,7 +816,9 @@ def test_a_flat_root_find_ends_at_its_newton_point(preset):
 def test_an_unusable_slope_falls_back_to_doubling(monkeypatch):
     # beta = 0: the slope is 0, so there is no Newton point and u doubles;
     # lambda0 = gamma at every u, so no step finds a bracket, each goes at
-    # most a factor of 2 further, and the search gives up past u = 2^60
+    # most a factor of 2 further, and the search gives up past u = 2^60.
+    # r0 returns 0 for beta = 0 before any root-find, so this calls the
+    # root-find itself.
     from sqip import spectral
     from sqip.errors import NumericsError
 
@@ -831,9 +833,10 @@ def test_an_unusable_slope_falls_back_to_doubling(monkeypatch):
     prob = make_problem(CoefficientField.constant(0.0),
                         CoefficientField.constant(1.0), n=8)
     with pytest.raises(NumericsError, match="bracket not found"):
-        r0(prob)
+        spectral._find_r0(prob, spectral.principal_eigenvalue(prob, 1.0))
     assert scales[:2] == [1.0, 0.5]
     assert all(1.0 < a / b <= 2.0 for a, b in zip(scales, scales[1:]))
+    assert (r0(prob).r0, r0(prob).r0_evals) == (0.0, 1)
 
 
 def test_a_power_iteration_that_cannot_converge_names_its_scale(monkeypatch):

@@ -117,6 +117,15 @@ def test_parse_sweep_rejects_bad_numbers(line, message):
         parse_sweep(f"[sweep]\nkind = ode-si\n{line}\n")
 
 
+def test_parse_sweep_refuses_a_vary_value_with_a_comma():
+    # its parts would spill into the outcome, value and error columns
+    with pytest.raises(ConfigError,
+                       match="^line 4: vary.initial.I values cannot hold a comma"):
+        parse_sweep("[sweep]\nkind = pde\nbase = thm-2.11-persist\n"
+                    "vary.initial.I = bump(0.5,0.1,0.5) constant(0.5)\n"
+                    "vary.solver.t_end = 2\n")
+
+
 def test_parse_sweep_needs_a_kind():
     with pytest.raises(ConfigError, match="sweep file must set kind"):
         parse_sweep("[sweep]\npoints = 5\n")
@@ -145,6 +154,9 @@ def test_parse_sweep_rejects_keys_the_kind_never_reads(kind, line, message):
      "ode-sis sweeps do not read vary"),
     ({"kind": "pde", "base": "sis-bistable", "seed": 0},
      "pde sweeps do not read seed"),
+    ({"kind": "pde", "base": "sis-bistable",
+      "axes": (("initial.I", ("bump(0.5,0.1,0.5)",)),)},
+     "vary.initial.I values cannot hold a comma"),
 ])
 def test_sweep_spec_rejects_what_run_sweep_cannot_run(tmp_path, fields, message):
     with pytest.raises(ConfigError, match=message):

@@ -36,6 +36,9 @@ does). Each tree then runs, with its own ``src`` on the import path:
   ``beta_x_amp = 0.9`` and ``dI = 0.001``: the root-find's costliest
   problem, whose printed ``r0=`` line is compared (``r0`` takes no
   ``--out``, so its stdout and exit code are its only artifacts);
+- ``sqip r0`` of a config file that holds ``thm-2.11-persist`` with
+  ``beta = 0``: the one compared model without transmission, whose
+  ``R0`` is 0 with no root-find;
 - ``sqip sweep`` on the reference ``ode-si`` and ``ode-sis`` specs (no
   ``points`` or ``seed``, so each sampler's defaults);
 - ``sqip sweep`` on a two-point ``pde`` spec over ``sis-bistable``, whose
@@ -85,6 +88,11 @@ SLOW_DIFFUSION = """preset = thm-2.11-persist
 beta_x_amp = 0.9
 dI = 0.001
 """
+# No transmission: no scale moves lambda0, so R0 is 0 and no root exists.
+NO_TRANSMISSION = """preset = thm-2.11-persist
+[model]
+beta = 0
+"""
 # A two-point sweep over a PDE preset (one journal line per point).
 PDE_SWEEP = """[sweep]
 kind = pde
@@ -124,6 +132,9 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
     config = spec_dir / "slow-diffusion.cfg"
     config.write_text(SLOW_DIFFUSION, encoding="utf-8")
     runs["r0-slow-diffusion-1d"] = ["r0", str(config)]
+    config = spec_dir / "no-transmission.cfg"
+    config.write_text(NO_TRANSMISSION, encoding="utf-8")
+    runs["r0-no-transmission-1d"] = ["r0", str(config)]
     for kind in ("ode-si", "ode-sis"):
         spec = spec_dir / f"{kind}.cfg"
         spec.write_text(f"[sweep]\nkind = {kind}\n", encoding="utf-8")
