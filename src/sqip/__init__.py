@@ -12,7 +12,7 @@ systems needed to verify its long-time behavior claims.
 
 __version__ = "0.1.0"  # before the submodules: the sweep journal hashes it
 
-from .diagnostics import classify_longtime, detect_periodic, lk_norm
+from .diagnostics import classify_longtime
 from .errors import (AssumptionError, ConfigError, DomainError, NumericsError,
                      SqipError, StiffnessError)
 from .grid import Domain, integrate
@@ -34,8 +34,8 @@ __all__ = [
     "PRESET_NAMES", "SiOdeParams", "SisOdeParams",
     "SqipError", "Stepper", "StiffnessError", "SystemState",
     "Trajectory", "classify_exponents", "classify_longtime",
-    "detect_periodic", "extinction_time_bound",
-    "integrate", "lk_norm", "load_config", "monodromy_radius", "n_star",
+    "extinction_time_bound",
+    "integrate", "load_config", "monodromy_radius", "n_star",
     "parse_config", "preset_config",
     "principal_eigenvalue", "r0", "read_coefficient_table", "run",
     "run_scenario", "run_sweep", "si_classify", "sis_classify",

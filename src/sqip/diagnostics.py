@@ -141,33 +141,16 @@ def periodic_residuals(traj, omega: float) -> list[tuple[float, float]]:
     return out
 
 
-def detect_periodic(traj, omega: float, tol: Tolerances) -> float:
-    """Largest one-period mismatch over snapshot pairs in the tail window.
-
-    Pairs whose span starts before the tail (as set by the tolerance's
-    window fraction) are transient-dominated and excluded; fewer than
-    ``MIN_PERIOD_PAIRS`` remaining pairs is a configuration error.
-    """
-    pairs = periodic_residuals(traj, omega)
-    rows = traj.rows
-    if len(rows):
-        t0, t1 = float(rows["t"][0]), float(rows["t"][-1])
-        cutoff = t1 - tol.window_fraction * (t1 - t0) - omega
-        pairs = [(t, r) for t, r in pairs if t >= cutoff - 1e-9]
-    if len(pairs) < MIN_PERIOD_PAIRS:
-        raise ConfigError(
-            f"periodicity check needs >= {MIN_PERIOD_PAIRS} snapshot pairs "
-            f"one period apart in the tail window, found {len(pairs)}")
-    return max(r for _, r in pairs)
-
-
 def classify_longtime(traj, tol: Tolerances,
                       omega: float | None = None) -> OutcomeReport:
     """Decision tree over tail statistics of a finished trajectory.
 
     Order of the checks matters and is fixed: disease-free limit, joint
     extinction, persistence, then the periodic upgrade of a persistent
-    tail when snapshots one period apart are available.
+    tail: ``period_residual`` is the largest residual of the snapshot pairs
+    one period apart that start at most one period before the tail window,
+    if there are ``MIN_PERIOD_PAIRS`` of them, and the upgrade needs it
+    below ``tol.periodic``. ``omega <= 0`` raises ``ConfigError``.
     """
     rows = traj.rows  # never empty: a run records its initial state
     t0, t1 = rows["t"][0], rows["t"][-1]
@@ -198,17 +181,16 @@ def classify_longtime(traj, tol: Tolerances,
         return OutcomeReport(EXTINCTION_BOTH, **base)
 
     if min_S >= tol.persist and min_I >= tol.persist:
-        floor = min(min_S, min_I)
         residual = None
-        if omega is not None and len(traj.snapshots) >= 4:
-            try:
-                residual = detect_periodic(traj, omega, tol)
-            except ConfigError:
-                residual = None
-        if residual is not None and residual < tol.periodic:
-            return OutcomeReport(PERIODIC_CANDIDATE, persistence_floor=floor,
-                                 period_residual=residual, **base)
-        return OutcomeReport(PERSISTENT, persistence_floor=floor,
+        if omega is not None:
+            # earlier pairs are transient-dominated; too few give no verdict
+            cutoff = t1 - tol.window_fraction * (t1 - t0) - omega - 1e-9
+            tail_pairs = [r for t, r in periodic_residuals(traj, omega) if t >= cutoff]
+            if len(tail_pairs) >= MIN_PERIOD_PAIRS:
+                residual = max(tail_pairs)
+        periodic = residual is not None and residual < tol.periodic
+        return OutcomeReport(PERIODIC_CANDIDATE if periodic else PERSISTENT,
+                             persistence_floor=min(min_S, min_I),
                              period_residual=residual, **base)
 
     return OutcomeReport(UNDETERMINED, reason="tail matches no criterion", **base)

@@ -307,13 +307,15 @@ def test_cli_refuses_a_non_finite_model_input(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("initial, cause", [
     ("tabulated(missing.txt)", "initial data file missing.txt: missing.txt not found"),
     ("tabulated(letters.txt)", "initial data file letters.txt: could not convert "
-                               "string 'x' to float64")],
-    ids=["missing", "not-a-number"])
+                               "string 'x' to float64"),
+    ("tabulated(short.txt)", "initial data file short.txt has 5 values, grid needs 16")],
+    ids=["missing", "not-a-number", "wrong-length"])
 def test_a_missing_or_malformed_initial_data_file_is_refused(tmp_path, capsys,
                                                              monkeypatch, initial,
                                                              cause):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "letters.txt").write_text("x\n")
+    (tmp_path / "short.txt").write_text("1\n2\n3\n4\n5\n")
     text = f"[domain]\nL = 1.0\nn = 16\n[initial]\nI = {initial}\n"
     cfg = parse_config(text)
     with pytest.raises(ConfigError, match=re.escape(f"initial.I: {cause}")) as err:

@@ -5,8 +5,8 @@ import pytest
 
 from sqip.config import parse_config
 from sqip.diagnostics import (CSV_HEADER, ROW_DTYPE, classify_longtime,
-                              compute_row, detect_periodic, format_csv,
-                              lk_norm, periodic_residuals)
+                              compute_row, format_csv, lk_norm,
+                              periodic_residuals)
 from sqip.errors import ConfigError, DomainError
 from sqip.grid import Domain, integrate
 from sqip.model import AssumptionReport
@@ -94,7 +94,7 @@ def test_classify_undetermined_mixed_tail():
     assert out.label == "Undetermined"
 
 
-def test_detect_periodic_exact_synthetic():
+def test_an_exactly_periodic_tail_is_a_periodic_candidate():
     # injected trajectory S(t) = 1 + 0.1 sin(2 pi t / w): exactly periodic
     omega = 0.5
     snaps = {}
@@ -104,26 +104,38 @@ def test_detect_periodic_exact_synthetic():
         snaps[t] = SystemState(np.full(4, val), np.full(4, val), t)
     rows = [_row(t, 1, 1, 1.2, 1.2, 0.9, 0.9) for t in np.linspace(0, 13.5, 60)]
     traj = _traj_from_rows(rows, snapshots=snaps)
-    assert detect_periodic(traj, omega, TOL) <= 1e-10
+    out = classify_longtime(traj, TOL, omega=omega)
+    assert out.period_residual <= 1e-10
+    assert out.label == "PeriodicCandidate"
 
 
-def test_detect_periodic_needs_pairs():
+def test_one_tail_pair_leaves_a_persistent_tail_unchecked():
     rows = [_row(t, 1, 1, 1, 1, 1, 1) for t in np.linspace(0, 10, 30)]
     snaps = {9.0: SystemState(np.ones(4), np.ones(4), 9.0),
              10.0: SystemState(np.ones(4), np.ones(4), 10.0)}
-    with pytest.raises(ConfigError):
-        detect_periodic(_traj_from_rows(rows, snapshots=snaps), 1.0, TOL)
+    out = classify_longtime(_traj_from_rows(rows, snapshots=snaps), TOL, omega=1.0)
+    assert out.label == "Persistent"
+    assert out.period_residual is None
+
+
+def _steady_traj():
+    snaps = {t: SystemState(np.full(4, 0.5), np.full(4, 0.5), t)
+             for t in (6.0, 7.0, 8.0, 9.0, 10.0)}
+    rows = [_row(t, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5) for t in np.linspace(0, 10, 60)]
+    return _traj_from_rows(rows, snapshots=snaps)
 
 
 def test_steady_state_is_periodic():
     # a time-constant tail is a periodic orbit of every period
-    snaps = {t: SystemState(np.full(4, 0.5), np.full(4, 0.5), t)
-             for t in (6.0, 7.0, 8.0, 9.0, 10.0)}
-    rows = [_row(t, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5) for t in np.linspace(0, 10, 60)]
-    traj = _traj_from_rows(rows, snapshots=snaps)
-    assert detect_periodic(traj, 1.0, TOL) == 0.0
-    out = classify_longtime(traj, TOL, omega=1.0)
+    out = classify_longtime(_steady_traj(), TOL, omega=1.0)
+    assert out.period_residual == 0.0
     assert out.label == "PeriodicCandidate"
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0])
+def test_a_period_that_is_not_positive_is_refused(omega):
+    with pytest.raises(ConfigError, match="period must be positive"):
+        classify_longtime(_steady_traj(), TOL, omega=omega)
 
 
 def test_transient_residuals_decrease_on_periodic_preset():

@@ -364,17 +364,21 @@ def test_spectral_samples_equal_evaluations_one_time_at_a_time():
     ("one 2 1\n1\n2\n", "could not convert string to float: 'one'"),
     ("0 2 1\n", "rows x columns (0, 0), header (2, 1)"),
     ("0 3 1\n1\n2\n", "rows x columns (2, 1), header (3, 1)"),
-    ("0 2 2\n1 2\n3\n", "columns"),
+    ("1 2 2\n1 2\n3\n", "columns"),
     ("0 2 1  # omega n_x n_t\n1  # first row\n", "rows x columns (1, 1), header (2, 1)"),
     ("nan 2 1\n1\n2\n", "header omega nan must be finite and >= 0"),
     ("inf 2 2\n1 2\n3 4\n", "header omega inf must be finite and >= 0"),
     ("-1 2 3\n1 2 3\n4 5 6\n", "header omega -1.0 must be finite and >= 0"),
     ("2 2 1\n1\n2\n", "header omega 2.0 must be finite and >= 0, and 0 on a "
                        "one-column table"),
+    ("0 1 3\n1 2 3\n", "header n_x 1 must be >= 2"),
+    ("0 2 3\n1 2 3\n4 5 6\n", "header omega 0.0 must be finite and >= 0, and 0 on "
+                             "a one-column table, > 0 on a wider one"),
     (None, "No such file or directory")],
     ids=["empty", "two-field-header", "non-numeric-header", "no-rows",
          "fewer-rows", "ragged-row", "inline-comment", "nan-omega", "inf-omega",
-         "negative-omega", "period-on-one-column", "missing-file"])
+         "negative-omega", "period-on-one-column", "one-row",
+         "no-period-on-three-columns", "missing-file"])
 def test_a_malformed_table_is_refused(tmp_path, text, cause):
     path = tmp_path / "bad.txt"
     if text is not None:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
+from sqip.cli import main as cli_main
 from sqip.errors import AssumptionError, NumericsError, StiffnessError
 from sqip.grid import Domain, _stiffness_banded, integrate
 from sqip.model import (A1, CoefficientField, Exponents, Incidence, ModelSpec,
@@ -426,6 +427,16 @@ def test_run_refuses_empty_infection():
         "initial.I": "constant(0.0)", "solver.t_end": "1.0"})
     with pytest.raises(AssumptionError):
         run(cfg)
+
+
+def test_a_run_past_max_steps_is_refused(tmp_path, capsys):
+    cfg = preset_config("thm-2.11-persist", {"solver.max_steps": "5"})
+    with pytest.raises(NumericsError, match="max_steps exhausted before t_end") as err:
+        run(cfg)
+    assert err.value.payload["steps"] == 5
+    assert cli_main(["preset", "thm-2.11-persist", "--override",
+                     "solver.max_steps=5", "--out", str(tmp_path)]) == 2
+    assert "error: max_steps exhausted before t_end" in capsys.readouterr().err
 
 
 def test_a_nan_coefficient_built_in_code_fails_a1_and_stops_the_run_at_zero():

@@ -20,6 +20,10 @@ does). Each tree then runs, with its own ``src`` on the import path:
 - ``sqip preset thm-2.11-periodic`` with ``model.omega=0.5``: the one
   compared run whose period, and so the span of its spectral period
   map, is not 1;
+- ``sqip preset thm-2.11-periodic`` with ``solver.periodic_snapshots=2``
+  and ``solver.t_end=20``: its two snapshot pairs one period apart are
+  too few for a periodicity verdict, so it is the one compared run that
+  ends ``Persistent`` with no ``period_residual`` line;
 - ``sqip preset thm-2.11-persist`` with ``model.incidence=binomial``
   and ``model.k=0.25``: the one compared run off the power kernel, so
   outside the threshold theory, with no spectral lines in its summary;
@@ -114,6 +118,9 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
             arg for item in items for arg in ("--override", item)]
     runs["half-period-1d"] = ["preset", "thm-2.11-periodic",
                               "--override", "model.omega=0.5"]
+    runs["few-tail-pairs-1d"] = ["preset", "thm-2.11-periodic",
+                                 "--override", "solver.periodic_snapshots=2",
+                                 "--override", "solver.t_end=20"]
     runs["binomial-1d"] = ["preset", "thm-2.11-persist",
                            "--override", "model.incidence=binomial",
                            "--override", "model.k=0.25"]
