@@ -302,8 +302,8 @@ def read_coefficient_table(path, length: float) -> CoefficientField:
         header, *rows = lines or [""]
         omega, n_x, n_t = header.split()
         omega, shape = float(omega), (int(n_x), int(n_t))
-        if shape[0] < 2:
-            raise ValueError(f"header n_x {shape[0]} must be >= 2")
+        if shape[0] < 2 or shape[1] < 1:
+            raise ValueError(f"header needs n_x >= 2 and n_t >= 1, got {n_x} and {n_t}")
         if not 0 <= omega < math.inf or (omega > 0) != (shape[1] > 1):
             raise ValueError(f"header omega {omega} must be finite and >= 0, "
                              "and 0 on a one-column table, > 0 on a wider one")

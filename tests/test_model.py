@@ -371,13 +371,14 @@ def test_spectral_samples_equal_evaluations_one_time_at_a_time():
     ("-1 2 3\n1 2 3\n4 5 6\n", "header omega -1.0 must be finite and >= 0"),
     ("2 2 1\n1\n2\n", "header omega 2.0 must be finite and >= 0, and 0 on a "
                        "one-column table"),
-    ("0 1 3\n1 2 3\n", "header n_x 1 must be >= 2"),
+    ("0 1 3\n1 2 3\n", "header needs n_x >= 2 and n_t >= 1, got 1 and 3"),
+    ("1 2 0\n1\n2\n", "header needs n_x >= 2 and n_t >= 1, got 2 and 0"),
     ("0 2 3\n1 2 3\n4 5 6\n", "header omega 0.0 must be finite and >= 0, and 0 on "
                              "a one-column table, > 0 on a wider one"),
     (None, "No such file or directory")],
     ids=["empty", "two-field-header", "non-numeric-header", "no-rows",
          "fewer-rows", "ragged-row", "inline-comment", "nan-omega", "inf-omega",
-         "negative-omega", "period-on-one-column", "one-row",
+         "negative-omega", "period-on-one-column", "one-row", "no-columns",
          "no-period-on-three-columns", "missing-file"])
 def test_a_malformed_table_is_refused(tmp_path, text, cause):
     path = tmp_path / "bad.txt"

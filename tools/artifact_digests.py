@@ -21,9 +21,9 @@ does). Each tree then runs, with its own ``src`` on the import path:
   compared run whose period, and so the span of its spectral period
   map, is not 1;
 - ``sqip preset thm-2.11-periodic`` with ``solver.periodic_snapshots=2``
-  and ``solver.t_end=20``: its two snapshot pairs one period apart are
-  too few for a periodicity verdict, so it is the one compared run that
-  ends ``Persistent`` with no ``period_residual`` line;
+  and ``solver.t_end=20``: the one compared run whose period check
+  finds too few snapshot pairs one period apart (two) for a verdict, so
+  it ends ``Persistent`` with no ``period_residual`` line;
 - ``sqip preset thm-2.11-persist`` with ``model.incidence=binomial``
   and ``model.k=0.25``: the one compared run off the power kernel, so
   outside the threshold theory, with no spectral lines in its summary;
