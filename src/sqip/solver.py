@@ -272,8 +272,10 @@ def run(config) -> Trajectory:
     while state.t < t_end - EVENT_SNAP:
         if accepted + rejected >= config.max_steps:
             raise NumericsError(
-                "max_steps exhausted before t_end", t=state.t,
-                steps=accepted + rejected)
+                f"solver.max_steps = {config.max_steps} exhausted at t = "
+                f"{state.t:.10g}, before t_end = {t_end:.10g} "
+                f"({accepted} steps accepted, {rejected} rejected)",
+                t=state.t, steps=accepted + rejected)
         next_event, is_snapshot = events[0]
         dt_try = min(dt, stepper.reaction_dt_cap(max(hi_S, hi_I)))
         remaining = next_event - state.t

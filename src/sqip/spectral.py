@@ -14,10 +14,12 @@ R0 is the scaling mu_hat that makes lambda0 of the potential
 beta*(N/|domain|)^q/mu_hat - gamma vanish, found in u = 1/mu_hat, in
 which the potential is linear: a Newton step whose slope comes from the
 scale-1 eigenfield, secant steps to a bracket, and Anderson-Bjorck
-regula falsi to close it, each evaluation warm-started from the
-eigenfields of the last two extrapolated in u; for spatially flat
-coefficients the discrete map's closed form is returned, with the
-root-find as a cross-check.
+regula falsi to close it. The discrete map gives R0 in closed form when
+no coefficient varies in space (a ratio of means) or none varies in time
+(the root in u of one symmetric tridiagonal eigenvalue), and one power
+iteration at scale 1 checks it. Any other potential is root-found by
+power iteration, each evaluation warm-started from the eigenfields of
+the last two extrapolated in u.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ MAX_POWER_ITER = 400
 DEFAULT_STEPS_PER_PERIOD = 512
 R0_REL_TOL = 1e-12
 R0_CROSS_CHECK_TOL = 1e-8
+# Its lambda0 and the power iteration's each round by about eps*|I + c*A|
+# per step, so the two need only agree to _ROUNDING times that over a
+# period: over 1,500 random time-constant problems (n 8-128, d_I 1e-3 to
+# 1e3) the largest miss of the enclosure was 0.36 of it, 1.9e-13 absolute.
+_ROUNDING = 4.0
 # While the R0 root-find seeks a bracket, each secant step in u goes
 # this fraction of itself past the secant root. ln(rho) is convex in u,
 # so from the side where lambda0 < 0 an exact secant root falls short of
@@ -150,6 +157,9 @@ class SpectralResult:
     # One-period propagations and lambda0 evaluations behind this result.
     period_maps: int
     r0_evals: int
+    # A flat potential's Newton point 1/(1 + lambda0/slope) from the
+    # scale-1 evaluation, which its closed-form R0 must match; None for
+    # every other potential.
     r0_cross_check: float | None = None
     # Positive eigenfield (sup norm 1) on the x axis, shape (nx,); in 2D
     # the eigenfield is this profile along every y. The next solve's warm
@@ -245,26 +255,79 @@ def principal_eigenvalue(problem: LinearizedProblem, scale: float = 1.0,
                           period_maps=iterations, r0_evals=1, eigenfield=phi)
 
 
+def _slope(problem: LinearizedProblem, phi: np.ndarray) -> float:
+    """-d lambda0/du at u = 1 from the scale-1 eigenfield ``phi``:
+    <w, b>/<w, 1> with b = beta*(mean density)^q.
+
+    For a time-constant potential w = g*phi^2, g the growth row, and the
+    slope is exact: I + c*A is symmetric, so the step map (I + c*A)^-1 G
+    has the left Perron vector G*phi. For a periodic one w = phi^2 and b
+    is the mean of beta's rows, a first-order estimate.
+    """
+    beta, gamma = problem.coefficient_samples(DEFAULT_STEPS_PER_PERIOD)
+    weight = phi**2
+    if len(beta) == len(gamma) == 1:
+        weight *= problem.growth_factors(1.0, DEFAULT_STEPS_PER_PERIOD)[0]
+    return (problem.mean_density**problem.model.exponents.q
+            * float(weight @ beta.mean(axis=0)) / float(weight.sum()))
+
+
+def _root_in_u(lam, f1: float, root: bool, slope: float, tol: float) -> float:
+    """Root of ``lam``, a function of u that falls as u grows, as a scale
+    1/u; ``f1`` is its value at u = 1, ``root`` whether that value is
+    already a root, and ``slope`` -d lam/du there. ``lam(u)`` returns the
+    value at u and whether u is a root.
+
+    The first point is the Newton point 1 + f1/slope. While the points
+    keep the sign of f1, the next is the secant root in u of the last
+    two, ``_PUSH_PAST`` of its step further on, but at most halfway to
+    the doubling or halving of u: a sign-only lambda0 may be off by
+    nearly its own size, and a secant through it by as much. u is doubled
+    or halved instead when the slope is not finite and positive, the
+    Newton point is not on the root's side of 1, or the last two points
+    do not fall toward 0. The bracket is closed by the Anderson-Bjorck
+    variant of regula falsi in u, down to a width of ``tol`` relative.
+    """
+    a = b = 1.0
+    fa = fb = f1
+    grow = fb > 0  # the root lies at a larger u
+    step = 2.0 if grow else 0.5
+    guess = 1.0 + fb / slope if 0 < slope < math.inf else math.nan
+    while not root and (fb > 0) == grow:
+        if a != b:  # past the Newton point
+            guess = step * b
+            if abs(fb) < abs(fa):  # then the secant root lies beyond b
+                secant = b - (1.0 + _PUSH_PAST) * fb * (b - a) / (fb - fa)
+                halfway = 0.5 * (1.0 + step) * b
+                guess = min(secant, halfway) if grow else max(secant, halfway)
+        if not (b < guess < 2.0**60 if grow else 2.0**-60 < guess < b):
+            guess = step * b
+        a, fa, b = b, fb, guess
+        if not 2.0**-60 <= b <= 2.0**60:
+            raise NumericsError("reproduction-number bracket not found",
+                                bracket=(1.0 / a, 1.0 / b))
+        fb, root = lam(b)
+    # fa and fb have opposite signs; b is the latest point. When a
+    # survives a step, fa is scaled by 1 - fc/fb, or halved where that is
+    # not positive.
+    while not root and abs(b - a) > tol * max(a, b):
+        c = (a * fb - b * fa) / (fb - fa)
+        fc, root = lam(c)
+        if (fc > 0) != (fb > 0):
+            a, fa = b, fb
+        else:
+            m = 1.0 - fc / fb
+            fa *= m if m > 0 else 0.5
+        b, fb = c, fc
+    return 1.0 / b if root else 0.5 * (1.0 / a + 1.0 / b)
+
+
 def _find_r0(problem: LinearizedProblem, base: SpectralResult
              ) -> tuple[float, list[SpectralResult]]:
-    """Root of u -> lambda0 at scale 1/u, taken in u, in which the
-    potential is linear and ln(rho) convex; lambda0 falls as u grows.
-
-    ``base``, the evaluation at u = 1, gives the slope -d lambda0/du =
-    <w, b>/<w, 1> at u = 1, with b = beta*(mean density)^q and its
-    eigenfield phi. For a time-constant potential w = g*phi^2, g the
-    growth row, and the slope is exact: I + c*A is symmetric, so the step
-    map (I + c*A)^-1 G has the left Perron vector G*phi. For a periodic
-    one w = phi^2 and b is the mean of beta's rows, a first-order
-    estimate. The first point is the Newton point 1 + lambda0(1)/slope.
-    While the points keep the sign of lambda0(1), the next is the secant
-    root in u of the last two, ``_PUSH_PAST`` of its step further on, but
-    at most halfway to the doubling or halving of u: a sign-only lambda0
-    may be off by nearly its own size, and a secant through it by as
-    much. u is doubled or halved instead when the slope is not finite and
-    positive, the Newton point is not on the root's side of 1, or the
-    last two points do not fall toward 0. The bracket is closed by the
-    Anderson-Bjorck variant of regula falsi in u.
+    """Root of u -> lambda0 at scale 1/u by power iteration, taken in u,
+    in which the potential is linear and ln(rho) convex; lambda0 falls as
+    u grows. ``base``, the evaluation at u = 1, gives the Newton slope
+    (``_slope``), and ``_root_in_u`` finds the root.
 
     Each evaluation stops once the sign of lambda0 is certain. It starts
     from the previous eigenfield or, from the third evaluation on, from
@@ -288,59 +351,63 @@ def _find_r0(problem: LinearizedProblem, base: SpectralResult
         us.append(u)
         return e.lambda0, e.lambda0_lo <= 0.0 <= e.lambda0_hi
 
-    beta, gamma = problem.coefficient_samples(DEFAULT_STEPS_PER_PERIOD)
-    weight = base.eigenfield**2
-    if len(beta) == len(gamma) == 1:
-        weight *= problem.growth_factors(1.0, DEFAULT_STEPS_PER_PERIOD)[0]
-    slope = (problem.mean_density**problem.model.exponents.q
-             * float(weight @ beta.mean(axis=0)) / float(weight.sum()))
-
-    a = b = 1.0
-    fa = fb = base.lambda0
-    root = base.lambda0_lo <= 0.0 <= base.lambda0_hi
-    grow = fb > 0  # the root lies at a larger u
-    step = 2.0 if grow else 0.5
-    guess = 1.0 + fb / slope if 0 < slope < math.inf else math.nan
-    while not root and (fb > 0) == grow:
-        if a != b:  # past the Newton point
-            guess = step * b
-            if abs(fb) < abs(fa):  # then the secant root lies beyond b
-                secant = b - (1.0 + _PUSH_PAST) * fb * (b - a) / (fb - fa)
-                halfway = 0.5 * (1.0 + step) * b
-                guess = min(secant, halfway) if grow else max(secant, halfway)
-        if not (b < guess < 2.0**60 if grow else 2.0**-60 < guess < b):
-            guess = step * b
-        a, fa, b = b, fb, guess
-        if not 2.0**-60 <= b <= 2.0**60:
-            raise NumericsError("reproduction-number bracket not found",
-                                bracket=(1.0 / a, 1.0 / b))
-        fb, root = lam(b)
-    # fa and fb have opposite signs; b is the latest point. When a
-    # survives a step, fa is scaled by 1 - fc/fb, or halved where that is
-    # not positive.
-    while not root and abs(b - a) > R0_REL_TOL * max(a, b):
-        c = (a * fb - b * fa) / (fb - fa)
-        fc, root = lam(c)
-        if (fc > 0) != (fb > 0):
-            a, fa = b, fb
-        else:
-            m = 1.0 - fc / fb
-            fa *= m if m > 0 else 0.5
-        b, fb = c, fc
-    return (1.0 / b if root else 0.5 * (1.0 / a + 1.0 / b)), evaluations
+    root = _root_in_u(lam, base.lambda0, base.lambda0_lo <= 0.0 <= base.lambda0_hi,
+                      _slope(problem, base.eigenfield), R0_REL_TOL)
+    return root, evaluations
 
 
-def _flat_r0(problem: LinearizedProblem) -> float | None:
-    """mean(beta)*(mean density)^q/mean(gamma) over the midpoint samples
-    if no coefficient varies in space, else None: the constant field then
-    stays an eigenfield of every step, and the period map's factor
-    exp(dt * sum_k a(t_k)) is 1 exactly at this scale."""
-    beta, gamma = problem.coefficient_samples(DEFAULT_STEPS_PER_PERIOD)
-    if (beta != beta[:, :1]).any() or (gamma != gamma[:, :1]).any():
+def _closed_form(problem: LinearizedProblem
+                 ) -> tuple[float, tuple[float, float] | None, np.ndarray | None] | None:
+    """(R0, an enclosure of lambda0 at scale 1, the start of its power
+    iteration) of the discrete map without power iteration, or None for a
+    periodic potential that varies in space.
+
+    Flat: the constant field is an eigenfield of every step, and the map's
+    factor exp(dt * sum_k a(t_k)) is 1 at R0 = mean(beta)*(mean
+    density)^q/mean(gamma) over the midpoint samples; no enclosure or start.
+
+    Time-constant: a step B = (I + c*A)^-1 G, G = diag(exp(dt*a)), is
+    similar to G^1/2 (I + c*A)^-1 G^1/2, so rho(B^steps) = lambda_min^-steps
+    for the symmetric tridiagonal G^-1/2 (I + c*A) G^-1/2, which LAPACK
+    bisects to full precision. lambda0 = steps*ln(lambda_min)/omega, give
+    or take ``_ROUNDING * steps * eps * |I + c*A|_1 / omega``; R0 is its
+    root in u, and the start is G^-1/2 v, v the eigenvector at u = 1.
+    """
+    steps = DEFAULT_STEPS_PER_PERIOD
+    beta, gamma = problem.coefficient_samples(steps)
+    density = problem.mean_density**problem.model.exponents.q
+    if not ((beta != beta[:, :1]).any() or (gamma != gamma[:, :1]).any()):
+        return float(beta[:, :1].mean() * density / gamma[:, :1].mean()), None, None
+    if len(beta) > 1 or len(gamma) > 1:
         return None
-    return float(beta[:, :1].mean()
-                 * problem.mean_density**problem.model.exponents.q
-                 / gamma[:, :1].mean())
+    from scipy.linalg import eigh_tridiagonal
+
+    dt = problem.omega / steps
+    c = dt * problem.model.d_I / problem.x_domain.spacing[0]**2
+    diagonal = np.full(problem.x_domain.cells[0], 1.0 + 2.0 * c)
+    diagonal[[0, -1]] = 1.0 + c
+
+    def lowest(u, vector=False):
+        """G^-1/2 at scale 1/u, and lambda_min (with its eigenvector)."""
+        s = np.exp(-0.5 * dt * (beta[0] * density * u - gamma[0]))
+        return s, eigh_tridiagonal(diagonal * s * s, -c * s[:-1] * s[1:],
+                                   eigvals_only=not vector, select="i",
+                                   select_range=(0, 0), tol=np.finfo(float).tiny)
+
+    def lam(u):
+        f = steps * math.log(lowest(u)[1][0]) / problem.omega
+        return f, f == 0.0
+
+    s, ([low], v) = lowest(1.0, vector=True)
+    lambda0 = steps * math.log(low) / problem.omega
+    start = s * np.abs(v[:, 0])
+    start /= start.max()
+    rounding = _ROUNDING * steps * np.finfo(float).eps * (1.0 + 4.0 * c) / problem.omega
+    # lambda_min is bisected to full precision: close the bracket to ulps
+    root = _root_in_u(lam, lambda0, lambda0 == 0.0, _slope(problem, start),
+                      4 * np.finfo(float).eps)
+    return (root, (lambda0 - rounding, lambda0 + rounding),
+            start if start.min() > 0.0 else None)
 
 
 def r0(problem: LinearizedProblem) -> SpectralResult:
@@ -349,23 +416,34 @@ def r0(problem: LinearizedProblem) -> SpectralResult:
     Undefined (returned as None) when the recovery rate vanishes
     identically, since the generation operator then has no decay to sum
     against; 0 when the transmission rate does, since no scale then moves
-    lambda0 and no root exists. For spatially flat coefficients the closed
-    form is returned and the root-find value is kept alongside as an
-    independent check.
-    The counters sum over every eigenvalue evaluation, scale 1 included.
+    lambda0 and no root exists. A flat or time-constant potential takes
+    the closed form, which one power iteration at scale 1 checks: a flat
+    R0 against that evaluation's Newton point (``r0_cross_check``) to
+    ``R0_CROSS_CHECK_TOL``, a time-constant lambda0 against its enclosure.
+    Any other potential is root-found. The counters sum over every power
+    iteration.
     """
-    base = principal_eigenvalue(problem, 1.0)
-    if problem.model.gamma.upper <= 0:
-        return base
-    if problem.model.beta.upper <= 0:
-        return replace(base, r0=0.0)
-    root, evaluations = _find_r0(problem, base)
-    counts = dict(period_maps=sum(e.period_maps for e in evaluations),
-                  r0_evals=len(evaluations))
-    closed = _flat_r0(problem)
+    model = problem.model
+    if model.gamma.upper <= 0 or model.beta.upper <= 0:
+        base = principal_eigenvalue(problem, 1.0)
+        return base if model.gamma.upper <= 0 else replace(base, r0=0.0)
+    closed = _closed_form(problem)
     if closed is None:
-        return replace(base, r0=root, **counts)
-    if abs(root - closed) > R0_CROSS_CHECK_TOL * max(1.0, closed):
-        raise NumericsError("closed-form and root-find R0 disagree",
-                            closed_form=closed, root_find=root)
-    return replace(base, r0=closed, r0_cross_check=root, **counts)
+        base = principal_eigenvalue(problem, 1.0)
+        root, evaluations = _find_r0(problem, base)
+        return replace(base, r0=root, r0_evals=len(evaluations),
+                       period_maps=sum(e.period_maps for e in evaluations))
+    root, enclosure, start = closed
+    base = principal_eigenvalue(problem, 1.0, start=start)
+    if enclosure is not None:
+        if enclosure[0] <= base.lambda0_hi and base.lambda0_lo <= enclosure[1]:
+            return replace(base, r0=root)
+        raise NumericsError("closed-form lambda0 lies outside the power "
+                            "iteration's enclosure", closed_form=enclosure,
+                            bracket=(base.lambda0_lo, base.lambda0_hi))
+    newton = 1.0 / (1.0 + base.lambda0 / _slope(problem, base.eigenfield))
+    if abs(newton - root) > R0_CROSS_CHECK_TOL * max(1.0, root):
+        raise NumericsError("closed-form R0 and the Newton point of the "
+                            "scale-1 evaluation disagree",
+                            closed_form=root, newton_point=newton)
+    return replace(base, r0=root, r0_cross_check=newton)

@@ -430,13 +430,19 @@ def test_run_refuses_empty_infection():
 
 
 def test_a_run_past_max_steps_is_refused(tmp_path, capsys):
+    # the message names the key, how far the run got and where it was going
     cfg = preset_config("thm-2.11-persist", {"solver.max_steps": "5"})
-    with pytest.raises(NumericsError, match="max_steps exhausted before t_end") as err:
+    with pytest.raises(NumericsError) as err:
         run(cfg)
     assert err.value.payload["steps"] == 5
+    t = err.value.payload["t"]
+    assert 0.0 < t < 40.0
+    message = (f"solver.max_steps = 5 exhausted at t = {t:.10g}, before "
+               f"t_end = 40 (5 steps accepted, 0 rejected)")
+    assert str(err.value) == message
     assert cli_main(["preset", "thm-2.11-persist", "--override",
                      "solver.max_steps=5", "--out", str(tmp_path)]) == 2
-    assert "error: max_steps exhausted before t_end" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_a_nan_coefficient_built_in_code_fails_a1_and_stops_the_run_at_zero():

@@ -113,11 +113,16 @@ def test_r0_periodic_averages_to_threshold():
     assert abs(res.lambda0) <= 1e-5
 
 
-@pytest.mark.parametrize("beta", [
-    CoefficientField.constant(2.0),
-    CoefficientField.cosine_modulated(1.0, time_amp=0.5, period=1.0),
-], ids=["closed-form", "bisection"])
-def test_r0_evaluates_unit_scale_once(monkeypatch, beta):
+@pytest.mark.parametrize("beta,root_find", [
+    (CoefficientField.cosine_modulated(1.0, time_amp=0.5, period=1.0), False),
+    (CoefficientField.cosine_modulated(1.0, time_amp=0.5, period=1.0,
+                                       space_amp=0.3, length=1.0), True),
+    (CoefficientField.cosine_modulated(2.0, space_amp=0.5, length=1.0), False),
+], ids=["closed-form", "bisection", "time-constant"])
+def test_r0_evaluates_unit_scale_once(monkeypatch, beta, root_find):
+    # a flat or time-constant potential takes the closed form after the
+    # scale-1 evaluation alone; a periodic one that varies in space is
+    # root-found from it
     from sqip import spectral
 
     scales = []
@@ -131,7 +136,7 @@ def test_r0_evaluates_unit_scale_once(monkeypatch, beta):
     prob = make_problem(beta, CoefficientField.constant(1.0), n=16)
     r0(prob)
     assert scales.count(1.0) == 1
-    assert len(scales) > 1
+    assert (len(scales) > 1) == root_find
 
 
 def test_r0_undefined_without_recovery():
@@ -244,24 +249,24 @@ def test_preset_spectral_values():
 
 
 @pytest.mark.parametrize("two_dim,overrides,expected", [
-    (False, {}, 2.079429645232951),
-    (True, {"domain.n": "16 16"}, 2.0796685066128915),
+    (False, {}, 2.0794296452318446),
+    (True, {"domain.n": "16 16"}, 2.079668506612743),
 ], ids=["1d", "2d"])
 def test_time_constant_heterogeneous_problem_is_sampled_once(
         coeff_calls, two_dim, overrides, expected):
     # beta varies in space but not in time: one sample of beta and one of
-    # gamma serve all 512 steps of every period map (513 evaluations when
-    # beta was tabulated per step), and R0 keeps its bits. The 2D value is
-    # that of its x axis, the 1D n = 16 problem; the period map of the
-    # whole 16 x 16 grid gave 2.079668506613069 under an earlier root-find.
-    # tridiagonal_r0 gives 2.079429645231001 (1D, 9.4e-13 relative away)
-    # and 2.0796685066128733 (2D, 8.8e-15 away).
+    # gamma serve every step (513 evaluations when beta was tabulated per
+    # step), and R0 keeps its bits. The 2D value is that of its x axis,
+    # the 1D n = 16 problem; the period map of the whole 16 x 16 grid gave
+    # 2.079668506613069 under an earlier root-find. The power-iteration
+    # root-find gave 2.079429645232951 (1D) and 2.0796685066128915 (2D).
     cfg = preset_config("thm-2.11-persist",
                         {"model.beta_x_amp": "0.9", **overrides},
                         two_dim=two_dim)
     res = compute_spectral(cfg)
     assert len(coeff_calls) <= 2
     assert res.r0 == expected
+    assert abs(expected - tridiagonal_r0(spectral_problem(cfg))) <= 1e-12
 
 
 @pytest.mark.parametrize("preset,overrides", [
@@ -402,8 +407,8 @@ def test_coefficients_sampled_once_per_problem(monkeypatch):
 
 
 @pytest.mark.parametrize("preset,overrides,counts", [
-    ("thm-2.11-persist", {}, (2, 2)),
-    ("r0-threshold", {}, (2, 2)),
+    ("thm-2.11-persist", {}, (1, 1)),
+    ("r0-threshold", {}, (1, 1)),
     ("thm-2.11-periodic",
      {"model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": "64"},
      (13, 9)),
@@ -670,22 +675,100 @@ def test_a_non_positive_extrapolated_start_falls_back_to_the_last_eigenfield(
     monkeypatch.setattr(spectral, "principal_eigenvalue", tampering)
     cfg = preset_config("thm-2.11-persist", {
         "model.beta_x_amp": "0.9", "model.dI": "0.1", "domain.n": "16"})
-    res = compute_spectral(cfg)
+    problem = spectral_problem(cfg)
+    # r0 takes the closed form here, so the root-find is called itself
+    root, _ = spectral._find_r0(problem,
+                                spectral.principal_eigenvalue(problem, 1.0))
     assert starts[2] is fields[1]
     # every later start is extrapolated, and every start is positive
     assert not any(start is fields[k] for k, start in enumerate(starts[3:], 2))
     assert all(start.min() > 0 for start in starts[1:])
-    assert res.r0 == pytest.approx(tridiagonal_r0(spectral_problem(cfg)),
-                                   rel=1e-10)
+    assert root == pytest.approx(tridiagonal_r0(problem), rel=1e-10)
 
 
 def test_slow_diffusion_r0_matches_the_tridiagonal_reference():
-    # dI = 0.001 on 128 cells: the root-find's costliest problem here
+    # dI = 0.001 on 128 cells: 196 period maps for the power-iteration
+    # root-find, one for the closed form's cross-check
     cfg = preset_config("thm-2.11-persist", {"model.beta_x_amp": "0.9",
                                              "model.dI": "0.001"})
     reference = tridiagonal_r0(spectral_problem(cfg))
     assert reference == pytest.approx(3.622911718880676, rel=1e-12)
-    assert compute_spectral(cfg).r0 == pytest.approx(reference, rel=1e-11)
+    res = compute_spectral(cfg)
+    assert abs(res.r0 - reference) <= 1e-12
+    assert res.period_maps == 1
+
+
+@pytest.mark.parametrize("d_I", [0.05, 2.0])
+def test_time_constant_r0_matches_dense_period_map(d_I):
+    # beta and gamma both vary in space, neither in time: the closed form
+    # against Brent on the Perron root of the assembled period map
+    cfg = preset_config("thm-2.11-persist", {
+        "model.beta_x_amp": "0.9", "model.gamma_x_amp": "-0.5",
+        "model.dI": repr(d_I), "domain.n": "24"})
+    prob = spectral_problem(cfg)
+    res = r0(prob)
+    assert res.period_maps == 1
+    assert abs(res.r0 - dense_r0(prob, 1.0, 8.0)) <= 1e-12
+
+
+# The closed-form R0 of a time-constant problem is good to about 1e-12
+# relative; the theory's bounds and its monotonicity in d_I are exact. Where
+# beta/gamma is constant in x both bounds are that ratio, R0 is it at every
+# d_I, and rounding alone separates the sides: 69 of 300 examples of the
+# property below, all such, missed by up to 8.0e-13 relative.
+R0_ROUNDING = 1e-11
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(beta_amp=st.floats(-0.95, 0.95), gamma_amp=st.floats(-0.9, 0.9),
+       d_I=st.floats(0.01, 10.0), n=st.integers(8, 48))
+def test_time_constant_r0_lies_between_the_diffusion_limits(beta_amp, gamma_amp,
+                                                             d_I, n):
+    # A is positive semidefinite, so G^-1/2 (I + c*A) G^-1/2 grows with c and
+    # R0 cannot increase with d_I. At c = 0 it is max(b/gamma), b = beta*N^q;
+    # as c grows the map tends to the average, which by Jensen leaves R0 at
+    # least mean(b)/mean(gamma) (Allen, Bolker, Lou & Nevai 2008, Lemma 2.3)
+    def solve(d):
+        cfg = preset_config("thm-2.11-persist", {
+            "model.beta_x_amp": repr(beta_amp), "model.gamma_x_amp": repr(gamma_amp),
+            "model.dI": repr(d), "domain.n": str(n)})
+        return spectral_problem(cfg), compute_spectral(cfg).r0
+
+    problem, value = solve(d_I)
+    _, wider = solve(2.0 * d_I)
+    beta, gamma = (table[0] for table in problem.coefficient_samples(
+        DEFAULT_STEPS_PER_PERIOD))
+    b = beta * problem.mean_density**problem.model.exponents.q
+    slack = R0_ROUNDING * value
+    assert b.mean() / gamma.mean() - slack <= value <= (b / gamma).max() + slack
+    assert wider <= value + slack
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({}, "closed-form R0 and the Newton point of the scale-1 evaluation disagree"),
+    ({"model.beta_x_amp": "0.9"},
+     "closed-form lambda0 lies outside the power iteration's enclosure"),
+], ids=["flat", "time-constant"])
+def test_a_closed_form_off_by_1e_6_is_refused(monkeypatch, overrides, message):
+    # the scale-1 power iteration checks each branch: the flat R0 against
+    # that evaluation's Newton point, the time-constant lambda0 against its
+    # enclosure
+    from sqip import spectral
+    from sqip.errors import NumericsError
+
+    cfg = preset_config("thm-2.11-persist", overrides)
+    compute_spectral(cfg)
+    original = spectral._closed_form
+
+    def off(problem):
+        root, enclosure, start = original(problem)
+        if enclosure is None:
+            return root * (1.0 + 1e-6), None, start
+        return root, (enclosure[0] + 1e-6, enclosure[1] + 1e-6), start
+
+    monkeypatch.setattr(spectral, "_closed_form", off)
+    with pytest.raises(NumericsError, match=re.escape(message)):
+        compute_spectral(cfg)
 
 
 @pytest.mark.parametrize("build,expected", [
@@ -796,8 +879,11 @@ def test_the_newton_point_has_the_slope_of_lambda0_in_u(monkeypatch):
     monkeypatch.setattr(spectral, "principal_eigenvalue", recording)
     problem = spectral_problem(preset_config(
         "thm-2.11-persist", {"model.beta_x_amp": "0.9", "model.dI": "1.0"}))
-    res = r0(problem)
-    slope = res.lambda0 / (1.0 / scales[1] - 1.0)
+    # r0 takes the closed form here, so the root-find is called itself
+    base = spectral.principal_eigenvalue(problem, 1.0)
+    root, _ = spectral._find_r0(problem, base)
+    assert root == pytest.approx(tridiagonal_r0(problem), rel=1e-10)
+    slope = base.lambda0 / (1.0 / scales[1] - 1.0)
     h = 1e-4
     ahead, behind = (original(problem, 1.0 / (1.0 + h)).lambda0,
                      original(problem, 1.0 / (1.0 - h)).lambda0)
@@ -807,10 +893,19 @@ def test_the_newton_point_has_the_slope_of_lambda0_in_u(monkeypatch):
 @pytest.mark.parametrize("preset", ["thm-2.11-persist", "r0-threshold"])
 def test_a_flat_root_find_ends_at_its_newton_point(preset):
     # lambda0 is linear in u with the eigenfield constant, so the Newton
-    # point is the computed map's own root: its converged enclosure holds 0
+    # point is the computed map's own root: the root-find ends there, at
+    # its second evaluation. r0 therefore keeps only that point, from the
+    # scale-1 evaluation alone, as its cross-check.
+    from sqip import spectral
+
     res = compute_spectral(preset_config(preset))
-    assert res.r0_evals == 2
+    assert (res.r0_evals, res.period_maps) == (1, 1)
     assert abs(res.r0_cross_check - res.r0) <= 1e-8 * res.r0
+    problem = _preset_problem(preset)
+    root, evaluations = spectral._find_r0(
+        problem, spectral.principal_eigenvalue(problem, 1.0))
+    assert len(evaluations) == 2
+    assert abs(root - res.r0_cross_check) <= 1e-12 * res.r0
 
 
 def test_an_unusable_slope_falls_back_to_doubling(monkeypatch):

@@ -13,7 +13,11 @@ does). Each tree then runs, with its own ``src`` on the import path:
 - ``sqip preset thm-2.11-periodic`` made heterogeneous in space as in
   the benchmark's spectral workload (``model.beta_x_amp=0.9``,
   ``model.dI=1.0``, ``domain.n=64``): the one compared run whose ``R0``
-  comes from the root-find, not from the flat closed form;
+  comes from the root-find, not from a closed form;
+- ``sqip preset thm-2.11-persist`` with ``model.beta_x_amp=0.9``: the
+  one compared run whose ``R0`` comes from the tridiagonal closed form
+  of a time-constant potential that varies in space, so its
+  ``summary.txt`` puts that branch's ``[stats]`` lines beside the rest;
 - the same heterogeneous run with ``--two-dim`` (``domain.n`` left at the
   2D preset's 48 x 48): its spectral problem is solved on the x axis, so
   this run puts 2D spectral lines beside the 1D artifacts;
@@ -37,9 +41,10 @@ does). Each tree then runs, with its own ``src`` on the import path:
   with ``--override solver.t_end=20``: the one compared run of a config
   file, not a preset name;
 - ``sqip r0`` of a config file that holds ``thm-2.11-persist`` with
-  ``beta_x_amp = 0.9`` and ``dI = 0.001``: the root-find's costliest
-  problem, whose printed ``r0=`` line is compared (``r0`` takes no
-  ``--out``, so its stdout and exit code are its only artifacts);
+  ``beta_x_amp = 0.9`` and ``dI = 0.001``: a time-constant problem that
+  cost the power-iteration root-find 196 period maps, whose printed
+  ``r0=`` line is compared (``r0`` takes no ``--out``, so its stdout and
+  exit code are its only artifacts);
 - ``sqip r0`` of a config file that holds ``thm-2.11-persist`` with
   ``beta = 0``: the one compared model without transmission, whose
   ``R0`` is 0 with no root-find;
@@ -85,8 +90,8 @@ BETA_TABLE = """1 5 5
 2.4 1.6 0.8 1.6 2.4
 3.0 2.0 1.0 2.0 3.0
 """
-# The heterogeneous persistence problem at dI = 0.001: the R0 root-find
-# takes the most period maps of any compared run there.
+# The heterogeneous persistence problem at dI = 0.001: slow diffusion,
+# where the power-iteration root-find took the most period maps.
 SLOW_DIFFUSION = """preset = thm-2.11-persist
 [model]
 beta_x_amp = 0.9
@@ -116,6 +121,8 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
                                 ("het-periodic-2d", ["--two-dim"], HET_PERIODIC)):
         runs[label] = ["preset", "thm-2.11-periodic", *flags] + [
             arg for item in items for arg in ("--override", item)]
+    runs["het-persist-1d"] = ["preset", "thm-2.11-persist",
+                              "--override", "model.beta_x_amp=0.9"]
     runs["half-period-1d"] = ["preset", "thm-2.11-periodic",
                               "--override", "model.omega=0.5"]
     runs["few-tail-pairs-1d"] = ["preset", "thm-2.11-periodic",
