@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
-from .grid import Domain
+from .grid import Domain, _stiffness_banded
 from .model import ModelSpec
 from .solver import LinearPropagator
 
@@ -383,26 +383,28 @@ def _closed_form(problem: LinearizedProblem
     from scipy.linalg import eigh_tridiagonal
 
     dt = problem.omega / steps
-    c = dt * problem.model.d_I / problem.x_domain.spacing[0]**2
-    diagonal = np.full(problem.x_domain.cells[0], 1.0 + 2.0 * c)
-    diagonal[[0, -1]] = 1.0 + c
+    # I + c*A in upper banded form, the matrix each diffusion step factors
+    ab = dt * problem.model.d_I * _stiffness_banded(problem.x_domain.cells[0],
+                                                    problem.x_domain.spacing[0])
+    ab[1] += 1.0
 
-    def lowest(u, vector=False):
+    def lowest(u, vector):
         """G^-1/2 at scale 1/u, and lambda_min (with its eigenvector)."""
         s = np.exp(-0.5 * dt * (beta[0] * density * u - gamma[0]))
-        return s, eigh_tridiagonal(diagonal * s * s, -c * s[:-1] * s[1:],
+        return s, eigh_tridiagonal(ab[1] * s * s, ab[0, 1:] * s[:-1] * s[1:],
                                    eigvals_only=not vector, select="i",
                                    select_range=(0, 0), tol=np.finfo(float).tiny)
 
     def lam(u):
-        f = steps * math.log(lowest(u)[1][0]) / problem.omega
+        f = steps * math.log(lowest(u, False)[1][0]) / problem.omega
         return f, f == 0.0
 
-    s, ([low], v) = lowest(1.0, vector=True)
+    s, ([low], v) = lowest(1.0, True)
     lambda0 = steps * math.log(low) / problem.omega
     start = s * np.abs(v[:, 0])
     start /= start.max()
-    rounding = _ROUNDING * steps * np.finfo(float).eps * (1.0 + 4.0 * c) / problem.omega
+    norm = np.abs(ab[1]).max() + 2.0 * np.abs(ab[0]).max()  # >= |I + c*A|_1
+    rounding = _ROUNDING * steps * np.finfo(float).eps * norm / problem.omega
     # lambda_min is bisected to full precision: close the bracket to ulps
     root = _root_in_u(lam, lambda0, lambda0 == 0.0, _slope(problem, start),
                       4 * np.finfo(float).eps)

@@ -698,6 +698,18 @@ def test_slow_diffusion_r0_matches_the_tridiagonal_reference():
     assert res.period_maps == 1
 
 
+@pytest.mark.parametrize("d_I,maps", [(1e-5, 60), (1e-6, 130)])
+def test_very_slow_diffusion_r0_is_found(d_I, maps):
+    # From a flat start the scale-1 power iteration does not converge
+    # within MAX_POWER_ITER maps here, so no root-find can begin; from the
+    # closed form's start G^-1/2 v it converges within that budget
+    cfg = preset_config("thm-2.11-persist", {"model.beta_x_amp": "0.9",
+                                             "model.dI": repr(d_I)})
+    res = compute_spectral(cfg)
+    assert abs(res.r0 - tridiagonal_r0(spectral_problem(cfg))) <= 1e-12
+    assert res.period_maps == maps
+
+
 @pytest.mark.parametrize("d_I", [0.05, 2.0])
 def test_time_constant_r0_matches_dense_period_map(d_I):
     # beta and gamma both vary in space, neither in time: the closed form
@@ -716,7 +728,7 @@ def test_time_constant_r0_matches_dense_period_map(d_I):
 # beta/gamma is constant in x both bounds are that ratio, R0 is it at every
 # d_I, and rounding alone separates the sides: 69 of 300 examples of the
 # property below, all such, missed by up to 8.0e-13 relative.
-R0_ROUNDING = 1e-11
+R0_ROUNDING = 1e-12
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
