@@ -197,11 +197,10 @@ def classify_longtime(traj, tol: Tolerances,
 
 
 def format_csv(rows: np.ndarray) -> str:
-    """Diagnostics rows as locale-independent CSV text."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(f"{row[name]:.17g}" for name in ROW_FIELDS))
-    return "\n".join(lines) + "\n"
+    """Diagnostics rows (dtype ``ROW_DTYPE``) as locale-independent CSV
+    text, each value to 17 significant digits."""
+    line = ",".join(["%.17g"] * len(ROW_FIELDS))
+    return "\n".join([CSV_HEADER, *(line % row for row in rows.tolist())]) + "\n"
 
 
 def write_text(path, text: str) -> None:

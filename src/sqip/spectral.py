@@ -18,8 +18,9 @@ regula falsi to close it. The discrete map gives R0 in closed form when
 no coefficient varies in space (a ratio of means) or none varies in time
 (the root in u of one symmetric tridiagonal eigenvalue), and one power
 iteration at scale 1 checks it. Any other potential is root-found by
-power iteration, each evaluation warm-started from the eigenfields of
-the last two extrapolated in u.
+power iteration. Its evaluation at scale 1 and the next start from the
+eigenvector of the same tridiagonal for the time-mean potential; each
+later one starts from the eigenfields of the last two extrapolated in u.
 """
 
 from __future__ import annotations
@@ -286,7 +287,9 @@ def _root_in_u(lam, f1: float, root: bool, slope: float, tol: float) -> float:
     or halved instead when the slope is not finite and positive, the
     Newton point is not on the root's side of 1, or the last two points
     do not fall toward 0. The bracket is closed by the Anderson-Bjorck
-    variant of regula falsi in u, down to a width of ``tol`` relative.
+    variant of regula falsi in u, down to a width of ``tol`` relative; a
+    point within ``tol``/2 of a bracket end moves to ``tol``/2 from it,
+    toward the other end (Brent's nudge), so no u is evaluated twice.
     """
     a = b = 1.0
     fa = fb = f1
@@ -312,6 +315,11 @@ def _root_in_u(lam, f1: float, root: bool, slope: float, tol: float) -> float:
     # not positive.
     while not root and abs(b - a) > tol * max(a, b):
         c = (a * fb - b * fa) / (fb - fa)
+        nudge = 0.5 * tol * max(a, b)
+        if abs(c - b) < nudge:
+            c = b + math.copysign(nudge, a - b)
+        elif abs(c - a) < nudge:
+            c = a + math.copysign(nudge, b - a)
         fc, root = lam(c)
         if (fc > 0) != (fb > 0):
             a, fa = b, fb
@@ -329,23 +337,28 @@ def _find_r0(problem: LinearizedProblem, base: SpectralResult
     u grows. ``base``, the evaluation at u = 1, gives the Newton slope
     (``_slope``), and ``_root_in_u`` finds the root.
 
-    Each evaluation stops once the sign of lambda0 is certain. It starts
-    from the previous eigenfield or, from the third evaluation on, from
-    the last two eigenfields extrapolated linearly in u to its own u,
-    when their u differ and that field is positive. A u whose converged
-    enclosure of lambda0 holds 0 is a root. Returns the root as a scale
-    and every evaluation, ``base`` first.
+    Each evaluation stops once the sign of lambda0 is certain. The first
+    after ``base`` starts from ``_time_mean``'s G^-1/2 v at its own u,
+    each later one from the last two eigenfields extrapolated linearly in
+    u to its own u; where that field is not positive, from the last
+    eigenfield. A u whose converged enclosure of lambda0 holds 0 is a
+    root. Returns the root as a scale and every evaluation, ``base``
+    first.
     """
     evaluations, us = [base], [1.0]
+    lowest = _time_mean(problem)[0]
 
     def lam(u):
         start = evaluations[-1].eigenfield
-        if len(us) > 1 and us[-1] != us[-2]:
+        if len(us) == 1:
+            guess = _positive(lowest(u, True)[1])
+        else:
             guess = start + (u - us[-1]) / (us[-1] - us[-2]) * (
                 start - evaluations[-2].eigenfield)
             peak = guess.max()
-            if 0.0 < peak < math.inf and (guess := guess / peak).min() > 0.0:
-                start = guess
+            guess = _positive(guess / peak) if 0.0 < peak < math.inf else None
+        if guess is not None:
+            start = guess
         e = principal_eigenvalue(problem, 1.0 / u, start=start, sign_only=True)
         evaluations.append(e)
         us.append(u)
@@ -354,6 +367,51 @@ def _find_r0(problem: LinearizedProblem, base: SpectralResult
     root = _root_in_u(lam, base.lambda0, base.lambda0_lo <= 0.0 <= base.lambda0_hi,
                       _slope(problem, base.eigenfield), R0_REL_TOL)
     return root, evaluations
+
+
+def _time_mean(problem: LinearizedProblem):
+    """The symmetric tridiagonal G^-1/2 (I + c*A) G^-1/2 of the time-mean
+    potential, G = diag(exp(dt*a)) with a = mean_t(beta)*(mean
+    density)^q*u - mean_t(gamma) over the midpoint samples.
+
+    Returns (lowest, norm): ``lowest(u, vector)`` gives lambda_min at
+    scale 1/u and, with ``vector``, G^-1/2 v in sup norm 1, v its
+    eigenvector (else None); ``norm`` >= |I + c*A|_1. For a time-constant
+    potential the mean of its one row is that row, and rho(B^steps) =
+    lambda_min^-steps exactly; for a periodic one G^-1/2 v is a start
+    near the period map's eigenfield.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    steps = DEFAULT_STEPS_PER_PERIOD
+    beta, gamma = problem.coefficient_samples(steps)
+    b = beta.mean(axis=0) * problem.mean_density**problem.model.exponents.q
+    g = gamma.mean(axis=0)
+    dt = problem.omega / steps
+    # I + c*A in upper banded form, the matrix each diffusion step factors
+    ab = dt * problem.model.d_I * _stiffness_banded(problem.x_domain.cells[0],
+                                                    problem.x_domain.spacing[0])
+    ab[1] += 1.0
+
+    def lowest(u, vector=False):
+        s = np.exp(-0.5 * dt * (b * u - g))
+        low = eigh_tridiagonal(ab[1] * s * s, ab[0, 1:] * s[:-1] * s[1:],
+                               eigvals_only=not vector, select="i",
+                               select_range=(0, 0), tol=np.finfo(float).tiny)
+        if not vector:
+            return low[0], None
+        ([low], v) = low
+        start = s * np.abs(v[:, 0])
+        return low, start / start.max()
+
+    return lowest, np.abs(ab[1]).max() + 2.0 * np.abs(ab[0]).max()
+
+
+def _positive(start: np.ndarray) -> np.ndarray | None:
+    """``start`` if every entry is positive (a usable power-iteration
+    start), else None. Entries of G^-1/2 v underflow to 0 at very slow
+    diffusion, and an extrapolated field can dip below 0."""
+    return start if start.min() > 0.0 else None
 
 
 def _closed_form(problem: LinearizedProblem
@@ -366,50 +424,33 @@ def _closed_form(problem: LinearizedProblem
     factor exp(dt * sum_k a(t_k)) is 1 at R0 = mean(beta)*(mean
     density)^q/mean(gamma) over the midpoint samples; no enclosure or start.
 
-    Time-constant: a step B = (I + c*A)^-1 G, G = diag(exp(dt*a)), is
-    similar to G^1/2 (I + c*A)^-1 G^1/2, so rho(B^steps) = lambda_min^-steps
-    for the symmetric tridiagonal G^-1/2 (I + c*A) G^-1/2, which LAPACK
-    bisects to full precision. lambda0 = steps*ln(lambda_min)/omega, give
-    or take ``_ROUNDING * steps * eps * |I + c*A|_1 / omega``; R0 is its
-    root in u, and the start is G^-1/2 v, v the eigenvector at u = 1.
+    Time-constant: a step B = (I + c*A)^-1 G is similar to G^1/2 (I +
+    c*A)^-1 G^1/2, so rho(B^steps) = lambda_min^-steps for ``_time_mean``'s
+    tridiagonal, which LAPACK bisects to full precision. lambda0 =
+    steps*ln(lambda_min)/omega, give or take ``_ROUNDING * steps * eps *
+    |I + c*A|_1 / omega``; R0 is its root in u, and the start is G^-1/2 v
+    at u = 1.
     """
     steps = DEFAULT_STEPS_PER_PERIOD
     beta, gamma = problem.coefficient_samples(steps)
-    density = problem.mean_density**problem.model.exponents.q
     if not ((beta != beta[:, :1]).any() or (gamma != gamma[:, :1]).any()):
+        density = problem.mean_density**problem.model.exponents.q
         return float(beta[:, :1].mean() * density / gamma[:, :1].mean()), None, None
     if len(beta) > 1 or len(gamma) > 1:
         return None
-    from scipy.linalg import eigh_tridiagonal
-
-    dt = problem.omega / steps
-    # I + c*A in upper banded form, the matrix each diffusion step factors
-    ab = dt * problem.model.d_I * _stiffness_banded(problem.x_domain.cells[0],
-                                                    problem.x_domain.spacing[0])
-    ab[1] += 1.0
-
-    def lowest(u, vector):
-        """G^-1/2 at scale 1/u, and lambda_min (with its eigenvector)."""
-        s = np.exp(-0.5 * dt * (beta[0] * density * u - gamma[0]))
-        return s, eigh_tridiagonal(ab[1] * s * s, ab[0, 1:] * s[:-1] * s[1:],
-                                   eigvals_only=not vector, select="i",
-                                   select_range=(0, 0), tol=np.finfo(float).tiny)
+    lowest, norm = _time_mean(problem)
 
     def lam(u):
-        f = steps * math.log(lowest(u, False)[1][0]) / problem.omega
+        f = steps * math.log(lowest(u)[0]) / problem.omega
         return f, f == 0.0
 
-    s, ([low], v) = lowest(1.0, True)
+    low, start = lowest(1.0, True)
     lambda0 = steps * math.log(low) / problem.omega
-    start = s * np.abs(v[:, 0])
-    start /= start.max()
-    norm = np.abs(ab[1]).max() + 2.0 * np.abs(ab[0]).max()  # >= |I + c*A|_1
     rounding = _ROUNDING * steps * np.finfo(float).eps * norm / problem.omega
     # lambda_min is bisected to full precision: close the bracket to ulps
     root = _root_in_u(lam, lambda0, lambda0 == 0.0, _slope(problem, start),
                       4 * np.finfo(float).eps)
-    return (root, (lambda0 - rounding, lambda0 + rounding),
-            start if start.min() > 0.0 else None)
+    return root, (lambda0 - rounding, lambda0 + rounding), _positive(start)
 
 
 def r0(problem: LinearizedProblem) -> SpectralResult:
@@ -431,7 +472,8 @@ def r0(problem: LinearizedProblem) -> SpectralResult:
         return base if model.gamma.upper <= 0 else replace(base, r0=0.0)
     closed = _closed_form(problem)
     if closed is None:
-        base = principal_eigenvalue(problem, 1.0)
+        start = _positive(_time_mean(problem)[0](1.0, True)[1])
+        base = principal_eigenvalue(problem, 1.0, start=start)
         root, evaluations = _find_r0(problem, base)
         return replace(base, r0=root, r0_evals=len(evaluations),
                        period_maps=sum(e.period_maps for e in evaluations))

@@ -187,6 +187,19 @@ def test_csv_format():
     assert parsed[0] == 0.5 and len(parsed) == 11
 
 
+def test_csv_values_round_trip_to_the_bit():
+    # each field is printed to 17 significant digits, as format(x, ".17g")
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1,
+              2.0 / 3.0, -1.2345678901234567e-200, 1.0]
+    rows = np.array([tuple(values), tuple(values[::-1])], dtype=ROW_DTYPE)
+    lines = format_csv(rows).split("\n")
+    assert lines[1:] == [",".join(format(v, ".17g") for v in values),
+                         ",".join(format(v, ".17g") for v in values[::-1]), ""]
+    parsed = np.array([float(tok) for tok in lines[1].split(",")])
+    assert np.array_equal(parsed.view(np.int64)[~np.isnan(parsed)],
+                          np.array(values)[~np.isnan(values)].view(np.int64))
+
+
 def test_compute_row_consistency():
     dom = Domain((2.0,), (32,))
     rng = np.random.default_rng(12)

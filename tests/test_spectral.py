@@ -12,8 +12,8 @@ from sqip.model import CoefficientField, Incidence, ModelSpec
 from sqip.presets import preset_config
 from sqip.runner import compute_spectral
 from sqip.spectral import (CW_REL_TOL, DEFAULT_STEPS_PER_PERIOD,
-                           MAX_POWER_ITER, LinearizedProblem, monodromy_radius,
-                           principal_eigenvalue, r0)
+                           MAX_POWER_ITER, R0_REL_TOL, LinearizedProblem,
+                           monodromy_radius, principal_eigenvalue, r0)
 
 
 def potential(problem, scale=1.0):
@@ -411,7 +411,7 @@ def test_coefficients_sampled_once_per_problem(monkeypatch):
     ("r0-threshold", {}, (1, 1)),
     ("thm-2.11-periodic",
      {"model.beta_x_amp": "0.9", "model.dI": "1.0", "domain.n": "64"},
-     (13, 9)),
+     (12, 9)),
 ], ids=["thm-2.11-persist", "r0-threshold", "het-periodic"])
 def test_spectral_counters(preset, overrides, counts):
     res = compute_spectral(preset_config(preset, overrides or None))
@@ -756,6 +756,73 @@ def test_time_constant_r0_lies_between_the_diffusion_limits(beta_amp, gamma_amp,
     assert wider <= value + slack
 
 
+def test_time_constant_r0_nears_its_diffusion_limits():
+    # het thm-2.11-persist on 32 cells: max(b/gamma) = 3.79783 and
+    # mean(b)/mean(gamma) = 2. At dI = 1e-4, R0 = 3.74311 lies 1.44% below
+    # the first. At dI = 1e4 (c = 2e4), R0 = 2.000799 lies 4.0e-4 above the
+    # second, and all but 4.1e-6 of that is the discrete limit's own gap:
+    # (I + c*A)^-1 tends to the average, the map to mean(exp(dt*a))^512, and
+    # by Jensen its root in u lies O(dt) beyond the ratio of means
+    from scipy.optimize import brentq
+
+    def solve(d_I):
+        cfg = preset_config("thm-2.11-persist", {
+            "model.beta_x_amp": "0.9", "model.dI": d_I, "domain.n": "32"})
+        return spectral_problem(cfg), compute_spectral(cfg).r0
+
+    problem, slow = solve("1e-4")
+    _, fast = solve("1e4")
+    beta, gamma = (table[0] for table in problem.coefficient_samples(
+        DEFAULT_STEPS_PER_PERIOD))
+    b = beta * problem.mean_density**problem.model.exponents.q
+    dt = problem.omega / DEFAULT_STEPS_PER_PERIOD
+    averaged = 1.0 / brentq(
+        lambda u: math.log(np.mean(np.exp(dt * (u * b - gamma)))), 0.1, 1.0,
+        xtol=1e-15)
+    assert 0.0 < 1.0 - slow / (b / gamma).max() <= 0.015
+    assert 0.0 < fast / (b.mean() / gamma.mean()) - 1.0 <= 4.1e-4
+    assert 0.0 < fast / averaged - 1.0 <= 5e-6
+
+
+def periodic_config(d_I, overrides):
+    return preset_config("thm-2.11-periodic", {
+        "model.beta_x_amp": "0.9", "model.dI": d_I, "domain.n": "32",
+        **overrides})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"model.gamma_x_amp": "-0.5", "model.gamma_t_amp": "0.5"},
+    {"model.beta_t_amp": "0", "model.gamma_t_amp": "0.5"},
+], ids=["x-and-t", "separable"])
+def test_periodic_r0_lies_between_the_diffusion_limits(overrides):
+    # As dI -> 0, R0 tends to the max over x of mean_t(b)/mean_t(gamma); as
+    # dI -> infinity, to the ratio of space-time means (Peng & Zhao 2012).
+    # At dI = 0.1: 2 < 3.362 < 7.587 (x-and-t) and 2 < 2.545 < 3.798
+    cfg = periodic_config("0.1", overrides)
+    problem, value = spectral_problem(cfg), compute_spectral(cfg).r0
+    beta, gamma = np.broadcast_arrays(
+        *problem.coefficient_samples(DEFAULT_STEPS_PER_PERIOD))
+    b = beta * problem.mean_density**problem.model.exponents.q
+    assert b.mean() / gamma.mean() < value < (
+        b.mean(axis=0) / gamma.mean(axis=0)).max()
+
+
+def test_separable_periodic_r0_falls_as_diffusion_grows():
+    # u*b(x) - gamma(t) is separable, where Liu, Lou, Peng & Zhou (Proc. AMS
+    # 147, 2019) prove the principal eigenvalue monotone in dI. For the
+    # discrete map it is exact: a step's growth is exp(-dt*gamma_k) times
+    # that of u*b, so the map is exp(-dt*sum_k gamma_k) times the
+    # time-constant map of u*b - mean(gamma), whose R0 does not increase
+    # with dI, and R0 is that problem's closed form
+    separable = {"model.beta_t_amp": "0", "model.gamma_t_amp": "0.5"}
+    values = [compute_spectral(periodic_config(d, separable)).r0
+              for d in ("0.1", "0.2", "0.4")]
+    assert values[0] > values[1] > values[2]
+    time_mean = preset_config("thm-2.11-persist", {
+        "model.beta_x_amp": "0.9", "model.dI": "0.1", "domain.n": "32"})
+    assert values[0] == pytest.approx(compute_spectral(time_mean).r0, rel=1e-10)
+
+
 @pytest.mark.parametrize("overrides,message", [
     ({}, "closed-form R0 and the Newton point of the scale-1 evaluation disagree"),
     ({"model.beta_x_amp": "0.9"},
@@ -862,17 +929,63 @@ def test_warm_start_from_the_eigenfield_converges_at_once():
 def test_root_find_warm_starts_every_evaluation(monkeypatch):
     from sqip import spectral
 
-    starts = []
+    calls = []
     original = spectral.principal_eigenvalue
 
     def recording(problem, scale=1.0, *args, **kwargs):
-        starts.append(kwargs.get("start"))
+        calls.append((scale, kwargs.get("start")))
         return original(problem, scale, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "principal_eigenvalue", recording)
-    r0(_heterogeneous_1d())
-    assert starts[0] is None
-    assert all(s is not None and s.min() > 0 for s in starts[1:])
+    problem = _heterogeneous_1d()
+    r0(problem)
+    # the scale-1 and the first sign-only evaluation start from the time-mean
+    # tridiagonal's G^-1/2 v at their own u, every later one from eigenfields
+    lowest = spectral._time_mean(problem)[0]
+    for scale, start in calls[:2]:
+        assert np.array_equal(start, lowest(1.0 / scale, True)[1])
+    assert all(start is not None and start.min() > 0 for _, start in calls)
+
+
+def _evaluated_us(monkeypatch, cfg):
+    """R0 of ``cfg``, and whether any two of its evaluations lie closer in
+    u = 1/scale than R0_REL_TOL/2 relative, give or take rounding."""
+    from sqip import spectral
+
+    us = []
+    original = spectral.principal_eigenvalue
+
+    def recording(problem, scale=1.0, *args, **kwargs):
+        us.append(1.0 / scale)
+        return original(problem, scale, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "principal_eigenvalue", recording)
+    res = compute_spectral(cfg)
+    assert len(us) == res.r0_evals
+    return res, any(abs(u - v) < 0.4 * R0_REL_TOL * max(u, v)
+                    for k, u in enumerate(us) for v in us[:k])
+
+
+def test_a_regula_falsi_point_at_a_bracket_end_is_nudged(monkeypatch):
+    # Near the root the retained end's lambda0 dwarfs the latest one's, so
+    # without the nudge the Anderson-Bjorck points crept from u =
+    # 0.479364622213915 by a few ulps, three evaluations in all, and the
+    # solve took 14 maps and 11 evaluations
+    cfg = preset_config("thm-2.11-periodic", {"model.beta_x_amp": "0.9"})
+    res, crowded = _evaluated_us(monkeypatch, cfg)
+    assert (res.period_maps, res.r0_evals) == (12, 9) and not crowded
+    assert res.r0 == pytest.approx(2.08609470465627, rel=1e-12)
+
+
+@pytest.mark.parametrize("preset,amp,d_I", [
+    ("thm-2.11-periodic", "0.3", "1"), ("thm-2.11-periodic", "0.9", "0.3"),
+    ("r0-threshold", "0.6", "0.1"), ("r0-threshold", "0.9", "3")])
+def test_no_root_find_evaluates_a_u_twice(monkeypatch, preset, amp, d_I):
+    # without the nudge each of these solves had two points closer than
+    # 0.4 * R0_REL_TOL relative
+    res, crowded = _evaluated_us(monkeypatch, preset_config(preset, {
+        "model.beta_x_amp": amp, "model.dI": d_I, "domain.n": "32"}))
+    assert res.r0_evals >= 5 and not crowded
 
 
 def test_the_newton_point_has_the_slope_of_lambda0_in_u(monkeypatch):
