@@ -947,7 +947,7 @@ def test_root_find_warm_starts_every_evaluation(monkeypatch):
     assert all(start is not None and start.min() > 0 for _, start in calls)
 
 
-def _evaluated_us(monkeypatch, cfg):
+def _r0_and_crowding(monkeypatch, cfg):
     """R0 of ``cfg``, and whether any two of its evaluations lie closer in
     u = 1/scale than R0_REL_TOL/2 relative, give or take rounding."""
     from sqip import spectral
@@ -972,7 +972,7 @@ def test_a_regula_falsi_point_at_a_bracket_end_is_nudged(monkeypatch):
     # 0.479364622213915 by a few ulps, three evaluations in all, and the
     # solve took 14 maps and 11 evaluations
     cfg = preset_config("thm-2.11-periodic", {"model.beta_x_amp": "0.9"})
-    res, crowded = _evaluated_us(monkeypatch, cfg)
+    res, crowded = _r0_and_crowding(monkeypatch, cfg)
     assert (res.period_maps, res.r0_evals) == (12, 9) and not crowded
     assert res.r0 == pytest.approx(2.08609470465627, rel=1e-12)
 
@@ -983,7 +983,7 @@ def test_a_regula_falsi_point_at_a_bracket_end_is_nudged(monkeypatch):
 def test_no_root_find_evaluates_a_u_twice(monkeypatch, preset, amp, d_I):
     # without the nudge each of these solves had two points closer than
     # 0.4 * R0_REL_TOL relative
-    res, crowded = _evaluated_us(monkeypatch, preset_config(preset, {
+    res, crowded = _r0_and_crowding(monkeypatch, preset_config(preset, {
         "model.beta_x_amp": amp, "model.dI": d_I, "domain.n": "32"}))
     assert res.r0_evals >= 5 and not crowded
 
