@@ -314,12 +314,9 @@ def _root_in_u(lam, f1: float, root: bool, slope: float, tol: float) -> float:
     # survives a step, fa is scaled by 1 - fc/fb, or halved where that is
     # not positive.
     while not root and abs(b - a) > tol * max(a, b):
-        c = (a * fb - b * fa) / (fb - fa)
-        nudge = 0.5 * tol * max(a, b)
-        if abs(c - b) < nudge:
-            c = b + math.copysign(nudge, a - b)
-        elif abs(c - a) < nudge:
-            c = a + math.copysign(nudge, b - a)
+        lo, hi = min(a, b), max(a, b)
+        c = min(max((a * fb - b * fa) / (fb - fa), lo + 0.5 * tol * hi),
+                hi - 0.5 * tol * hi)
         fc, root = lam(c)
         if (fc > 0) != (fb > 0):
             a, fa = b, fb
@@ -370,16 +367,14 @@ def _find_r0(problem: LinearizedProblem, base: SpectralResult
 
 
 def _time_mean(problem: LinearizedProblem):
-    """The symmetric tridiagonal G^-1/2 (I + c*A) G^-1/2 of the time-mean
-    potential, G = diag(exp(dt*a)) with a = mean_t(beta)*(mean
-    density)^q*u - mean_t(gamma) over the midpoint samples.
-
-    Returns (lowest, norm): ``lowest(u, vector)`` gives lambda_min at
-    scale 1/u and, with ``vector``, G^-1/2 v in sup norm 1, v its
-    eigenvector (else None); ``norm`` >= |I + c*A|_1. For a time-constant
-    potential the mean of its one row is that row, and rho(B^steps) =
-    lambda_min^-steps exactly; for a periodic one G^-1/2 v is a start
-    near the period map's eigenfield.
+    """(lowest, norm >= |I + c*A|_1) of the symmetric tridiagonal G^-1/2
+    (I + c*A) G^-1/2, G = diag(exp(dt*a)), for the time-mean potential a
+    = mean_t(beta)*(mean density)^q*u - mean_t(gamma) over the midpoint
+    samples. ``lowest(u, vector)`` is lambda_min at scale 1/u and, with
+    ``vector``, G^-1/2 v in sup norm 1 (v its eigenvector), else None.
+    A time-constant potential is its own mean, so rho(B^steps) =
+    lambda_min^-steps; for a periodic one G^-1/2 v starts power iteration
+    near the eigenfield, exactly on it when the potential is separable.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -393,7 +388,7 @@ def _time_mean(problem: LinearizedProblem):
                                                     problem.x_domain.spacing[0])
     ab[1] += 1.0
 
-    def lowest(u, vector=False):
+    def lowest(u, vector):
         s = np.exp(-0.5 * dt * (b * u - g))
         low = eigh_tridiagonal(ab[1] * s * s, ab[0, 1:] * s[:-1] * s[1:],
                                eigvals_only=not vector, select="i",
@@ -408,9 +403,8 @@ def _time_mean(problem: LinearizedProblem):
 
 
 def _positive(start: np.ndarray) -> np.ndarray | None:
-    """``start`` if every entry is positive (a usable power-iteration
-    start), else None. Entries of G^-1/2 v underflow to 0 at very slow
-    diffusion, and an extrapolated field can dip below 0."""
+    """``start`` if it can start power iteration (every entry positive):
+    G^-1/2 v underflows at very slow diffusion, extrapolation can dip."""
     return start if start.min() > 0.0 else None
 
 
@@ -441,7 +435,7 @@ def _closed_form(problem: LinearizedProblem
     lowest, norm = _time_mean(problem)
 
     def lam(u):
-        f = steps * math.log(lowest(u)[0]) / problem.omega
+        f = steps * math.log(lowest(u, False)[0]) / problem.omega
         return f, f == 0.0
 
     low, start = lowest(1.0, True)
