@@ -14,12 +14,14 @@ R0 is the scaling mu_hat that makes lambda0 of the potential
 beta*(N/|domain|)^q/mu_hat - gamma vanish, found in u = 1/mu_hat, in
 which the potential is linear: a Newton step whose slope comes from the
 scale-1 eigenfield, secant steps to a bracket, and Anderson-Bjorck
-regula falsi to close it. The discrete map gives R0 in closed form when
-no coefficient varies in space (a ratio of means) or none varies in time
-(the root in u of one symmetric tridiagonal eigenvalue), and one power
-iteration at scale 1 checks it. Any other potential is root-found by
-power iteration. Its evaluation at scale 1 and the next start from the
-eigenvector of the same tridiagonal for the time-mean potential; each
+regula falsi to close it. ``r0`` decides once, from the midpoint
+samples, which path the discrete map takes. It gives R0 in closed form
+when no coefficient varies in space (a ratio of means) or each of beta
+and gamma is one row or constant in space, time-constant or separable
+(the root in u of one symmetric tridiagonal eigenvalue of the time-mean
+potential), and one power iteration at scale 1 checks it. Any other
+potential is root-found by power iteration. Its evaluation at scale 1
+and the next start from the eigenvector of the same tridiagonal; each
 later one starts from the eigenfields of the last two extrapolated in u.
 """
 
@@ -256,21 +258,31 @@ def principal_eigenvalue(problem: LinearizedProblem, scale: float = 1.0,
                           period_maps=iterations, r0_evals=1, eigenfield=phi)
 
 
+def _mean_is_exact(beta: np.ndarray, gamma: np.ndarray) -> bool:
+    """Whether ``_time_mean``'s tridiagonal is exact for the potential
+    sampled by ``beta`` and ``gamma``: each keeps one row or is constant
+    in space, so every step's growth is one row times a factor of its
+    time alone, and the period map is the time-mean map's power."""
+    return all(len(t) == 1 or not (t != t[:, :1]).any() for t in (beta, gamma))
+
+
 def _slope(problem: LinearizedProblem, phi: np.ndarray) -> float:
     """-d lambda0/du at u = 1 from the scale-1 eigenfield ``phi``:
     <w, b>/<w, 1> with b = beta*(mean density)^q.
 
-    For a time-constant potential w = g*phi^2, g the growth row, and the
-    slope is exact: I + c*A is symmetric, so the step map (I + c*A)^-1 G
-    has the left Perron vector G*phi. For a periodic one w = phi^2 and b
-    is the mean of beta's rows, a first-order estimate.
+    Where ``_mean_is_exact``, w = g*phi^2 with g the first step's growth
+    row, and the slope is exact: I + c*A is symmetric, so the step map
+    (I + c*A)^-1 G has the left Perron vector G*phi, and every step's G
+    is g times a scalar. Otherwise w = phi^2 and b is the mean of beta's
+    rows, a first-order estimate.
     """
     beta, gamma = problem.coefficient_samples(DEFAULT_STEPS_PER_PERIOD)
+    density = problem.mean_density**problem.model.exponents.q
     weight = phi**2
-    if len(beta) == len(gamma) == 1:
-        weight *= problem.growth_factors(1.0, DEFAULT_STEPS_PER_PERIOD)[0]
-    return (problem.mean_density**problem.model.exponents.q
-            * float(weight @ beta.mean(axis=0)) / float(weight.sum()))
+    if _mean_is_exact(beta, gamma):
+        dt = problem.omega / DEFAULT_STEPS_PER_PERIOD
+        weight *= np.exp(dt * (beta[0] * density - gamma[0]))
+    return density * float(weight @ beta.mean(axis=0)) / float(weight.sum())
 
 
 def _root_in_u(lam, f1: float, root: bool, slope: float, tol: float) -> float:
@@ -327,7 +339,7 @@ def _root_in_u(lam, f1: float, root: bool, slope: float, tol: float) -> float:
     return 1.0 / b if root else 0.5 * (1.0 / a + 1.0 / b)
 
 
-def _find_r0(problem: LinearizedProblem, base: SpectralResult
+def _find_r0(problem: LinearizedProblem, base: SpectralResult, lowest
              ) -> tuple[float, list[SpectralResult]]:
     """Root of u -> lambda0 at scale 1/u by power iteration, taken in u,
     in which the potential is linear and ln(rho) convex; lambda0 falls as
@@ -335,15 +347,14 @@ def _find_r0(problem: LinearizedProblem, base: SpectralResult
     (``_slope``), and ``_root_in_u`` finds the root.
 
     Each evaluation stops once the sign of lambda0 is certain. The first
-    after ``base`` starts from ``_time_mean``'s G^-1/2 v at its own u,
-    each later one from the last two eigenfields extrapolated linearly in
-    u to its own u; where that field is not positive, from the last
-    eigenfield. A u whose converged enclosure of lambda0 holds 0 is a
-    root. Returns the root as a scale and every evaluation, ``base``
+    after ``base`` starts from ``lowest`` (``_time_mean``'s) G^-1/2 v at
+    its own u, each later one from the last two eigenfields extrapolated
+    linearly in u to its own u; where that field is not positive, from
+    the last eigenfield. A u whose converged enclosure of lambda0 holds 0
+    is a root. Returns the root as a scale and every evaluation, ``base``
     first.
     """
     evaluations, us = [base], [1.0]
-    lowest = _time_mean(problem)[0]
 
     def lam(u):
         start = evaluations[-1].eigenfield
@@ -372,9 +383,9 @@ def _time_mean(problem: LinearizedProblem):
     = mean_t(beta)*(mean density)^q*u - mean_t(gamma) over the midpoint
     samples. ``lowest(u, vector)`` is lambda_min at scale 1/u and, with
     ``vector``, G^-1/2 v in sup norm 1 (v its eigenvector), else None.
-    A time-constant potential is its own mean, so rho(B^steps) =
-    lambda_min^-steps; for a periodic one G^-1/2 v starts power iteration
-    near the eigenfield, exactly on it when the potential is separable.
+    Where ``_mean_is_exact`` the period map is the time-mean map's
+    power, so rho(B^steps) = lambda_min^-steps; for any other potential
+    G^-1/2 v starts power iteration near the eigenfield.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -408,80 +419,65 @@ def _positive(start: np.ndarray) -> np.ndarray | None:
     return start if start.min() > 0.0 else None
 
 
-def _closed_form(problem: LinearizedProblem
-                 ) -> tuple[float, tuple[float, float] | None, np.ndarray | None] | None:
-    """(R0, an enclosure of lambda0 at scale 1, the start of its power
-    iteration) of the discrete map without power iteration, or None for a
-    periodic potential that varies in space.
-
-    Flat: the constant field is an eigenfield of every step, and the map's
-    factor exp(dt * sum_k a(t_k)) is 1 at R0 = mean(beta)*(mean
-    density)^q/mean(gamma) over the midpoint samples; no enclosure or start.
-
-    Time-constant: a step B = (I + c*A)^-1 G is similar to G^1/2 (I +
-    c*A)^-1 G^1/2, so rho(B^steps) = lambda_min^-steps for ``_time_mean``'s
-    tridiagonal, which LAPACK bisects to full precision. lambda0 =
-    steps*ln(lambda_min)/omega, give or take ``_ROUNDING * steps * eps *
-    |I + c*A|_1 / omega``; R0 is its root in u, and the start is G^-1/2 v
-    at u = 1.
-    """
-    steps = DEFAULT_STEPS_PER_PERIOD
-    beta, gamma = problem.coefficient_samples(steps)
-    if not ((beta != beta[:, :1]).any() or (gamma != gamma[:, :1]).any()):
-        density = problem.mean_density**problem.model.exponents.q
-        return float(beta[:, :1].mean() * density / gamma[:, :1].mean()), None, None
-    if len(beta) > 1 or len(gamma) > 1:
-        return None
-    lowest, norm = _time_mean(problem)
-
-    def lam(u):
-        f = steps * math.log(lowest(u, False)[0]) / problem.omega
-        return f, f == 0.0
-
-    low, start = lowest(1.0, True)
-    lambda0 = steps * math.log(low) / problem.omega
-    rounding = _ROUNDING * steps * np.finfo(float).eps * norm / problem.omega
-    # lambda_min is bisected to full precision: close the bracket to ulps
-    root = _root_in_u(lam, lambda0, lambda0 == 0.0, _slope(problem, start),
-                      4 * np.finfo(float).eps)
-    return root, (lambda0 - rounding, lambda0 + rounding), _positive(start)
-
-
 def r0(problem: LinearizedProblem) -> SpectralResult:
     """Basic reproduction number together with the principal eigenvalue.
 
     Undefined (returned as None) when the recovery rate vanishes
     identically, since the generation operator then has no decay to sum
     against; 0 when the transmission rate does, since no scale then moves
-    lambda0 and no root exists. A flat or time-constant potential takes
-    the closed form, which one power iteration at scale 1 checks: a flat
-    R0 against that evaluation's Newton point (``r0_cross_check``) to
-    ``R0_CROSS_CHECK_TOL``, a time-constant lambda0 against its enclosure.
-    Any other potential is root-found. The counters sum over every power
-    iteration.
+    lambda0 and no root exists. Otherwise the midpoint samples choose one
+    of three paths, each with one power iteration at scale 1:
+
+    - flat (no sample varies in space): the constant field is an
+      eigenfield of every step, so R0 = mean(beta)*(mean
+      density)^q/mean(gamma); it must match that evaluation's Newton
+      point (``r0_cross_check``) to ``R0_CROSS_CHECK_TOL``.
+    - ``_mean_is_exact``: a step (I + c*A)^-1 G is similar to G^1/2 (I +
+      c*A)^-1 G^1/2, so rho = lambda_min^-steps for ``_time_mean``'s
+      tridiagonal, which LAPACK bisects to full precision. Its lambda0 =
+      steps*ln(lambda_min)/omega, widened by ``_ROUNDING * steps * eps *
+      |I + c*A|_1 / omega``, must meet the enclosure; R0 is its root in u.
+    - any other potential: ``_find_r0``.
+
+    The counters sum over every power iteration.
     """
     model = problem.model
     if model.gamma.upper <= 0 or model.beta.upper <= 0:
         base = principal_eigenvalue(problem, 1.0)
         return base if model.gamma.upper <= 0 else replace(base, r0=0.0)
-    closed = _closed_form(problem)
-    if closed is None:
-        start = _positive(_time_mean(problem)[0](1.0, True)[1])
-        base = principal_eigenvalue(problem, 1.0, start=start)
-        root, evaluations = _find_r0(problem, base)
+    steps = DEFAULT_STEPS_PER_PERIOD
+    beta, gamma = problem.coefficient_samples(steps)
+    if not ((beta != beta[:, :1]).any() or (gamma != gamma[:, :1]).any()):
+        density = problem.mean_density**model.exponents.q
+        root = float(beta[:, :1].mean() * density / gamma[:, :1].mean())
+        base = principal_eigenvalue(problem, 1.0)
+        newton = 1.0 / (1.0 + base.lambda0 / _slope(problem, base.eigenfield))
+        if abs(newton - root) > R0_CROSS_CHECK_TOL * max(1.0, root):
+            raise NumericsError("closed-form R0 and the Newton point of the "
+                                "scale-1 evaluation disagree",
+                                closed_form=root, newton_point=newton)
+        return replace(base, r0=root, r0_cross_check=newton)
+    lowest, norm = _time_mean(problem)
+    low, start = lowest(1.0, True)
+    base = principal_eigenvalue(problem, 1.0, start=_positive(start))
+    if not _mean_is_exact(beta, gamma):
+        root, evaluations = _find_r0(problem, base, lowest)
         return replace(base, r0=root, r0_evals=len(evaluations),
                        period_maps=sum(e.period_maps for e in evaluations))
-    root, enclosure, start = closed
-    base = principal_eigenvalue(problem, 1.0, start=start)
-    if enclosure is not None:
-        if enclosure[0] <= base.lambda0_hi and base.lambda0_lo <= enclosure[1]:
-            return replace(base, r0=root)
+    lambda0 = steps * math.log(low) / problem.omega
+    rounding = _ROUNDING * steps * np.finfo(float).eps * norm / problem.omega
+    if not (lambda0 - rounding <= base.lambda0_hi
+            and base.lambda0_lo <= lambda0 + rounding):
         raise NumericsError("closed-form lambda0 lies outside the power "
-                            "iteration's enclosure", closed_form=enclosure,
+                            "iteration's enclosure",
+                            closed_form=(lambda0 - rounding, lambda0 + rounding),
                             bracket=(base.lambda0_lo, base.lambda0_hi))
-    newton = 1.0 / (1.0 + base.lambda0 / _slope(problem, base.eigenfield))
-    if abs(newton - root) > R0_CROSS_CHECK_TOL * max(1.0, root):
-        raise NumericsError("closed-form R0 and the Newton point of the "
-                            "scale-1 evaluation disagree",
-                            closed_form=root, newton_point=newton)
-    return replace(base, r0=root, r0_cross_check=newton)
+
+    def lam(u):
+        f = steps * math.log(lowest(u, False)[0]) / problem.omega
+        return f, f == 0.0
+
+    # lambda_min is bisected to full precision: close the bracket to ulps
+    root = _root_in_u(lam, lambda0, lambda0 == 0.0, _slope(problem, start),
+                      4 * math.ulp(1.0))
+    return replace(base, r0=root)

@@ -598,11 +598,13 @@ def dense_r0(problem, lo, hi):
 
 
 def tridiagonal_r0(problem):
-    """R0 of a time-constant potential on the x axis, without power
-    iteration.
+    """R0 of the time-mean potential on the x axis, without power
+    iteration: the problem's own R0 when the potential is time-constant
+    or separable.
 
-    A step is B = (I + c*A)^-1 G with G = diag(exp(dt*a)), so the map
-    B^512 has rho = lambda_min(G^-1/2 (I + c*A) G^-1/2)^-512, the
+    A step is B = (I + c*A)^-1 G with G = diag(exp(dt*a)), a the time
+    mean of the potential over the midpoint samples, so the map B^512
+    has rho = lambda_min(G^-1/2 (I + c*A) G^-1/2)^-512, the
     smallest eigenvalue of a symmetric tridiagonal matrix, which LAPACK
     bisects until its interval stops shrinking (to about eps times the
     matrix norm); Brent then finds the scale at which ln(rho) = 0.
@@ -612,7 +614,8 @@ def tridiagonal_r0(problem):
 
     steps = DEFAULT_STEPS_PER_PERIOD
     dt = problem.omega / steps
-    beta, gamma = (table[0] for table in problem.coefficient_samples(steps))
+    beta, gamma = (table.mean(axis=0)
+                   for table in problem.coefficient_samples(steps))
     (n,), (h,) = problem.x_domain.cells, problem.x_domain.spacing
     coupling = dt * problem.model.d_I / h**2
     stiffness = np.full(n, 2.0)
@@ -678,7 +681,8 @@ def test_a_non_positive_extrapolated_start_falls_back_to_the_last_eigenfield(
     problem = spectral_problem(cfg)
     # r0 takes the closed form here, so the root-find is called itself
     root, _ = spectral._find_r0(problem,
-                                spectral.principal_eigenvalue(problem, 1.0))
+                                spectral.principal_eigenvalue(problem, 1.0),
+                                spectral._time_mean(problem)[0])
     assert starts[2] is fields[1]
     # every later start is extrapolated, and every start is positive
     assert not any(start is fields[k] for k, start in enumerate(starts[3:], 2))
@@ -823,31 +827,102 @@ def test_separable_periodic_r0_falls_as_diffusion_grows():
     assert values[0] == pytest.approx(compute_spectral(time_mean).r0, rel=1e-10)
 
 
-@pytest.mark.parametrize("overrides,message", [
-    ({}, "closed-form R0 and the Newton point of the scale-1 evaluation disagree"),
-    ({"model.beta_x_amp": "0.9"},
+@pytest.mark.parametrize("overrides,exact", [
+    ({"model.beta_t_amp": "0", "model.gamma_t_amp": "0.5"}, True),
+    ({"model.beta_x_amp": "0", "model.gamma_x_amp": "-0.5"}, True),
+    ({"model.gamma_x_amp": "-0.5", "model.gamma_t_amp": "0.5"}, False),
+], ids=["beta(x)-gamma(t)", "beta(t)-gamma(x)", "x-and-t"])
+def test_only_a_separable_periodic_potential_takes_the_tridiagonal(overrides,
+                                                                   exact):
+    # In u*b(x) - gamma(t) or u*beta(t) - g(x) every step's growth is one
+    # row times a factor of t_k, so the period map is the time-mean map's
+    # power and R0 is the tridiagonal's root, checked in one map; root-found,
+    # the first took 21 maps over 19 evaluations. A potential that varies
+    # in x and t at once is still root-found, and the time-mean R0 misses it
+    cfg = periodic_config("0.1", overrides)
+    res = compute_spectral(cfg)
+    miss = abs(res.r0 - tridiagonal_r0(spectral_problem(cfg)))
+    if exact:
+        assert (res.period_maps, res.r0_evals) == (1, 1)
+        assert miss <= 1e-12
+    else:
+        assert res.r0_evals > 1
+        assert miss > 1e-3
+
+
+SEPARABLE = {"model.beta_x_amp": "0.9", "model.beta_t_amp": "0",
+             "model.gamma_t_amp": "0.5", "domain.n": "32"}
+
+
+@pytest.mark.parametrize("preset,overrides,message", [
+    ("thm-2.11-persist", {},
+     "closed-form R0 and the Newton point of the scale-1 evaluation disagree"),
+    ("thm-2.11-persist", {"model.beta_x_amp": "0.9"},
      "closed-form lambda0 lies outside the power iteration's enclosure"),
-], ids=["flat", "time-constant"])
-def test_a_closed_form_off_by_1e_6_is_refused(monkeypatch, overrides, message):
-    # the scale-1 power iteration checks each branch: the flat R0 against
-    # that evaluation's Newton point, the time-constant lambda0 against its
-    # enclosure
+    ("thm-2.11-periodic", SEPARABLE,
+     "closed-form lambda0 lies outside the power iteration's enclosure"),
+], ids=["flat", "time-constant", "separable"])
+def test_a_closed_form_off_by_1e_6_is_refused(monkeypatch, preset, overrides,
+                                              message):
+    # the scale-1 power iteration checks each closed form: a flat R0
+    # against that evaluation's Newton point, the tridiagonal's lambda0
+    # against its enclosure. A power iteration whose lambda0 and enclosure
+    # lie 1e-6 off fails either check
     from sqip import spectral
     from sqip.errors import NumericsError
 
-    cfg = preset_config("thm-2.11-persist", overrides)
+    cfg = preset_config(preset, overrides)
     compute_spectral(cfg)
-    original = spectral._closed_form
+    original = spectral.principal_eigenvalue
 
-    def off(problem):
-        root, enclosure, start = original(problem)
-        if enclosure is None:
-            return root * (1.0 + 1e-6), None, start
-        return root, (enclosure[0] + 1e-6, enclosure[1] + 1e-6), start
+    def off(problem, scale=1.0, *args, **kwargs):
+        e = original(problem, scale, *args, **kwargs)
+        return replace(e, lambda0=e.lambda0 + 1e-6,
+                       lambda0_lo=e.lambda0_lo + 1e-6,
+                       lambda0_hi=e.lambda0_hi + 1e-6)
 
-    monkeypatch.setattr(spectral, "_closed_form", off)
+    monkeypatch.setattr(spectral, "principal_eigenvalue", off)
     with pytest.raises(NumericsError, match=re.escape(message)):
         compute_spectral(cfg)
+
+
+# One problem of each path through r0: flat time-constant, flat periodic,
+# time-constant (n = 32 is a case where the closed form's root-find ends
+# on a bound of Brent's nudge), separable, root-found, no transmission.
+R0_PATHS = {
+    "flat": ("thm-2.11-persist", {}),
+    "flat-periodic": ("r0-threshold", {}),
+    "time-constant": ("thm-2.11-persist", {"model.beta_x_amp": "0.3",
+                                           "domain.n": "32"}),
+    "separable": ("thm-2.11-periodic", SEPARABLE),
+    "root-found": ("thm-2.11-periodic", {"model.beta_x_amp": "0.9",
+                                         "domain.n": "32"}),
+    "no-transmission": ("thm-2.11-persist", {"model.beta": "0"}),
+}
+
+
+@pytest.mark.parametrize("path", R0_PATHS)
+def test_r0_is_a_python_float_on_every_path(path):
+    assert type(compute_spectral(preset_config(*R0_PATHS[path])).r0) is float
+
+
+@pytest.mark.parametrize("path,builds", [
+    ("flat", 0), ("flat-periodic", 0), ("time-constant", 1), ("separable", 1),
+    ("root-found", 1)])
+def test_r0_builds_the_time_mean_tridiagonal_at_most_once(monkeypatch, path,
+                                                          builds):
+    from sqip import spectral
+
+    built = []
+    original = spectral._time_mean
+
+    def counting(problem):
+        built.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(spectral, "_time_mean", counting)
+    r0(_preset_problem(*R0_PATHS[path]))
+    assert len(built) == builds
 
 
 @pytest.mark.parametrize("build,expected", [
@@ -1006,7 +1081,7 @@ def test_the_newton_point_has_the_slope_of_lambda0_in_u(monkeypatch):
         "thm-2.11-persist", {"model.beta_x_amp": "0.9", "model.dI": "1.0"}))
     # r0 takes the closed form here, so the root-find is called itself
     base = spectral.principal_eigenvalue(problem, 1.0)
-    root, _ = spectral._find_r0(problem, base)
+    root, _ = spectral._find_r0(problem, base, spectral._time_mean(problem)[0])
     assert root == pytest.approx(tridiagonal_r0(problem), rel=1e-10)
     slope = base.lambda0 / (1.0 / scales[1] - 1.0)
     h = 1e-4
@@ -1028,7 +1103,8 @@ def test_a_flat_root_find_ends_at_its_newton_point(preset):
     assert abs(res.r0_cross_check - res.r0) <= 1e-8 * res.r0
     problem = _preset_problem(preset)
     root, evaluations = spectral._find_r0(
-        problem, spectral.principal_eigenvalue(problem, 1.0))
+        problem, spectral.principal_eigenvalue(problem, 1.0),
+        spectral._time_mean(problem)[0])
     assert len(evaluations) == 2
     assert abs(root - res.r0_cross_check) <= 1e-12 * res.r0
 
@@ -1053,7 +1129,8 @@ def test_an_unusable_slope_falls_back_to_doubling(monkeypatch):
     prob = make_problem(CoefficientField.constant(0.0),
                         CoefficientField.constant(1.0), n=8)
     with pytest.raises(NumericsError, match="bracket not found"):
-        spectral._find_r0(prob, spectral.principal_eigenvalue(prob, 1.0))
+        spectral._find_r0(prob, spectral.principal_eigenvalue(prob, 1.0),
+                          spectral._time_mean(prob)[0])
     assert scales[:2] == [1.0, 0.5]
     assert all(1.0 < a / b <= 2.0 for a, b in zip(scales, scales[1:]))
     assert (r0(prob).r0, r0(prob).r0_evals) == (0.0, 1)

@@ -18,6 +18,11 @@ does). Each tree then runs, with its own ``src`` on the import path:
   one compared run whose ``R0`` comes from the tridiagonal closed form
   of a time-constant potential that varies in space, so its
   ``summary.txt`` puts that branch's ``[stats]`` lines beside the rest;
+- ``sqip preset thm-2.11-periodic`` with ``model.beta_x_amp=0.9``,
+  ``model.beta_t_amp=0`` and ``model.gamma_t_amp=0.5``: the one compared
+  run whose potential is periodic and separable, u*b(x) - gamma(t), so
+  its ``R0`` comes from the same tridiagonal closed form as a
+  time-constant one and its ``[stats]`` lines are compared;
 - the same heterogeneous run with ``--two-dim`` (``domain.n`` left at the
   2D preset's 48 x 48): its spectral problem is solved on the x axis, so
   this run puts 2D spectral lines beside the 1D artifacts;
@@ -80,6 +85,9 @@ SHORT_2D = ("thm-2.10-i", "thm-2.10-ii")
 # the 2D run keeps the 2D preset's grid.
 HET_PERIODIC = ("model.beta_x_amp=0.9", "model.dI=1.0")
 HET_PERIODIC_1D = HET_PERIODIC + ("domain.n=64",)
+# A periodic potential separable in x and t: b(x)*u - gamma(t).
+SEPARABLE = ("model.beta_x_amp=0.9", "model.beta_t_amp=0",
+             "model.gamma_t_amp=0.5")
 OUT_MASK = "<out>"
 # A beta table of period 1 (header ``omega n_x n_t``): rows sample [0, L],
 # columns one period, the last column equal to the first.
@@ -118,7 +126,8 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
         runs[f"{name}-2d"] = ["preset", name, "--two-dim"] + (
             ["--override", "solver.t_end=6"] if name in SHORT_2D else [])
     for label, flags, items in (("het-periodic-1d", [], HET_PERIODIC_1D),
-                                ("het-periodic-2d", ["--two-dim"], HET_PERIODIC)):
+                                ("het-periodic-2d", ["--two-dim"], HET_PERIODIC),
+                                ("separable-periodic-1d", [], SEPARABLE)):
         runs[label] = ["preset", "thm-2.11-periodic", *flags] + [
             arg for item in items for arg in ("--override", item)]
     runs["het-persist-1d"] = ["preset", "thm-2.11-persist",
