@@ -465,7 +465,7 @@ def r0(problem: LinearizedProblem) -> SpectralResult:
         return replace(base, r0=root, r0_evals=len(evaluations),
                        period_maps=sum(e.period_maps for e in evaluations))
     lambda0 = steps * math.log(low) / problem.omega
-    rounding = _ROUNDING * steps * np.finfo(float).eps * norm / problem.omega
+    rounding = _ROUNDING * steps * math.ulp(1.0) * norm / problem.omega
     if not (lambda0 - rounding <= base.lambda0_hi
             and base.lambda0_lo <= lambda0 + rounding):
         raise NumericsError("closed-form lambda0 lies outside the power "
