@@ -355,12 +355,21 @@ def _combo(coefs, ks):
     return out
 
 
+def _row_error(what: str, rows, t, h, **payload) -> NumericsError:
+    """``what`` in the first of ``rows``, named with that row's t and h."""
+    row = int(np.flatnonzero(rows)[0])
+    t_row, h_row = float(t[row]), float(h[row])
+    return NumericsError(f"{what} in row {row} at t={t_row!r}, h={h_row!r}",
+                         row=row, t=t_row, h=h_row, **payload)
+
+
 class _Batch:
     """An oracle run over the rows of an (m, 2) state, one row per point.
 
     Each row has its own time, next trial step (``dt`` at the start),
-    row sum, first S-clamp time and accepted/rejected step counts, so a
-    row gets the same bits alone as inside any batch.
+    row sum, first S-clamp time and accepted/rejected step counts; each
+    ``attempt`` steps a row toward its own stop. So a row gets the same
+    bits alone as inside any batch, and waits for no other.
     """
 
     def __init__(self, points, dt: float):
@@ -396,74 +405,61 @@ class _Batch:
         out[:, 1] = incidence - removal
         return out
 
-    def advance(self, t_stop: float, active: np.ndarray) -> None:
-        """Step every active row from its own t to ``t_stop``, landing on it.
+    def attempt(self, stop: np.ndarray, moving: np.ndarray) -> np.ndarray:
+        """One step attempt in each moving row toward its own ``stop``,
+        landing on it when the step reaches it; returns the rows that landed.
 
         Each row's step size follows its own error estimate. In the SI
         system a negative S is clamped at zero (I' >= -mu*I keeps I
         positive; its clamp is only a guard), and each row's first clamp
-        time is recorded. A trial state must be finite, a step must move
-        its row's t, and for the SIS system each row's sum must stay
-        within 1e-10 of its start at the end.
+        time is recorded. A moving row's trial state must be finite and
+        its step must move its t, or the error names the row.
         """
         si = self.si
         y, t, h, k1 = self.y, self.t, self.h, self.k1
-        while True:
-            moving = active & (t < t_stop)
-            if not moving.any():
-                break
-            room = t_stop - t
-            lands = moving & (h >= room)
-            step = np.where(lands, room, np.where(moving, h, 0.0))
-            stuck = moving & (t + step == t)
-            if stuck.any():
-                row = int(np.flatnonzero(stuck)[0])
-                t_row, h_row = float(t[row]), float(step[row])
-                raise NumericsError(
-                    f"step size underflow in row {row} at t={t_row!r}, h={h_row!r}",
-                    row=row, t=t_row, h=h_row)
-            hs = step[:, None]
-            ks = [k1]
-            for coefs in _DP_A[:-1]:
-                ks.append(self._rhs(y + hs * _combo(coefs, ks)))
-            y_new = y + hs * _combo(_DP_A[-1], ks)
-            if not np.isfinite(y_new).all():
-                raise NumericsError("non-finite ODE state", t=float(t_stop),
-                                    state=y_new)
-            ks.append(self._rhs(y_new))
-            local = np.abs(hs * _combo(_DP_E, ks))
-            size = np.maximum(np.abs(y), np.abs(y_new))
-            err = np.maximum(local[:, 0], local[:, 1]) / (
-                STEP_TOL * (1.0 + np.maximum(size[:, 0], size[:, 1])))
-            if si:
-                err = np.maximum(err, local[:, 0] / np.maximum(
-                    CROSSING_TIME_TOL * np.abs(k1[:, 0]), 1e-200))
-                crossed = (y[:, 0] > 0.0) & (y_new[:, 0] < 0.0)
-                err[crossed & (step > CROSSING_STEP)] = np.inf
-            ok = moving & (err <= 1.0)
-            # a zero error grows by the cap; nan (0/0) shrinks like inf
-            grow = STEP_SAFETY * np.maximum(err, 1e-10) ** -0.2
-            proposed = step * np.fmin(np.fmax(grow, STEP_SHRINK_MIN), STEP_GROW_MAX)
-            # a landing step may be short; it does not shrink the next one
-            h = np.where(moving, np.where(lands & ok, np.maximum(h, proposed),
-                                          proposed), h)
-            t_new = np.where(lands, t_stop, t + step)
-            if si:
-                fresh = ok & (y_new[:, 0] < 0.0) & np.isnan(self.clamp_time)
-                self.clamp_time[fresh] = t_new[fresh]
-                y_new = np.maximum(y_new, 0.0)
-            y = np.where(ok[:, None], y_new, y)
-            # _rhs clips, so the last stage is also the clamped state's slope
-            k1 = np.where(ok[:, None], ks[-1], k1)
-            t = np.where(ok, t_new, t)
-            self.accepted += ok
-            self.rejected += moving & ~ok
-        self.y, self.t, self.h, self.k1 = y, t, h, k1
-        if not si:
-            drift = np.abs(y.sum(axis=1) - self.total)
-            if (drift > 1e-10 * self.total).any():
-                raise NumericsError("conserved sum drifted",
-                                    drift=float(drift.max()), t=float(t_stop))
+        room = stop - t
+        lands = moving & (h >= room)
+        step = np.where(lands, room, np.where(moving, h, 0.0))
+        stuck = moving & (t + step == t)
+        if stuck.any():
+            raise _row_error("step size underflow", stuck, t, step)
+        hs = step[:, None]
+        ks = [k1]
+        for coefs in _DP_A[:-1]:
+            ks.append(self._rhs(y + hs * _combo(coefs, ks)))
+        y_new = y + hs * _combo(_DP_A[-1], ks)
+        broken = moving & ~np.isfinite(y_new).all(axis=1)
+        if broken.any():
+            raise _row_error("non-finite ODE state", broken, t, step, state=y_new)
+        ks.append(self._rhs(y_new))
+        local = np.abs(hs * _combo(_DP_E, ks))
+        size = np.maximum(np.abs(y), np.abs(y_new))
+        err = np.maximum(local[:, 0], local[:, 1]) / (
+            STEP_TOL * (1.0 + np.maximum(size[:, 0], size[:, 1])))
+        if si:
+            err = np.maximum(err, local[:, 0] / np.maximum(
+                CROSSING_TIME_TOL * np.abs(k1[:, 0]), 1e-200))
+            crossed = (y[:, 0] > 0.0) & (y_new[:, 0] < 0.0)
+            err[crossed & (step > CROSSING_STEP)] = np.inf
+        ok = moving & (err <= 1.0)
+        # a zero error grows by the cap; nan (0/0) shrinks like inf
+        grow = STEP_SAFETY * np.maximum(err, 1e-10) ** -0.2
+        proposed = step * np.fmin(np.fmax(grow, STEP_SHRINK_MIN), STEP_GROW_MAX)
+        # a landing step may be short; it does not shrink the next one
+        self.h = np.where(moving, np.where(lands & ok, np.maximum(h, proposed),
+                                           proposed), h)
+        t_new = np.where(lands, stop, t + step)
+        if si:
+            fresh = ok & (y_new[:, 0] < 0.0) & np.isnan(self.clamp_time)
+            self.clamp_time[fresh] = t_new[fresh]
+            y_new = np.maximum(y_new, 0.0)
+        self.y = np.where(ok[:, None], y_new, y)
+        # _rhs clips, so the last stage is also the clamped state's slope
+        self.k1 = np.where(ok[:, None], ks[-1], k1)
+        self.t = np.where(ok, t_new, t)
+        self.accepted += ok
+        self.rejected += moving & ~ok
+        return lands & ok
 
 
 @dataclass
@@ -484,32 +480,35 @@ def settle_batch(points: list[SiOdeParams] | list[SisOdeParams],
     the oracle behind every classification.
 
     Every point starts from its (S0, I0) with the trial step ``dt``; it
-    and ``t_max`` must be positive and finite. A point is converged once
-    its state changes by less than ``SETTLE_MOVEMENT_TOL`` (sup norm) over
-    the trailing tenth of its elapsed time, checked every
-    ``SETTLE_CHECK_WINDOW`` time units. Converged points are frozen while
-    the rest continue, which keeps the oracle sweeps cheap. The first
-    checkpoint is ``min(t_max, SETTLE_CHECK_WINDOW)``, so a ``t_max`` up
-    to the window lands every point on ``t_max``.
+    and ``t_max`` must be positive and finite. Each point runs through its
+    own checkpoints, ``min(t_max, SETTLE_CHECK_WINDOW)`` and then
+    ``max(t + SETTLE_CHECK_WINDOW, 1.1 t)`` capped at ``t_max``, each
+    checked as it lands: it is converged and frozen once its state moved
+    less than ``SETTLE_MOVEMENT_TOL`` (sup norm) since its last one, and
+    an SIS point's sum must be within 1e-10 of its start. No point waits
+    for another: a batch makes as many step attempts as its busiest point.
     """
     _require_positive(t_max=t_max)
     batch = _Batch(points, dt)
-    active = np.ones(len(batch.y), dtype=bool)
-    converged = np.zeros(len(batch.y), dtype=bool)
-
-    t = 0.0
-    anchor = batch.y
-    while t < t_max and active.any():
+    m = len(batch.y)
+    active, converged = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
+    stop, anchor = np.full(m, min(t_max, SETTLE_CHECK_WINDOW)), batch.y
+    while active.any():
+        landed = batch.attempt(stop, active)
+        if not landed.any():
+            continue
+        y = batch.y
+        converged |= landed & (np.abs(y - anchor).max(axis=1) < SETTLE_MOVEMENT_TOL)
+        active &= ~converged & ~(landed & (stop == t_max))
+        if not batch.si:
+            drifted = landed & (np.abs(y.sum(axis=1) - batch.total)
+                                > 1e-10 * batch.total)
+            if drifted.any():
+                raise _row_error("conserved sum drifted", drifted, batch.t, batch.h)
+        anchor = np.where(landed[:, None], y, anchor)
         # Each checkpoint spacing is the trailing tenth of elapsed time,
         # so the movement test always looks at the last decade of the run.
-        t = min(t_max, max(t + SETTLE_CHECK_WINDOW, 1.1 * t))
-        batch.advance(t, active)
-        moved = np.abs(batch.y - anchor).max(axis=1)
-        settled = active & (moved < SETTLE_MOVEMENT_TOL)
-        converged |= settled
-        active &= ~settled
-        anchor = batch.y
-    return TerminalReport(y=batch.y, t_reached=batch.t, converged=converged,
-                          clamp_time=batch.clamp_time,
-                          steps_accepted=batch.accepted,
-                          steps_rejected=batch.rejected)
+        stop = np.where(landed, np.minimum(
+            t_max, np.maximum(stop + SETTLE_CHECK_WINDOW, 1.1 * stop)), stop)
+    return TerminalReport(batch.y, batch.t, converged, batch.clamp_time,
+                          batch.accepted, batch.rejected)

@@ -9,12 +9,14 @@ deterministic: a rerun reproduces every file byte for byte.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 import json
 import math
 import os
 import re
+import shlex
 from dataclasses import dataclass
 
 import numpy as np
@@ -417,16 +419,12 @@ class SweepSpec:
                               key="points")
         if self.kind == "pde" and self.base is None:
             raise ConfigError("pde sweeps need base = <preset>", key="base")
-        # results.csv lets only its last column, the error, hold commas
-        for key, values in self.axes:
-            if any("," in value for value in values):
-                raise ConfigError(f"vary.{key} values cannot hold a comma",
-                                  key=f"vary.{key}")
 
 
 def parse_sweep(text: str) -> SweepSpec:
     """Parse a [sweep] section: kind, base, points, seed, vary.* axes; an
-    error that ``SweepSpec`` raises names the line of its key."""
+    error that ``SweepSpec`` raises names the line of its key. A ``vary.*``
+    line splits like a shell line, so a quoted value may hold spaces."""
     fields: dict = {}
     lines: dict[str, int] = {}
     axes: list[tuple[str, tuple[str, ...]]] = []
@@ -435,7 +433,10 @@ def parse_sweep(text: str) -> SweepSpec:
             raise ConfigError("sweep files start with [sweep]", lineno)
         lines[key] = lines[key.split(".")[0]] = lineno
         if key.startswith("vary."):
-            axes.append((key[5:], tuple(value.split())))
+            try:
+                axes.append((key[5:], tuple(shlex.split(value))))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}", lineno) from None
         elif key not in ("kind", "base", "points", "seed"):
             raise ConfigError(f"unknown sweep key {key!r}", lineno)
         elif key in ("points", "seed"):
@@ -527,17 +528,22 @@ def _read_journal(out_dir, fingerprint: str) -> dict[int, str]:
     return done
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted, with its quotes doubled, only when
+    it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def failed_rows(csv_path) -> int:
     """Rows of a results.csv that failed: a set error column (``pde``) or
     a prediction the oracle disagrees with (``ode-*``, agree=false)."""
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        header, *rows = fh.read().splitlines()
-    names = header.split(",")
-    if names[-1] == "agree":
-        return sum(1 for row in rows if row.endswith(",false"))
-    # Only the error text, the last column, may itself hold commas.
-    before = len(names) - 1
-    return sum(1 for row in rows if row.split(",", before)[before])
+    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    if header[-1] == "agree":
+        return sum(1 for row in rows if row[-1] == "false")
+    return sum(1 for row in rows if row[-1])
 
 
 def run_sweep(spec: SweepSpec, out_dir) -> str:
@@ -569,8 +575,9 @@ def run_sweep(spec: SweepSpec, out_dir) -> str:
                 if i in done:
                     continue
                 row = _pde_row(spec, combo)
-                line = ",".join([combo[a] for a in axis_names]
-                                + [row["outcome"], row["value"], row["error"]])
+                line = ",".join(_csv_field(field) for field in (
+                    [combo[a] for a in axis_names]
+                    + [row["outcome"], row["value"], row["error"]]))
                 part.write(json.dumps({"index": i, "line": line}) + "\n")
                 part.flush()
                 done[i] = line

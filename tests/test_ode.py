@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from sqip.errors import DomainError, NumericsError
 from sqip.runner import si_sweep_rows, sis_sweep_rows
 from sqip.ode import (BOTH_TO_ZERO, S_HITS_ZERO, S_POSITIVE_LIMIT,
-                      SETTLE_CHECK_WINDOW, SiOdeParams, SisOdeParams,
+                      SETTLE_CHECK_WINDOW, SiOdeParams, SisOdeParams, _Batch,
                       extinction_time_bound, n_star, settle_batch,
                       si_classify, sis_classify, sis_steady_states)
 
@@ -563,3 +563,38 @@ def test_settle_batch_freezes_converged_points():
     assert report.converged.all()
     assert report.y[0, 0] == pytest.approx(0.5, abs=1e-4)
     assert report.y[1, 0] == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("maker, busiest", [(si_sweep_rows, 286),
+                                            (sis_sweep_rows, 154)])
+def test_no_row_waits_for_another(monkeypatch, maker, busiest):
+    # each batch step makes one attempt per moving row toward that row's
+    # own stop, so the reference sweeps take as many batch steps as their
+    # busiest row takes attempts
+    calls = []
+    attempt = _Batch.attempt
+
+    def counted(self, stop, moving):
+        calls.append(int(moving.sum()))
+        return attempt(self, stop, moving)
+
+    monkeypatch.setattr(_Batch, "attempt", counted)
+    rows = maker()
+    attempts = [row["steps_accepted"] + row["steps_rejected"] for row in rows]
+    assert len(calls) == max(attempts) == busiest
+    assert sum(calls) == sum(attempts)
+
+
+def test_a_row_that_settles_early_keeps_its_bits_beside_one_that_runs_on():
+    early = SisOdeParams(beta=2.0, gamma=1.0, p=1.0, q=1.0, N=1.0, S0=0.9)
+    # near the threshold beta*N = gamma, I approaches 0.001 at rate 0.001
+    late = SisOdeParams(beta=1.0, gamma=0.999, p=1.0, q=1.0, N=1.0, S0=0.5)
+    together = settle_batch([early, late], t_max=100.0)
+    assert together.converged.tolist() == [True, False]
+    assert together.t_reached.tolist() == [20.0, 100.0]
+    for index, point in enumerate((early, late)):
+        alone = settle_batch([point], t_max=100.0)
+        for field in dataclasses.fields(alone):
+            assert np.array_equal(getattr(alone, field.name)[0],
+                                  getattr(together, field.name)[index],
+                                  equal_nan=True), field.name

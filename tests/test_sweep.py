@@ -1,5 +1,6 @@
 """Sweep contract: one ODE-sweep path, spec checking, journal fingerprints."""
 
+import csv
 import json
 import shlex
 from pathlib import Path
@@ -83,8 +84,10 @@ def test_settle_batch_raises_on_a_nan_point(system, rate):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericsError, match="non-finite") as info:
         settle_batch(points, dt=0.01, t_max=50.0)
-    state = info.value.payload["state"]
-    assert np.isfinite(state[0]).all() and np.isnan(state[1]).all()
+    payload = info.value.payload
+    assert (payload["row"], payload["t"], payload["h"]) == (1, 0.0, 0.01)
+    assert np.isfinite(payload["state"][0]).all()
+    assert np.isnan(payload["state"][1]).all()
 
 
 def test_draw_points_fails_when_every_draw_is_rejected():
@@ -117,13 +120,54 @@ def test_parse_sweep_rejects_bad_numbers(line, message):
         parse_sweep(f"[sweep]\nkind = ode-si\n{line}\n")
 
 
-def test_parse_sweep_refuses_a_vary_value_with_a_comma():
-    # its parts would spill into the outcome, value and error columns
+# A quoted value may hold spaces, and any value commas.
+QUOTED_SWEEP = """[sweep]
+kind = pde
+base = thm-2.11-persist
+vary.initial.I = "bump(0.5, 0.1, 0.5)" bump(0.5,0.1,0.5) 'bump(0.5;0.1)'
+vary.solver.t_end = 2
+"""
+BUMPS = ("bump(0.5, 0.1, 0.5)", "bump(0.5,0.1,0.5)", "bump(0.5;0.1)")
+
+
+def test_parse_sweep_splits_vary_values_like_a_shell():
+    assert parse_sweep(QUOTED_SWEEP).axes == (("initial.I", BUMPS),
+                                              ("solver.t_end", ("2",)))
+
+
+def test_parse_sweep_refuses_an_unclosed_quote():
     with pytest.raises(ConfigError,
-                       match="^line 4: vary.initial.I values cannot hold a comma"):
-        parse_sweep("[sweep]\nkind = pde\nbase = thm-2.11-persist\n"
-                    "vary.initial.I = bump(0.5,0.1,0.5) constant(0.5)\n"
-                    "vary.solver.t_end = 2\n")
+                       match="^line 4: vary.initial.I: No closing quotation"):
+        parse_sweep(QUOTED_SWEEP.replace("'bump(0.5;0.1)'", "'bump(0.5;0.1)"))
+
+
+def test_a_bump_axis_runs_with_its_commas_quoted_in_results_csv(tmp_path):
+    csv_path = run_sweep(parse_sweep(QUOTED_SWEEP), tmp_path)
+    lines = Path(csv_path).read_text().splitlines()
+    # a field is quoted only when it holds a comma or a quote
+    assert lines[1:3] == ['"bump(0.5, 0.1, 0.5)",2,Persistent,,',
+                          '"bump(0.5,0.1,0.5)",2,Persistent,,']
+    assert lines[3].startswith('bump(0.5;0.1),2,,,"ConfigError: bad value for ')
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["initial.I", "solver.t_end", "outcome", "value", "error"]
+    assert tuple(row[0] for row in rows) == BUMPS
+    assert [len(row) for row in rows] == [5, 5, 5]
+    assert "needs center..., width, amplitude" in rows[2][4]
+    assert runner.failed_rows(csv_path) == 1
+
+
+def test_a_journal_torn_inside_a_quoted_field_is_recomputed(tmp_path):
+    spec = parse_sweep(QUOTED_SWEEP)
+    fresh = run_sweep(spec, tmp_path / "fresh")
+    run_sweep(spec, tmp_path / "torn")
+    part = tmp_path / "torn" / "rows.part"
+    data = part.read_bytes()
+    # killed inside the last row's quoted error text
+    part.write_bytes(data[:data.rindex(b"width")])
+    resumed = run_sweep(spec, tmp_path / "torn")
+    assert Path(resumed).read_bytes() == Path(fresh).read_bytes()
+    assert part.read_bytes() == data
 
 
 def test_parse_sweep_needs_a_kind():
@@ -154,9 +198,6 @@ def test_parse_sweep_rejects_keys_the_kind_never_reads(kind, line, message):
      "ode-sis sweeps do not read vary"),
     ({"kind": "pde", "base": "sis-bistable", "seed": 0},
      "pde sweeps do not read seed"),
-    ({"kind": "pde", "base": "sis-bistable",
-      "axes": (("initial.I", ("bump(0.5,0.1,0.5)",)),)},
-     "vary.initial.I values cannot hold a comma"),
 ])
 def test_sweep_spec_rejects_what_run_sweep_cannot_run(tmp_path, fields, message):
     with pytest.raises(ConfigError, match=message):

@@ -55,6 +55,9 @@ does). Each tree then runs, with its own ``src`` on the import path:
   ``R0`` is 0 with no root-find;
 - ``sqip sweep`` on the reference ``ode-si`` and ``ode-sis`` specs (no
   ``points`` or ``seed``, so each sampler's defaults);
+- ``sqip sweep`` on ``ode-si`` and ``ode-sis`` specs with ``points = 200``
+  and ``seed = 7`` (``sweep-ode-si-seeded``, ``sweep-ode-sis-seeded``):
+  oracle points beyond the two reference draws;
 - ``sqip sweep`` on a two-point ``pde`` spec over ``sis-bistable``, whose
   artifacts include the ``rows.part`` journal beside ``results.csv``.
 
@@ -110,6 +113,8 @@ NO_TRANSMISSION = """preset = thm-2.11-persist
 [model]
 beta = 0
 """
+# Oracle sweep lines off the samplers' reference draws.
+SEEDED_ORACLE = "points = 200\nseed = 7\n"
 # A two-point sweep over a PDE preset (one journal line per point).
 PDE_SWEEP = """[sweep]
 kind = pde
@@ -162,6 +167,9 @@ def commands(spec_dir: Path) -> dict[str, list[str]]:
         spec = spec_dir / f"{kind}.cfg"
         spec.write_text(f"[sweep]\nkind = {kind}\n", encoding="utf-8")
         runs[f"sweep-{kind}"] = ["sweep", str(spec)]
+        spec = spec_dir / f"{kind}-seeded.cfg"
+        spec.write_text(f"[sweep]\nkind = {kind}\n{SEEDED_ORACLE}", encoding="utf-8")
+        runs[f"sweep-{kind}-seeded"] = ["sweep", str(spec)]
     spec = spec_dir / "pde.cfg"
     spec.write_text(PDE_SWEEP, encoding="utf-8")
     runs["sweep-pde"] = ["sweep", str(spec)]
