@@ -412,8 +412,8 @@ class _Batch:
         Each row's step size follows its own error estimate. In the SI
         system a negative S is clamped at zero (I' >= -mu*I keeps I
         positive; its clamp is only a guard), and each row's first clamp
-        time is recorded. A moving row's trial state must be finite and
-        its step must move its t, or the error names the row.
+        time is recorded. A trial state must be finite and a step must
+        move its row's t, or the error names the row.
         """
         si = self.si
         y, t, h, k1 = self.y, self.t, self.h, self.k1
@@ -428,9 +428,10 @@ class _Batch:
         for coefs in _DP_A[:-1]:
             ks.append(self._rhs(y + hs * _combo(coefs, ks)))
         y_new = y + hs * _combo(_DP_A[-1], ks)
-        broken = moving & ~np.isfinite(y_new).all(axis=1)
-        if broken.any():
-            raise _row_error("non-finite ODE state", broken, t, step, state=y_new)
+        finite = np.isfinite(y_new)
+        if not finite.all():
+            raise _row_error("non-finite ODE state", ~finite.all(axis=1), t, step,
+                             state=y_new)
         ks.append(self._rhs(y_new))
         local = np.abs(hs * _combo(_DP_E, ks))
         size = np.maximum(np.abs(y), np.abs(y_new))
@@ -510,5 +511,6 @@ def settle_batch(points: list[SiOdeParams] | list[SisOdeParams],
         # so the movement test always looks at the last decade of the run.
         stop = np.where(landed, np.minimum(
             t_max, np.maximum(stop + SETTLE_CHECK_WINDOW, 1.1 * stop)), stop)
-    return TerminalReport(batch.y, batch.t, converged, batch.clamp_time,
-                          batch.accepted, batch.rejected)
+    return TerminalReport(y=batch.y, t_reached=batch.t, converged=converged,
+                          clamp_time=batch.clamp_time, steps_accepted=batch.accepted,
+                          steps_rejected=batch.rejected)
