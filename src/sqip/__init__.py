@@ -16,8 +16,8 @@ from .diagnostics import classify_longtime
 from .errors import (AssumptionError, ConfigError, DomainError, NumericsError,
                      SqipError, StiffnessError)
 from .grid import Domain, integrate
-from .model import (AssumptionReport, CoefficientField, Exponents, Incidence,
-                    ModelSpec, classify_exponents, read_coefficient_table,
+from .model import (CoefficientField, Exponents, Incidence, ModelSpec,
+                    classify_exponents, read_coefficient_table,
                     validate_assumptions)
 from .ode import (SiOdeParams, SisOdeParams, extinction_time_bound, n_star,
                   si_classify, sis_classify, sis_steady_states)
@@ -28,7 +28,7 @@ from .presets import PRESET_NAMES, preset_config
 from .runner import run_scenario, run_sweep
 
 __all__ = [
-    "AssumptionError", "AssumptionReport", "CoefficientField", "ConfigError",
+    "AssumptionError", "CoefficientField", "ConfigError",
     "Domain", "DomainError", "Exponents",
     "Incidence", "LinearizedProblem", "ModelSpec", "NumericsError",
     "PRESET_NAMES", "SiOdeParams", "SisOdeParams",

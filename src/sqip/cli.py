@@ -85,7 +85,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_r0(args) -> int:
     result = runner.compute_spectral(_load_config(args))
-    sys.stdout.write("\n".join(result.summary_lines()) + "\n")
+    sys.stdout.write("\n".join(runner.spectral_lines(result)) + "\n")
     return 0
 
 

@@ -88,6 +88,8 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
 }
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
+# A line up to its comment: a '#' inside quotes is text, a lone quote too.
+_UNCOMMENTED_RE = re.compile(r"""(?:[^#'"]|'[^']*'|"[^"]*"|['"])*""")
 _CALL_RE = re.compile(r"^([a-z]+)\((.*)\)$")
 
 
@@ -216,8 +218,9 @@ def _coerce(tag: str, raw: str, full: str, line: int | None):
 def read_lines(text: str, sections: Container[str]
                ) -> Iterator[tuple[str | None, str, str, int]]:
     """(section, key, value, line) of every ``key = value`` line of
-    sectioned text; ``section`` is None before the first header, ``#``
-    starts a comment and blank lines are skipped.
+    sectioned text; ``section`` is None before the first header, a ``#``
+    outside single or double quotes starts a comment and blank lines are
+    skipped.
 
     Raises:
         ConfigError: with the line number, for a header other than
@@ -227,7 +230,7 @@ def read_lines(text: str, sections: Container[str]
     section = None
     seen: dict[tuple[str | None, str], int] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
+        line = _UNCOMMENTED_RE.match(rawline).group().strip()
         if not line:
             continue
         if line.startswith("["):
@@ -321,10 +324,6 @@ class ScenarioConfig:
     def total_mass(self) -> float:
         S0, I0 = self.initial_arrays()
         return integrate(self.domain, S0) + integrate(self.domain, I0)
-
-    def defaults_table(self) -> list[str]:
-        """Every resolved key as key=value lines, for self-describing runs."""
-        return [f"{key}={val}" for key, val in self.resolved]
 
     def with_overrides(self, overrides: dict[str, str]) -> "ScenarioConfig":
         return resolve_config({**dict(self.resolved), **overrides},

@@ -102,21 +102,6 @@ class OutcomeReport:
     window_samples: int = 0
     tail_stats: dict = field(default_factory=dict)
 
-    def summary_lines(self) -> list[str]:
-        lines = [f"outcome={self.label}"]
-        if self.s_star is not None:
-            lines.append(f"S_star={self.s_star:.10g}")
-        if self.persistence_floor is not None:
-            lines.append(f"persistence_floor={self.persistence_floor:.10g}")
-        if self.period_residual is not None:
-            lines.append(f"period_residual={self.period_residual:.6g}")
-        if self.reason:
-            lines.append(f"reason={self.reason}")
-        lines.append(
-            f"evidence_window=[{self.window_start:.6g},{self.window_end:.6g}]"
-            f" samples={self.window_samples}")
-        return lines
-
 
 def periodic_residuals(traj, omega: float) -> list[tuple[float, float]]:
     """Relative sup-norm mismatch of snapshots one period apart.

@@ -396,29 +396,6 @@ class AssumptionItem:
     status: str
     detail: str = ""
 
-    @property
-    def mandatory(self) -> bool:
-        return self.name in MANDATORY_ITEMS
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    items: tuple[AssumptionItem, ...]
-
-    def __getitem__(self, name: str) -> AssumptionItem:
-        for item in self.items:
-            if item.name == name:
-                return item
-        raise KeyError(name)
-
-    @property
-    def mandatory_failures(self) -> list[str]:
-        return [i.name for i in self.items if i.mandatory and i.status == FAIL]
-
-    def lines(self) -> list[str]:
-        return [f"{i.name}: {i.status}" + (f" ({i.detail})" if i.detail else "")
-                for i in self.items]
-
 
 # Time scan of the coefficient checks: this many samples over
 # [0, max(ASSUMPTION_HORIZON, twice the model's period)].
@@ -427,8 +404,8 @@ ASSUMPTION_TIME_SAMPLES = 33
 
 
 def validate_assumptions(spec: ModelSpec, initial, domain: Domain
-                         ) -> AssumptionReport:
-    """Report-only admissibility checks of a scenario.
+                         ) -> dict[str, AssumptionItem]:
+    """Report-only admissibility checks of a scenario, keyed by name.
 
     ``initial`` is any object with nonnegative ``S`` and ``I`` grid fields
     (the solver state type qualifies). Bounds and periodicity are checked
@@ -487,11 +464,11 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
             "gamma+mu", samples["gamma"] + samples["mu"],
             spec.gamma.lower + spec.mu.lower)),
     )
-    items = []
+    items = {}
     for name, applies, check in rows:
         if applies:
             ok, detail = check()
-            items.append(AssumptionItem(name, PASS if ok else FAIL, detail))
+            items[name] = AssumptionItem(name, PASS if ok else FAIL, detail)
         else:
-            items.append(AssumptionItem(name, NOT_APPLICABLE))
-    return AssumptionReport(tuple(items))
+            items[name] = AssumptionItem(name, NOT_APPLICABLE)
+    return items

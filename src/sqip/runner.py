@@ -51,9 +51,18 @@ def compute_spectral(config: ScenarioConfig) -> spectral.SpectralResult:
         config.model, config.domain, config.total_mass() / config.domain.measure))
 
 
+def spectral_lines(result: spectral.SpectralResult) -> list[str]:
+    """The lambda0, r0 and iterations lines of ``summary.txt`` and ``sqip r0``."""
+    r0_txt = "none" if result.r0 is None else f"{result.r0:.10g}"
+    return [f"lambda0={result.lambda0:.10g}", f"r0={r0_txt}",
+            f"iterations={result.iterations}"]
+
+
 def summarize(config: ScenarioConfig, traj: Trajectory,
               outcome: diagnostics.OutcomeReport,
               spec_result: spectral.SpectralResult | None) -> str:
+    """Every line of ``summary.txt``; the spectral lines and ``[stats]``
+    only when ``spec_result`` is given."""
     regime = config.model.regime()
     mass0 = float(traj.mass[0])
     mass_end = float(traj.mass[-1])
@@ -63,9 +72,16 @@ def summarize(config: ScenarioConfig, traj: Trajectory,
         f"regime={regime.label}",
         f"bounds_theorem_applicable={str(regime.label != 'none').lower()}",
         f"dissipativity_assured={str(regime.dissipativity_assured).lower()}",
+        f"outcome={outcome.label}",
     ]
-    lines.extend(outcome.summary_lines())
+    lines.extend(f"{key}={value:{fmt}}" for key, value, fmt in (
+        ("S_star", outcome.s_star, ".10g"),
+        ("persistence_floor", outcome.persistence_floor, ".10g"),
+        ("period_residual", outcome.period_residual, ".6g"),
+        ("reason", outcome.reason or None, "")) if value is not None)
     lines.extend([
+        f"evidence_window=[{outcome.window_start:.6g},{outcome.window_end:.6g}]"
+        f" samples={outcome.window_samples}",
         f"M_inf_monitor={traj.sup_monitor:.10g}",
         f"N_inf_tail_monitor={outcome.tail_sup:.10g}",
         f"mass_initial={mass0:.12g}",
@@ -78,13 +94,16 @@ def summarize(config: ScenarioConfig, traj: Trajectory,
         f"flags={','.join(traj.flags) or 'none'}",
     ])
     if spec_result is not None:
-        lines.extend(spec_result.summary_lines())
-        lines.append("[stats]")
-        lines.extend(spec_result.stats_lines())
+        lines.extend(spectral_lines(spec_result) + [
+            "[stats]", f"period_maps={spec_result.period_maps}",
+            f"r0_evals={spec_result.r0_evals}",
+            f"lambda0_lo={spec_result.lambda0_lo:.17g}",
+            f"lambda0_hi={spec_result.lambda0_hi:.17g}"])
     lines.append("[assumptions]")
-    lines.extend(traj.assumptions.lines())
+    lines.extend(f"{name}: {item.status}" + (f" ({item.detail})" if item.detail else "")
+                 for name, item in traj.assumptions.items())
     lines.append("[defaults]")
-    lines.extend(config.defaults_table())
+    lines.extend(f"{key}={value}" for key, value in config.resolved)
     return "\n".join(lines) + "\n"
 
 
@@ -424,7 +443,8 @@ class SweepSpec:
 def parse_sweep(text: str) -> SweepSpec:
     """Parse a [sweep] section: kind, base, points, seed, vary.* axes; an
     error that ``SweepSpec`` raises names the line of its key. A ``vary.*``
-    line splits like a shell line, so a quoted value may hold spaces."""
+    line splits like a shell line, so a quoted value may hold spaces, and
+    a value whose parentheses do not balance is refused."""
     fields: dict = {}
     lines: dict[str, int] = {}
     axes: list[tuple[str, tuple[str, ...]]] = []
@@ -434,7 +454,12 @@ def parse_sweep(text: str) -> SweepSpec:
         lines[key] = lines[key.split(".")[0]] = lineno
         if key.startswith("vary."):
             try:
-                axes.append((key[5:], tuple(shlex.split(value))))
+                values = tuple(shlex.split(value))
+                for v in values:
+                    if v.count("(") != v.count(")"):
+                        raise ValueError(f"the parentheses of {v!r} do not "
+                                         "balance; quote a value with spaces")
+                axes.append((key[5:], values))
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}", lineno) from None
         elif key not in ("kind", "base", "points", "seed"):

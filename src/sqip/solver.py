@@ -20,7 +20,8 @@ import numpy as np
 from . import diagnostics
 from .errors import AssumptionError, ConfigError, NumericsError, StiffnessError
 from .grid import DiffusionSolver, Domain
-from .model import AssumptionReport, ModelSpec, power, validate_assumptions
+from .model import (FAIL, MANDATORY_ITEMS, AssumptionItem, ModelSpec, power,
+                    validate_assumptions)
 
 # Hard default ceiling of the auto-chosen initial step.
 DT_INIT_CAP = 1e-2
@@ -88,7 +89,7 @@ class Trajectory:
     steps_accepted: int
     steps_rejected: int
     flags: tuple[str, ...]
-    assumptions: AssumptionReport
+    assumptions: dict[str, AssumptionItem]
 
     @property
     def mass(self) -> np.ndarray:
@@ -230,7 +231,7 @@ def run(config) -> Trajectory:
     state = SystemState(S0, I0, 0.0)
 
     report = validate_assumptions(model, state, domain)
-    failures = report.mandatory_failures
+    failures = [name for name in MANDATORY_ITEMS if report[name].status == FAIL]
     flags = _marginal_positivity_flags(model, state.S, state.I)
     if failures:
         if not config.allow_degenerate_initial:

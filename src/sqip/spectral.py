@@ -147,13 +147,11 @@ class LinearizedProblem:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Spectral radius of the period map and derived quantities."""
+    """lambda0 and R0 of the periodic linearization, and the work behind them."""
 
     lambda0: float
-    rho: float
     r0: float | None
     iterations: int
-    residual: float
     # Collatz-Wielandt enclosure of lambda0 at scale 1.
     lambda0_lo: float
     lambda0_hi: float
@@ -169,22 +167,6 @@ class SpectralResult:
     # start.
     eigenfield: np.ndarray | None = field(default=None, repr=False,
                                           compare=False)
-
-    def summary_lines(self) -> list[str]:
-        r0_txt = "none" if self.r0 is None else f"{self.r0:.10g}"
-        return [
-            f"lambda0={self.lambda0:.10g}",
-            f"rho={self.rho:.10g}",
-            f"r0={r0_txt}",
-            f"iterations={self.iterations}",
-            f"residual={self.residual:.3g}",
-        ]
-
-    def stats_lines(self) -> list[str]:
-        """Work counters and lambda0's enclosure, for ``[stats]``."""
-        return [f"period_maps={self.period_maps}", f"r0_evals={self.r0_evals}",
-                f"lambda0_lo={self.lambda0_lo:.17g}",
-                f"lambda0_hi={self.lambda0_hi:.17g}"]
 
 
 def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
@@ -228,7 +210,8 @@ def monodromy_radius(problem: LinearizedProblem, scale: float = 1.0,
     for iteration in range(1, MAX_POWER_ITER + 1):
         mapped = problem.propagator.advance(phi, growth, problem.omega,
                                             steps_per_period)
-        ratios = mapped / phi
+        with np.errstate(all="ignore"):  # a NaN or inf ratio fails below
+            ratios = mapped / phi
         lo, hi = float(ratios.min()), float(ratios.max())
         if not 0.0 < lo <= hi < math.inf:
             raise NumericsError("period map lost positivity", bracket=(lo, hi))
@@ -252,8 +235,7 @@ def principal_eigenvalue(problem: LinearizedProblem, scale: float = 1.0,
         problem, scale, steps_per_period, start, sign_only)
     lam = -math.log(rho) / problem.omega
     half = 0.5 * width / problem.omega
-    return SpectralResult(lambda0=lam, rho=rho, r0=None,
-                          iterations=iterations, residual=width,
+    return SpectralResult(lambda0=lam, r0=None, iterations=iterations,
                           lambda0_lo=lam - half, lambda0_hi=lam + half,
                           period_maps=iterations, r0_evals=1, eigenfield=phi)
 

@@ -1,10 +1,16 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from sqip.diagnostics import classify_longtime
 from sqip.grid import DiffusionSolver
 from sqip.model import CoefficientField
+from sqip.presets import preset_config
+from sqip.runner import summarize
+from sqip.solver import run
 
 
 def solved_eigenvalue(domain, c: float = 1e-2) -> float:
@@ -32,6 +38,27 @@ def write_coefficient_table(path, table: np.ndarray, omega: float | None) -> Non
         fh.write(f"{omega if omega else 0.0:.17g} {n_x} {n_t}\n")
         for row in table:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+@functools.cache
+def _short_run():
+    config = preset_config("thm-2.11-persist", {"solver.t_end": "0.5"})
+    traj = run(config)
+    return config, traj, classify_longtime(traj, config.detect, omega=config.omega)
+
+
+def summary_block(header: str, assumptions=None, spectral=None) -> list[str]:
+    """The lines under ``header`` in the ``runner.summarize`` text of a
+    short thm-2.11-persist run, its assumption checks replaced by
+    ``assumptions`` when given and with the spectral result ``spectral``."""
+    config, traj, outcome = _short_run()
+    if assumptions is not None:
+        traj = dataclasses.replace(traj, assumptions=assumptions)
+    lines = summarize(config, traj, outcome, spectral).splitlines()
+    start = lines.index(header) + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")),
+               len(lines))
+    return lines[start:end]
 
 
 @pytest.fixture

@@ -32,14 +32,13 @@ def _as_file(pairs: dict[str, str]) -> str:
 def test_every_layering_resolves_alike(name, two_dim):
     merged = preset_config(name, LAYER, two_dim=two_dim)
     base = preset_config(name, two_dim=two_dim)
-    table = merged.defaults_table()
-    assert base.with_overrides(LAYER).defaults_table() == table
-    assert base.with_overrides({}).defaults_table() == base.defaults_table()
-    assert dict(kv.split("=", 1) for kv in table)["solver.t_end"] == "3.0"
-    domain = {key: value for key, value in (kv.split("=", 1) for kv in table)
-              if key.startswith("domain.")}
+    table = merged.resolved
+    assert base.with_overrides(LAYER).resolved == table
+    assert base.with_overrides({}).resolved == base.resolved
+    assert dict(table)["solver.t_end"] == "3.0"
+    domain = {key: value for key, value in table if key.startswith("domain.")}
     assert parse_config(f"preset = {name}\n" + _as_file({**LAYER, **domain})
-                        ).defaults_table() == table
+                        ).resolved == table
 
 
 CONFIG = ["[model]", "p = 1", "[domain]", "L = 1", "n = 10"]
@@ -71,6 +70,17 @@ def test_override_items_are_read_as_config_lines(capsys):
     assert "line 2" in capsys.readouterr().err
     assert list(read_lines("a = 1 # note\n\nb=2", ())) == [
         (None, "a", "1", 1), (None, "b", "2", 3)]
+
+
+@pytest.mark.parametrize("line, value", [
+    ('a = "x#1" # note', '"x#1"'),
+    ("a = 'x#1' 'y' #note", "'x#1' 'y'"),
+    ("a = it's # note", "it's"),            # a lone quote is text
+    ("a = 'x # note", "'x"),
+    ("a = x#1", "x"),
+])
+def test_a_hash_starts_a_comment_only_outside_quotes(line, value):
+    assert list(read_lines(line, ())) == [(None, "a", value, 1)]
 
 
 @pytest.mark.parametrize("items, line, message", [
@@ -402,8 +412,7 @@ def test_coefficient_tables_with_different_periods_are_refused(tmp_path, capsys)
 
 def test_the_two_dim_variant_is_two_domain_pairs():
     cfg = preset_config("sis-bistable", two_dim=True)
-    table = cfg.defaults_table()
-    assert [kv for kv in table if kv.startswith("domain.")] == [
-        "domain.L=1.0 1.0", "domain.n=48 48"]
+    assert [kv for kv in cfg.resolved if kv[0].startswith("domain.")] == [
+        ("domain.L", "1.0 1.0"), ("domain.n", "48 48")]
     finer = cfg.with_overrides({"domain.n": "24 24"})
     assert finer.domain == Domain((1.0, 1.0), (24, 24))

@@ -9,7 +9,6 @@ from sqip.diagnostics import (CSV_HEADER, ROW_DTYPE, classify_longtime,
                               periodic_residuals)
 from sqip.errors import ConfigError, DomainError
 from sqip.grid import Domain, integrate
-from sqip.model import AssumptionReport
 from sqip.presets import preset_config
 from sqip.runner import run_scenario
 from sqip.solver import SystemState, Trajectory, run
@@ -49,7 +48,7 @@ def _traj_from_rows(rows, snapshots=None, measure=1.0):
                       measure=measure, sup_monitor=float(arr["sup_S"].max()),
                       floor_S=0.0, floor_I=0.0, steps_accepted=len(rows),
                       steps_rejected=0, flags=(),
-                      assumptions=AssumptionReport(()))
+                      assumptions={})
 
 
 def _row(t, mass_S, mass_I, sup_S, sup_I, min_S, min_I, flat_S=0.0, flat_I=0.0):

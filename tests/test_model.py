@@ -7,14 +7,14 @@ import pytest
 
 from sqip.errors import ConfigError
 from sqip.grid import Domain
-from sqip.model import (MANDATORY_ITEMS, AssumptionItem, CoefficientField,
-                        Exponents, Incidence, ModelSpec, classify_exponents,
+from sqip.model import (MANDATORY_ITEMS, CoefficientField, Exponents,
+                        Incidence, ModelSpec, classify_exponents,
                         read_coefficient_table, validate_assumptions)
 from sqip.presets import preset_config
 from sqip.solver import SystemState
 from sqip.spectral import LinearizedProblem
 
-from conftest import write_coefficient_table
+from conftest import summary_block, write_coefficient_table
 
 
 # ---------------------------------------------------------------- incidence
@@ -442,18 +442,16 @@ def test_assumptions_all_pass_constant_positive():
     dom = Domain((1.0,), (16,))
     state = SystemState(np.full(16, 1.0), np.full(16, 0.5), 0.0)
     report = validate_assumptions(_model(mu=0.5), state, dom)
-    assert "fail" not in [i.status for i in report.items]
-    assert not report.mandatory_failures
+    assert "fail" not in [i.status for i in report.values()]
 
 
 def test_mandatory_items_are_the_one_list():
     dom = Domain((1.0,), (16,))
     state = SystemState(np.full(16, 1.0), np.full(16, 0.5), 0.0)
     report = validate_assumptions(_model(mu=0.5), state, dom)
-    assert ([i.name for i in report.items if i.mandatory]
-            == list(MANDATORY_ITEMS))
-    assert AssumptionItem(MANDATORY_ITEMS[0], "fail").mandatory
-    assert not AssumptionItem("A1-coefficient-bounds", "fail").mandatory
+    # solver.run looks up every mandatory check by name
+    assert [name for name in report if name in MANDATORY_ITEMS] == list(MANDATORY_ITEMS)
+    assert all(item.name == name for name, item in report.items())
 
 
 def test_assumptions_vanishing_s0_with_sublinear_q():
@@ -464,7 +462,7 @@ def test_assumptions_vanishing_s0_with_sublinear_q():
     report = validate_assumptions(_model(q=0.5), state, dom)
     item = report["A4ii-positive-S0-and-recovery-floor"]
     assert item.status == "fail"
-    assert "A4ii-positive-S0-and-recovery-floor" in report.mandatory_failures
+    assert item.name in MANDATORY_ITEMS
 
 
 def test_assumptions_mortality_not_applicable_without_mu():
@@ -604,4 +602,5 @@ PINNED_LINES = [
 def test_assumption_lines_are_pinned(case):
     # the [assumptions] block of summary.txt, byte for byte
     model, state, dom = _pin_cases()[case]
-    assert validate_assumptions(model, state, dom).lines() == PINNED_LINES[case]
+    report = validate_assumptions(model, state, dom)
+    assert summary_block("[assumptions]", assumptions=report) == PINNED_LINES[case]

@@ -425,8 +425,9 @@ def test_run_mass_decreasing_with_mortality():
 def test_run_refuses_empty_infection():
     cfg = preset_config("thm-2.11-persist", {
         "initial.I": "constant(0.0)", "solver.t_end": "1.0"})
-    with pytest.raises(AssumptionError):
+    with pytest.raises(AssumptionError) as err:
         run(cfg)
+    assert err.value.failed_items == ["A4i-infection-seed"]
 
 
 def test_a_run_past_max_steps_is_refused(tmp_path, capsys):

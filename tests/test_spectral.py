@@ -1,12 +1,13 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqip.errors import DomainError
+from sqip.errors import DomainError, NumericsError
 from sqip.grid import DiffusionSolver, Domain
 from sqip.model import CoefficientField, Incidence, ModelSpec
 from sqip.presets import preset_config
@@ -14,6 +15,8 @@ from sqip.runner import compute_spectral
 from sqip.spectral import (CW_REL_TOL, DEFAULT_STEPS_PER_PERIOD,
                            MAX_POWER_ITER, R0_REL_TOL, LinearizedProblem,
                            monodromy_radius, principal_eigenvalue, r0)
+
+from conftest import summary_block
 
 
 def potential(problem, scale=1.0):
@@ -72,8 +75,8 @@ def test_principal_eigenvalue_constant():
                         CoefficientField.constant(1.0))
     res = principal_eigenvalue(prob)
     assert res.lambda0 == pytest.approx(-1.0, abs=1e-6)
-    assert res.lambda0 == pytest.approx(-math.log(res.rho) / prob.omega,
-                                        abs=1e-12)
+    rho = monodromy_radius(prob)[0]
+    assert res.lambda0 == pytest.approx(-math.log(rho) / prob.omega, abs=1e-12)
 
 
 def test_principal_eigenvalue_balanced():
@@ -416,10 +419,9 @@ def test_coefficients_sampled_once_per_problem(monkeypatch):
 def test_spectral_counters(preset, overrides, counts):
     res = compute_spectral(preset_config(preset, overrides or None))
     assert (res.period_maps, res.r0_evals) == counts
-    assert res.stats_lines() == [f"period_maps={counts[0]}",
-                                 f"r0_evals={counts[1]}",
-                                 f"lambda0_lo={res.lambda0_lo:.17g}",
-                                 f"lambda0_hi={res.lambda0_hi:.17g}"]
+    assert summary_block("[stats]", spectral=res) == [
+        f"period_maps={counts[0]}", f"r0_evals={counts[1]}",
+        f"lambda0_lo={res.lambda0_lo:.17g}", f"lambda0_hi={res.lambda0_hi:.17g}"]
     assert res.lambda0_lo <= res.lambda0 <= res.lambda0_hi
 
 
@@ -507,6 +509,17 @@ def test_a_bad_step_count_scale_or_start_is_refused(entry, kwargs, message):
                         CoefficientField.constant(1.0), n=8)
     with pytest.raises(DomainError, match=re.escape(message) + "$"):
         entry(prob, **kwargs)
+
+
+def test_a_map_that_loses_positivity_raises_without_a_numpy_warning():
+    # at dI = 1e-7 the period map underflows to 0/0 in some cells, and
+    # numpy warned "invalid value encountered in divide" before the error
+    cfg = preset_config("thm-2.11-persist",
+                        {"model.beta_x_amp": "0.9", "model.dI": "1e-7"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="^period map lost positivity$"):
+            compute_spectral(cfg)
 
 
 @pytest.mark.parametrize("diffusivity", [math.nan, math.inf, 0.0, -1.0])

@@ -141,6 +141,26 @@ def test_parse_sweep_refuses_an_unclosed_quote():
         parse_sweep(QUOTED_SWEEP.replace("'bump(0.5;0.1)'", "'bump(0.5;0.1)"))
 
 
+@pytest.mark.parametrize("quote", ['"', "'"])
+def test_a_hash_inside_quotes_is_part_of_the_value(quote):
+    spec = parse_sweep(f"[sweep]\nkind = pde\nbase = thm-2.11-persist\n"
+                       f"vary.initial.I = {quote}tabulated(a#1.txt){quote} "
+                       f"constant(1) # a comment\n")
+    assert spec.axes == (("initial.I", ("tabulated(a#1.txt)", "constant(1)")),)
+
+
+def test_an_unquoted_value_with_spaces_is_refused_with_its_line(tmp_path, capsys):
+    spec_file = tmp_path / "bumps.cfg"
+    spec_file.write_text("[sweep]\nkind = pde\nbase = thm-2.11-persist\n"
+                         "vary.initial.I = bump(0.5, 0.1, 0.5)\n")
+    code = cli_main(["sweep", str(spec_file), "--out", str(tmp_path / "sw")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: vary.initial.I: the parentheses of 'bump(0.5,' do not "
+        "balance; quote a value with spaces\n")
+    assert not (tmp_path / "sw").exists()
+
+
 def test_a_bump_axis_runs_with_its_commas_quoted_in_results_csv(tmp_path):
     csv_path = run_sweep(parse_sweep(QUOTED_SWEEP), tmp_path)
     lines = Path(csv_path).read_text().splitlines()
