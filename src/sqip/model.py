@@ -392,7 +392,8 @@ PASS, FAIL, NOT_APPLICABLE = "pass", "fail", "n/a"
 
 @dataclass(frozen=True)
 class AssumptionItem:
-    name: str
+    """One check's outcome; its name is its key in the report dict."""
+
     status: str
     detail: str = ""
 
@@ -468,7 +469,7 @@ def validate_assumptions(spec: ModelSpec, initial, domain: Domain
     for name, applies, check in rows:
         if applies:
             ok, detail = check()
-            items[name] = AssumptionItem(name, PASS if ok else FAIL, detail)
+            items[name] = AssumptionItem(PASS if ok else FAIL, detail)
         else:
-            items[name] = AssumptionItem(name, NOT_APPLICABLE)
+            items[name] = AssumptionItem(NOT_APPLICABLE)
     return items

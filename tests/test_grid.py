@@ -160,6 +160,20 @@ def test_bad_domain_rejected(lengths, cells):
         Domain(lengths, cells)
 
 
+@pytest.mark.parametrize("cells", [(4.5,), (8.0,), ("8",), (8, 4.5)],
+                         ids=["fraction", "whole-float", "text", "second-axis"])
+def test_domain_refuses_a_cell_count_that_is_not_an_integer(cells):
+    with pytest.raises(ConfigError, match="cell count must be an integer") as exc:
+        Domain((1.0,) * len(cells), cells)
+    assert exc.value.key == "cells"
+
+
+def test_domain_stores_integer_cell_counts():
+    dom = Domain((1.0, 2.0), (np.int64(8), 6))
+    assert dom.cells == (8, 6) and all(type(n) is int for n in dom.cells)
+    assert len(dom.cell_centers()[0]) == 8
+
+
 def test_domain_geometry_per_axis():
     dom = Domain((2.0, 3.0), (4, 6))
     assert dom.shape == (4, 6)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
@@ -13,7 +14,7 @@ from sqip.grid import Domain, _stiffness_banded, integrate
 from sqip.model import (A1, CoefficientField, Exponents, Incidence, ModelSpec,
                         classify_exponents, validate_assumptions)
 from sqip.presets import preset_config
-from sqip.solver import Stepper, SystemState, run
+from sqip.solver import Stepper, SystemState, _extrema, run
 
 
 def make_model(p=1.0, q=1.0, s=0.0, r=1.0, beta=1.0, gamma=1.0, mu=0.0,
@@ -169,6 +170,48 @@ def test_step_matches_the_plain_algebra_bit_for_bit(cells, pq, sr, periodic,
     assert np.array_equal(new.S, S) and np.array_equal(new.I, I)
     assert new.t == t + dt
     assert new.extrema == (S.min(), S.max(), I.min(), I.max())
+
+
+# Values a reduction gets wrong most easily: infinities, both zeros and
+# subnormals (the smallest, a negative one and the largest).
+_EDGE_VALUES = (math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072009e-308)
+
+
+@st.composite
+def _edge_field(draw, shape, order):
+    """A float field of ``shape`` in C or F ``order``, with repeated
+    values, edge values and, at times, NaNs."""
+    values = st.floats(-1e6, 1e6) | st.sampled_from(_EDGE_VALUES)
+    field = draw(hnp.arrays(np.float64, shape, elements=values, fill=values))
+    for k in draw(st.lists(st.integers(0, field.size - 1), max_size=2)):
+        field.flat[k] = math.nan
+    return np.asarray(field, order=order)
+
+
+@st.composite
+def _edge_fields(draw):
+    shape = draw(st.tuples(st.integers(4, 200))
+                 | st.tuples(st.integers(4, 40), st.integers(4, 40)))
+    order = draw(st.sampled_from("CF"))
+    return draw(_edge_field(shape, order)), draw(_edge_field(shape, order))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(fields=_edge_fields())
+def test_extrema_match_min_and_max(fields):
+    # Reading by argmin/argmax index gives np.min and np.max of each field
+    # (a zero extreme may differ in sign, which == does not see), and a
+    # NaN anywhere in a field makes both of its values NaN.
+    S, I = fields
+    found = _extrema(S, I)
+    assert all(type(v) is float for v in found)
+    for (lo, hi), field in ((found[:2], S), (found[2:], I)):
+        if np.isnan(field).any():
+            assert math.isnan(lo) and math.isnan(hi)
+        else:
+            assert lo == np.min(field) and hi == np.max(field)
+    assert np.array_equal(SystemState(S, I, 0.0).extrema, found, equal_nan=True)
 
 
 @st.composite

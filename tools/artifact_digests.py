@@ -66,11 +66,17 @@ artifact is each file there, the run's stdout with that directory's path
 masked, and its exit code. The script prints one line per artifact,
 ``same`` with the digest or ``DIFF`` with both, then a count, and exits 1
 when any artifact differs or exists on one side only.
+
+With ``--show-diff``, each ``DIFF`` line of a file or stdout is followed
+by a unified diff of the two sides' text (base first), cut after
+``DIFF_LINES`` lines; an artifact that is not UTF-8 text gets one line
+saying so. This checks a declared artifact change line by line.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import os
 import subprocess
@@ -92,6 +98,8 @@ HET_PERIODIC_1D = HET_PERIODIC + ("domain.n=64",)
 SEPARABLE = ("model.beta_x_amp=0.9", "model.beta_t_amp=0",
              "model.gamma_t_amp=0.5")
 OUT_MASK = "<out>"
+# Lines of unified diff printed per differing artifact with --show-diff.
+DIFF_LINES = 40
 # A beta table of period 1 (header ``omega n_x n_t``): rows sample [0, L],
 # columns one period, the last column equal to the first.
 BETA_TABLE = """1 5 5
@@ -183,15 +191,17 @@ def _sha(data: bytes) -> str:
 def digests(tree: Path, runs: dict[str, list[str]], out_root: Path) -> dict:
     """Artifact name -> SHA-256 (or exit code) of every run in ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out_root.mkdir(parents=True, exist_ok=True)
     found = {}
     for label, args in runs.items():
         out = out_root / label
         out_args = [] if args[0] == "r0" else ["--out", str(out)]
         proc = subprocess.run([sys.executable, "-m", "sqip", *args, *out_args],
                               cwd=tree, env=env, capture_output=True)
+        stdout = proc.stdout.replace(str(out).encode(), OUT_MASK.encode())
+        _stdout_path(out_root, label).write_bytes(stdout)
         found[f"{label}/exit"] = str(proc.returncode)
-        found[f"{label}/stdout"] = _sha(
-            proc.stdout.replace(str(out).encode(), OUT_MASK.encode()))
+        found[f"{label}/stdout"] = _sha(stdout)
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             found[f"{label}/{path.relative_to(out).as_posix()}"] = _sha(
                 path.read_bytes())
@@ -200,10 +210,45 @@ def digests(tree: Path, runs: dict[str, list[str]], out_root: Path) -> dict:
     return found
 
 
+def _stdout_path(out_root: Path, label: str) -> Path:
+    """Where the masked stdout of run ``label`` is kept, beside its --out."""
+    return out_root / f"{label}.stdout"
+
+
+def _artifact_path(out_root: Path, name: str) -> Path:
+    label, _, rest = name.partition("/")
+    return _stdout_path(out_root, label) if rest == "stdout" else out_root / name
+
+
+def text_diff(name: str, base_root: Path, head_root: Path,
+              limit: int = DIFF_LINES) -> list[str]:
+    """Unified diff lines of artifact ``name`` between two output roots.
+
+    A side without the artifact counts as empty text. At most ``limit``
+    diff lines are kept, then one line counts the rest.
+    """
+    texts = []
+    for root in (base_root, head_root):
+        path = _artifact_path(root, name)
+        try:
+            texts.append(path.read_text(encoding="utf-8") if path.is_file() else "")
+        except UnicodeDecodeError:
+            return [f"  {name}: not UTF-8 text, no diff"]
+    lines = list(difflib.unified_diff(
+        texts[0].splitlines(), texts[1].splitlines(),
+        f"base/{name}", f"head/{name}", lineterm=""))
+    if len(lines) > limit:
+        lines[limit:] = [f"... {len(lines) - limit} more diff lines"]
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", default="HEAD~1", help="base revision")
     ap.add_argument("--head", default="HEAD", help="changed revision")
+    ap.add_argument("--show-diff", action="store_true",
+                    help=f"print a unified diff (at most {DIFF_LINES} lines) "
+                         "of each differing text artifact")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
@@ -215,15 +260,18 @@ def main(argv=None) -> int:
             print(f"{side}: {rev} = {commit}")
             sides[side] = digests(tmp / side, runs, tmp / f"out-{side}")
 
-    base, head = sides["base"], sides["head"]
-    bad = 0
-    for name in sorted(base.keys() | head.keys()):
-        b, h = base.get(name, "missing"), head.get(name, "missing")
-        if b == h:
-            print(f"same {b} {name}")
-        else:
+        base, head = sides["base"], sides["head"]
+        bad = 0
+        for name in sorted(base.keys() | head.keys()):
+            b, h = base.get(name, "missing"), head.get(name, "missing")
+            if b == h:
+                print(f"same {b} {name}")
+                continue
             bad += 1
             print(f"DIFF {b} {h} {name}")
+            if args.show_diff and not name.endswith("/exit"):
+                print("\n".join(text_diff(name, tmp / "out-base",
+                                          tmp / "out-head")))
     files = sum(not name.endswith("/exit") for name in base.keys() | head.keys())
     print(f"{files} artifacts and {len(runs)} exit codes compared, "
           f"{bad} differ or are missing")
