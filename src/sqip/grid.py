@@ -27,9 +27,8 @@ class Domain:
     """Interval or rectangle on a tensor-product cell-centered grid.
 
     Axis k is [0, lengths[k]] split into cells[k] equal cells, with the
-    unknowns at the cell centers; fields have the shape ``cells``. Each
-    count must be an integer (anything ``operator.index`` accepts) and is
-    stored as an ``int``.
+    unknowns at the cell centers; fields have the shape ``cells``, whose
+    counts are stored as ``int``.
     """
 
     lengths: tuple[float, ...]
@@ -41,22 +40,19 @@ class Domain:
                               f"{len(self.cells)} cell counts")
         if not 1 <= len(self.cells) <= 2:
             raise ConfigError(f"domain needs 1 or 2 axes, got {len(self.cells)}")
-        counts = []
+        try:
+            object.__setattr__(self, "cells", tuple(map(operator.index, self.cells)))
+        except TypeError:
+            raise ConfigError(f"cell counts must be integers, got {self.cells}",
+                              key="cells") from None
         for length, n in zip(self.lengths, self.cells):
             if not 0 < length < math.inf:
                 raise ConfigError(
                     f"domain length must be finite and positive, got {length}",
                     key="lengths")
-            try:
-                n = operator.index(n)
-            except TypeError:
-                raise ConfigError(f"cell count must be an integer, got {n!r}",
-                                  key="cells") from None
             if n < MIN_CELLS:
                 raise ConfigError(f"need at least {MIN_CELLS} cells per axis, got {n}",
                                   key="cells")
-            counts.append(n)
-        object.__setattr__(self, "cells", tuple(counts))
 
     @property
     def spacing(self) -> tuple[float, ...]:

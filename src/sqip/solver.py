@@ -60,26 +60,24 @@ class SystemState:
 
     @cached_property
     def extrema(self) -> tuple[float, float, float, float]:
-        """(min S, max S, min I, max I), computed once per state by
-        :func:`_extrema`.
+        """(min S, max S, min I, max I), read once per state at each
+        field's argmin/argmax index (see :func:`_extrema`).
 
         A NaN anywhere in a field makes both of its values NaN, and an
         infinity is its min or max, so the four values are all finite
-        exactly when both fields are.
+        exactly when both fields are. A zero extreme takes the sign of
+        its first occurrence.
         """
         return _extrema(self.S, self.I)
 
 
 def _extrema(S: np.ndarray, I: np.ndarray) -> tuple[float, float, float, float]:
-    """(min S, max S, min I, max I) as Python floats, read by index.
-
-    Each value is the element at the ``argmin`` or ``argmax`` index,
-    which on the solver's small fields costs a third to a half of a
-    ufunc reduce and gives the same numbers: min and max are exact,
-    argmin and argmax return the index of the first NaN, so a NaN makes
-    both of its field's values NaN, and an infinity is found like any
-    other value. Equal values resolve to their first occurrence, so a
-    zero extreme takes the sign of its first occurrence (0.0 or -0.0).
+    """(min S, max S, min I, max I) as Python floats, each read at its
+    ``argmin``/``argmax`` index: the exact values, at a third to a half
+    of a ufunc reduce's cost on the solver's fields. argmin and argmax
+    give the first NaN's index, so a NaN makes both of its field's
+    values NaN; ties go to the first occurrence, so a zero extreme
+    takes the sign of its first occurrence.
     """
     return (S.item(S.argmin()), S.item(S.argmax()),
             I.item(I.argmin()), I.item(I.argmax()))

@@ -24,8 +24,8 @@ def test_one_changed_line_of_a_file_and_of_stdout(digests, tmp_path):
     base, head = tmp_path / "out-base", tmp_path / "out-head"
     _write(base, "run/summary.txt", "a=1\nb=2\nc=3\n")
     _write(head, "run/summary.txt", "a=1\nb=5\nc=3\n")
-    _write(base, "run.stdout", "wrote <out>\n")
-    _write(head, "run.stdout", "wrote <out> twice\n")
+    _write(base, "run/stdout", "wrote <out>\n")
+    _write(head, "run/stdout", "wrote <out> twice\n")
     lines = digests.text_diff("run/summary.txt", base, head)
     assert lines[:2] == ["--- base/run/summary.txt", "+++ head/run/summary.txt"]
     assert [line for line in lines[3:] if line[0] in "+-"] == ["-b=2", "+b=5"]

@@ -163,7 +163,7 @@ def test_bad_domain_rejected(lengths, cells):
 @pytest.mark.parametrize("cells", [(4.5,), (8.0,), ("8",), (8, 4.5)],
                          ids=["fraction", "whole-float", "text", "second-axis"])
 def test_domain_refuses_a_cell_count_that_is_not_an_integer(cells):
-    with pytest.raises(ConfigError, match="cell count must be an integer") as exc:
+    with pytest.raises(ConfigError, match="cell counts must be integers") as exc:
         Domain((1.0,) * len(cells), cells)
     assert exc.value.key == "cells"
 

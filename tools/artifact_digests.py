@@ -191,7 +191,6 @@ def _sha(data: bytes) -> str:
 def digests(tree: Path, runs: dict[str, list[str]], out_root: Path) -> dict:
     """Artifact name -> SHA-256 (or exit code) of every run in ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out_root.mkdir(parents=True, exist_ok=True)
     found = {}
     for label, args in runs.items():
         out = out_root / label
@@ -199,25 +198,17 @@ def digests(tree: Path, runs: dict[str, list[str]], out_root: Path) -> dict:
         proc = subprocess.run([sys.executable, "-m", "sqip", *args, *out_args],
                               cwd=tree, env=env, capture_output=True)
         stdout = proc.stdout.replace(str(out).encode(), OUT_MASK.encode())
-        _stdout_path(out_root, label).write_bytes(stdout)
         found[f"{label}/exit"] = str(proc.returncode)
         found[f"{label}/stdout"] = _sha(stdout)
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             found[f"{label}/{path.relative_to(out).as_posix()}"] = _sha(
                 path.read_bytes())
+        # Kept under its artifact name for --show-diff, once listed.
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "stdout").write_bytes(stdout)
         print(f"{tree.name}: {label} exit {proc.returncode}", file=sys.stderr,
               flush=True)
     return found
-
-
-def _stdout_path(out_root: Path, label: str) -> Path:
-    """Where the masked stdout of run ``label`` is kept, beside its --out."""
-    return out_root / f"{label}.stdout"
-
-
-def _artifact_path(out_root: Path, name: str) -> Path:
-    label, _, rest = name.partition("/")
-    return _stdout_path(out_root, label) if rest == "stdout" else out_root / name
 
 
 def text_diff(name: str, base_root: Path, head_root: Path,
@@ -229,7 +220,7 @@ def text_diff(name: str, base_root: Path, head_root: Path,
     """
     texts = []
     for root in (base_root, head_root):
-        path = _artifact_path(root, name)
+        path = root / name
         try:
             texts.append(path.read_text(encoding="utf-8") if path.is_file() else "")
         except UnicodeDecodeError:
