@@ -60,14 +60,7 @@ class SystemState:
 
     @cached_property
     def extrema(self) -> tuple[float, float, float, float]:
-        """(min S, max S, min I, max I), read once per state at each
-        field's argmin/argmax index (see :func:`_extrema`).
-
-        A NaN anywhere in a field makes both of its values NaN, and an
-        infinity is its min or max, so the four values are all finite
-        exactly when both fields are. A zero extreme takes the sign of
-        its first occurrence.
-        """
+        """(min S, max S, min I, max I), read once (see :func:`_extrema`)."""
         return _extrema(self.S, self.I)
 
 
@@ -76,8 +69,9 @@ def _extrema(S: np.ndarray, I: np.ndarray) -> tuple[float, float, float, float]:
     ``argmin``/``argmax`` index: the exact values, at a third to a half
     of a ufunc reduce's cost on the solver's fields. argmin and argmax
     give the first NaN's index, so a NaN makes both of its field's
-    values NaN; ties go to the first occurrence, so a zero extreme
-    takes the sign of its first occurrence.
+    values NaN, and an infinity is its min or max, so the four values
+    are all finite exactly when both fields are. Ties go to the first
+    occurrence, so a zero extreme takes the sign of its first occurrence.
     """
     return (S.item(S.argmin()), S.item(S.argmax()),
             I.item(I.argmin()), I.item(I.argmax()))
@@ -175,9 +169,10 @@ class Stepper:
         are), the removal powers, sigma_sup and p + q of the dt cap. The
         diffusion solves do not check for finite values. This method
         checks the ``extrema`` of the state before any arithmetic and of
-        the new state. The new state's four extrema are reduced once
-        here and cached on it: they give the finiteness and negativity
-        tests, and the caller's dt cap, floors and diagnostics row.
+        the new state. The new state's four extrema are read once here
+        (see :func:`_extrema`) and cached on it: they give the finiteness
+        and negativity tests, and the caller's dt cap, floors and
+        diagnostics row.
 
         Raises:
             NumericsError: a non-finite value was given or appeared; the

@@ -1,4 +1,4 @@
-"""The text diff that ``tools/artifact_digests.py --show-diff`` prints."""
+"""The text diff that ``tools/artifact_digests.py`` prints per DIFF line."""
 
 import importlib
 from pathlib import Path
@@ -36,9 +36,9 @@ def test_one_changed_line_of_a_file_and_of_stdout(digests, tmp_path):
 def test_a_long_diff_is_cut(digests, tmp_path):
     base, head = tmp_path / "out-base", tmp_path / "out-head"
     _write(base, "run/rows.csv", "".join(f"{k}\n" for k in range(100)))
-    _write(head, "run/rows.csv", "".join(f"{k + 1}\n" for k in range(100)))
-    lines = digests.text_diff("run/rows.csv", base, head, limit=10)
-    assert len(lines) == 11
+    _write(head, "run/rows.csv", "".join(f"{-k}\n" for k in range(1, 101)))
+    lines = digests.text_diff("run/rows.csv", base, head)
+    assert len(lines) == digests.DIFF_LINES + 1
     assert lines[-1].startswith("... ") and lines[-1].endswith(" more diff lines")
 
 

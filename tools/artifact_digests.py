@@ -67,10 +67,10 @@ masked, and its exit code. The script prints one line per artifact,
 ``same`` with the digest or ``DIFF`` with both, then a count, and exits 1
 when any artifact differs or exists on one side only.
 
-With ``--show-diff``, each ``DIFF`` line of a file or stdout is followed
-by a unified diff of the two sides' text (base first), cut after
-``DIFF_LINES`` lines; an artifact that is not UTF-8 text gets one line
-saying so. This checks a declared artifact change line by line.
+Each ``DIFF`` line of a file or stdout is followed by a unified diff of
+the two sides' text (base first), cut after ``DIFF_LINES`` lines; an
+artifact that is not UTF-8 text gets one line saying so. This checks a
+declared artifact change line by line.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ HET_PERIODIC_1D = HET_PERIODIC + ("domain.n=64",)
 SEPARABLE = ("model.beta_x_amp=0.9", "model.beta_t_amp=0",
              "model.gamma_t_amp=0.5")
 OUT_MASK = "<out>"
-# Lines of unified diff printed per differing artifact with --show-diff.
+# Lines of unified diff printed per differing artifact.
 DIFF_LINES = 40
 # A beta table of period 1 (header ``omega n_x n_t``): rows sample [0, L],
 # columns one period, the last column equal to the first.
@@ -203,7 +203,7 @@ def digests(tree: Path, runs: dict[str, list[str]], out_root: Path) -> dict:
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             found[f"{label}/{path.relative_to(out).as_posix()}"] = _sha(
                 path.read_bytes())
-        # Kept under its artifact name for --show-diff, once listed.
+        # Kept under its artifact name for the text diff, once listed.
         out.mkdir(parents=True, exist_ok=True)
         (out / "stdout").write_bytes(stdout)
         print(f"{tree.name}: {label} exit {proc.returncode}", file=sys.stderr,
@@ -211,12 +211,11 @@ def digests(tree: Path, runs: dict[str, list[str]], out_root: Path) -> dict:
     return found
 
 
-def text_diff(name: str, base_root: Path, head_root: Path,
-              limit: int = DIFF_LINES) -> list[str]:
+def text_diff(name: str, base_root: Path, head_root: Path) -> list[str]:
     """Unified diff lines of artifact ``name`` between two output roots.
 
-    A side without the artifact counts as empty text. At most ``limit``
-    diff lines are kept, then one line counts the rest.
+    A side without the artifact counts as empty text. At most
+    ``DIFF_LINES`` diff lines are kept, then one line counts the rest.
     """
     texts = []
     for root in (base_root, head_root):
@@ -228,8 +227,8 @@ def text_diff(name: str, base_root: Path, head_root: Path,
     lines = list(difflib.unified_diff(
         texts[0].splitlines(), texts[1].splitlines(),
         f"base/{name}", f"head/{name}", lineterm=""))
-    if len(lines) > limit:
-        lines[limit:] = [f"... {len(lines) - limit} more diff lines"]
+    if len(lines) > DIFF_LINES:
+        lines[DIFF_LINES:] = [f"... {len(lines) - DIFF_LINES} more diff lines"]
     return lines
 
 
@@ -237,9 +236,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", default="HEAD~1", help="base revision")
     ap.add_argument("--head", default="HEAD", help="changed revision")
-    ap.add_argument("--show-diff", action="store_true",
-                    help=f"print a unified diff (at most {DIFF_LINES} lines) "
-                         "of each differing text artifact")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
@@ -260,7 +256,7 @@ def main(argv=None) -> int:
                 continue
             bad += 1
             print(f"DIFF {b} {h} {name}")
-            if args.show_diff and not name.endswith("/exit"):
+            if not name.endswith("/exit"):
                 print("\n".join(text_diff(name, tmp / "out-base",
                                           tmp / "out-head")))
     files = sum(not name.endswith("/exit") for name in base.keys() | head.keys())
