@@ -8,36 +8,45 @@ A numerical laboratory for the two-component reaction-diffusion system
 with zero-flux boundaries and incidence kernels K built on S^q I^p,
 plus the spectral threshold quantities and zero-diffusion companion
 systems needed to verify its long-time behavior claims.
+
+Each public name, and each submodule below, is imported on first use
+(PEP 562), so a process loads only the layers it calls: a PDE run never
+compiles the ODE oracle.
 """
 
-__version__ = "0.1.0"  # before the submodules: the sweep journal hashes it
+import importlib
 
-from .diagnostics import classify_longtime
-from .errors import (AssumptionError, ConfigError, DomainError, NumericsError,
-                     SqipError, StiffnessError)
-from .grid import Domain, integrate
-from .model import (CoefficientField, Exponents, Incidence, ModelSpec,
-                    classify_exponents, read_coefficient_table,
-                    validate_assumptions)
-from .ode import (SiOdeParams, SisOdeParams, extinction_time_bound, n_star,
-                  si_classify, sis_classify, sis_steady_states)
-from .solver import Stepper, SystemState, Trajectory, run
-from .spectral import LinearizedProblem, monodromy_radius, principal_eigenvalue, r0
-from .config import load_config, parse_config
-from .presets import PRESET_NAMES, preset_config
-from .runner import run_scenario, run_sweep
+__version__ = "0.1.0"  # eager: the sweep journal hashes it
 
-__all__ = [
-    "AssumptionError", "CoefficientField", "ConfigError",
-    "Domain", "DomainError", "Exponents",
-    "Incidence", "LinearizedProblem", "ModelSpec", "NumericsError",
-    "PRESET_NAMES", "SiOdeParams", "SisOdeParams",
-    "SqipError", "Stepper", "StiffnessError", "SystemState",
-    "Trajectory", "classify_exponents", "classify_longtime",
-    "extinction_time_bound",
-    "integrate", "load_config", "monodromy_radius", "n_star",
-    "parse_config", "preset_config",
-    "principal_eigenvalue", "r0", "read_coefficient_table", "run",
-    "run_scenario", "run_sweep", "si_classify", "sis_classify",
-    "sis_steady_states", "validate_assumptions",
-]
+# Submodule -> the public names it holds, each name listed once.
+_EXPORTS = {
+    "config": ("load_config", "parse_config"),
+    "diagnostics": ("classify_longtime",),
+    "errors": ("AssumptionError", "ConfigError", "DomainError", "NumericsError",
+               "SqipError", "StiffnessError"),
+    "grid": ("Domain", "integrate"),
+    "model": ("CoefficientField", "Exponents", "Incidence", "ModelSpec",
+              "classify_exponents", "read_coefficient_table",
+              "validate_assumptions"),
+    "ode": ("SiOdeParams", "SisOdeParams", "extinction_time_bound", "n_star",
+            "si_classify", "sis_classify", "sis_steady_states"),
+    "presets": ("PRESET_NAMES", "preset_config"),
+    "runner": ("run_scenario", "run_sweep"),
+    "solver": ("Stepper", "SystemState", "Trajectory", "run"),
+    "spectral": ("LinearizedProblem", "monodromy_radius", "principal_eigenvalue",
+                 "r0"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_HOME})

@@ -19,7 +19,7 @@ import dataclasses
 import sys
 from functools import partial
 
-from . import ode, runner
+from . import runner
 from .config import ScenarioConfig, load_config, read_lines
 from .errors import ConfigError, SqipError
 from .presets import ODE_PRESETS, PRESET_NAMES, preset_config
@@ -90,6 +90,7 @@ def _cmd_r0(args) -> int:
 
 
 def _cmd_ode_classify(args) -> int:
+    from . import ode
     params = args.param_cls(**{f.name: getattr(args, f.name)
                                for f in dataclasses.fields(args.param_cls)})
     if args.system == "si":
@@ -108,6 +109,26 @@ def _cmd_ode_classify(args) -> int:
             f"predicted_limit=({outcome.limit_S:.10g},{outcome.limit_I:.10g})\n"
             f"case={outcome.case}\n")
     return 0
+
+
+class _SystemParser(argparse.ArgumentParser):
+    """The parser of ``sqip ode classify <system>``. Its options, the
+    fields of ``ode.SYSTEMS[system]``, are added on its first parse, so
+    no other command loads the ODE oracle."""
+
+    system = None
+
+    def parse_known_args(self, *args, **kwargs):
+        if self.system is not None:
+            from . import ode
+            cls, self.system = ode.SYSTEMS[self.system], None
+            defaults = {"mu": 1.0, "gamma": 1.0, "N": 1.0, "I0": 1.0}
+            for f in dataclasses.fields(cls):
+                default = defaults.get(f.name)
+                self.add_argument(f"--{f.name}", type=float, default=default,
+                                  required=default is None)
+            self.set_defaults(func=_cmd_ode_classify, param_cls=cls)
+        return super().parse_known_args(*args, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,15 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     ode_sub = p_ode.add_subparsers(dest="ode_command", required=True)
 
     p_cls = ode_sub.add_parser("classify", help="closed-form outcome")
-    cls_sub = p_cls.add_subparsers(dest="system", required=True)
-    defaults = {"mu": 1.0, "gamma": 1.0, "N": 1.0, "I0": 1.0}
-    for system, cls in ode.SYSTEMS.items():
-        p_sys = cls_sub.add_parser(system)
-        for f in dataclasses.fields(cls):
-            default = defaults.get(f.name)
-            p_sys.add_argument(f"--{f.name}", type=float, default=default,
-                               required=default is None)
-        p_sys.set_defaults(func=_cmd_ode_classify, param_cls=cls)
+    cls_sub = p_cls.add_subparsers(dest="system", required=True,
+                                   parser_class=_SystemParser)
+    for system in ("si", "sis"):
+        cls_sub.add_parser(system).system = system
 
     return parser
 

@@ -291,8 +291,9 @@ class ScenarioConfig:
         if self.max_steps < 1:
             raise ConfigError("solver.max_steps must be at least 1",
                               key="solver.max_steps")
-        if not self.t_end > 0:
-            raise ConfigError("solver.t_end must be positive", key="solver.t_end")
+        if not 0 < self.t_end < math.inf:
+            raise ConfigError("solver.t_end must be positive and finite",
+                              key="solver.t_end")
         if not self.cadence > 0:
             raise ConfigError("diagnostics cadence must be positive",
                               key="solver.cadence")

@@ -53,6 +53,10 @@ class Domain:
             if n < MIN_CELLS:
                 raise ConfigError(f"need at least {MIN_CELLS} cells per axis, got {n}",
                                   key="cells")
+            h = length / n  # _stiffness_banded's diagonal is 2.0 * (1/(h*h))
+            if not (h * h > 0 and 2.0 * (1.0 / (h * h)) < math.inf):
+                raise ConfigError(f"cell width {h:.3g} makes 2/h^2 infinite",
+                                  key="lengths")
 
     @property
     def spacing(self) -> tuple[float, ...]:

@@ -18,14 +18,18 @@ import os
 import re
 import shlex
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, diagnostics, ode, solver, spectral
+from . import __version__, diagnostics, solver
 from .config import ScenarioConfig, read_input, read_lines
 from .errors import ConfigError, NumericsError, SqipError
 from .presets import ODE_PRESETS, preset_config, preset_pairs
 from .solver import Trajectory
+
+if TYPE_CHECKING:  # imported where called: a PDE run never loads the oracle
+    from . import spectral
 
 ODE_SWEEP_HEADER = "p,q,beta,gamma_or_mu,N_or_I0,S0,predicted,observed,agree"
 # Per-point integration effort of an ode sweep, written beside results.csv.
@@ -47,6 +51,7 @@ class RunResult:
 
 def compute_spectral(config: ScenarioConfig) -> spectral.SpectralResult:
     """lambda0 and R0; ``LinearizedProblem`` refuses a model outside the theory."""
+    from . import spectral
     return spectral.r0(spectral.LinearizedProblem(
         config.model, config.domain, config.total_mass() / config.domain.measure))
 
@@ -143,6 +148,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunResult:
     ``diagnostics.csv`` and the snapshots are written before the spectral
     solve, so a failing one still keeps the run.
     """
+    from . import spectral
     if out_dir is not None:
         _make_out_dir(out_dir)
     traj = solver.run(config)
@@ -165,6 +171,7 @@ def run_ode_preset(name: str, out_dir) -> str:
     """Run the zero-diffusion preset ``name``: its closed-form prediction
     beside the oracle's state at ``t_end``. Returns the summary text, also
     written to ``out_dir``/summary.txt unless ``out_dir`` is None."""
+    from . import ode
     if out_dir is not None:
         _make_out_dir(out_dir)
     spec = dict(ODE_PRESETS[name])
@@ -225,6 +232,7 @@ def si_sweep_rows(count: int = 100, seed: int = 20240501) -> list[dict]:
     comparison bounds put the limit above 0.05, so a finite integration
     can confirm or refute every prediction.
     """
+    from . import ode
     rng = np.random.default_rng(seed)
     quotas = {
         "hit-zero": round(0.35 * count),
@@ -309,6 +317,7 @@ def sis_sweep_rows(count: int = 100, seed: int = 20240502) -> list[dict]:
     interior root, which keeps every steady state well inside (0, N);
     5 percent bands exclude the fold threshold and the basin boundary.
     """
+    from . import ode
     rng = np.random.default_rng(seed)
     quotas = {
         "bistable": round(0.40 * count),
@@ -370,6 +379,7 @@ def _oracle_rows(system: str, points: list[dict], verdict) -> list[dict]:
     ``verdict(params, terminal state, converged, clamp time)`` gives a
     point's (predicted, observed, agree) columns.
     """
+    from . import ode
     si = system == "si"
     params = [ode.SYSTEMS[system](**pt) for pt in points]
     if not params:

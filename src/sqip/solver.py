@@ -155,11 +155,20 @@ class Stepper:
         """Step ceiling 0.5 / (sigma_sup * (1 + M^(p+q))), M = max(sup, 0).
 
         ``sup`` is the largest value of S and I (see ``SystemState.extrema``).
+        A finite cap keeps its bits; a ``sup`` so large that the cap
+        overflows or rounds to 0 raises ``NumericsError``.
         """
         if self._sigma <= 0:
             return math.inf
         m = max(sup, 0.0)
-        return 0.5 / (self._sigma * (1.0 + m ** self._cap_power))
+        try:
+            cap = 0.5 / (self._sigma * (1.0 + m ** self._cap_power))
+        except OverflowError:
+            cap = 0.0
+        if cap > 0.0:
+            return cap
+        raise NumericsError(f"sup(S, I) = {sup:.6g} leaves no positive reaction "
+                            "step cap", sup=sup)
 
     def step(self, state: SystemState, dt: float) -> SystemState | None:
         """Advance by dt; returns None when positivity rejects the step.
@@ -249,7 +258,13 @@ def run(config) -> Trajectory:
     events = [(te, any(abs(te - ts) <= EVENT_SNAP for ts in snap_times))
               for te in sorted({*snap_times, t_end})]
 
-    rows = [diagnostics.compute_row(domain, state)]
+    try:  # finite data whose mass or L2 norm overflows is refused here
+        with np.errstate(over="raise"):
+            rows = [diagnostics.compute_row(domain, state)]
+    except FloatingPointError:
+        raise NumericsError(f"the initial data (sup {max(state.extrema):.6g}) "
+                            "overflow the mass or L2 norm of the first "
+                            "diagnostics row", t=0.0) from None
     snapshots: dict[float, SystemState] = {}
     if abs(events[0][0]) <= EVENT_SNAP:
         snapshots[events[0][0]] = state

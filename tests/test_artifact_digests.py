@@ -1,11 +1,13 @@
-"""The text diff that ``tools/artifact_digests.py`` prints per DIFF line."""
+"""The text diff that ``tools/artifact_digests.py`` prints per DIFF line,
+and the masking that makes its digests comparable across invocations."""
 
 import importlib
 from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 @pytest.fixture
@@ -51,3 +53,23 @@ def test_a_missing_side_is_empty_and_bytes_get_no_diff(digests, tmp_path):
         (root / "run" / "blob").write_bytes(b"\xff\xfe")
     assert digests.text_diff("run/blob", base, head) == [
         "  run/blob: not UTF-8 text, no diff"]
+
+
+def test_two_invocations_give_the_same_digests(digests, tmp_path):
+    # the two compared runs that write a spec file's path into their
+    # summary, each invocation with its own spec folder, as the script has
+    found = []
+    for name in ("one", "two"):
+        spec_dir = tmp_path / name
+        spec_dir.mkdir()
+        runs = {label: args for label, args in digests.commands(spec_dir).items()
+                if label in ("config-periodic-1d", "table-periodic-1d")}
+        found.append(digests.digests(ROOT, runs, spec_dir / "out", spec_dir))
+    assert found[0] == found[1]
+    assert [found[0][f"{label}/exit"] for label in runs] == ["0", "0"]
+    out = tmp_path / "one" / "out"
+    summary = (out / "config-periodic-1d" / "summary.txt").read_text(encoding="utf-8")
+    assert summary.startswith("name=<spec>/periodic.cfg\n")
+    summary = (out / "table-periodic-1d" / "summary.txt").read_text(encoding="utf-8")
+    assert "model.beta_table=<spec>/beta-table.txt\n" in summary
+    assert str(tmp_path) not in summary

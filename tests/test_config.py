@@ -104,8 +104,9 @@ def test_a_refused_override_names_its_item(tmp_path, capsys, command, items,
 @pytest.mark.parametrize("items, line, message", [
     (["domain.n=2"], 1, "need at least 4 cells per axis, got 2"),
     (["solver.t_end=9", "domain.L=nan"], 2,
-     "domain length must be finite and positive, got nan")],
-    ids=["too-few-cells", "nan-length"])
+     "domain length must be finite and positive, got nan"),
+    (["domain.L=1e-300"], 1, "cell width 7.81e-303 makes 2/h^2 infinite")],
+    ids=["too-few-cells", "nan-length", "tiny-length"])
 @pytest.mark.parametrize("command", ["preset", "run"])
 def test_an_overridden_domain_that_does_not_fit_names_its_item(
         tmp_path, capsys, command, items, line, message):
@@ -153,6 +154,7 @@ def test_read_or_default_incidence_parameter_is_accepted(pairs):
     ("solver.max_steps", "0", "solver.max_steps must be at least 1"),
     ("solver.dt_init", "1", "dt_init must lie in [dt_min, dt_max]"),
     ("solver.t_end", "0", "solver.t_end must be positive"),
+    ("solver.t_end", "inf", "solver.t_end must be positive and finite"),
     ("solver.cadence", "0", "cadence must be positive"),
     ("solver.snapshots", "99", "snapshot time 99.0 outside [0, t_end]"),
     ("solver.snapshots", "-1", "snapshot time -1.0 outside [0, t_end]"),
@@ -170,6 +172,7 @@ def test_out_of_range_value_is_refused_where_it_is_built(key, value, message):
     ("[solver]\nmax_steps = 0", "solver.max_steps", 5),
     ("[solver]\ndt_min = 1", "solver.dt_min", 5),
     ("[solver]\nt_end = 0", "solver.t_end", 5),
+    ("[solver]\nt_end = inf", "solver.t_end", 5),
     ("[detect]\nwindow = 2", "detect.window", 5),
     ("[model]\ndS = 0", "model.dS", 5),
     ("[model]\np = 0", "model.p", 5),
@@ -184,7 +187,7 @@ def test_out_of_range_value_is_refused_where_it_is_built(key, value, message):
     ("[model]\nbeta_table = t.txt\nbeta_x_amp = 0.9", "model.beta_x_amp", 6),
     ("[model]\nmu_t_amp = 0.5\nmu_table = t.txt", "model.mu_t_amp", 5),
     ("[solver]\nperiodic_snapshots = 2", "solver.periodic_snapshots", 5)],
-    ids=["max-steps", "dt-min", "t-end", "window", "dS", "p", "binomial-k",
+    ids=["max-steps", "dt-min", "t-end", "t-end-inf", "window", "dS", "p", "binomial-k",
          "amplitude", "no-period", "negative-beta", "s", "r-nan", "incidence",
          "missing-table", "table-x-amp", "table-t-amp", "periodic-snapshots"])
 def test_a_refused_value_names_its_key_and_line(text, key, line):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -152,9 +153,9 @@ def test_small_grid_rejected():
 @pytest.mark.parametrize("lengths, cells", [
     ((1.0,), (8, 8)), ((1.0, 1.0), (8,)), ((), ()),
     ((1.0,) * 3, (8,) * 3), ((math.nan,), (8,)), ((1.0, math.inf), (8, 8)),
-    ((0.0,), (8,)), ((-1.0, 1.0), (8, 8))],
+    ((0.0,), (8,)), ((-1.0, 1.0), (8, 8)), ((1.0, 1e-300), (8, 96))],
     ids=["mismatch-1", "mismatch-2", "no-axis", "three-axes", "nan", "inf",
-         "zero", "negative"])
+         "zero", "negative", "infinite-inverse-square-width"])
 def test_bad_domain_rejected(lengths, cells):
     with pytest.raises(ConfigError):
         Domain(lengths, cells)
@@ -166,6 +167,24 @@ def test_domain_refuses_a_cell_count_that_is_not_an_integer(cells):
     with pytest.raises(ConfigError, match="cell counts must be integers") as exc:
         Domain((1.0,) * len(cells), cells)
     assert exc.value.key == "cells"
+
+
+@pytest.mark.parametrize("h", [1e-302, 1e-160, 1.05e-154],
+                         ids=["square-is-zero", "square-is-subnormal", "just-over"])
+def test_a_width_whose_stiffness_overflows_is_refused_by_length(h):
+    with pytest.raises(ConfigError, match=r"makes 2/h\^2 infinite") as exc:
+        Domain((8 * h,), (8,))
+    assert exc.value.key == "lengths"
+
+
+def test_the_narrowest_width_with_a_finite_stiffness_is_kept():
+    h = math.sqrt(2.0 / sys.float_info.max)
+    while not 2.0 * (1.0 / (h * h)) < math.inf:
+        h = math.nextafter(h, math.inf)
+    dom = Domain((8 * h,), (8,))
+    assert dom.spacing == (h,) and np.isfinite(_stiffness_banded(8, h)).all()
+    with pytest.raises(ConfigError):
+        Domain((8 * math.nextafter(h, 0.0),), (8,))
 
 
 def test_domain_stores_integer_cell_counts():

@@ -662,6 +662,37 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert loaded == ["loaded []"] * 4 + ["loaded ['scipy.linalg']"]
 
 
+def test_each_layer_loads_on_first_use(tmp_path):
+    # ``import sqip`` loads no layer; a preset loads the PDE layers, and
+    # neither a PDE run nor the CLI command of one loads the ODE oracle
+    code = ("import sys\n"
+            "def loaded():\n"
+            "    print('loaded', *sorted(m for m in sys.modules\n"
+            "                            if m.startswith('sqip.')))\n"
+            "import sqip\n"
+            "loaded()\n"
+            "from sqip.presets import preset_config\n"
+            "loaded()\n"
+            "sqip.run(preset_config('thm-2.11-persist', {'solver.t_end': '1'}))\n"
+            "loaded()\n"
+            "from sqip.cli import main\n"
+            "assert main(['preset', 'thm-2.11-persist', '--override',\n"
+            f"             'solver.t_end=1', '--out', {str(tmp_path)!r}]) == 0\n"
+            "loaded()\n"
+            "assert set(sqip.__all__) <= set(dir(sqip))\n"
+            "assert sqip.runner.run_sweep is sqip.run_sweep\n"
+            "assert not hasattr(sqip, 'no_such_name')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sqip.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True, env=env)
+    pde = "sqip.config sqip.diagnostics sqip.errors sqip.grid sqip.model"
+    assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == [
+        "loaded",
+        f"loaded {pde} sqip.presets sqip.solver",
+        f"loaded {pde} sqip.presets sqip.solver",
+        f"loaded sqip.cli {pde} sqip.presets sqip.runner sqip.solver sqip.spectral"]
+
+
 def test_star_import_resolves_every_export_and_mapped_module():
     # a name dropped from the package but left in ``__all__`` makes
     # ``from sqip import *`` raise; so does a module in README's module

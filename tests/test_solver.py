@@ -489,6 +489,35 @@ def test_a_run_past_max_steps_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["initial.S=constant(1e160)"],
+     "the initial data (sup 1e+160) overflow the mass or L2 norm of the first "
+     "diagnostics row"),
+    (["initial.S=constant(1e154)"],  # each square fits, their sum does not
+     "the initial data (sup 1e+154) overflow the mass or L2 norm of the first "
+     "diagnostics row"),
+    (["initial.S=constant(1e70)", "model.p=2.5", "model.q=2.5"],
+     "sup(S, I) = 1e+70 leaves no positive reaction step cap")],
+    ids=["square", "sum", "step-cap"])
+def test_huge_finite_data_fail_typed_before_the_first_step(tmp_path, capsys,
+                                                          overrides, message):
+    # no numpy warning (an error under this suite) and no OverflowError
+    args = [arg for item in overrides for arg in ("--override", item)]
+    assert cli_main(["preset", "thm-2.10-i", *args, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_finite_reaction_step_cap_keeps_its_formula():
+    stepper = Stepper(preset_config("thm-2.10-i").model, Domain((1.0,), (8,)))
+    sigma, power_sum = stepper._sigma, stepper._cap_power
+    for sup in (-1.0, 0.0, 0.37, 1.0, 12.5, 1e60, 1e100):
+        m = max(sup, 0.0)
+        assert stepper.reaction_dt_cap(sup) == 0.5 / (sigma * (1.0 + m ** power_sum))
+    for sup in (1e200, math.nan):
+        with pytest.raises(NumericsError, match="no positive reaction step cap"):
+            stepper.reaction_dt_cap(sup)
+
+
 def test_a_nan_coefficient_built_in_code_fails_a1_and_stops_the_run_at_zero():
     # a field built in code skips the config checks; its declared bounds
     # hold, but half of its samples are NaN

@@ -62,8 +62,10 @@ does). Each tree then runs, with its own ``src`` on the import path:
   artifacts include the ``rows.part`` journal beside ``results.csv``.
 
 Every run but ``r0`` writes into its own ``--out`` directory. An
-artifact is each file there, the run's stdout with that directory's path
-masked, and its exit code. The script prints one line per artifact,
+artifact is each file there, the run's stdout and its exit code. Every
+artifact but the exit code is hashed with that directory's path, then
+the folder of the spec and config files, masked (``<out>``, ``<spec>``),
+so digests from two invocations of the script can be compared. The script prints one line per artifact,
 ``same`` with the digest or ``DIFF`` with both, then a count, and exits 1
 when any artifact differs or exists on one side only.
 
@@ -98,6 +100,7 @@ HET_PERIODIC_1D = HET_PERIODIC + ("domain.n=64",)
 SEPARABLE = ("model.beta_x_amp=0.9", "model.beta_t_amp=0",
              "model.gamma_t_amp=0.5")
 OUT_MASK = "<out>"
+SPEC_MASK = "<spec>"
 # Lines of unified diff printed per differing artifact.
 DIFF_LINES = 40
 # A beta table of period 1 (header ``omega n_x n_t``): rows sample [0, L],
@@ -188,8 +191,11 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(tree: Path, runs: dict[str, list[str]], out_root: Path) -> dict:
-    """Artifact name -> SHA-256 (or exit code) of every run in ``tree``."""
+def digests(tree: Path, runs: dict[str, list[str]], out_root: Path,
+            spec_dir: Path) -> dict:
+    """Artifact name -> SHA-256 (or exit code) of every run in ``tree``,
+    whose specs are in ``spec_dir``. Each file is rewritten masked, as
+    hashed, for the text diff."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     found = {}
     for label, args in runs.items():
@@ -197,12 +203,18 @@ def digests(tree: Path, runs: dict[str, list[str]], out_root: Path) -> dict:
         out_args = [] if args[0] == "r0" else ["--out", str(out)]
         proc = subprocess.run([sys.executable, "-m", "sqip", *args, *out_args],
                               cwd=tree, env=env, capture_output=True)
-        stdout = proc.stdout.replace(str(out).encode(), OUT_MASK.encode())
+
+        def masked(data: bytes) -> bytes:
+            return (data.replace(str(out).encode(), OUT_MASK.encode())
+                    .replace(str(spec_dir).encode(), SPEC_MASK.encode()))
+
+        stdout = masked(proc.stdout)
         found[f"{label}/exit"] = str(proc.returncode)
         found[f"{label}/stdout"] = _sha(stdout)
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            found[f"{label}/{path.relative_to(out).as_posix()}"] = _sha(
-                path.read_bytes())
+            data = masked(path.read_bytes())
+            path.write_bytes(data)
+            found[f"{label}/{path.relative_to(out).as_posix()}"] = _sha(data)
         # Kept under its artifact name for the text diff, once listed.
         out.mkdir(parents=True, exist_ok=True)
         (out / "stdout").write_bytes(stdout)
@@ -245,7 +257,7 @@ def main(argv=None) -> int:
         for side, rev in (("base", args.base), ("head", args.head)):
             commit = export_tree(rev, tmp / side)
             print(f"{side}: {rev} = {commit}")
-            sides[side] = digests(tmp / side, runs, tmp / f"out-{side}")
+            sides[side] = digests(tmp / side, runs, tmp / f"out-{side}", tmp)
 
         base, head = sides["base"], sides["head"]
         bad = 0

@@ -3,7 +3,8 @@
     python3 tools/surface.py
 
 Prints the lines of ``src/sqip/*.py`` (total and non-blank), the number
-of names in ``sqip.__all__``, the number of ``config.SCHEMA`` keys (over
+of public names (those of the package's ``_EXPORTS`` table, which
+``sqip.__all__`` lists), the number of ``config.SCHEMA`` keys (over
 all sections) and the number of parameters with a default over every
 ``def`` in the package. It reads the sources with ``ast`` and imports
 nothing from the package, so it needs no third-party module.
@@ -36,7 +37,7 @@ def main() -> None:
                for path in sorted(PACKAGE.glob("*.py"))}
     lines = [line for text in sources.values() for line in text.splitlines()]
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    exports = ast.literal_eval(_assigned(trees["__init__.py"], "__all__"))
+    exports = ast.literal_eval(_assigned(trees["__init__.py"], "_EXPORTS"))
     schema = ast.literal_eval(_assigned(trees["config.py"], "SCHEMA"))
     defaults = sum(
         len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
@@ -44,7 +45,7 @@ def main() -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
     print(f"src_lines={len(lines)}")
     print(f"src_nonblank_lines={sum(bool(line.strip()) for line in lines)}")
-    print(f"public_names={len(exports)}")
+    print(f"public_names={sum(map(len, exports.values()))}")
     print(f"schema_keys={sum(len(keys) for keys in schema.values())}")
     print(f"parameters_with_default={defaults}")
 
