@@ -9,9 +9,9 @@ with zero-flux boundaries and incidence kernels K built on S^q I^p,
 plus the spectral threshold quantities and zero-diffusion companion
 systems needed to verify its long-time behavior claims.
 
-Each public name, and each submodule below, is imported on first use
-(PEP 562), so a process loads only the layers it calls: a PDE run never
-compiles the ODE oracle.
+Each public name and submodule is imported on first use (PEP 562), so
+a process loads only the layers it calls: a PDE run never compiles the
+ODE oracle.
 """
 
 import importlib

@@ -28,7 +28,7 @@ from .errors import ConfigError, NumericsError, SqipError
 from .presets import ODE_PRESETS, preset_config, preset_pairs
 from .solver import Trajectory
 
-if TYPE_CHECKING:  # imported where called: a PDE run never loads the oracle
+if TYPE_CHECKING:  # spectral and ode are imported where they are called
     from . import spectral
 
 ODE_SWEEP_HEADER = "p,q,beta,gamma_or_mu,N_or_I0,S0,predicted,observed,agree"

@@ -155,7 +155,7 @@ def test_small_grid_rejected():
     ((1.0,) * 3, (8,) * 3), ((math.nan,), (8,)), ((1.0, math.inf), (8, 8)),
     ((0.0,), (8,)), ((-1.0, 1.0), (8, 8)), ((1.0, 1e-300), (8, 96))],
     ids=["mismatch-1", "mismatch-2", "no-axis", "three-axes", "nan", "inf",
-         "zero", "negative", "infinite-inverse-square-width"])
+         "zero", "negative", "stiffness-overflow"])
 def test_bad_domain_rejected(lengths, cells):
     with pytest.raises(ConfigError):
         Domain(lengths, cells)

@@ -64,10 +64,11 @@ does). Each tree then runs, with its own ``src`` on the import path:
 Every run but ``r0`` writes into its own ``--out`` directory. An
 artifact is each file there, the run's stdout and its exit code. Every
 artifact but the exit code is hashed with that directory's path, then
-the folder of the spec and config files, masked (``<out>``, ``<spec>``),
-so digests from two invocations of the script can be compared. The script prints one line per artifact,
-``same`` with the digest or ``DIFF`` with both, then a count, and exits 1
-when any artifact differs or exists on one side only.
+the folder of the spec and config files, masked (``<out>``,
+``<spec>``), so digests from two invocations of the script can be
+compared. The script prints one line per artifact, ``same`` with the
+digest or ``DIFF`` with both, then a count, and exits 1 when any
+artifact differs or exists on one side only.
 
 Each ``DIFF`` line of a file or stdout is followed by a unified diff of
 the two sides' text (base first), cut after ``DIFF_LINES`` lines; an
@@ -191,6 +192,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _masked(data: bytes, out: Path, spec_dir: Path) -> bytes:
+    """``data`` with the run's ``--out`` path, then the spec folder, masked."""
+    return (data.replace(str(out).encode(), OUT_MASK.encode())
+            .replace(str(spec_dir).encode(), SPEC_MASK.encode()))
+
+
 def digests(tree: Path, runs: dict[str, list[str]], out_root: Path,
             spec_dir: Path) -> dict:
     """Artifact name -> SHA-256 (or exit code) of every run in ``tree``,
@@ -203,16 +210,11 @@ def digests(tree: Path, runs: dict[str, list[str]], out_root: Path,
         out_args = [] if args[0] == "r0" else ["--out", str(out)]
         proc = subprocess.run([sys.executable, "-m", "sqip", *args, *out_args],
                               cwd=tree, env=env, capture_output=True)
-
-        def masked(data: bytes) -> bytes:
-            return (data.replace(str(out).encode(), OUT_MASK.encode())
-                    .replace(str(spec_dir).encode(), SPEC_MASK.encode()))
-
-        stdout = masked(proc.stdout)
+        stdout = _masked(proc.stdout, out, spec_dir)
         found[f"{label}/exit"] = str(proc.returncode)
         found[f"{label}/stdout"] = _sha(stdout)
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            data = masked(path.read_bytes())
+            data = _masked(path.read_bytes(), out, spec_dir)
             path.write_bytes(data)
             found[f"{label}/{path.relative_to(out).as_posix()}"] = _sha(data)
         # Kept under its artifact name for the text diff, once listed.
